@@ -68,19 +68,7 @@ from .oracle import (
     linear_solution,
     proxy_reference,
 )
-from .schemes import (
-    SchemeConfig,
-    SolverConfig,
-    SolverError,
-    ValueFunctions,
-    explicit_y_step,
-    fp_post_step,
-    fp_pre_step,
-    implicit_y_step,
-    run_backward,
-    theta_y_step,
-    z_step,
-)
-from .treeval import ChainLaw, chain_law, cond_expect, l2_norm, level_expectation
+from .schemes import SchemeConfig, SolverError, ValueFunctions, run_backward
+from .treeval import ChainLaw, chain_law, l2_norm
 
 __version__ = "0.1.0"

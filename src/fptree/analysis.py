@@ -31,10 +31,10 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice, build_lattice
-from .grids import TimeGrid, TruncationConfig, trinomial, truncate
+from .grids import TimeGrid, TruncationConfig, trinomial, truncate_array
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
-from .treeval import safe_weighted_sum
+from .treeval import level_sum
 
 __all__ = [
     "Reference",
@@ -221,20 +221,17 @@ def _guarded_exp(x: float) -> float:
         return math.inf
 
 
-def _guarded_product(a: float, b: float) -> float:
+def _guarded_product(a, b):
     # e^{ch} * E with E = 0 is 0 for any finite c, also when e^{ch}
     # overflowed to inf; keep that limit instead of IEEE inf*0 = nan
-    if b == 0.0:
-        return 0.0
-    return a * b
+    with np.errstate(invalid="ignore"):
+        return np.where(b == 0.0, 0.0, a * b)
 
 
-def _is_violation(residual: float, rhs: float, tol_abs: float,
-                  tol_rel: float) -> bool:
-    tol = tol_abs + tol_rel * abs(rhs) if math.isfinite(rhs) else math.inf
-    if residual != residual:  # nan: inequality not verifiable
-        return True
-    return residual > tol
+def _is_violation(residual, rhs, tol_abs: float, tol_rel: float):
+    """Elementwise: residual above the slack, or nan (not verifiable)."""
+    tol = np.where(np.isfinite(rhs), tol_abs + tol_rel * np.abs(rhs), math.inf)
+    return np.isnan(residual) | (residual > tol)
 
 
 def contraction_check(
@@ -284,26 +281,22 @@ def contraction_check(
     applicable = not reasons
     c_prime = drv.M_y / 2.0
 
-    T = spec.T
-    l2_terminal = run.diagnostics[-1].l2
-    entries = []
-    violations = 0
-    nonfinite = 0
-    for diag in run.diagnostics:
-        bound = _guarded_product(
-            _guarded_exp(c_prime * (T - diag.t)), l2_terminal
-        )
-        residual = diag.l2 - bound
-        if not math.isfinite(diag.l2):
-            nonfinite += 1
-        bad = _is_violation(residual, bound, tol_abs, tol_rel)
-        violations += int(bad)
-        entries.append(
-            ContractionEntry(
-                level=diag.level, t=diag.t, l2=diag.l2,
-                bound=bound, residual=residual, violation=bad,
-            )
-        )
+    diags = run.diagnostics
+    l2 = np.array([dg.l2 for dg in diags])
+    bound = _guarded_product(
+        np.array([_guarded_exp(c_prime * (spec.T - dg.t)) for dg in diags]),
+        l2[-1],
+    )
+    residual = l2 - bound
+    bad = _is_violation(residual, bound, tol_abs, tol_rel)
+    entries = [
+        ContractionEntry(level=dg.level, t=dg.t, l2=dg.l2, bound=b,
+                         residual=r, violation=v)
+        for dg, b, r, v in zip(diags, bound.tolist(), residual.tolist(),
+                              bad.tolist())
+    ]
+    violations = int(np.count_nonzero(bad))
+    nonfinite = int(np.count_nonzero(~np.isfinite(l2)))
     return StabilityLedger(
         kind="contraction",
         applicable=applicable,
@@ -326,26 +319,20 @@ def sup_norm_check(
     The qualitative boundedness property of contracting dynamics;
     non-finite levels count as violations.
     """
-    term = run.diagnostics[-1]
-    sup_terminal = max(abs(term.y_max), abs(term.y_min)) if term.finite \
-        else math.nan
-    entries = []
-    violations = 0
-    nonfinite = 0
-    for diag in run.diagnostics:
-        sup_here = max(abs(diag.y_max), abs(diag.y_min)) if diag.finite \
-            else math.nan
-        residual = sup_here - sup_terminal
-        bad = _is_violation(residual, sup_terminal, tol_abs, 0.0)
-        if not diag.finite:
-            nonfinite += 1
-        violations += int(bad)
-        entries.append(
-            ContractionEntry(
-                level=diag.level, t=diag.t, l2=sup_here,
-                bound=sup_terminal, residual=residual, violation=bad,
-            )
-        )
+    diags = run.diagnostics
+    finite = np.array([dg.finite for dg in diags])
+    sup = np.where(finite, [max(abs(dg.y_max), abs(dg.y_min)) for dg in diags],
+                   math.nan)
+    residual = sup - sup[-1]
+    bad = _is_violation(residual, sup[-1], tol_abs, 0.0)
+    entries = [
+        ContractionEntry(level=dg.level, t=dg.t, l2=s, bound=float(sup[-1]),
+                         residual=r, violation=v)
+        for dg, s, r, v in zip(diags, sup.tolist(), residual.tolist(),
+                              bad.tolist())
+    ]
+    violations = int(np.count_nonzero(bad))
+    nonfinite = int(np.count_nonzero(~finite))
     return StabilityLedger(
         kind="sup_norm",
         applicable=True,
@@ -448,54 +435,45 @@ def one_step_checks(
     ech = _guarded_exp(c * h)
 
     entries = []
-    total = 0
-    violations = 0
-    overflows = 0
-    nonfinite = 0
-    for i in range(tg.N):
-        worst = -math.inf
-        worst_node = 0
-        lv = 0
-        n_nodes = len(lattice.supports[i])
-        for pos in range(n_nodes):
-            children = lattice.child_indices(i, pos)
+    total = violations = overflows = nonfinite = 0
+    with np.errstate(all="ignore"):
+        for i in range(tg.N):
             if kind == "size":
-                y = run.y[i][pos]
-                z = run.z[i][pos]
-                sq = [
-                    truncate(trunc, h, run.y[i + 1][c]) ** 2 for c in children
-                ]
+                y = run.y[i]
+                z = run.z[i]
+                nxt = truncate_array(trunc, h, run.y[i + 1])
             else:
-                y = run.y[i][pos] - run2.y[i][pos]
-                z = run.z[i][pos] - run2.z[i][pos]
-                sq = [
-                    (run.y[i + 1][c] - run2.y[i + 1][c]) ** 2
-                    for c in children
-                ]
-            e_sq = safe_weighted_sum([w * s for w, s in zip(weights, sq)])
+                y = run.y[i] - run2.y[i]
+                z = run.z[i] - run2.z[i]
+                nxt = run.y[i + 1] - run2.y[i + 1]
+            e_sq = level_sum(
+                [w * v ** 2 for w, v in zip(weights, lattice.gather(i, nxt))]
+            )
             lhs = y * y + 0.125 * z * z * h
             rhs = _guarded_product(ech, e_sq) + tail
-            if rhs == math.inf:
-                overflows += 1
             residual = lhs - rhs
-            if not (math.isfinite(lhs) and (math.isfinite(rhs) or rhs == math.inf)):
-                nonfinite += 1
-            bad = _is_violation(residual, rhs, tol_abs, tol_rel)
-            if bad:
-                lv += 1
-            if residual > worst:
-                worst = residual
-                worst_node = pos
-            total += 1
-        violations += lv
-        if worst == -math.inf and lv:
-            worst = math.nan  # every residual at this level was nan
-        entries.append(
-            NodeCheckEntry(
-                level=i, checked=n_nodes, violations=lv,
-                worst_residual=worst, worst_node=worst_node,
+            lv = int(np.count_nonzero(
+                _is_violation(residual, rhs, tol_abs, tol_rel)
+            ))
+            overflows += int(np.count_nonzero(rhs == math.inf))
+            nonfinite += int(np.count_nonzero(
+                ~(np.isfinite(lhs) & (np.isfinite(rhs) | (rhs == math.inf)))
+            ))
+            # nan residuals never count as the worst; all-nan levels
+            # report nan when they have violations
+            ranked = np.where(np.isnan(residual), -math.inf, residual)
+            worst_node = int(np.argmax(ranked))
+            worst = float(ranked[worst_node])
+            if worst == -math.inf and lv:
+                worst = math.nan
+            total += len(y)
+            violations += lv
+            entries.append(
+                NodeCheckEntry(
+                    level=i, checked=len(y), violations=lv,
+                    worst_residual=worst, worst_node=worst_node,
+                )
             )
-        )
     return StabilityLedger(
         kind=kind,
         applicable=applicable,
@@ -534,7 +512,7 @@ def fd_comparison(run: ValueFunctions, lattice: Lattice, pde) -> list:
             continue
         sup = 0.0
         count = 0
-        for x, y in zip(lattice.supports[i], run.y[i]):
+        for x, y in zip(lattice.supports[i], run.y[i].tolist()):
             if not lo <= x <= hi:
                 continue
             diff = abs(y - pde.value_at(snap[key], x))

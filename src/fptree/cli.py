@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import click
+import numpy as np
 
 from . import analysis
 from .analysis import Reference, convergence_study, minmax_processes
@@ -46,6 +47,7 @@ from .grids import (
     moment_exact,
     trinomial,
     truncate,
+    truncate_array,
     weight_values,
 )
 from .model import (
@@ -613,11 +615,10 @@ def _suite_pre_post(st: Settings):
     )
     h = tg.h
     for i in range(N + 1):
-        want = tuple(truncate(trunc, h, v) for v in pre.y[i])
-        if want != post.y[i]:
+        if not np.array_equal(truncate_array(trunc, h, pre.y[i]), post.y[i]):
             return False, "post y != T(pre y) at level %d" % i
     for i in range(N):
-        if pre.z[i] != post.z[i]:
+        if not np.array_equal(pre.z[i], post.z[i]):
             return False, "z differs at level %d" % i
     return True, "post equals truncated pre, z identical (bitwise, N=%d)" % N
 

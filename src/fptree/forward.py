@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .grids import (
     ConfigurationError,
@@ -99,6 +101,19 @@ class Lattice:
         if self.children is None:
             return (pos, pos + 1, pos + 2)
         return self.children[level][pos]
+
+    def gather(self, level: int, values: np.ndarray) -> List[np.ndarray]:
+        """Child values of every level-`level` node, one array per branch.
+
+        values holds the level + 1 values; entry j of the result lists
+        the j-th child's value of each node in order.  On the tree the
+        entries are views into values.
+        """
+        if self.children is None:
+            n = len(self.supports[level])
+            return [values[j:j + n] for j in range(len(self.weights))]
+        idx = np.asarray(self.children[level])
+        return [values[idx[:, j]] for j in range(idx.shape[1])]
 
     @property
     def weights(self) -> Tuple[float, ...]:

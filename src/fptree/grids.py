@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "ConfigurationError",
     "TimeGrid",
@@ -30,6 +32,7 @@ __all__ = [
     "SpatialGrid",
     "truncation_radius",
     "truncate",
+    "truncate_array",
     "truncate_increment",
     "increment_radius",
     "trinomial",
@@ -168,6 +171,25 @@ def truncate(cfg: TruncationConfig, h: float, y: float) -> float:
         return math.copysign(R, y)
     eps = h if cfg.epsilon is None else cfg.epsilon
     return math.copysign(_mollified_radius_transfer(r, R, eps), y)
+
+
+def truncate_array(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:
+    """:func:`truncate` applied elementwise to a float64 array.
+
+    Each entry goes through the same floating-point operations as the
+    scalar form, so the two agree bitwise.
+    """
+    R = truncation_radius(cfg, h)
+    r = np.abs(y)
+    cap = R
+    if cfg.mode == "mollified":
+        eps = h if cfg.epsilon is None else cfg.epsilon
+        if eps > 0.0:
+            with np.errstate(invalid="ignore", over="ignore"):
+                s = (r - R) / eps
+                cap = np.where(r >= R + eps, R + 0.5 * eps,
+                               R + eps * (s - 0.5 * s * s))
+    return np.where((r <= R) | np.isnan(y), y, np.copysign(cap, y))
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,16 @@ def _horner(coeffs: Sequence[float]):
 
     Plain * and + follow IEEE semantics on overflow (inf, then nan),
     which the explicit scheme relies on to record explosions instead of
-    raising; y**k would raise OverflowError instead.
+    raising; y**k would raise OverflowError instead.  Floats and arrays
+    go through the same operations, so they agree elementwise, also at
+    +-inf.  A constant polynomial returns its float for any input.
     """
     cs = tuple(float(c) for c in coeffs)
+    lead, rest = cs[-1], cs[-2::-1]
 
     def p(y):
-        acc = cs[-1] * (y * 0 + 1) if not np.isscalar(y) else cs[-1]
-        for c in reversed(cs[:-1]):
+        acc = lead
+        for c in rest:
             acc = acc * y + c
         return acc
 
@@ -201,7 +204,7 @@ def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
     L_y = max(slot_const, slot_power)
 
     p = _horner(cs)
-    dp = _horner(dcs) if dcs else (lambda y: 0.0 * y if not np.isscalar(y) else 0.0)
+    dp = _horner(dcs or (0.0,))
     zc = float(z_coeff)
 
     def f(y, z):

@@ -23,7 +23,7 @@ import numpy as np
 from .forward import build_lattice
 from .grids import ConfigurationError, TimeGrid, TruncationConfig, trinomial
 from .model import ClampG, ConstantG, ModelSpec, QuadraticG
-from .schemes import SchemeConfig, SolverConfig, run_backward
+from .schemes import SchemeConfig, run_backward
 
 __all__ = [
     "OracleError",
@@ -301,7 +301,6 @@ def proxy_reference(
     trunc: TruncationConfig,
     weight_rule: str = "truncated",
     N: int = 120,
-    solver: Optional[SolverConfig] = None,
 ) -> ProxyReference:
     """(Y0_implicit + Y0_full_projection)/2 at the proxy resolution N.
 
@@ -312,11 +311,7 @@ def proxy_reference(
     tg = TimeGrid(T=spec.T, N=N)
     lattice = build_lattice(spec, tg, trinomial(tg.h))
     impl = run_backward(
-        SchemeConfig(
-            kind="implicit_euler",
-            weight_rule=weight_rule,
-            solver=solver if solver is not None else SolverConfig(),
-        ),
+        SchemeConfig(kind="implicit_euler", weight_rule=weight_rule),
         lattice,
         spec,
     )

@@ -1,18 +1,25 @@
-"""One-step backward operators and full backward induction.
+"""The backward level operator and full backward induction.
 
-Five step kinds share one induction loop:
+Every scheme kind is one level map, applied to the three child arrays
+of each level:
 
-* explicit_euler      y = E[v + f(v, z) h],           z = E[v H]
-* implicit_euler      y solves y = E[v] + f(y, z) h,  z = E[v H]
-* theta             y solves y = E[v + (1-theta) f(v, z) h] + theta f(y, z) h
-* full_projection_pre   explicit step applied to truncated children
-* full_projection_post  like pre, then the output itself is truncated
+    z = E[v H]
+    y solves y = E[v + (1 - theta) f(v, z) h] + theta f(y, z) h
+
+with theta = 0 for explicit_euler and the full-projection kinds, 1 for
+implicit_euler and the configured value for theta.  At theta = 0 the
+map is explicit and needs no solve.  The full-projection kinds add the
+radial truncation T:
+
+* full_projection_pre   truncates the children before the step
+* full_projection_post  truncates the terminal values and each output
 
 The two full-projection variants are algebraically conjugate: starting
 the post variant from truncated terminal data yields y_post = T(y_pre)
-and identical z at every node.  The implementation routes both through
-the same kernel so the equivalence holds bit-for-bit, not just within
-tolerance.
+and identical z at every node.  Both run the same arithmetic on the
+same truncated children, so the equivalence holds bit-for-bit, not just
+within tolerance.  Post never truncates its children again: the
+mollified T is not idempotent.
 
 Non-finite values are data here: the explicit scheme on stiff problems
 overflows to inf and then nan, and those values are carried through and
@@ -23,35 +30,29 @@ failed solve has no value to carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .forward import Lattice
 from .grids import (
-    ConfigurationError,
     TruncationConfig,
     check_alpha,
     make_weight_config,
-    truncate,
-    truncation_radius,
+    truncate_array,
     weight_values,
 )
 from .model import DriverSpec, ModelSpec
-from .treeval import chain_law, l2_norm, safe_weighted_sum
+from .treeval import chain_law, l2_norm, level_sum
 
 __all__ = [
     "SchemeError",
     "SolverError",
-    "SolverConfig",
     "SchemeConfig",
     "LevelDiagnostics",
     "ValueFunctions",
-    "z_step",
-    "explicit_y_step",
-    "implicit_y_step",
-    "theta_y_step",
-    "fp_pre_step",
-    "fp_post_step",
     "run_backward",
     "SCHEME_KINDS",
 ]
@@ -65,6 +66,18 @@ SCHEME_KINDS = (
 )
 
 _FP_KINDS = ("full_projection_pre", "full_projection_post")
+
+# implicit root solve: residual tolerance relative to max(1, |m|), Newton
+# iteration cap, and the number of geometric bracket expansions
+_TOL = 1e-12
+_MAX_ITER = 100
+_MAX_EXPAND = 200
+_FAILURES = (
+    None,
+    "implicit residual became non-finite",
+    "failed to bracket the implicit root",
+    "newton did not converge in %d iterations" % _MAX_ITER,
+)
 
 
 class SchemeError(ValueError):
@@ -81,21 +94,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Root solver for the implicit step: damped Newton or Picard."""
-
-    method: str = "newton"
-    tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.method not in ("newton", "picard"):
-            raise SchemeError("solver method must be 'newton' or 'picard'")
-        if not self.tol > 0 or self.max_iter < 1:
-            raise SchemeError("solver needs tol > 0 and max_iter >= 1")
-
-
-@dataclass(frozen=True)
 class SchemeConfig:
     """Which backward operator to run and with what parameters.
 
@@ -108,7 +106,6 @@ class SchemeConfig:
     theta: float = 1.0
     truncation: Optional[TruncationConfig] = None
     weight_rule: str = "truncated"
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -123,199 +120,127 @@ class SchemeConfig:
 
 
 # ---------------------------------------------------------------------------
-# One-step operators
+# Level operator
 # ---------------------------------------------------------------------------
 
 
-def z_step(
-    child_values: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    H: Tuple[float, ...],
-) -> float:
-    """z = sum_j p_j v_j H_j.
-
-    The weights H have exact mean zero, so constant children give
-    exactly zero.  Callers pass truncated children for the
-    full-projection kinds and raw children otherwise.
-    """
-    return safe_weighted_sum(
-        [w * v * hj for w, v, hj in zip(weights, child_values, H)]
-    )
-
-
-def explicit_y_step(
-    child_values: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    z_here: float,
-    driver: DriverSpec,
-    h: float,
-) -> float:
-    """y = sum_j p_j (v_j + f(v_j, z) h)."""
-    f = driver.eval
-    return safe_weighted_sum(
-        [w * (v + f(v, z_here) * h) for w, v in zip(weights, child_values)]
-    )
-
-
-def implicit_y_step(
-    child_values: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    z_here: float,
-    driver: DriverSpec,
-    h: float,
-    solver: SolverConfig,
-) -> Tuple[float, int]:
-    """Solve y = m + f(y, z) h with m = sum_j p_j v_j.
-
-    Returns (y, iterations).  Non-finite m or z propagates as nan with
-    zero iterations; an unsolvable equation raises SolverError.
-    """
-    m = safe_weighted_sum([w * v for w, v in zip(weights, child_values)])
-    return _solve_semi_implicit(m, z_here, driver, h, solver)
-
-
-def theta_y_step(
-    child_values: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    z_here: float,
+def _level(
+    kids: Sequence[np.ndarray],
+    weights: Sequence[float],
+    H: Sequence[float],
     driver: DriverSpec,
     h: float,
     theta: float,
-    solver: SolverConfig,
-) -> Tuple[float, int]:
-    """General theta split: y = E[v + (1-theta) f(v,z) h] + theta f(y,z) h."""
+    truncate_children: Optional[Callable] = None,
+    truncate_output: Optional[Callable] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One backward step at every node of a level.
+
+    kids[j] holds each node's j-th child value.  Returns y, z and the
+    per-node root-solve iteration counts (zero where no solve ran).
+    Callers run it under np.errstate(all="ignore"): overflow is data.
+    """
+    if truncate_children is not None:
+        kids = [truncate_children(v) for v in kids]
+    z = level_sum([w * v * hj for w, v, hj in zip(weights, kids, H)])
+    if theta == 1.0:
+        m = level_sum([w * v for w, v in zip(weights, kids)])
+    else:
+        ht = (1.0 - theta) * h
+        f = driver.eval
+        m = level_sum([w * (v + f(v, z) * ht) for w, v in zip(weights, kids)])
     if theta == 0.0:
-        return explicit_y_step(child_values, weights, z_here, driver, h), 0
-    f = driver.eval
-    ht = (1.0 - theta) * h
-    m = safe_weighted_sum(
-        [w * (v + f(v, z_here) * ht) for w, v in zip(weights, child_values)]
-    )
-    return _solve_semi_implicit(m, z_here, driver, theta * h, solver)
+        y, iters = m, np.zeros(m.shape, dtype=np.int64)
+    else:
+        y, iters = _solve(m, z, driver, theta * h)
+    if truncate_output is not None:
+        y = truncate_output(y)
+    return y, z, iters
 
 
-def _solve_semi_implicit(
-    m: float, z: float, driver: DriverSpec, hh: float, solver: SolverConfig
-) -> Tuple[float, int]:
-    """Root of F(y) = y - hh * f(y, z) - m = 0.
+def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
+    """Root of F(y) = y - hh * f(y, z) - m at every node of a level.
 
     For one-sided Lipschitz drivers F' = 1 - hh f_y >= 1 - hh M_y, so F
     is strictly increasing whenever hh * M_y < 1; that is the guard
     under which a bracketed Newton (bisection fallback) cannot fail.
+    Every node runs its own iteration, masked over the level: a
+    geometric bracket search from m, then Newton steps kept inside the
+    bracket.  Nodes with non-finite m or z give nan; they and roots
+    the bracket search hits exactly take zero iterations.  Returns
+    (y, iterations); a failure raises SolverError carrying the first
+    failing node.
     """
-    if not (math.isfinite(m) and math.isfinite(z)):
-        return math.nan, 0
+    iters = np.zeros(m.shape, dtype=np.int64)
+    ok = np.isfinite(m) & np.isfinite(z)
+    if not ok.any():
+        return np.full(m.shape, math.nan), iters
     if hh * driver.M_y >= 0.5:
         raise SolverError(
             "step size violates the implicit contraction guard: "
-            "h*theta*M_y = %g >= 0.5" % (hh * driver.M_y,)
+            "h*theta*M_y = %g >= 0.5" % (hh * driver.M_y,),
+            node=int(np.argmax(ok)),
         )
     f = driver.eval
-    tol = solver.tol * max(1.0, abs(m))
+    dfdy = driver.dfdy
+    failed = np.zeros(m.shape, dtype=np.int8)  # index into _FAILURES
 
-    def F(y):
-        return y - hh * f(y, z) - m
-
-    if solver.method == "picard":
-        y = m
-        for it in range(1, solver.max_iter + 1):
-            y_new = m + hh * f(y, z)
-            if not math.isfinite(y_new):
-                raise SolverError("picard iteration diverged")
-            if abs(y_new - y) <= tol:
-                return y_new, it
-            y = y_new
-        raise SolverError(
-            "picard did not converge in %d iterations" % solver.max_iter
-        )
+    def F(yv):
+        return yv - hh * f(yv, z) - m
 
     # bracket the root of the increasing F, expanding geometrically
-    a = m
-    fa = F(a)
-    if fa == 0.0:
-        return a, 0
-    direction = -1.0 if fa > 0.0 else 1.0
-    step = max(abs(hh * f(m, z)), tol, 1e-8)
-    b = a
-    fb = fa
-    for _ in range(200):
-        b = b + direction * step
-        fb = F(b)
-        if not math.isfinite(fb):
-            raise SolverError("implicit residual became non-finite")
-        if fb == 0.0:
-            return b, 0
-        if (fa > 0.0) != (fb > 0.0):
+    tol = _TOL * np.maximum(1.0, np.abs(m))
+    fa = F(m)
+    y = np.where(ok & (fa == 0.0), m, math.nan)
+    direction = np.where(fa > 0.0, -1.0, 1.0)
+    step = np.maximum(np.maximum(np.abs(hh * f(m, z)), tol), 1e-8)
+    b = m
+    searching = ok & (fa != 0.0)
+    live = np.zeros(m.shape, dtype=bool)
+    for _ in range(_MAX_EXPAND):
+        if not searching.any():
             break
-        step *= 2.0
-    else:
-        raise SolverError("failed to bracket the implicit root")
-    lo, hi = (a, b) if a < b else (b, a)
+        b = np.where(searching, b + direction * step, b)
+        fb = F(b)
+        bad = searching & ~np.isfinite(fb)
+        failed[bad] = 1
+        hit = searching & (fb == 0.0)
+        y = np.where(hit, b, y)
+        crossed = searching & ~bad & ~hit & ((fa > 0.0) != (fb > 0.0))
+        live |= crossed
+        searching &= ~(bad | hit | crossed)
+        step = step * 2.0
+    failed[searching] = 2
 
-    dfdy = driver.dfdy
-    y = m
-    for it in range(1, solver.max_iter + 1):
-        fy = F(y)
-        if abs(fy) <= tol:
-            return y, it
-        slope = 1.0 - hh * dfdy(y, z) if dfdy is not None else None
-        if slope is not None and slope > 0.0 and math.isfinite(slope):
-            y_new = y - fy / slope
+    # Newton from m, falling back to bisection outside the bracket;
+    # converged nodes freeze and drop out of `live`
+    lo = np.where(m < b, m, b)
+    hi = np.where(m < b, b, m)
+    bracketed = live.copy()
+    yv = m
+    for _ in range(_MAX_ITER):
+        if not live.any():
+            break
+        iters += live
+        fy = F(yv)
+        live &= ~(np.abs(fy) <= tol)
+        mid = 0.5 * (lo + hi)
+        if dfdy is None:
+            y_new = mid
         else:
-            y_new = 0.5 * (lo + hi)
-        if not lo <= y_new <= hi:
-            y_new = 0.5 * (lo + hi)
-        if fy > 0.0:
-            hi = min(hi, y)
-        else:
-            lo = max(lo, y)
-        y = y_new
-    raise SolverError("newton did not converge in %d iterations" % solver.max_iter)
-
-
-def _fp_core(
-    truncated_children: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    H: Tuple[float, ...],
-    driver: DriverSpec,
-    h: float,
-) -> Tuple[float, float]:
-    # shared kernel of both full-projection variants; bit-identical
-    # arithmetic is what makes the pre/post conjugacy exact
-    z = z_step(truncated_children, weights, H)
-    y = explicit_y_step(truncated_children, weights, z, driver, h)
-    return y, z
-
-
-def fp_pre_step(
-    child_values: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    H: Tuple[float, ...],
-    trunc: TruncationConfig,
-    driver: DriverSpec,
-    h: float,
-) -> Tuple[float, float]:
-    """Full-projection step: truncate children, then the explicit step.
-
-    Coincides with the plain explicit step whenever every child lies
-    inside the truncation radius.
-    """
-    tv = tuple(truncate(trunc, h, v) for v in child_values)
-    y, z = _fp_core(tv, weights, H, driver, h)
-    return y, z
-
-
-def fp_post_step(
-    truncated_child_values: Tuple[float, ...],
-    weights: Tuple[float, ...],
-    H: Tuple[float, ...],
-    trunc: TruncationConfig,
-    driver: DriverSpec,
-    h: float,
-) -> Tuple[float, float]:
-    """Post-truncation variant: children arrive truncated, output is too."""
-    y, z = _fp_core(truncated_child_values, weights, H, driver, h)
-    return truncate(trunc, h, y), z
+            slope = 1.0 - hh * dfdy(yv, z)
+            y_new = np.where((slope > 0.0) & np.isfinite(slope),
+                             yv - fy / slope, mid)
+        y_new = np.where((lo <= y_new) & (y_new <= hi), y_new, mid)
+        up = fy > 0.0
+        hi = np.where(up & (yv < hi), yv, hi)
+        lo = np.where(~up & (yv > lo), yv, lo)
+        yv = np.where(live, y_new, yv)
+    failed[live] = 3
+    if failed.any():
+        first = int(np.argmax(failed != 0))
+        raise SolverError(_FAILURES[failed[first]], node=first)
+    return np.where(bracketed, yv, y), iters
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +262,14 @@ class LevelDiagnostics:
 class ValueFunctions:
     """Backward-induction output on the lattice.
 
-    y[i] holds the level-i values on the support of the lattice;
-    z[i] exists for i < N.  finite is False as soon as any level
-    contains a non-finite entry.
+    y[i] is the float64 array of level-i values on the support of the
+    lattice; z[i] exists for i < N.  finite is False as soon as any
+    level contains a non-finite entry.
     """
 
     kind: str
-    y: Tuple[Tuple[float, ...], ...]
-    z: Tuple[Tuple[float, ...], ...]
+    y: Tuple[np.ndarray, ...]
+    z: Tuple[np.ndarray, ...]
     diagnostics: Tuple[LevelDiagnostics, ...]
     finite: bool
     Lambda: float
@@ -353,22 +278,16 @@ class ValueFunctions:
 
     @property
     def y0(self) -> float:
-        return self.y[0][0]
+        return float(self.y[0][0])
 
 
 def _level_diag(level, t, vals, law) -> LevelDiagnostics:
-    finite = all(math.isfinite(v) for v in vals)
-    if finite:
-        y_max = max(vals)
-        y_min = min(vals)
-    else:
-        y_max = math.nan
-        y_min = math.nan
+    finite = bool(np.isfinite(vals).all())
     return LevelDiagnostics(
         level=level,
         t=t,
-        y_max=y_max,
-        y_min=y_min,
+        y_max=float(vals.max()) if finite else math.nan,
+        y_min=float(vals.min()) if finite else math.nan,
         l2=l2_norm(vals, law, level),
         finite=finite,
     )
@@ -383,10 +302,11 @@ def run_backward(
     """Backward induction of the configured scheme over the lattice.
 
     terminal overrides spec.g when supplied (perturbed-terminal
-    stability studies).  The run is deterministic: identical inputs
-    give bit-identical outputs.  Implicit solver failures raise
-    SolverError tagged with the level and node; explicit explosions are
-    recorded in the values and the finite flag instead.
+    stability studies); it is called with one float at a time.  The
+    run is deterministic: identical inputs give bit-identical outputs.
+    Implicit solver failures raise SolverError tagged with the level
+    and node; explicit explosions are recorded in the values and the
+    finite flag instead.
     """
     tg = lattice.time_grid
     h = tg.h
@@ -394,62 +314,46 @@ def run_backward(
     g = spec.g if terminal is None else terminal
 
     kind = cfg.kind
+    trunc = None
     if kind in _FP_KINDS:
         check_alpha(cfg.truncation, driver.m)
+        trunc = partial(truncate_array, cfg.truncation, h)
+    pre = trunc if kind == "full_projection_pre" else None
+    post = trunc if kind == "full_projection_post" else None
+    theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
     wcfg = make_weight_config(h, cfg.weight_rule)
     H, lam = weight_values(wcfg, lattice.dist, h)
     weights = lattice.weights
     law = chain_law(lattice)
     times = tg.times
 
-    vals = [float(g(x)) for x in lattice.supports[tg.N]]
-    if kind == "full_projection_post":
-        vals = [truncate(cfg.truncation, h, v) for v in vals]
-    y_levels = [tuple(vals)]
+    vals = np.array([float(g(x)) for x in lattice.supports[tg.N]])
+    if post is not None:
+        vals = post(vals)
+    y_levels = [vals]
     z_levels = []
     diags = [_level_diag(tg.N, times[tg.N], vals, law)]
     iters_total = 0
     iters_max = 0
 
-    for i in range(tg.N - 1, -1, -1):
-        nxt = y_levels[-1]
-        ys = []
-        zs = []
-        for pos in range(len(lattice.supports[i])):
-            children = lattice.child_indices(i, pos)
-            cv = tuple(nxt[c] for c in children)
+    with np.errstate(all="ignore"):
+        for i in range(tg.N - 1, -1, -1):
+            kids = lattice.gather(i, y_levels[-1])
             try:
-                if kind == "explicit_euler":
-                    z = z_step(cv, weights, H)
-                    y = explicit_y_step(cv, weights, z, driver, h)
-                elif kind == "implicit_euler":
-                    z = z_step(cv, weights, H)
-                    y, it = implicit_y_step(cv, weights, z, driver, h, cfg.solver)
-                    iters_total += it
-                    iters_max = max(iters_max, it)
-                elif kind == "theta":
-                    z = z_step(cv, weights, H)
-                    y, it = theta_y_step(
-                        cv, weights, z, driver, h, cfg.theta, cfg.solver
-                    )
-                    iters_total += it
-                    iters_max = max(iters_max, it)
-                elif kind == "full_projection_pre":
-                    y, z = fp_pre_step(cv, weights, H, cfg.truncation, driver, h)
-                else:
-                    y, z = fp_post_step(cv, weights, H, cfg.truncation, driver, h)
+                y, z, iters = _level(kids, weights, H, driver, h, theta,
+                                     pre, post)
             except SolverError as err:
                 raise SolverError(
                     "implicit solve failed at level %d node %d: %s"
-                    % (i, pos, err),
+                    % (i, err.node, err),
                     level=i,
-                    node=pos,
+                    node=err.node,
                 ) from err
-            ys.append(y)
-            zs.append(z)
-        y_levels.append(tuple(ys))
-        z_levels.append(tuple(zs))
-        diags.append(_level_diag(i, times[i], ys, law))
+            iters_total += int(iters.sum())
+            iters_max = max(iters_max, int(iters.max()))
+            y_levels.append(y)
+            z_levels.append(z)
+            diags.append(_level_diag(i, times[i], y, law))
 
     y_levels.reverse()
     z_levels.reverse()

@@ -1,11 +1,13 @@
 """Conditional expectations and chain-law norms on the lattice.
 
 On the lattice every conditional expectation is a finite weighted sum
-over child nodes.  Sums use compensated accumulation (math.fsum) so the
+over child nodes.  Values live in one float64 array per level, and a
+level's expectations are one compensated sum of per-branch arrays
+(:func:`level_sum`), as accurate as math.fsum, so the
 stability-inequality monitors can run at tolerances near roundoff.
-fsum raises on mixed infinities; :func:`safe_weighted_sum` converts
-that case to nan, since an exploded scheme must keep producing data
-rather than exceptions.
+Non-finite data stays data: nan dominates, infinities of one sign give
+that infinity, mixed infinities give nan and finite overflow gives a
+signed infinity.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .forward import Lattice
 
 __all__ = [
     "TreeStructureError",
     "ChainLaw",
-    "safe_weighted_sum",
-    "cond_expect",
-    "level_expectation",
+    "level_sum",
     "chain_law",
     "l2_norm",
 ]
@@ -31,89 +33,62 @@ class TreeStructureError(ValueError):
     """Raised when values do not line up with the lattice structure."""
 
 
-def safe_weighted_sum(terms: Sequence[float]) -> float:
-    """Compensated sum, total on non-finite input.
+def level_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Compensated sum of per-branch arrays, outermost pair first.
 
-    All-finite terms go through math.fsum.  A nan term or infinities of
-    both signs give nan; infinities of one sign give that infinity.
+    Every addition also yields its exact rounding error (Knuth's
+    TwoSum), and the errors are added back at the end, so each node's
+    sum is as accurate as math.fsum in all but rare ties.  Terms are
+    taken outermost pair first ((t0 + t2) + t1 for three branches):
+    mirrored branches meet before anything else, so odd data on a
+    symmetric stencil sums to exactly odd values.  Where the plain sum
+    is not finite it is returned as is.  Callers run it under
+    np.errstate(invalid="ignore"), since that case computes inf - inf.
     """
-    try:
-        return math.fsum(terms)
-    except (ValueError, OverflowError):
-        pos = neg = False
-        for t in terms:
-            if t != t:
-                return math.nan
-            if t == math.inf:
-                pos = True
-            elif t == -math.inf:
-                neg = True
-        if pos and neg:
-            return math.nan
-        if pos or neg:
-            return math.inf if pos else -math.inf
-        # finite terms whose partial sums overflow: IEEE semantics
-        acc = 0.0
-        for t in terms:
-            acc += t
-        return acc
-
-
-def cond_expect(child_values: Sequence[float], weights: Sequence[float]) -> float:
-    """Sum_j p_j v_j over one stencil; linear and constant-preserving."""
-    if len(child_values) != len(weights):
-        raise TreeStructureError(
-            "stencil has %d branches but %d child values supplied"
-            % (len(weights), len(child_values))
-        )
-    return safe_weighted_sum([w * v for w, v in zip(weights, child_values)])
-
-
-def level_expectation(
-    lattice: Lattice, level: int, pos: int, vals_next: Sequence[float]
-) -> float:
-    """Conditional expectation at one node given next-level values."""
-    children = lattice.child_indices(level, pos)
-    if max(children) >= len(vals_next):
-        raise TreeStructureError(
-            "child index %d outside level-%d values of length %d"
-            % (max(children), level + 1, len(vals_next))
-        )
-    return cond_expect([vals_next[c] for c in children], lattice.weights)
+    n = len(terms)
+    order = [terms[j // 2] if j % 2 == 0 else terms[n - 1 - j // 2]
+             for j in range(n)]
+    total = order[0]
+    err = 0.0
+    for t in order[1:]:
+        s = total + t
+        tp = s - total
+        err = err + ((total - (s - tp)) + (t - tp))
+        total = s
+    return np.where(np.isfinite(total), total + err, total)
 
 
 @dataclass(frozen=True)
 class ChainLaw:
     """Marginal distribution of the chain at each level."""
 
-    masses: Tuple[Tuple[float, ...], ...]
+    masses: Tuple[np.ndarray, ...]
 
-    def level(self, i: int) -> Tuple[float, ...]:
+    def level(self, i: int) -> np.ndarray:
         return self.masses[i]
 
 
 def chain_law(lattice: Lattice) -> ChainLaw:
     """Push the root point mass forward through the stencils."""
-    out = [(1.0,)]
-    current = [1.0]
+    w = np.asarray(lattice.weights)
+    out = [np.ones(1)]
     for i in range(lattice.time_grid.N):
-        nxt = [0.0] * len(lattice.supports[i + 1])
-        for pos, mass in enumerate(current):
-            if mass == 0.0:
-                continue
-            for w, c in zip(lattice.weights, lattice.child_indices(i, pos)):
-                nxt[c] += mass * w
-        out.append(tuple(nxt))
-        current = nxt
+        n_next = len(lattice.supports[i + 1])
+        idx = np.stack(lattice.gather(i, np.arange(n_next)), axis=1)
+        # bincount adds in node-major order, the order of a per-node push
+        out.append(np.bincount(idx.ravel(), weights=(out[-1][:, None] * w).ravel(),
+                               minlength=n_next))
     return ChainLaw(masses=tuple(out))
 
 
 def l2_norm(vals: Sequence[float], law: ChainLaw, level: int) -> float:
     """Discrete L2 norm sqrt(sum_nodes mass * v^2) under the chain law."""
     masses = law.level(level)
+    vals = np.asarray(vals, dtype=float)
     if len(vals) != len(masses):
         raise TreeStructureError(
             "level %d has %d nodes but %d values supplied"
             % (level, len(masses), len(vals))
         )
-    return math.sqrt(safe_weighted_sum([m * v * v for m, v in zip(masses, vals)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.sqrt(float(np.sum(masses * vals * vals)))

@@ -9,14 +9,31 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import fptree as fp
+from fptree.schemes import _level
+
+W = (1 / 6, 2 / 3, 1 / 6)
 
 
 def build(model, N, grid=None):
     tg = fp.TimeGrid(T=model.T, N=N)
     return fp.build_lattice(model, tg, fp.trinomial(tg.h), grid)
+
+
+def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
+             post=None):
+    """The level operator on a one-node level with children `kids`.
+
+    Returns (y, z, iterations) as Python numbers; pre and post are the
+    optional child and output truncations.
+    """
+    with np.errstate(all="ignore"):
+        y, z, iters = _level([np.array([float(v)]) for v in kids], W, H,
+                             driver, h, theta, pre, post)
+    return float(y[0]), float(z[0]), int(iters[0])
 
 
 @pytest.fixture(scope="session")

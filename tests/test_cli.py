@@ -16,6 +16,17 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_plain_csv_cells(out):
+    """Every CSV cell is a float, an int, true/false, or empty."""
+    paths = sorted(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                if cell not in ("", "true", "false"):
+                    float(cell)  # raises on e.g. "np.float64(0.5)"
+
+
 class TestCheck:
     def test_preset_passes_and_writes_report(self, runner, tmp_path):
         out = tmp_path / "art"
@@ -72,6 +83,7 @@ class TestConvergence:
         assert 0.8 <= fp_digest["slope"] <= 1.2
         assert fp_digest["exploded_Ns"] == []
         assert "seconds" not in fp_digest
+        assert_plain_csv_cells(out)
 
     def test_custom_model_exact_value(self, runner, tmp_path):
         cfg = tmp_path / "flat.cfg"
@@ -180,6 +192,7 @@ class TestStability:
         assert runs["implicit_N15"]["ledgers"]["contraction"]["violations"] == 0
         assert (out / "minmax_fp_N15.csv").exists()
         assert (out / "minmax_explicit_N15.csv").exists()
+        assert_plain_csv_cells(out)
 
 
 class TestConfigPlumbing:

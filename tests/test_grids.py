@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.grids import ConfigurationError, check_alpha
+from fptree.grids import ConfigurationError, check_alpha, truncate_array
 
 HARD = fp.TruncationConfig(R0=2.0, alpha=0.249)
 MOLL = fp.TruncationConfig(R0=2.0, alpha=0.249, mode="mollified")
@@ -55,6 +56,9 @@ class TestTruncate:
         ty, typ = fp.truncate(mode, h, y), fp.truncate(mode, h, yp)
         assert abs(ty - typ) <= abs(y - yp) + 1e-12 * max(abs(y), abs(yp), 1)
         assert abs(ty) <= abs(y)
+        # the array form is the same map, bit for bit
+        assert np.array_equal(truncate_array(mode, h, np.array([y, yp])),
+                              [ty, typ])
 
     @given(
         h=st.sampled_from([0.2, 0.05, 1 / 120]),
@@ -79,6 +83,11 @@ class TestTruncate:
         assert math.isnan(fp.truncate(HARD, 0.05, math.nan))
         assert fp.truncate(HARD, 0.05, math.inf) == R
         assert fp.truncate(HARD, 0.05, -math.inf) == -R
+        for mode in (HARD, MOLL):
+            ys = [math.nan, math.inf, -math.inf]
+            got = truncate_array(mode, 0.05, np.array(ys))
+            assert np.array_equal(got, [fp.truncate(mode, 0.05, y) for y in ys],
+                                  equal_nan=True)
 
     def test_mollified_blend_endpoint(self):
         # radius transfer reaches R + eps/2 at the end of the blend and

@@ -75,6 +75,15 @@ class TestPolyDriver:
         ys = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
         assert [float(v) for v in p(ys)] == [p(float(y)) for y in ys]
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0, -1.0), (0.0, -1.0)])
+    def test_driver_array_matches_scalar_at_infinity(self, coeffs):
+        # -y^3 and -y: arrays and floats agree elementwise, inf included
+        d = fp.poly_driver(coeffs)
+        ys = [math.inf, -math.inf, 1e200, 2.0]
+        with np.errstate(over="ignore"):
+            got = d.eval(np.array(ys), 0.0)
+        np.testing.assert_array_equal(got, [d.eval(y, 0.0) for y in ys])
+
     def test_horner_scalar_infinity(self):
         # -y^3 at y=inf must give -inf, not nan
         assert _horner((0.0, 0.0, 0.0, -1.0))(math.inf) == -math.inf

@@ -1,15 +1,20 @@
 import math
+from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.schemes import SchemeError, SolverError, _solve_semi_implicit
+from fptree.grids import truncate_array
+from fptree.schemes import SchemeError, SolverError, _level
 
-from conftest import build
+from conftest import W, build, one_node
 
-W = (1 / 6, 2 / 3, 1 / 6)
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
 ZERO = fp.poly_driver((0.0,))
+NAN = math.nan
 
 
 def H_for(h):
@@ -18,42 +23,47 @@ def H_for(h):
     return H
 
 
+def T_for(trunc, h):
+    return partial(truncate_array, trunc, h)
+
+
 class TestZStep:
     def test_constant_children_vanish(self):
         H = H_for(0.03)
-        assert fp.z_step((5.0, 5.0, 5.0), W, H) == 0.0
+        assert one_node((5.0, 5.0, 5.0), ZERO, 0.03, H=H)[1] == 0.0
 
     def test_documented_example(self):
         H = H_for(0.03)
-        got = fp.z_step((1.0, 2.0, 3.0), W, H)
+        _, got, _ = one_node((1.0, 2.0, 3.0), ZERO, 0.03, H=H)
         assert got == pytest.approx(10 / 3, abs=1e-12)
 
     def test_zeros(self):
         H = H_for(0.03)
-        assert fp.z_step((0.0, 0.0, 0.0), W, H) == 0.0
+        assert one_node((0.0, 0.0, 0.0), ZERO, 0.03, H=H)[1] == 0.0
 
 
 class TestExplicitYStep:
     def test_zero_driver_is_expectation(self):
-        got = fp.explicit_y_step((1.0, 2.0, 3.0), W, 0.0, ZERO, 0.1)
-        assert got == pytest.approx(2.0)
+        y, _, _ = one_node((1.0, 2.0, 3.0), ZERO, 0.1)
+        assert y == pytest.approx(2.0)
 
     def test_constant_cubic(self):
-        got = fp.explicit_y_step((2.0, 2.0, 2.0), W, 0.0, CUBIC, 0.1)
-        assert got == pytest.approx(1.2)
+        y, _, _ = one_node((2.0, 2.0, 2.0), CUBIC, 0.1)
+        assert y == pytest.approx(1.2)
 
     def test_linear_growth_factor(self):
         lin = fp.poly_driver((0.0, -1.0))
-        got = fp.explicit_y_step((3.0, 3.0, 3.0), W, 0.0, lin, 0.25)
-        assert got == pytest.approx(3.0 * (1 - 0.25))
+        y, _, _ = one_node((3.0, 3.0, 3.0), lin, 0.25)
+        assert y == pytest.approx(3.0 * (1 - 0.25))
 
 
 class TestFpSteps:
     def test_inside_radius_equals_explicit(self):
         trunc = fp.TruncationConfig(R0=100.0, alpha=0.25)
         H = H_for(0.1)
-        y, z = fp.fp_pre_step((1.0, 2.0, 3.0), W, H, trunc, CUBIC, 0.1)
-        ye = fp.explicit_y_step((1.0, 2.0, 3.0), W, fp.z_step((1.0, 2.0, 3.0), W, H), CUBIC, 0.1)
+        kids = (1.0, 2.0, 3.0)
+        y, _, _ = one_node(kids, CUBIC, 0.1, H=H, pre=T_for(trunc, 0.1))
+        ye, _, _ = one_node(kids, CUBIC, 0.1, H=H)
         assert y == ye
 
     def test_documented_clamp_example(self):
@@ -61,78 +71,84 @@ class TestFpSteps:
         h = 0.1
         trunc = fp.TruncationConfig(R0=10.0 * h ** 0.25, alpha=0.25)
         assert fp.truncation_radius(trunc, h) == pytest.approx(10.0, rel=1e-12)
-        y, z = fp.fp_pre_step((100.0, 100.0, 100.0), W, (0.0, 0.0, 0.0),
-                              trunc, CUBIC, h)
+        y, z, _ = one_node((100.0, 100.0, 100.0), CUBIC, h,
+                           pre=T_for(trunc, h))
         assert y == pytest.approx(-90.0, rel=1e-9)
         assert z == 0.0
 
     def test_symmetric_children_z_from_truncated(self):
+        # post: children arrive truncated and only the output is truncated
         trunc = fp.TruncationConfig(R0=10.0, alpha=0.25)
         h = 1.0
-        H = (-3.0, 0.0, 3.0)
-        y, z = fp.fp_post_step((-10.0, 0.0, 10.0), W, H, trunc, ZERO, h)
+        y, z, _ = one_node((-10.0, 0.0, 10.0), ZERO, h, H=(-3.0, 0.0, 3.0),
+                           post=T_for(trunc, h))
         assert z == pytest.approx((1 / 6) * 10 * 3 * 2)
         assert y == 0.0
 
 
 class TestImplicitStep:
     def test_documented_root(self):
-        solver = fp.SolverConfig()
-        y, iters = fp.implicit_y_step((1.0, 1.0, 1.0), W, 0.0, CUBIC, 0.1, solver)
+        y, _, iters = one_node((1.0, 1.0, 1.0), CUBIC, 0.1, theta=1.0)
         assert abs(y + 0.1 * y ** 3 - 1.0) <= 1e-12
         assert y == pytest.approx(0.9216989942047172, abs=1e-11)
         assert iters >= 1
 
     def test_zero_driver(self):
-        solver = fp.SolverConfig()
-        y, _ = fp.implicit_y_step((1.0, 2.0, 3.0), W, 0.0, ZERO, 0.1, solver)
+        y, _, _ = one_node((1.0, 2.0, 3.0), ZERO, 0.1, theta=1.0)
         assert y == pytest.approx(2.0)
 
     def test_linear_closed_form(self):
         a = -2.0
         lin = fp.poly_driver((0.0, a))
-        solver = fp.SolverConfig()
-        y, _ = fp.implicit_y_step((4.0, 4.0, 4.0), W, 0.0, lin, 0.1, solver)
+        y, _, _ = one_node((4.0, 4.0, 4.0), lin, 0.1, theta=1.0)
         assert y == pytest.approx(4.0 / (1 - a * 0.1), rel=1e-12)
-
-    def test_picard_matches_newton(self):
-        newton = fp.SolverConfig(method="newton")
-        picard = fp.SolverConfig(method="picard", max_iter=200)
-        yn, _ = fp.implicit_y_step((1.0, 1.0, 1.0), W, 0.0, CUBIC, 0.1, newton)
-        yp, _ = fp.implicit_y_step((1.0, 1.0, 1.0), W, 0.0, CUBIC, 0.1, picard)
-        assert yn == pytest.approx(yp, abs=1e-10)
 
     def test_growth_guard(self):
         expanding = fp.poly_driver((0.0, 1.0))
         with pytest.raises(SolverError):
-            _solve_semi_implicit(1.0, 0.0, expanding, 0.6, fp.SolverConfig())
+            one_node((1.0, 1.0, 1.0), expanding, 0.6, theta=1.0)
 
     def test_nonfinite_mean_propagates(self):
-        y, iters = _solve_semi_implicit(math.nan, 0.0, CUBIC, 0.1,
-                                        fp.SolverConfig())
+        y, _, iters = one_node((NAN, NAN, NAN), CUBIC, 0.1, theta=1.0)
         assert math.isnan(y)
         assert iters == 0
 
 
+    def test_first_failing_node_reported(self):
+        # at |m| = 1e103 the cubic residual overflows during the bracket
+        # search; nodes 1 and 3 fail, node 1 is reported
+        kids = [np.array([1.0, 1e103, 1.0, 1e103])] * 3
+        with np.errstate(all="ignore"), pytest.raises(SolverError) as exc:
+            _level(kids, W, (0.0,) * 3, CUBIC, 0.1, 1.0)
+        assert exc.value.node == 1
+        assert "non-finite" in str(exc.value)
+
+
 class TestThetaStep:
     def test_theta_zero_is_explicit(self):
-        solver = fp.SolverConfig()
-        ye = fp.explicit_y_step((1.0, 2.0, 3.0), W, 0.1, CUBIC, 0.05)
-        yt, _ = fp.theta_y_step((1.0, 2.0, 3.0), W, 0.1, CUBIC, 0.05, 0.0, solver)
-        assert yt == ye
+        m = fp.experiment1_model()
+        lat = build(m, 12)
+        ye = fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat, m)
+        yt = fp.run_backward(fp.SchemeConfig(kind="theta", theta=0.0), lat, m)
+        assert not ye.finite  # explicit explodes here: nan is compared too
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(yt.y, ye.y))
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(yt.z, ye.z))
 
     def test_theta_one_is_implicit(self):
-        solver = fp.SolverConfig()
-        yi, _ = fp.implicit_y_step((1.0, 1.0, 1.0), W, 0.0, CUBIC, 0.1, solver)
-        yt, _ = fp.theta_y_step((1.0, 1.0, 1.0), W, 0.0, CUBIC, 0.1, 1.0, solver)
-        assert yt == yi
+        m = fp.experiment1_model()
+        lat = build(m, 12)
+        yi = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lat, m)
+        yt = fp.run_backward(fp.SchemeConfig(kind="theta", theta=1.0), lat, m)
+        assert all(np.array_equal(a, b) for a, b in zip(yt.y, yi.y))
+        assert yt.solver_iterations_total == yi.solver_iterations_total
 
     def test_intermediate_theta_between(self):
-        solver = fp.SolverConfig()
         kids = (2.0, 2.0, 2.0)
-        y0, _ = fp.theta_y_step(kids, W, 0.0, CUBIC, 0.1, 0.0, solver)
-        y1, _ = fp.theta_y_step(kids, W, 0.0, CUBIC, 0.1, 1.0, solver)
-        yh, _ = fp.theta_y_step(kids, W, 0.0, CUBIC, 0.1, 0.5, solver)
+        y0, _, _ = one_node(kids, CUBIC, 0.1, theta=0.0)
+        y1, _, _ = one_node(kids, CUBIC, 0.1, theta=1.0)
+        yh, _, _ = one_node(kids, CUBIC, 0.1, theta=0.5)
         lo, hi = sorted((y0, y1))
         assert lo <= yh <= hi
 
@@ -168,8 +184,9 @@ class TestRunBackward:
             fp.SchemeConfig(kind="full_projection_pre", truncation=trunc),
             lat, m,
         )
-        assert pre.y == ex.y
-        assert pre.z == ex.z
+        assert len(pre.y) == len(ex.y) and len(pre.z) == len(ex.z)
+        assert all(np.array_equal(a, b) for a, b in zip(pre.y, ex.y))
+        assert all(np.array_equal(a, b) for a, b in zip(pre.z, ex.z))
 
     def test_fp_requires_truncation(self):
         m = fp.linear_model()
@@ -235,3 +252,141 @@ class TestRunBackward:
             terminal=lambda x: 0.0,
         )
         assert run.y0 == 0.0
+
+    @pytest.mark.parametrize("N", [15, 25])
+    def test_odd_symmetry_exact_on_experiment2(self, N, exp2_model, exp2_trunc):
+        # odd g, odd driver and b = x0 = 0: y is odd and z even in x,
+        # exactly, on every finite level
+        lat = build(exp2_model, N)
+        for cfg in (
+            fp.SchemeConfig(kind="explicit_euler"),
+            fp.SchemeConfig(kind="implicit_euler"),
+            fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc),
+            fp.SchemeConfig(kind="full_projection_post", truncation=exp2_trunc),
+        ):
+            run = fp.run_backward(cfg, lat, exp2_model)
+            for y in run.y:
+                if np.isfinite(y).all():
+                    assert np.array_equal(y, -y[::-1]), cfg.kind
+            for z in run.z:
+                if np.isfinite(z).all():
+                    assert np.array_equal(z, z[::-1]), cfg.kind
+            if run.finite:
+                assert run.y0 == 0.0, cfg.kind
+
+    @pytest.mark.parametrize("mode", ["hard", "mollified"])
+    @pytest.mark.parametrize("grid", [None, fp.SpatialGrid(x0=0.0, eta=0.05, M=80)])
+    def test_pre_post_conjugate_bitwise(self, mode, grid, exp1_model):
+        trunc = fp.TruncationConfig(R0=2.0, alpha=0.249, mode=mode)
+        lat = build(exp1_model, 20, grid)
+        h = lat.time_grid.h
+        pre = fp.run_backward(
+            fp.SchemeConfig(kind="full_projection_pre", truncation=trunc),
+            lat, exp1_model,
+        )
+        post = fp.run_backward(
+            fp.SchemeConfig(kind="full_projection_post", truncation=trunc),
+            lat, exp1_model,
+        )
+        for a, b in zip(pre.y, post.y):
+            assert np.array_equal([fp.truncate(trunc, h, v) for v in a], b)
+        for a, b in zip(pre.z, post.z):
+            assert np.array_equal(a, b)
+
+
+def scalar_reference(cfg, lattice, spec):
+    """The scheme node by node in Python floats, sums by math.fsum.
+
+    Returns the (y, z) levels from the root, or None as soon as a value
+    is not finite.
+    """
+    tg = lattice.time_grid
+    h, f, df = tg.h, spec.driver.eval, spec.driver.dfdy
+    theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(cfg.kind, 0.0)
+    pre = cfg.kind == "full_projection_pre"
+    post = cfg.kind == "full_projection_post"
+    T = partial(fp.truncate, cfg.truncation, h)
+    H, _ = fp.weight_values(fp.make_weight_config(h), lattice.dist, h)
+
+    def solve(m, z, hh):  # y - hh f(y, z) = m: bracket from m, safe Newton
+        def F(y):
+            return y - hh * f(y, z) - m
+        up, b = F(m) > 0.0, m
+        step = max(abs(hh * f(m, z)), 1e-12 * max(1.0, abs(m)), 1e-8)
+        while F(b) != 0.0 and (F(b) > 0.0) == up:
+            b, step = b - step if up else b + step, 2.0 * step
+        if F(b) == 0.0:
+            return b
+        lo, hi, y = min(m, b), max(m, b), m
+        for _ in range(100):
+            if abs(F(y)) <= 1e-12 * max(1.0, abs(m)):
+                return y
+            lo, hi = (lo, min(hi, y)) if F(y) > 0.0 else (max(lo, y), hi)
+            y = y - F(y) / (1.0 - hh * df(y, z))
+            y = y if lo <= y <= hi else 0.5 * (lo + hi)
+        raise AssertionError("reference Newton did not converge")
+
+    vals = [float(spec.g(x)) for x in lattice.supports[-1]]
+    ys = [[T(v) for v in vals] if post else vals]
+    zs = []
+    for i in range(tg.N - 1, -1, -1):
+        y_level, z_level = [], []
+        for pos in range(len(lattice.supports[i])):
+            v = [ys[-1][c] for c in lattice.child_indices(i, pos)]
+            if pre:
+                v = [T(x) for x in v]
+            try:
+                z = math.fsum(w * x * hj for w, x, hj in zip(lattice.weights, v, H))
+                m = math.fsum(w * (x + f(x, z) * (1.0 - theta) * h)
+                              for w, x in zip(lattice.weights, v))
+            except (ValueError, OverflowError):  # fsum on mixed or huge terms
+                return None
+            if not (math.isfinite(m) and math.isfinite(z)):
+                return None
+            y = solve(m, z, theta * h) if theta else m
+            y_level.append(T(y) if post else y)
+            z_level.append(z)
+        ys.append(y_level)
+        zs.append(z_level)
+    return ys[::-1], zs[::-1]
+
+
+class TestScalarReference:
+    @given(
+        c0=st.floats(-1.0, 1.0), c1=st.floats(-2.0, 0.5),
+        c3=st.floats(-1.0, 0.0), zc=st.floats(-1.0, 1.0),
+        sigma=st.floats(0.5, 2.0), N=st.integers(2, 12),
+        R0=st.floats(0.5, 5.0), alpha_frac=st.floats(0.05, 1.0),
+        mode=st.sampled_from(["hard", "mollified"]),
+        kind=st.sampled_from([
+            ("explicit_euler", 0.0), ("theta", 0.5), ("implicit_euler", 1.0),
+            ("full_projection_pre", 0.0), ("full_projection_post", 0.0),
+        ]),
+        projected=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_operator_matches_scalar_reference(
+        self, c0, c1, c3, zc, sigma, N, R0, alpha_frac, mode, kind, projected
+    ):
+        driver = fp.poly_driver((c0, c1, 0.0, c3), z_coeff=zc)
+        assume(kind[1] * driver.M_y / N < 0.5)
+        spec = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=sigma,
+                                      g=fp.quadratic_g(), driver=driver)
+        top = 1.0 if driver.m == 1 else 1.0 / (2 * (driver.m - 1))
+        trunc = fp.TruncationConfig(R0=R0, alpha=alpha_frac * top, mode=mode)
+        cfg = fp.SchemeConfig(kind=kind[0], theta=kind[1], truncation=trunc)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=80) if projected else None
+        lattice = build(spec, N, grid)
+
+        run = fp.run_backward(cfg, lattice, spec)
+        ref = scalar_reference(cfg, lattice, spec)
+        assert run.finite == (ref is not None)
+        if ref is None:
+            return
+        # relative to each quantity's largest value over the run, since
+        # cancellation leaves centre values near zero
+        for levels, ref_levels in ((run.y, ref[0]), (run.z, ref[1])):
+            scale = max(np.max(np.abs(v)) for v in ref_levels)
+            for got, want in zip(levels, ref_levels):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * scale)

@@ -1,43 +1,70 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.treeval import safe_weighted_sum
+from fptree.schemes import _level
 
-from conftest import build
+from conftest import W, build, one_node
+
+ZERO = fp.poly_driver((0.0,))
+INF = math.inf
+
+
+H03 = fp.weight_values(fp.make_weight_config(0.03), fp.trinomial(0.03),
+                      0.03)[0]  # (-10, 0, 10)
+
+
+def expect(kids):
+    """E[v] over one stencil: the level operator with a zero driver."""
+    return one_node(kids, ZERO, 0.1)[0]
+
+
+def z_of(kids):
+    """z = E[v H] over one stencil at h = 0.03."""
+    return one_node(kids, ZERO, 0.03, H=H03)[1]
 
 
 class TestSafeWeightedSum:
+    """Sums inside the level operator: compensated, total on non-finite data."""
+
     def test_matches_fsum_on_finite(self):
-        terms = [0.1] * 10 + [-1.0]
-        assert safe_weighted_sum(terms) == math.fsum(terms)
+        rng = np.random.default_rng(20240607)
+        kids = rng.standard_normal((3, 2000)) * 10.0 ** rng.integers(-8, 9, (3, 2000))
+        with np.errstate(all="ignore"):
+            y, _, _ = _level(list(kids), W, (0.0, 0.0, 0.0), ZERO, 0.1, 0.0)
+        want = [math.fsum(w * v for w, v in zip(W, col)) for col in kids.T]
+        assert y.tolist() == want
 
     def test_nan_dominates(self):
-        assert math.isnan(safe_weighted_sum([1.0, math.nan, 2.0]))
+        assert math.isnan(expect((1.0, math.nan, 2.0)))
+        assert math.isnan(z_of((1.0, math.nan, 2.0)))
 
     def test_one_sided_infinity(self):
-        assert safe_weighted_sum([math.inf, 1.0]) == math.inf
-        assert safe_weighted_sum([-math.inf, 1.0]) == -math.inf
+        assert z_of((-INF, 1.0, 1.0)) == INF
+        assert z_of((INF, 1.0, 1.0)) == -INF
 
     def test_mixed_infinities_are_nan(self):
-        assert math.isnan(safe_weighted_sum([math.inf, -math.inf]))
+        assert math.isnan(z_of((INF, 1.0, INF)))
 
     def test_finite_overflow_is_signed_infinity(self):
-        assert safe_weighted_sum([1e308, 1e308]) == math.inf
-        assert safe_weighted_sum([-1e308, -1e308]) == -math.inf
+        # two finite terms of 1.67e308 add past the largest float
+        assert z_of((-1e308, 0.0, 1e308)) == INF
+        assert z_of((1e308, 0.0, -1e308)) == -INF
 
     def test_empty(self):
-        assert safe_weighted_sum([]) == 0.0
+        empty = np.zeros(0)
+        y, z, iters = _level([empty] * 3, W, (0.0, 0.0, 0.0), ZERO, 0.1, 1.0)
+        assert y.size == z.size == iters.size == 0
 
 
 class TestCondExpect:
     def test_basic(self):
-        w = (1 / 6, 2 / 3, 1 / 6)
-        assert fp.cond_expect((3.0, 3.0, 3.0), w) == pytest.approx(3.0)
-        assert fp.cond_expect((1.0, 2.0, 3.0), w) == pytest.approx(2.0)
+        assert expect((3.0, 3.0, 3.0)) == pytest.approx(3.0)
+        assert expect((1.0, 2.0, 3.0)) == pytest.approx(2.0)
 
     @given(
         a=st.floats(-50, 50, allow_nan=False),
@@ -50,17 +77,17 @@ class TestCondExpect:
     )
     @settings(max_examples=150, deadline=None)
     def test_affine(self, a, b, vals):
-        w = (1 / 6, 2 / 3, 1 / 6)
-        lhs = fp.cond_expect(tuple(a * v + b for v in vals), w)
-        rhs = a * fp.cond_expect(vals, w) + b
+        lhs = expect(tuple(a * v + b for v in vals))
+        rhs = a * expect(vals) + b
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_level_expectation(self):
         lat = build(fp.experiment1_model(), 2)
-        vals_next = [1.0, 2.0, 3.0, 4.0, 5.0]
-        got = fp.level_expectation(lat, 1, 1, vals_next)
+        vals_next = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        y, _, _ = _level(lat.gather(1, vals_next), lat.weights, (0.0,) * 3,
+                         ZERO, 0.5, 0.0)
         want = (1 / 6) * 2.0 + (2 / 3) * 3.0 + (1 / 6) * 4.0
-        assert got == pytest.approx(want)
+        assert y[1] == pytest.approx(want)
 
 
 class TestChainLaw:
