@@ -13,8 +13,7 @@ Three commands:
 
 Configuration comes from a preset, an optional key=value config file,
 and flags; flags win over file keys, file keys over preset defaults.
-Artifacts are deterministic: no timestamps, no host details, no thread
-counts; with --no-timing the outputs are byte-identical across runs.
+Artifacts are deterministic: no timestamps, no host details; with --no-timing the outputs are byte-identical across runs.
 
 Exit codes: 0 success, 1 check/run failure, 2 configuration error.
 """
@@ -26,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import click
 import numpy as np
@@ -48,6 +47,7 @@ from .grids import (
     trinomial,
     truncate,
     truncate_array,
+    truncation_radius,
     weight_values,
 )
 from .model import (
@@ -80,36 +80,68 @@ __all__ = ["main"]
 # Presets and configuration plumbing
 # ---------------------------------------------------------------------------
 
-_PRESETS = {
-    "experiment1": dict(
-        Ns=(5, 10, 15, 20, 30, 40, 50, 60, 70, 80),
-        R0=2.0,
-        alpha=0.249,
-        schemes=("explicit", "implicit", "fp"),
-        reference="proxy",
-    ),
-    "experiment2": dict(
-        Ns=(15, 17, 19, 25),
-        R0=2.5,
-        alpha=0.249,
-        schemes=("explicit", "implicit", "fp"),
-        reference="proxy",
-    ),
-    "linear-oracle": dict(
-        Ns=(10, 20, 40, 80, 160, 320),
-        R0=10.0,
-        alpha=1.0,
-        schemes=("fp",),
-        reference="linear_oracle",
-    ),
-    "custom": dict(
-        Ns=(20,),
-        R0=None,
-        alpha=None,
-        schemes=("fp",),
-        reference="proxy",
-    ),
-}
+
+class _Option(NamedTuple):
+    """A shared option: one click flag and the config-file key it overrides.
+
+    The file key is the flag without its dashes, lowercased; file values
+    are converted by the same click type as the flag's.  ``default``
+    applies when neither sets the value and the preset has none.
+    """
+
+    flag: str
+    type: click.ParamType
+    help: Optional[str] = None
+    default: object = None
+    multiple: bool = False  # repeatable flag; comma-separated in the file
+    is_flag: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.flag.lstrip("-").lower()
+
+    @property
+    def dest(self) -> str:
+        return self.key.replace("-", "_")
+
+
+_OPTIONS = (
+    _Option("--preset", click.STRING,
+            "experiment1 | experiment2 | linear-oracle | custom",
+            default="experiment1"),
+    _Option("--config", click.Path(exists=True, dir_okay=False),
+            "key=value config file"),
+    _Option("--scheme", click.STRING,
+            "explicit | implicit | fp | fp-post | theta=<v> (repeatable)",
+            multiple=True),
+    _Option("--Ns", click.STRING, "comma-separated list of N values"),
+    _Option("--N", click.INT, "single N (alternative to --Ns)"),
+    _Option("--R0", click.FLOAT, "truncation radius coefficient"),
+    _Option("--alpha", click.FLOAT, "truncation radius exponent"),
+    _Option("--trunc-mode", click.Choice(["hard", "mollified"]),
+            default="hard"),
+    _Option("--epsilon", click.FLOAT, "mollification width (default h)"),
+    _Option("--weight-rule", click.Choice(["raw", "truncated"]),
+            default="truncated"),
+    _Option("--eta", click.FLOAT,
+            "spatial mesh width (default: exact recombining tree; with "
+            "--grid-extent alone, h^2)"),
+    _Option("--grid-extent", click.FLOAT,
+            "half-width of the spatial grid around x0"),
+    # no default: check writes no report, the other commands fptree-out
+    _Option("--out", click.STRING, "output directory (default fptree-out)"),
+    _Option("--no-timing", click.BOOL,
+            "omit wall-clock fields from artifacts", default=False,
+            is_flag=True),
+    _Option("--proxy-N", click.INT,
+            "resolution of the proxy reference (default 120)", default=120),
+)
+
+# a config file cannot name another config file
+_FILE_OPTIONS = {o.key: o for o in _OPTIONS if o.key != "config"}
+
+_MODEL_KEYS = ("t", "x0", "b", "sigma", "g", "driver", "driver-zcoef",
+               "driver-my")
 
 _CONFIG_ERRORS = (ConfigurationError, ModelError, SchemeError, OracleError)
 
@@ -119,19 +151,18 @@ class Settings:
     """Resolved run settings after merging preset, file, and flags."""
 
     preset: str
-    schemes: Tuple[str, ...]
-    Ns: Tuple[int, ...]
-    R0: float
+    scheme: Tuple[str, ...]
+    ns: Tuple[int, ...]
+    r0: float
     alpha: float
     trunc_mode: str
     epsilon: Optional[float]
     weight_rule: str
     eta: Optional[float]
     grid_extent: Optional[float]
-    out: str
-    threads: int
+    out: Optional[str]
     no_timing: bool
-    proxy_N: int
+    proxy_n: int
     model: ModelSpec
 
 
@@ -151,20 +182,44 @@ def _read_config_file(path: str) -> dict:
         text = fh.read()
     if not text.lstrip().startswith("["):
         text = "[run]\n" + text
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as err:
         raise click.UsageError("bad config file %s: %s" % (path, err))
-    out = {"run": {}, "model": {}}
-    for section in parser.sections():
-        if section not in out:
+    # keys under [DEFAULT] would leak into both sections unchecked
+    extra = ["DEFAULT"] if parser.defaults() else []
+    for section in parser.sections() + extra:
+        if section not in ("run", "model"):
             raise click.UsageError(
                 "unknown config section [%s]; expected [run] or [model]"
                 % section
             )
-        out[section] = {k: v for k, v in parser.items(section)}
-    return out
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+def _check_keys(section: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise click.UsageError(
+            "unknown [%s] key %s; expected one of %s"
+            % (section, ", ".join(unknown), ", ".join(sorted(allowed)))
+        )
+
+
+def _file_value(key: str, text: str):
+    opt = _FILE_OPTIONS[key]
+    try:
+        if opt.multiple:
+            return tuple(
+                opt.type.convert(s.strip(), None, None)
+                for s in text.split(",") if s.strip()
+            )
+        return opt.type.convert(text, None, None)
+    except click.BadParameter as err:
+        raise click.UsageError(
+            "bad [run] value %s = %r: %s" % (key, text, err.message)
+        )
 
 
 def _parse_g(text: str):
@@ -176,153 +231,156 @@ def _parse_g(text: str):
         return constant_g(float(rest))
     if kind == "clamp":
         parts = [float(p) for p in rest.split(",")]
-        if len(parts) == 2:
-            return lipschitz_clamp_g(parts[0], parts[1])
-        if len(parts) == 3:
-            return lipschitz_clamp_g(parts[0], parts[1], parts[2])
-        raise click.UsageError("clamp takes lo,hi[,slope], got %r" % (rest,))
-    raise click.UsageError(
-        "unknown terminal function %r; expected quadratic, clamp:lo,hi[,slope]"
-        " or const:c" % (text,)
-    )
+        if len(parts) in (2, 3):
+            return lipschitz_clamp_g(*parts)
+        raise ValueError("clamp takes lo,hi[,slope]")
+    raise ValueError("expected quadratic, clamp:lo,hi[,slope] or const:c")
 
 
-def _parse_driver(model_keys: dict):
-    text = model_keys.get("driver", "poly:0")
+def _parse_poly(text: str):
     kind, _, rest = text.partition(":")
     if kind.strip() != "poly":
-        raise click.UsageError("driver must be poly:c0,c1,... got %r" % (text,))
-    try:
-        coeffs = [float(p) for p in rest.split(",")] if rest else [0.0]
-    except ValueError:
-        raise click.UsageError("bad driver coefficients %r" % (rest,))
-    z_coeff = float(model_keys.get("driver-zcoef", "0.0"))
-    driver = poly_driver(coeffs, z_coeff)
-    if "driver-my" in model_keys:
-        driver = with_declared_my(driver, float(model_keys["driver-my"]))
-    return driver
+        raise ValueError("expected poly:c0,c1,...")
+    return [float(p) for p in rest.split(",")] if rest else [0.0]
 
 
-def _build_custom_model(model_keys: dict) -> ModelSpec:
-    missing = [k for k in ("sigma", "g") if k not in model_keys]
+def _build_custom_model(keys: dict) -> ModelSpec:
+    _check_keys("model", keys, _MODEL_KEYS)
+    missing = [k for k in ("sigma", "g") if k not in keys]
     if missing:
         raise click.UsageError(
             "custom preset needs [model] keys %s in the config file"
             % ", ".join(missing)
         )
+
+    def value(key, default=None, parse=float):
+        text = keys.get(key, default)
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise click.UsageError(
+                "bad [model] value %s = %r: %s" % (key, text, err)
+            )
+
+    driver = poly_driver(
+        value("driver", "poly:0", _parse_poly), value("driver-zcoef", "0.0")
+    )
+    if "driver-my" in keys:
+        driver = with_declared_my(driver, value("driver-my"))
     return make_constant_model(
-        T=float(model_keys.get("t", "1.0")),
-        x0=float(model_keys.get("x0", "0.0")),
-        b=float(model_keys.get("b", "0.0")),
-        sigma=float(model_keys["sigma"]),
-        g=_parse_g(model_keys["g"]),
-        driver=_parse_driver(model_keys),
+        T=value("t", "1.0"),
+        x0=value("x0", "0.0"),
+        b=value("b", "0.0"),
+        sigma=value("sigma"),
+        g=value("g", parse=_parse_g),
+        driver=driver,
     )
 
 
-def _preset_model(preset: str, model_keys: dict) -> ModelSpec:
-    if preset == "experiment1":
-        return experiment1_model()
-    if preset == "experiment2":
-        return experiment2_model()
-    if preset == "linear-oracle":
-        return linear_model(-1.0)
-    if preset == "custom":
-        return _build_custom_model(model_keys)
-    raise click.UsageError("unknown preset %r" % (preset,))
+_PRESETS = {
+    "experiment1": dict(
+        model=lambda keys: experiment1_model(),
+        ns=(5, 10, 15, 20, 30, 40, 50, 60, 70, 80),
+        r0=2.0,
+        alpha=0.249,
+        scheme=("explicit", "implicit", "fp"),
+        reference="proxy",
+    ),
+    "experiment2": dict(
+        model=lambda keys: experiment2_model(),
+        ns=(15, 17, 19, 25),
+        r0=2.5,
+        alpha=0.249,
+        scheme=("explicit", "implicit", "fp"),
+        reference="proxy",
+    ),
+    "linear-oracle": dict(
+        model=lambda keys: linear_model(-1.0),
+        ns=(10, 20, 40, 80, 160, 320),
+        r0=10.0,
+        alpha=1.0,
+        scheme=("fp",),
+        reference="linear_oracle",
+    ),
+    "custom": dict(
+        model=_build_custom_model,
+        ns=(20,),
+        r0=10.0,
+        alpha=None,  # default_alpha(m) of the configured driver
+        scheme=("fp",),
+        reference="proxy",
+    ),
+}
 
 
-def _resolve_settings(
-    preset, config, scheme, ns_flag, n_flag, r0, alpha, trunc_mode, epsilon,
-    weight_rule, eta, grid_extent, out, threads, no_timing, proxy_n,
-) -> Settings:
-    file_cfg = _read_config_file(config) if config else {"run": {}, "model": {}}
-    run_keys = file_cfg["run"]
+def _shared_options(fn):
+    for opt in _OPTIONS:
+        fn = click.option(
+            opt.flag, type=opt.type, default=None, help=opt.help,
+            multiple=opt.multiple, is_flag=opt.is_flag,
+        )(fn)
+    return fn
 
-    preset = preset or run_keys.get("preset") or "experiment1"
+
+def _settings(kw: dict) -> Settings:
+    """Merge flags over config-file keys over preset defaults."""
+    sections = _read_config_file(kw["config"]) if kw["config"] else {}
+    run_keys = sections.get("run", {})
+    _check_keys("run", run_keys, _FILE_OPTIONS)
+    file_vals = {
+        _FILE_OPTIONS[k].dest: _file_value(k, v) for k, v in run_keys.items()
+    }
+    flag_vals = {
+        o.dest: kw[o.dest] for o in _FILE_OPTIONS.values()
+        if kw[o.dest] not in (None, ())
+    }
+    # --N is a one-element --Ns: Ns wins within a layer, either beats the
+    # layers below
+    for layer in (file_vals, flag_vals):
+        n = layer.pop("n", None)
+        if "ns" in layer:
+            layer["ns"] = _parse_ns(layer["ns"])
+        elif n is not None:
+            layer["ns"] = (n,)
+
+    values = {o.dest: o.default for o in _FILE_OPTIONS.values()}
+    del values["n"]
+    preset = {**values, **file_vals, **flag_vals}["preset"]
     if preset not in _PRESETS:
         raise click.UsageError(
             "unknown preset %r; expected one of %s"
             % (preset, ", ".join(sorted(_PRESETS)))
         )
-    base = _PRESETS[preset]
-    model = _preset_model(preset, file_cfg["model"])
-    m = model.driver.m
-
-    if scheme:
-        schemes = tuple(scheme)
-    elif "scheme" in run_keys:
-        schemes = tuple(
-            s.strip() for s in run_keys["scheme"].split(",") if s.strip()
-        )
-    else:
-        schemes = base["schemes"]
-
-    if ns_flag:
-        Ns = _parse_ns(ns_flag)
-    elif n_flag is not None:
-        Ns = (int(n_flag),)
-    elif "ns" in run_keys:
-        Ns = _parse_ns(run_keys["ns"])
-    elif "n" in run_keys:
-        Ns = (int(run_keys["n"]),)
-    else:
-        Ns = base["Ns"]
-
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        if key in run_keys:
-            return run_keys[key]
-        return default
-
-    r0_val = float(pick(r0, "r0", base["R0"] if base["R0"] is not None else 10.0))
-    alpha_default = base["alpha"] if base["alpha"] is not None else default_alpha(m)
-    alpha_val = float(pick(alpha, "alpha", alpha_default))
-    mode_val = str(pick(trunc_mode, "trunc-mode", "hard"))
-    eps_raw = pick(epsilon, "epsilon", None)
-    eps_val = None if eps_raw is None else float(eps_raw)
-    rule_val = str(pick(weight_rule, "weight-rule", "truncated"))
-    eta_raw = pick(eta, "eta", None)
-    eta_val = None if eta_raw is None else float(eta_raw)
-    if eta_val is not None and eta_val <= 0.0:
-        raise click.UsageError("eta must be positive, got %g" % eta_val)
-    extent_raw = pick(grid_extent, "grid-extent", None)
-    extent_val = None if extent_raw is None else float(extent_raw)
-    if extent_val is not None and extent_val <= 0.0:
+    if "model" in sections and preset != "custom":
         raise click.UsageError(
-            "grid-extent must be positive, got %g" % extent_val
+            "a [model] section needs preset custom, not %s" % preset
         )
-    out_val = str(pick(out, "out", "fptree-out"))
-    threads_val = int(pick(threads, "threads", 1))
-    proxy_val = int(pick(proxy_n, "proxy-n", 120))
-    if not no_timing:
-        no_timing = run_keys.get("no-timing", "false").strip().lower() in (
-            "1", "true", "yes", "on",
-        )
-
-    return Settings(
-        preset=preset,
-        schemes=schemes,
-        Ns=Ns,
-        R0=r0_val,
-        alpha=alpha_val,
-        trunc_mode=mode_val,
-        epsilon=eps_val,
-        weight_rule=rule_val,
-        eta=eta_val,
-        grid_extent=extent_val,
-        out=out_val,
-        threads=threads_val,
-        no_timing=bool(no_timing),
-        proxy_N=proxy_val,
-        model=model,
-    )
+    base = _PRESETS[preset]
+    values.update((k, base[k]) for k in ("ns", "r0", "alpha", "scheme"))
+    values.update(file_vals)
+    values.update(flag_vals)
+    for key in ("eta", "grid_extent"):
+        if values[key] is not None and values[key] <= 0.0:
+            raise click.UsageError(
+                "%s must be positive, got %g"
+                % (key.replace("_", "-"), values[key])
+            )
+    try:
+        values["model"] = base["model"](sections.get("model", {}))
+        if values["alpha"] is None:
+            values["alpha"] = default_alpha(values["model"].driver.m)
+        st = Settings(**values)
+        for name in st.scheme:
+            _scheme_config(name, st)
+        _truncation(st)
+    except _CONFIG_ERRORS as err:
+        raise click.UsageError(str(err))
+    return st
 
 
 def _truncation(st: Settings) -> TruncationConfig:
     return TruncationConfig(
-        R0=st.R0, alpha=st.alpha, mode=st.trunc_mode, epsilon=st.epsilon
+        R0=st.r0, alpha=st.alpha, mode=st.trunc_mode, epsilon=st.epsilon
     )
 
 
@@ -345,25 +403,15 @@ def _grid_for(st: Settings, tg: TimeGrid) -> Optional[SpatialGrid]:
     )
 
 
-_SCHEME_NAMES = ("explicit", "implicit", "fp", "fp-post")
+_SCHEME_KINDS = {
+    "explicit": "explicit_euler",
+    "implicit": "implicit_euler",
+    "fp": "full_projection_pre",
+    "fp-post": "full_projection_post",
+}
 
 
 def _scheme_config(name: str, st: Settings) -> SchemeConfig:
-    trunc = _truncation(st)
-    if name == "explicit":
-        return SchemeConfig(kind="explicit_euler", weight_rule=st.weight_rule)
-    if name == "implicit":
-        return SchemeConfig(kind="implicit_euler", weight_rule=st.weight_rule)
-    if name == "fp":
-        return SchemeConfig(
-            kind="full_projection_pre", truncation=trunc,
-            weight_rule=st.weight_rule,
-        )
-    if name == "fp-post":
-        return SchemeConfig(
-            kind="full_projection_post", truncation=trunc,
-            weight_rule=st.weight_rule,
-        )
     if name.startswith("theta="):
         try:
             theta = float(name.split("=", 1)[1])
@@ -372,10 +420,22 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
         return SchemeConfig(
             kind="theta", theta=theta, weight_rule=st.weight_rule
         )
-    raise click.UsageError(
-        "unknown scheme %r; expected one of %s or theta=<v>"
-        % (name, ", ".join(_SCHEME_NAMES))
+    if name not in _SCHEME_KINDS:
+        raise click.UsageError(
+            "unknown scheme %r; expected one of %s or theta=<v>"
+            % (name, ", ".join(_SCHEME_KINDS))
+        )
+    kind = _SCHEME_KINDS[name]
+    return SchemeConfig(
+        kind=kind, weight_rule=st.weight_rule,
+        truncation=_truncation(st) if name.startswith("fp") else None,
     )
+
+
+def _out_dir(st: Settings) -> str:
+    out = st.out or "fptree-out"
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +483,13 @@ def _csv_cell(v) -> str:
 
 
 def _settings_echo(st: Settings) -> dict:
-    # deliberately excludes out path, thread count, and anything
+    # deliberately excludes the out path and anything
     # machine-dependent: artifacts must be byte-identical across runs
     return {
         "preset": st.preset,
-        "schemes": list(st.schemes),
-        "Ns": list(st.Ns),
-        "R0": st.R0,
+        "schemes": list(st.scheme),
+        "Ns": list(st.ns),
+        "R0": st.r0,
         "alpha": st.alpha,
         "trunc_mode": st.trunc_mode,
         "epsilon": st.epsilon,
@@ -487,7 +547,7 @@ def _reference_for(st: Settings) -> Tuple[Reference, dict]:
             "a": a,
         }
     proxy = proxy_reference(
-        st.model, _truncation(st), weight_rule=st.weight_rule, N=st.proxy_N
+        st.model, _truncation(st), weight_rule=st.weight_rule, N=st.proxy_n
     )
     return Reference(kind="proxy", value=proxy.value), {
         "kind": "proxy",
@@ -515,7 +575,7 @@ def _suite_model_assumptions(st: Settings, budget: int, tol: float, seed: int):
 
 
 def _suite_moments(st: Settings):
-    for N in st.Ns:
+    for N in st.ns:
         h = st.model.T / N
         dist = trinomial(h)
         for k in range(6):
@@ -529,7 +589,7 @@ def _suite_moments(st: Settings):
 
 
 def _suite_weights(st: Settings):
-    for N in st.Ns:
+    for N in st.ns:
         h = st.model.T / N
         dist = trinomial(h)
         wcfg = make_weight_config(h)
@@ -549,9 +609,7 @@ def _suite_weights(st: Settings):
 
 def _suite_truncation(st: Settings):
     trunc = _truncation(st)
-    h = st.model.T / max(st.Ns)
-    from .grids import truncation_radius
-
+    h = st.model.T / max(st.ns)
     R = truncation_radius(trunc, h)
     xs = [(-1.0) ** k * (0.37 * k * k % (3.0 * R)) for k in range(400)]
     for mode in ("hard", "mollified"):
@@ -572,8 +630,6 @@ def _suite_truncation(st: Settings):
 
 
 def _suite_projection(st: Settings):
-    from .grids import SpatialGrid
-
     grid = SpatialGrid(x0=0.0, eta=0.1, M=10)
     cases = [
         (0.349, 0.3),
@@ -599,20 +655,12 @@ def _suite_projection(st: Settings):
 
 
 def _suite_pre_post(st: Settings):
-    N = min(min(st.Ns), 12)
+    N = min(min(st.ns), 12)
     tg = TimeGrid(T=st.model.T, N=N)
     lattice = build_lattice(st.model, tg, trinomial(tg.h))
     trunc = _truncation(st)
-    pre = run_backward(
-        SchemeConfig(kind="full_projection_pre", truncation=trunc,
-                     weight_rule=st.weight_rule),
-        lattice, st.model,
-    )
-    post = run_backward(
-        SchemeConfig(kind="full_projection_post", truncation=trunc,
-                     weight_rule=st.weight_rule),
-        lattice, st.model,
-    )
+    pre = run_backward(_scheme_config("fp", st), lattice, st.model)
+    post = run_backward(_scheme_config("fp-post", st), lattice, st.model)
     h = tg.h
     for i in range(N + 1):
         if not np.array_equal(truncate_array(trunc, h, pre.y[i]), post.y[i]):
@@ -633,64 +681,14 @@ def main():
     """Backward schemes for monotone FBSDEs on trinomial lattices."""
 
 
-def _common_options(fn):
-    fn = click.option("--preset", type=str, default=None,
-                      help="experiment1 | experiment2 | linear-oracle | custom")(fn)
-    fn = click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="key=value config file")(fn)
-    fn = click.option("--scheme", multiple=True,
-                      help="explicit | implicit | fp | fp-post | theta=<v> "
-                           "(repeatable)")(fn)
-    fn = click.option("--Ns", "ns_flag", type=str, default=None,
-                      help="comma-separated list of N values")(fn)
-    fn = click.option("--N", "n_flag", type=int, default=None,
-                      help="single N (alternative to --Ns)")(fn)
-    fn = click.option("--R0", "r0", type=float, default=None,
-                      help="truncation radius coefficient")(fn)
-    fn = click.option("--alpha", type=float, default=None,
-                      help="truncation radius exponent")(fn)
-    fn = click.option("--trunc-mode", type=click.Choice(["hard", "mollified"]),
-                      default=None)(fn)
-    fn = click.option("--epsilon", type=float, default=None,
-                      help="mollification width (default h)")(fn)
-    fn = click.option("--weight-rule", type=click.Choice(["raw", "truncated"]),
-                      default=None)(fn)
-    fn = click.option("--eta", type=float, default=None,
-                      help="spatial mesh width (default: exact recombining "
-                           "tree; with --grid-extent alone, h^2)")(fn)
-    fn = click.option("--grid-extent", type=float, default=None,
-                      help="half-width of the spatial grid around x0")(fn)
-    fn = click.option("--out", type=str, default=None,
-                      help="output directory (default fptree-out)")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="worker cap; results are independent of it")(fn)
-    fn = click.option("--no-timing", is_flag=True, default=False,
-                      help="omit wall-clock fields from artifacts")(fn)
-    fn = click.option("--proxy-N", "proxy_n", type=int, default=None,
-                      help="resolution of the proxy reference (default 120)")(fn)
-    return fn
-
-
-def _resolve(kw) -> Settings:
-    try:
-        return _resolve_settings(
-            kw["preset"], kw["config"], kw["scheme"], kw["ns_flag"],
-            kw["n_flag"], kw["r0"], kw["alpha"], kw["trunc_mode"],
-            kw["epsilon"], kw["weight_rule"], kw["eta"], kw["grid_extent"],
-            kw["out"], kw["threads"], kw["no_timing"], kw["proxy_n"],
-        )
-    except _CONFIG_ERRORS as err:
-        raise click.UsageError(str(err))
-
-
 @main.command()
-@_common_options
+@_shared_options
 @click.option("--probe-budget", type=int, default=10_000)
 @click.option("--tol", type=float, default=1e-9)
 @click.option("--seed", type=int, default=0)
 def check(probe_budget, tol, seed, **kw):
     """Run the invariant suites; exit 0 iff all pass."""
-    st = _resolve(kw)
+    st = _settings(kw)
     suites = [
         ("model_assumptions",
          lambda: _suite_model_assumptions(st, probe_budget, tol, seed)),
@@ -709,10 +707,9 @@ def check(probe_budget, tol, seed, **kw):
         results.append({"name": name, "passed": passed, "detail": detail})
         click.echo("%s %s: %s" % ("PASS" if passed else "FAIL", name, detail))
     all_passed = all(r["passed"] for r in results)
-    if kw["out"]:
-        os.makedirs(st.out, exist_ok=True)
+    if st.out:
         _write_json(
-            os.path.join(st.out, "check_report.json"),
+            os.path.join(_out_dir(st), "check_report.json"),
             {"passed": all_passed, "suites": results,
              "settings": _settings_echo(st)},
         )
@@ -721,15 +718,15 @@ def check(probe_budget, tol, seed, **kw):
 
 
 @main.command()
-@_common_options
+@_shared_options
 @click.option("--fd-check", is_flag=True, default=False,
               help="also compute the finite-difference oracle value")
 @click.option("--dump-lattice", "dump_flag", is_flag=True, default=False,
               help="write lattice structure JSON per N")
 def convergence(fd_check, dump_flag, **kw):
     """Y0 versus N for each scheme against the configured reference."""
-    st = _resolve(kw)
-    os.makedirs(st.out, exist_ok=True)
+    st = _settings(kw)
+    out = _out_dir(st)
     try:
         reference, oracle_info = _reference_for(st)
     except _CONFIG_ERRORS as err:
@@ -749,11 +746,11 @@ def convergence(fd_check, dump_flag, **kw):
         "oracle": oracle_info,
         "schemes": {},
     }
-    for name in st.schemes:
+    for name in st.scheme:
         cfg = _scheme_config(name, st)
         try:
             report = convergence_study(
-                st.model, cfg, st.Ns, reference, timing=not st.no_timing,
+                st.model, cfg, st.ns, reference, timing=not st.no_timing,
                 grid_factory=lambda tg: _grid_for(st, tg),
             )
         except SolverError as err:
@@ -766,7 +763,7 @@ def convergence(fd_check, dump_flag, **kw):
             for e in report.entries
         ]
         _write_csv(
-            os.path.join(st.out, "convergence_%s.csv" % name.replace("=", "_")),
+            os.path.join(out, "convergence_%s.csv" % name.replace("=", "_")),
             ("N", "h", "Y0", "err", "seconds", "exploded"),
             rows,
         )
@@ -791,26 +788,26 @@ def convergence(fd_check, dump_flag, **kw):
         )
 
     if dump_flag:
-        for N in st.Ns:
+        for N in st.ns:
             tg = TimeGrid(T=st.model.T, N=N)
             lattice = build_lattice(
                 st.model, tg, trinomial(tg.h), _grid_for(st, tg)
             )
             _write_json(
-                os.path.join(st.out, "lattice_N%d.json" % N),
+                os.path.join(out, "lattice_N%d.json" % N),
                 dump_lattice(lattice),
             )
 
-    _write_json(os.path.join(st.out, "convergence_summary.json"), summary)
-    click.echo("artifacts written to %s" % st.out)
+    _write_json(os.path.join(out, "convergence_summary.json"), summary)
+    click.echo("artifacts written to %s" % out)
 
 
 @main.command()
-@_common_options
+@_shared_options
 def stability(**kw):
     """Per-level max/min curves and stability ledgers."""
-    st = _resolve(kw)
-    os.makedirs(st.out, exist_ok=True)
+    st = _settings(kw)
+    out = _out_dir(st)
     trunc = _truncation(st)
     summary = {
         "command": "stability",
@@ -820,9 +817,9 @@ def stability(**kw):
     perturb_g = st.model.g
     clamp7 = lipschitz_clamp_g(-7.0, 7.0)
 
-    for name in st.schemes:
+    for name in st.scheme:
         cfg = _scheme_config(name, st)
-        for N in st.Ns:
+        for N in st.ns:
             tg = TimeGrid(T=st.model.T, N=N)
             lattice = build_lattice(
                 st.model, tg, trinomial(tg.h), _grid_for(st, tg)
@@ -835,7 +832,7 @@ def stability(**kw):
                 )
             key = "%s_N%d" % (name, N)
             _write_csv(
-                os.path.join(st.out, "minmax_%s.csv" % key),
+                os.path.join(out, "minmax_%s.csv" % key),
                 ("level", "t", "y_max", "y_min", "finite"),
                 minmax_processes(run),
             )
@@ -876,8 +873,8 @@ def stability(**kw):
                    ))
             )
 
-    _write_json(os.path.join(st.out, "stability_summary.json"), summary)
-    click.echo("artifacts written to %s" % st.out)
+    _write_json(os.path.join(out, "stability_summary.json"), summary)
+    click.echo("artifacts written to %s" % out)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from fptree import cli
 from fptree.cli import main
 
 
@@ -235,20 +238,131 @@ class TestConfigPlumbing:
         assert result.exit_code == 2
         assert "g" in result.output
 
+    @pytest.mark.parametrize("text, key", [
+        ("[run]\nr0 = abc\n", "r0"),
+        ("[run]\nn = x\n", "n"),
+        ("[run]\nno-timing = maybe\n", "no-timing"),
+        ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = const:abc\n", "g"),
+        ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = quadratic\n"
+         "driver-zcoef = q\n", "driver-zcoef"),
+    ])
+    def test_malformed_file_value_is_usage_error(self, runner, tmp_path,
+                                                 text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["check", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert key in result.output
 
-class TestDeterminism:
-    def test_thread_count_does_not_change_artifacts(self, runner, tmp_path):
-        outs = []
-        for threads, sub in (("1", "a"), ("3", "b")):
-            out = tmp_path / sub
-            result = runner.invoke(main, [
-                "convergence", "--preset", "linear-oracle",
-                "--Ns", "10,20", "--no-timing",
-                "--threads", threads, "--out", str(out),
-            ])
-            assert result.exit_code == 0, result.output
-            outs.append(out)
-        for name in ("convergence_fp.csv", "convergence_summary.json"):
-            a = (outs[0] / name).read_bytes()
-            b = (outs[1] / name).read_bytes()
-            assert a == b
+    @pytest.mark.parametrize("text, named", [
+        ("[run]\nalpah = 0.3\n", "alpah"),
+        ("[run]\nthreads = 2\n", "threads"),
+        ("[DEFAULT]\nalpah = 0.3\n", "[DEFAULT]"),
+        ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = quadratic\n"
+         "sigmaa = 2.0\n", "sigmaa"),
+        ("[run]\npreset = experiment1\n[model]\nsigma = 1.0\n", "[model]"),
+    ])
+    def test_unknown_keys_rejected(self, runner, tmp_path, text, named):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["check", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["stability", "--preset", "experiment2", "--Ns", "15", "--R0", "-1"],
+        ["stability", "--preset", "experiment2", "--Ns", "15",
+         "--trunc-mode", "mollified", "--epsilon", "-1"],
+        ["convergence", "--preset", "linear-oracle", "--Ns", "10",
+         "--scheme", "theta=2"],
+    ])
+    def test_invalid_scheme_settings_are_usage_errors(self, runner, tmp_path,
+                                                      args):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "art")])
+        assert result.exit_code == 2, result.output
+
+    def test_check_writes_report_to_out_from_file(self, runner, tmp_path):
+        out = tmp_path / "art"
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("ns = 5\nout = %s\n" % out)
+        result = runner.invoke(main, [
+            "check", "--config", str(cfg), "--probe-budget", "500",
+        ])
+        assert result.exit_code == 0, result.output
+        assert read_json(out / "check_report.json")["passed"] is True
+
+    @pytest.mark.parametrize("flags, lines, want", [
+        (["--Ns", "5", "--N", "9"], [], [5]),
+        (["--N", "9"], ["ns = 6,8"], [9]),
+        ([], ["ns = 6,8", "n = 11"], [6, 8]),
+        ([], ["n = 11"], [11]),
+    ])
+    def test_ns_and_n_precedence(self, runner, tmp_path, flags, lines, want):
+        assert settings_echo(runner, tmp_path, flags, lines)["Ns"] == want
+
+
+# rows whose value is not in the settings echo of the artifacts
+_NOT_ECHOED = {"config", "out", "no-timing", "proxy-n"}
+
+# file key: (value A, value B, echo key, A as echoed); A differs from the
+# experiment1 default and B differs from A
+_PRECEDENCE_CASES = {
+    "preset": ("linear-oracle", "experiment2", "preset", "linear-oracle"),
+    "scheme": ("fp-post,implicit", "fp", "schemes", ["fp-post", "implicit"]),
+    "ns": ("5,7", "6,8", "Ns", [5, 7]),
+    "n": ("9", "11", "Ns", [9]),
+    "r0": ("3.5", "4.5", "R0", 3.5),
+    "alpha": ("0.2", "0.1", "alpha", 0.2),
+    "trunc-mode": ("mollified", "hard", "trunc_mode", "mollified"),
+    "epsilon": ("0.01", "0.02", "epsilon", 0.01),
+    "weight-rule": ("raw", "truncated", "weight_rule", "raw"),
+    "eta": ("0.05", "0.1", "eta", 0.05),
+    "grid-extent": ("3.0", "4.0", "grid_extent", 3.0),
+}
+
+
+def settings_echo(runner, tmp_path, flags, lines):
+    """Settings echoed by `check` under the given flags and [run] lines."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "art"
+    result = runner.invoke(main, [
+        "check", "--config", str(cfg), "--probe-budget", "500",
+        "--out", str(out),
+    ] + flags)
+    assert result.exit_code == 0, result.output
+    return read_json(out / "check_report.json")["settings"]
+
+
+@pytest.mark.parametrize("opt", [
+    o for o in cli._OPTIONS if o.key not in _NOT_ECHOED
+], ids=lambda o: o.flag)
+def test_flag_beats_file_beats_preset(runner, tmp_path, opt):
+    a, b, echo_key, want = _PRECEDENCE_CASES[opt.key]
+    parts = a.split(",") if opt.multiple else [a]
+    flags = [arg for part in parts for arg in (opt.flag, part)]
+    echo = settings_echo(runner, tmp_path, flags, ["%s = %s" % (opt.key, b)])
+    assert echo[echo_key] == want
+    echo = settings_echo(runner, tmp_path, [], ["%s = %s" % (opt.key, a)])
+    assert echo[echo_key] == want
+
+
+def readme_block(heading):
+    """The first fenced block after a README heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(heading, 1)[1].split("```")[1]
+
+
+def test_readme_common_flags_match_option_table():
+    block = readme_block("### Common flags")
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", block))
+    assert flags == {o.flag for o in cli._OPTIONS}
+
+
+def test_readme_config_example_runs(runner, tmp_path):
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(readme_block("### Config file"))
+    result = runner.invoke(main, [
+        "check", "--config", str(cfg), "--probe-budget", "500",
+    ])
+    assert result.exit_code == 0, result.output
