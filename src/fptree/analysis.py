@@ -512,7 +512,7 @@ def fd_comparison(run: ValueFunctions, lattice: Lattice, pde) -> list:
             continue
         sup = 0.0
         count = 0
-        for x, y in zip(lattice.supports[i], run.y[i].tolist()):
+        for x, y in zip(lattice.supports[i].tolist(), run.y[i].tolist()):
             if not lo <= x <= hi:
                 continue
             diff = abs(y - pde.value_at(snap[key], x))

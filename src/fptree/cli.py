@@ -359,6 +359,14 @@ def _settings(kw: dict) -> Settings:
     values.update((k, base[k]) for k in ("ns", "r0", "alpha", "scheme"))
     values.update(file_vals)
     values.update(flag_vals)
+    for i, N in enumerate(values["ns"]):
+        if N < 1:
+            raise click.UsageError("N must be at least 1, got %d" % N)
+        if N in values["ns"][:i]:
+            raise click.UsageError(
+                "N=%d appears twice in Ns; its artifacts would overwrite "
+                "each other" % N
+            )
     for key in ("eta", "grid_extent"):
         if values[key] is not None and values[key] <= 0.0:
             raise click.UsageError(
@@ -726,6 +734,11 @@ def check(probe_budget, tol, seed, **kw):
 def convergence(fd_check, dump_flag, **kw):
     """Y0 versus N for each scheme against the configured reference."""
     st = _settings(kw)
+    if list(st.ns) != sorted(st.ns):
+        raise click.UsageError(
+            "convergence needs increasing Ns, got %s"
+            % ",".join(str(N) for N in st.ns)
+        )
     out = _out_dir(st)
     try:
         reference, oracle_info = _reference_for(st)

@@ -12,7 +12,6 @@ counted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -78,18 +77,19 @@ def _is_trinomial_support(dist: IncrementDistribution) -> bool:
 class Lattice:
     """Recombining state tree of the quantized forward chain.
 
-    supports[i] lists the states of level i in increasing order.  When
-    children is None the lattice is the constant-coefficient trinomial
-    tree and node p at level i has children (p, p+1, p+2) at level
-    i+1, in the order of dist.points; otherwise children[i][p] stores
-    the projected child indices explicitly.  Branch weights and
-    increments are those of dist at every node.
+    supports[i] is the float64 array of the states of level i, in
+    increasing order.  When children is None the lattice is the
+    constant-coefficient trinomial tree and node p at level i has
+    children (p, p+1, p+2) at level i+1, in the order of dist.points;
+    otherwise children[i] is the (n_i, len(dist.points)) int64 array
+    of the projected child indices.  Branch weights and increments are
+    those of dist at every node.
     """
 
     time_grid: TimeGrid
     dist: IncrementDistribution
-    supports: Tuple[Tuple[float, ...], ...]
-    children: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]]
+    supports: Tuple[np.ndarray, ...]
+    children: Optional[Tuple[np.ndarray, ...]]
     grid: Optional[SpatialGrid]
     saturation_count: int
 
@@ -100,7 +100,7 @@ class Lattice:
     def child_indices(self, level: int, pos: int) -> Tuple[int, ...]:
         if self.children is None:
             return (pos, pos + 1, pos + 2)
-        return self.children[level][pos]
+        return tuple(self.children[level][pos].tolist())
 
     def gather(self, level: int, values: np.ndarray) -> List[np.ndarray]:
         """Child values of every level-`level` node, one array per branch.
@@ -112,7 +112,7 @@ class Lattice:
         if self.children is None:
             n = len(self.supports[level])
             return [values[j:j + n] for j in range(len(self.weights))]
-        idx = np.asarray(self.children[level])
+        idx = self.children[level]
         return [values[idx[:, j]] for j in range(idx.shape[1])]
 
     @property
@@ -150,17 +150,18 @@ def build_lattice(
                 "projection-free lattice requires the trinomial support"
             )
         b0 = spec.b_const
-        s0 = spec.sigma_const
-        step = dist.points[-1]
-        supports = []
-        for i in range(tg.N + 1):
-            t = i * h
-            base = spec.x0 + b0 * t
-            supports.append(tuple(base + s0 * (k * step) for k in range(-i, i + 1)))
+        N = tg.N
+        # sigma * k * step for k in -N..N, taken in the order of the
+        # scalar formula x0 + b t_i + sigma (k step); level i adds its
+        # base to the middle 2i+1 entries
+        offsets = spec.sigma_const * (np.arange(-N, N + 1.0) * dist.points[-1])
         return Lattice(
             time_grid=tg,
             dist=dist,
-            supports=tuple(supports),
+            supports=tuple(
+                (spec.x0 + b0 * (i * h)) + offsets[N - i:N + i + 1]
+                for i in range(N + 1)
+            ),
             children=None,
             grid=grid,
             saturation_count=0,
@@ -169,30 +170,24 @@ def build_lattice(
     root_k, root_sat = grid_project_index(grid, spec.x0)
     saturation = int(root_sat)
     level_states = [root_k]
-    supports = [(grid.point(root_k),)]
+    supports = [np.array([grid.point(root_k)])]
     children_all = []
     times = tg.times
     for i in range(tg.N):
         t = times[i]
-        next_keys = set()
         child_keys = []
         for k in level_states:
             x = grid.point(k)
-            row = []
             for dw in dist.points:
                 raw = euler_step(spec, t, x, dw, h)
                 kk, sat = grid_project_index(grid, raw)
                 saturation += int(sat)
-                row.append(kk)
-                next_keys.add(kk)
-            child_keys.append(row)
-        nxt = sorted(next_keys)
-        index_of = {k: j for j, k in enumerate(nxt)}
-        children_all.append(
-            tuple(tuple(index_of[k] for k in row) for row in child_keys)
-        )
-        level_states = nxt
-        supports.append(tuple(grid.point(k) for k in nxt))
+                child_keys.append(kk)
+        keys = np.array(child_keys, dtype=np.int64).reshape(-1, len(dist.points))
+        nxt, idx = np.unique(keys, return_inverse=True)
+        children_all.append(idx.reshape(keys.shape).astype(np.int64, copy=False))
+        level_states = nxt.tolist()
+        supports.append(np.array([grid.point(k) for k in level_states]))
     return Lattice(
         time_grid=tg,
         dist=dist,
@@ -211,13 +206,13 @@ def dump_lattice(lattice: Lattice) -> dict:
         entry = {
             "level": i,
             "t": tg.times[i],
-            "states": list(states),
+            "states": states.tolist(),
         }
         if i < tg.N:
             if lattice.children is None:
                 entry["children"] = "uniform"
             else:
-                entry["children"] = [list(c) for c in lattice.children[i]]
+                entry["children"] = lattice.children[i].tolist()
         levels.append(entry)
     return {
         "T": tg.T,

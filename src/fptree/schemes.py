@@ -131,17 +131,15 @@ def _level(
     driver: DriverSpec,
     h: float,
     theta: float,
-    truncate_children: Optional[Callable] = None,
     truncate_output: Optional[Callable] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One backward step at every node of a level.
 
-    kids[j] holds each node's j-th child value.  Returns y, z and the
-    per-node root-solve iteration counts (zero where no solve ran).
-    Callers run it under np.errstate(all="ignore"): overflow is data.
+    kids[j] holds each node's j-th child value, already truncated for
+    full_projection_pre.  Returns y, z and the per-node root-solve
+    iteration counts (zero where no solve ran).  Callers run it under
+    np.errstate(all="ignore"): overflow is data.
     """
-    if truncate_children is not None:
-        kids = [truncate_children(v) for v in kids]
     z = level_sum([w * v * hj for w, v, hj in zip(weights, kids, H)])
     if theta == 1.0:
         m = level_sum([w * v for w, v in zip(weights, kids)])
@@ -327,7 +325,7 @@ def run_backward(
     law = chain_law(lattice)
     times = tg.times
 
-    vals = np.array([float(g(x)) for x in lattice.supports[tg.N]])
+    vals = np.array([float(g(x)) for x in lattice.supports[tg.N].tolist()])
     if post is not None:
         vals = post(vals)
     y_levels = [vals]
@@ -338,10 +336,12 @@ def run_backward(
 
     with np.errstate(all="ignore"):
         for i in range(tg.N - 1, -1, -1):
-            kids = lattice.gather(i, y_levels[-1])
+            nxt = y_levels[-1]
+            # truncation is elementwise: truncating the level once equals
+            # truncating each node's children
+            kids = lattice.gather(i, nxt if pre is None else pre(nxt))
             try:
-                y, z, iters = _level(kids, weights, H, driver, h, theta,
-                                     pre, post)
+                y, z, iters = _level(kids, weights, H, driver, h, theta, post)
             except SolverError as err:
                 raise SolverError(
                     "implicit solve failed at level %d node %d: %s"

@@ -70,14 +70,23 @@ class ChainLaw:
 
 def chain_law(lattice: Lattice) -> ChainLaw:
     """Push the root point mass forward through the stencils."""
-    w = np.asarray(lattice.weights)
+    w = lattice.weights
     out = [np.ones(1)]
     for i in range(lattice.time_grid.N):
-        n_next = len(lattice.supports[i + 1])
-        idx = np.stack(lattice.gather(i, np.arange(n_next)), axis=1)
-        # bincount adds in node-major order, the order of a per-node push
-        out.append(np.bincount(idx.ravel(), weights=(out[-1][:, None] * w).ravel(),
-                               minlength=n_next))
+        m = out[-1]
+        if lattice.children is None:
+            # node p feeds p + j along branch j; adding the shifted
+            # branches last-first gives each child the sum of a
+            # node-major per-node push: (m[k-2] w2 + m[k-1] w1) + m[k] w0
+            nxt = np.zeros(len(m) + len(w) - 1)
+            for j in reversed(range(len(w))):
+                nxt[j:j + len(m)] += m * w[j]
+        else:
+            # bincount adds in node-major order too
+            nxt = np.bincount(lattice.children[i].ravel(),
+                              weights=(m[:, None] * np.asarray(w)).ravel(),
+                              minlength=len(lattice.supports[i + 1]))
+        out.append(nxt)
     return ChainLaw(masses=tuple(out))
 
 

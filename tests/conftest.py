@@ -30,9 +30,11 @@ def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
     Returns (y, z, iterations) as Python numbers; pre and post are the
     optional child and output truncations.
     """
+    kids = [np.array([float(v)]) for v in kids]
     with np.errstate(all="ignore"):
-        y, z, iters = _level([np.array([float(v)]) for v in kids], W, H,
-                             driver, h, theta, pre, post)
+        if pre is not None:
+            kids = [pre(v) for v in kids]
+        y, z, iters = _level(kids, W, H, driver, h, theta, post)
     return float(y[0]), float(z[0]), int(iters[0])
 
 

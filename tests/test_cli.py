@@ -198,6 +198,42 @@ class TestStability:
         assert_plain_csv_cells(out)
 
 
+class TestNsValidation:
+    @pytest.mark.parametrize("args, named", [
+        (["convergence", "--preset", "linear-oracle", "--Ns", "20,10"],
+         "got 20,10"),
+        (["convergence", "--preset", "linear-oracle", "--Ns", "10,-20"],
+         "got -20"),
+        (["convergence", "--preset", "linear-oracle", "--N", "0"], "got 0"),
+        (["stability", "--preset", "experiment2", "--N", "0"], "got 0"),
+        (["stability", "--preset", "experiment2", "--Ns", "15,15"], "N=15"),
+    ])
+    def test_bad_ns_are_usage_errors_before_any_run(self, runner, tmp_path,
+                                                    args, named):
+        out = tmp_path / "art"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert not out.exists()
+
+    def test_duplicate_ns_from_file_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("ns = 5,7,5\n")
+        result = runner.invoke(main, ["check", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "N=5" in result.output
+
+    def test_stability_accepts_permuted_ns(self, runner, tmp_path):
+        out = tmp_path / "art"
+        result = runner.invoke(main, [
+            "stability", "--preset", "experiment2", "--Ns", "17,15",
+            "--scheme", "fp", "--no-timing", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        runs = read_json(out / "stability_summary.json")["runs"]
+        assert list(runs) == ["fp_N15", "fp_N17"]
+
+
 class TestConfigPlumbing:
     def test_headerless_file_is_run_section(self, runner, tmp_path):
         cfg = tmp_path / "flat.cfg"
