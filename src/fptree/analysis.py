@@ -34,7 +34,7 @@ from .forward import Lattice, build_lattice
 from .grids import TimeGrid, TruncationConfig, trinomial, truncate_array
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
-from .treeval import level_sum
+from .treeval import chain_law, l2_norm, level_sum
 
 __all__ = [
     "Reference",
@@ -236,9 +236,9 @@ def _is_violation(residual, rhs, tol_abs: float, tol_rel: float):
 
 def contraction_check(
     run: ValueFunctions,
+    lattice: Lattice,
     spec: ModelSpec,
     trunc: TruncationConfig,
-    h: float,
     tol_abs: float = TOL_ABS,
     tol_rel: float = TOL_REL,
 ) -> StabilityLedger:
@@ -247,11 +247,13 @@ def contraction_check(
     The guarantee needs f(0,0) = 0, M_y < 0, 8 L_z^2 <= -M_y, a strict
     radius exponent alpha < 1/(2(m-1)), and h below an explicit
     threshold; when any of these fails the ledger is computed anyway
-    and marked not applicable.  L2 norms are taken under the lattice
-    chain law (stored in the run diagnostics).
+    and marked not applicable.  L2 norms are taken under the chain law
+    of the lattice the run was made on, computed here once.
     """
     drv = spec.driver
     d = spec.d
+    tg = lattice.time_grid
+    h = tg.h
     reasons = []
     if drv.f00 != 0.0:
         reasons.append("f(0,0)=%g is not 0" % drv.f00)
@@ -281,19 +283,19 @@ def contraction_check(
     applicable = not reasons
     c_prime = drv.M_y / 2.0
 
-    diags = run.diagnostics
-    l2 = np.array([dg.l2 for dg in diags])
+    law = chain_law(lattice)
+    l2 = np.array([l2_norm(y, law, i) for i, y in enumerate(run.y)])
     bound = _guarded_product(
-        np.array([_guarded_exp(c_prime * (spec.T - dg.t)) for dg in diags]),
+        np.array([_guarded_exp(c_prime * (spec.T - t)) for t in tg.times]),
         l2[-1],
     )
     residual = l2 - bound
     bad = _is_violation(residual, bound, tol_abs, tol_rel)
     entries = [
-        ContractionEntry(level=dg.level, t=dg.t, l2=dg.l2, bound=b,
-                         residual=r, violation=v)
-        for dg, b, r, v in zip(diags, bound.tolist(), residual.tolist(),
-                              bad.tolist())
+        ContractionEntry(level=i, t=t, l2=n, bound=b, residual=r, violation=v)
+        for i, (t, n, b, r, v) in enumerate(zip(
+            tg.times, l2.tolist(), bound.tolist(), residual.tolist(),
+            bad.tolist()))
     ]
     violations = int(np.count_nonzero(bad))
     nonfinite = int(np.count_nonzero(~np.isfinite(l2)))
@@ -413,7 +415,7 @@ def one_step_checks(
     d = spec.d
     tg = lattice.time_grid
     h = tg.h
-    weights = lattice.weights
+    W = np.array(lattice.weights)[:, None]
 
     reasons = []
     if drv.L_z > 0:
@@ -446,9 +448,7 @@ def one_step_checks(
                 y = run.y[i] - run2.y[i]
                 z = run.z[i] - run2.z[i]
                 nxt = run.y[i + 1] - run2.y[i + 1]
-            e_sq = level_sum(
-                [w * v ** 2 for w, v in zip(weights, lattice.gather(i, nxt))]
-            )
+            e_sq = level_sum(W * lattice.gather(i, nxt) ** 2)
             lhs = y * y + 0.125 * z * z * h
             rhs = _guarded_product(ech, e_sq) + tail
             residual = lhs - rhs

@@ -859,7 +859,7 @@ def stability(**kw):
             digest["ledgers"]["sup_norm"] = _ledger_digest(sup)
             if name in ("fp", "fp-post", "implicit"):
                 contr = analysis.contraction_check(
-                    run, st.model, trunc, tg.h
+                    run, lattice, st.model, trunc
                 )
                 digest["ledgers"]["contraction"] = _ledger_digest(contr)
             if name in ("fp", "fp-post"):

@@ -13,7 +13,7 @@ counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -102,18 +102,21 @@ class Lattice:
             return (pos, pos + 1, pos + 2)
         return tuple(self.children[level][pos].tolist())
 
-    def gather(self, level: int, values: np.ndarray) -> List[np.ndarray]:
-        """Child values of every level-`level` node, one array per branch.
+    def gather(self, level: int, values: np.ndarray) -> np.ndarray:
+        """Child values of every level-`level` node, (branches, nodes).
 
-        values holds the level + 1 values; entry j of the result lists
-        the j-th child's value of each node in order.  On the tree the
-        entries are views into values.
+        values holds the level + 1 values; row j lists each node's j-th
+        child value.  On the tree the block is a read-only view of values.
         """
         if self.children is None:
-            n = len(self.supports[level])
-            return [values[j:j + n] for j in range(len(self.weights))]
-        idx = self.children[level]
-        return [values[idx[:, j]] for j in range(idx.shape[1])]
+            # row j is values[j:j + n]; unlike as_strided, the constructor
+            # checks the bounds and keeps no per-call cache
+            block = np.ndarray((len(self.weights), len(self.supports[level])),
+                               dtype=values.dtype, buffer=values,
+                               strides=values.strides * 2)
+            block.flags.writeable = False
+            return block
+        return values[self.children[level].T]
 
     @property
     def weights(self) -> Tuple[float, ...]:

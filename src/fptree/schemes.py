@@ -1,7 +1,7 @@
 """The backward level operator and full backward induction.
 
-Every scheme kind is one level map, applied to the three child arrays
-of each level:
+Every scheme kind is one level map, applied to the (branches, nodes)
+block of child values of each level:
 
     z = E[v H]
     y solves y = E[v + (1 - theta) f(v, z) h] + theta f(y, z) h
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .grids import (
     weight_values,
 )
 from .model import DriverSpec, ModelSpec
-from .treeval import chain_law, l2_norm, level_sum
+from .treeval import level_sum
 
 __all__ = [
     "SchemeError",
@@ -67,15 +67,15 @@ SCHEME_KINDS = (
 
 _FP_KINDS = ("full_projection_pre", "full_projection_post")
 
-# implicit root solve: residual tolerance relative to max(1, |m|), Newton
-# iteration cap, and the number of geometric bracket expansions
+# implicit root solve: residual tolerance relative to max(1, |m|) and
+# Newton iteration cap
 _TOL = 1e-12
 _MAX_ITER = 100
-_MAX_EXPAND = 200
 _FAILURES = (
     None,
     "implicit residual became non-finite",
-    "failed to bracket the implicit root",
+    "failed to bracket the implicit root: the driver's slope exceeds "
+    "its declared M_y = {M_y:g}",
     "newton did not converge in %d iterations" % _MAX_ITER,
 )
 
@@ -125,9 +125,9 @@ class SchemeConfig:
 
 
 def _level(
-    kids: Sequence[np.ndarray],
-    weights: Sequence[float],
-    H: Sequence[float],
+    kids: np.ndarray,
+    W: np.ndarray,
+    H: np.ndarray,
     driver: DriverSpec,
     h: float,
     theta: float,
@@ -135,18 +135,18 @@ def _level(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One backward step at every node of a level.
 
-    kids[j] holds each node's j-th child value, already truncated for
-    full_projection_pre.  Returns y, z and the per-node root-solve
-    iteration counts (zero where no solve ran).  Callers run it under
-    np.errstate(all="ignore"): overflow is data.
+    kids is the (branches, nodes) block of child values, already
+    truncated for full_projection_pre; W and H are the (branches, 1)
+    columns of branch weights and Z weights.  Returns y, z and the
+    per-node root-solve iteration counts (zero where no solve ran).
+    Callers run it under np.errstate(all="ignore"): overflow is data.
     """
-    z = level_sum([w * v * hj for w, v, hj in zip(weights, kids, H)])
+    wk = W * kids
+    z = level_sum(wk * H)
     if theta == 1.0:
-        m = level_sum([w * v for w, v in zip(weights, kids)])
+        m = level_sum(wk)
     else:
-        ht = (1.0 - theta) * h
-        f = driver.eval
-        m = level_sum([w * (v + f(v, z) * ht) for w, v in zip(weights, kids)])
+        m = level_sum(W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h)))
     if theta == 0.0:
         y, iters = m, np.zeros(m.shape, dtype=np.int64)
     else:
@@ -156,24 +156,37 @@ def _level(
     return y, z, iters
 
 
+def _bracket_end(m: np.ndarray, fa: np.ndarray, hh: float, M_y: float):
+    """End point b of a bracket [m, b] of the root of F, given fa = F(m).
+
+    F' >= c = 1 - hh max(M_y, 0) puts the root within |F(m)|/c of m.
+    b = m - F(m)/c is pushed out by 2 _TOL max(1, |b|, |m|), so the
+    exact F(b) exceeds the Newton tolerance and the computed one keeps
+    its sign wherever Newton can converge at all.  F's rounding error
+    scales with its terms, not with ulp(b): b can sit near 0 while m and
+    hh f are large.
+    """
+    b = m - fa / (1.0 - hh * max(M_y, 0.0))
+    scale = np.maximum(1.0, np.maximum(np.abs(b), np.abs(m)))
+    return b - np.copysign(2.0 * _TOL * scale, fa)
+
+
 def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     """Root of F(y) = y - hh * f(y, z) - m at every node of a level.
 
-    For one-sided Lipschitz drivers F' = 1 - hh f_y >= 1 - hh M_y, so F
-    is strictly increasing whenever hh * M_y < 1; that is the guard
-    under which a bracketed Newton (bisection fallback) cannot fail.
-    Every node runs its own iteration, masked over the level: a
-    geometric bracket search from m, then Newton steps kept inside the
-    bracket.  Nodes with non-finite m or z give nan; they and roots
-    the bracket search hits exactly take zero iterations.  Returns
-    (y, iterations); a failure raises SolverError carrying the first
-    failing node.
+    For one-sided Lipschitz drivers F' = 1 - hh f_y >= 1 - hh M_y > 1/2
+    under the guard hh * M_y < 0.5, so F is strictly increasing and
+    :func:`_bracket_end` brackets the root; F(b) of the wrong sign
+    means the driver's slope exceeds the declared M_y.  Every node runs
+    its own Newton iteration from m, masked over the level, bisecting
+    whenever a step leaves the bracket.  Nodes with non-finite m or z
+    give nan; they and nodes with F(m) = 0 take zero iterations.
+    Returns (y, iterations); a failure raises SolverError carrying the
+    first failing node.
     """
     iters = np.zeros(m.shape, dtype=np.int64)
     ok = np.isfinite(m) & np.isfinite(z)
-    if not ok.any():
-        return np.full(m.shape, math.nan), iters
-    if hh * driver.M_y >= 0.5:
+    if hh * driver.M_y >= 0.5 and ok.any():
         raise SolverError(
             "step size violates the implicit contraction guard: "
             "h*theta*M_y = %g >= 0.5" % (hh * driver.M_y,),
@@ -181,40 +194,24 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
         )
     f = driver.eval
     dfdy = driver.dfdy
-    failed = np.zeros(m.shape, dtype=np.int8)  # index into _FAILURES
 
     def F(yv):
         return yv - hh * f(yv, z) - m
 
-    # bracket the root of the increasing F, expanding geometrically
     tol = _TOL * np.maximum(1.0, np.abs(m))
     fa = F(m)
-    y = np.where(ok & (fa == 0.0), m, math.nan)
-    direction = np.where(fa > 0.0, -1.0, 1.0)
-    step = np.maximum(np.maximum(np.abs(hh * f(m, z)), tol), 1e-8)
-    b = m
-    searching = ok & (fa != 0.0)
-    live = np.zeros(m.shape, dtype=bool)
-    for _ in range(_MAX_EXPAND):
-        if not searching.any():
-            break
-        b = np.where(searching, b + direction * step, b)
-        fb = F(b)
-        bad = searching & ~np.isfinite(fb)
-        failed[bad] = 1
-        hit = searching & (fb == 0.0)
-        y = np.where(hit, b, y)
-        crossed = searching & ~bad & ~hit & ((fa > 0.0) != (fb > 0.0))
-        live |= crossed
-        searching &= ~(bad | hit | crossed)
-        step = step * 2.0
-    failed[searching] = 2
+    b = _bracket_end(m, fa, hh, driver.M_y)
+    fb = F(b)
+    live = ok & (fa != 0.0)
+    failed = np.zeros(m.shape, dtype=np.int8)  # index into _FAILURES
+    failed[live & np.where(fa > 0.0, fb > 0.0, fb < 0.0)] = 2
+    failed[live & ~np.isfinite(fb)] = 1
+    live &= failed == 0
 
     # Newton from m, falling back to bisection outside the bracket;
     # converged nodes freeze and drop out of `live`
-    lo = np.where(m < b, m, b)
-    hi = np.where(m < b, b, m)
-    bracketed = live.copy()
+    lo = np.minimum(m, b)
+    hi = np.maximum(m, b)
     yv = m
     for _ in range(_MAX_ITER):
         if not live.any():
@@ -237,8 +234,9 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     failed[live] = 3
     if failed.any():
         first = int(np.argmax(failed != 0))
-        raise SolverError(_FAILURES[failed[first]], node=first)
-    return np.where(bracketed, yv, y), iters
+        raise SolverError(_FAILURES[failed[first]].format(M_y=driver.M_y),
+                          node=first)
+    return np.where(ok, yv, math.nan), iters
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,6 @@ class LevelDiagnostics:
     t: float
     y_max: float
     y_min: float
-    l2: float
     finite: bool
 
 
@@ -279,14 +276,13 @@ class ValueFunctions:
         return float(self.y[0][0])
 
 
-def _level_diag(level, t, vals, law) -> LevelDiagnostics:
+def _level_diag(level, t, vals) -> LevelDiagnostics:
     finite = bool(np.isfinite(vals).all())
     return LevelDiagnostics(
         level=level,
         t=t,
         y_max=float(vals.max()) if finite else math.nan,
         y_min=float(vals.min()) if finite else math.nan,
-        l2=l2_norm(vals, law, level),
         finite=finite,
     )
 
@@ -321,8 +317,8 @@ def run_backward(
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
     wcfg = make_weight_config(h, cfg.weight_rule)
     H, lam = weight_values(wcfg, lattice.dist, h)
-    weights = lattice.weights
-    law = chain_law(lattice)
+    W = np.array(lattice.weights)[:, None]
+    H = np.array(H)[:, None]
     times = tg.times
 
     vals = np.array([float(g(x)) for x in lattice.supports[tg.N].tolist()])
@@ -330,7 +326,7 @@ def run_backward(
         vals = post(vals)
     y_levels = [vals]
     z_levels = []
-    diags = [_level_diag(tg.N, times[tg.N], vals, law)]
+    diags = [_level_diag(tg.N, times[tg.N], vals)]
     iters_total = 0
     iters_max = 0
 
@@ -341,7 +337,7 @@ def run_backward(
             # truncating each node's children
             kids = lattice.gather(i, nxt if pre is None else pre(nxt))
             try:
-                y, z, iters = _level(kids, weights, H, driver, h, theta, post)
+                y, z, iters = _level(kids, W, H, driver, h, theta, post)
             except SolverError as err:
                 raise SolverError(
                     "implicit solve failed at level %d node %d: %s"
@@ -353,7 +349,7 @@ def run_backward(
             iters_max = max(iters_max, int(iters.max()))
             y_levels.append(y)
             z_levels.append(z)
-            diags.append(_level_diag(i, times[i], y, law))
+            diags.append(_level_diag(i, times[i], y))
 
     y_levels.reverse()
     z_levels.reverse()

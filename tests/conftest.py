@@ -18,6 +18,14 @@ from fptree.schemes import _level
 W = (1 / 6, 2 / 3, 1 / 6)
 
 
+def col(values):
+    """A (branches, 1) float64 column, the shape the level operator takes."""
+    return np.array(values, dtype=float)[:, None]
+
+
+WCOL = col(W)
+
+
 def build(model, N, grid=None):
     tg = fp.TimeGrid(T=model.T, N=N)
     return fp.build_lattice(model, tg, fp.trinomial(tg.h), grid)
@@ -30,11 +38,11 @@ def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
     Returns (y, z, iterations) as Python numbers; pre and post are the
     optional child and output truncations.
     """
-    kids = [np.array([float(v)]) for v in kids]
+    kids = col(kids)
     with np.errstate(all="ignore"):
         if pre is not None:
-            kids = [pre(v) for v in kids]
-        y, z, iters = _level(kids, W, H, driver, h, theta, post)
+            kids = pre(kids)
+        y, z, iters = _level(kids, WCOL, col(H), driver, h, theta, post)
     return float(y[0]), float(z[0]), int(iters[0])
 
 

@@ -136,11 +136,10 @@ def test_c5_stability_contrast_on_steep_model(exp2_model, exp2_trunc):
     impl_cfg = fp.SchemeConfig(kind="implicit_euler")
     for N in (15, 17, 19, 25):
         lattice = build(exp2_model, N)
-        h = lattice.time_grid.h
         for label, cfg in (("fp", fp_cfg), ("implicit", impl_cfg)):
             run = fp.run_backward(cfg, lattice, exp2_model)
             ledger = fp.contraction_check(
-                run, exp2_model, exp2_trunc, h=h, tol_rel=1e-8
+                run, lattice, exp2_model, exp2_trunc, tol_rel=1e-8
             )
             assert ledger.violations == 0, (
                 "%s contraction ledger has %d violations at N=%d"

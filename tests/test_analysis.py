@@ -125,7 +125,7 @@ class TestContraction:
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc)
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, exp2_model, exp2_trunc, h=lattice.time_grid.h)
+        ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
         assert ledger.kind == "contraction"
         assert ledger.c_value == pytest.approx(-0.5)
         assert ledger.violations == 0
@@ -137,7 +137,7 @@ class TestContraction:
         lattice = build(spec, 40)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=LINEAR_TRUNC)
         run = fp.run_backward(cfg, lattice, spec)
-        ledger = fp.contraction_check(run, spec, LINEAR_TRUNC, h=lattice.time_grid.h)
+        ledger = fp.contraction_check(run, lattice, spec, LINEAR_TRUNC)
         assert ledger.applicable
         assert ledger.applicability_reason == "all hypotheses hold"
         assert ledger.violations == 0
@@ -146,7 +146,7 @@ class TestContraction:
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, exp2_model, exp2_trunc, h=lattice.time_grid.h)
+        ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
         assert ledger.violations == 0
 
     def test_nonzero_f00_flagged(self, exp1_trunc):
@@ -157,7 +157,7 @@ class TestContraction:
         lattice = build(m, 10)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, m)
-        ledger = fp.contraction_check(run, m, exp1_trunc, h=lattice.time_grid.h)
+        ledger = fp.contraction_check(run, lattice, m, exp1_trunc)
         assert not ledger.applicable
         assert "f(0,0)" in ledger.applicability_reason
 

@@ -197,6 +197,21 @@ class TestStability:
         assert (out / "minmax_explicit_N15.csv").exists()
         assert_plain_csv_cells(out)
 
+    def test_theta_half_implicit_solve_brackets(self, runner, tmp_path):
+        # at level 23, node 7 the closed-form bracket end lies within
+        # rounding of the root: moving it towards m instead of away
+        # (np.spacing(b) is negative for b < 0) fails the sign check
+        out = tmp_path / "art"
+        result = runner.invoke(main, [
+            "stability", "--preset", "experiment1", "--scheme", "theta=0.5",
+            "--Ns", "50", "--no-timing", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        runs = read_json(out / "stability_summary.json")["runs"]
+        run = runs["theta=0.5_N50"]
+        assert run["finite"] is True
+        assert run["Y0"] == pytest.approx(0.5476816346610569, rel=1e-12)
+
 
 class TestNsValidation:
     @pytest.mark.parametrize("args, named", [

@@ -64,6 +64,18 @@ class TestBuildLattice:
             for pos in range(len(lat.supports[i])):
                 assert lat.child_indices(i, pos) == (pos, pos + 1, pos + 2)
 
+    def test_gather_block_is_a_read_only_view(self):
+        lat = build(fp.experiment1_model(), 3)
+        vals = np.arange(7.0)
+        kids = lat.gather(2, vals)
+        assert kids.shape == (3, 5)
+        assert np.shares_memory(kids, vals) and not kids.flags.writeable
+        for pos in range(5):
+            assert kids[:, pos].tolist() == [
+                vals[c] for c in lat.child_indices(2, pos)]
+        with pytest.raises(ValueError):
+            lat.gather(2, vals[:6])
+
     def test_supports_shift_with_drift(self):
         m = fp.make_constant_model(
             T=1.0, x0=1.0, b=2.0, sigma=1.0,

@@ -3,14 +3,17 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
 from fptree.grids import truncate_array
-from fptree.schemes import SchemeError, SolverError, _level
+from fptree.model import with_declared_my
+from fptree.schemes import (
+    SchemeError, SolverError, _bracket_end, _level, _solve,
+)
 
-from conftest import W, build, one_node
+from conftest import WCOL, build, col, one_node
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
 ZERO = fp.poly_driver((0.0,))
@@ -115,13 +118,80 @@ class TestImplicitStep:
 
 
     def test_first_failing_node_reported(self):
-        # at |m| = 1e103 the cubic residual overflows during the bracket
-        # search; nodes 1 and 3 fail, node 1 is reported
-        kids = [np.array([1.0, 1e103, 1.0, 1e103])] * 3
+        # at |m| = 1e103 the cubic residual overflows at the bracket
+        # end point; nodes 1 and 3 fail, node 1 is reported
+        kids = np.array([[1.0, 1e103, 1.0, 1e103]] * 3)
         with np.errstate(all="ignore"), pytest.raises(SolverError) as exc:
-            _level(kids, W, (0.0,) * 3, CUBIC, 0.1, 1.0)
+            _level(kids, WCOL, col((0.0,) * 3), CUBIC, 0.1, 1.0)
         assert exc.value.node == 1
         assert "non-finite" in str(exc.value)
+
+
+class TestClosedFormBracket:
+    """The end point m - F(m)/c, widened, brackets the root with m."""
+
+    @given(
+        m=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e).flatmap(
+            lambda a: st.sampled_from([a, -a])),
+        c0=st.floats(-1.0, 1.0), c1=st.floats(-2.0, 2.0),
+        c2=st.floats(-1.0, 1.0),
+        c3=st.one_of(st.just(0.0), st.floats(-2.0, -0.05)),
+        zc=st.floats(0.1, 2.0).flatmap(lambda a: st.sampled_from([a, -a])),
+        hh=st.floats(1e-3, 1.0),
+        # the root a few ulps from m (|F(m)| near the ulp of m, down to
+        # 0), or anywhere in [-1, 1] through a z term of size |m|
+        root=st.one_of(
+            st.integers(-8, 8).map(lambda k: ("ulps", k)),
+            st.floats(-1.0, 1.0).map(lambda r: ("at", r)),
+        ),
+    )
+    # linear drivers with slope M_y > 0 make F(b) vanish in exact
+    # arithmetic; rounding then decides the sign unless b is widened
+    # on the scale of F's terms
+    @example(m=1e-05, c0=1.0, c1=1.0, c2=0.0, c3=0.0, zc=1.0, hh=0.25,
+             root=("at", 0.0))
+    @example(m=47985.21919642071, c0=0.0, c1=0.0, c2=0.0, c3=0.0, zc=0.75,
+             hh=0.1875, root=("at", 1.0))
+    @example(m=-3.0, c0=0.0, c1=1.5, c2=0.0, c3=0.0, zc=-1.0, hh=0.25,
+             root=("ulps", 1))
+    @settings(max_examples=400, deadline=None)
+    def test_end_point_brackets(self, m, c0, c1, c2, c3, zc, hh, root):
+        driver = fp.poly_driver((c0, c1, c2 if c3 else 0.0, c3), z_coeff=zc)
+        assume(hh * driver.M_y < 0.5)
+        f, df = driver.eval, driver.dfdy
+        kind, v = root
+        r = m + v * math.ulp(m) if kind == "ulps" else v
+        z = (r - hh * f(r, 0.0) - m) / (hh * zc)
+        # F's rounding error, about eps times the size of its terms,
+        # must stay below the Newton tolerance 1e-12 max(1, |m|) for
+        # any solver to meet it
+        terms = abs(r) + hh * sum(abs(c * r ** k)
+                                  for k, c in enumerate((c0, c1, c2, c3)))
+        assume(terms <= 1e2 * max(1.0, abs(m)))
+
+        def F(y):
+            return y - hh * f(y, z) - m
+
+        fa = F(m)
+        if fa != 0.0:
+            b = float(_bracket_end(np.array(m), np.array(fa), hh, driver.M_y))
+            lo, hi = min(m, b), max(m, b)
+            assert F(lo) <= 0.0 <= F(hi)
+        y, _ = _solve(np.array([m]), np.array([z]), driver, hh)
+        want = scalar_solve(m, z, hh, f, df)
+        # both stop at |F| <= 1e-12 max(1, |m|), and F' > 1/2
+        assert abs(y[0] - want) <= 4e-12 * max(1.0, abs(m))
+
+    def test_declared_slope_below_true_slope_raises(self):
+        # f = y - y^3 has slope 1 at 0; declared 0, the bracket end
+        # falls short of the root and the sign check fails
+        lying = with_declared_my(fp.poly_driver((0, 1, 0, -1)), 0.0)
+        m = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=1.0,
+                                   g=fp.quadratic_g(), driver=lying)
+        with pytest.raises(SolverError, match="declared M_y = 0") as exc:
+            fp.run_backward(fp.SchemeConfig(kind="implicit_euler"),
+                            build(m, 4), m)
+        assert exc.value.level is not None and exc.value.node is not None
 
 
 class TestThetaStep:
@@ -233,7 +303,8 @@ class TestRunBackward:
         assert len(run.diagnostics) == 9
         for d in run.diagnostics:
             assert d.y_min <= d.y_max
-            assert d.l2 >= 0.0
+        for e in fp.contraction_check(run, lat, m, trunc).entries:
+            assert e.l2 >= 0.0
         assert run.finite
         assert run.Lambda == 1.0
 
@@ -294,6 +365,27 @@ class TestRunBackward:
             assert np.array_equal(a, b)
 
 
+def scalar_solve(m, z, hh, f, df):
+    """y - hh f(y, z) = m in Python floats: a geometric bracket search
+    from m, then Newton kept inside the bracket."""
+    def F(y):
+        return y - hh * f(y, z) - m
+    up, b = F(m) > 0.0, m
+    step = max(abs(hh * f(m, z)), 1e-12 * max(1.0, abs(m)), 1e-8)
+    while F(b) != 0.0 and (F(b) > 0.0) == up:
+        b, step = b - step if up else b + step, 2.0 * step
+    if F(b) == 0.0:
+        return b
+    lo, hi, y = min(m, b), max(m, b), m
+    for _ in range(100):
+        if abs(F(y)) <= 1e-12 * max(1.0, abs(m)):
+            return y
+        lo, hi = (lo, min(hi, y)) if F(y) > 0.0 else (max(lo, y), hi)
+        y = y - F(y) / (1.0 - hh * df(y, z))
+        y = y if lo <= y <= hi else 0.5 * (lo + hi)
+    raise AssertionError("reference Newton did not converge")
+
+
 def scalar_reference(cfg, lattice, spec):
     """The scheme node by node in Python floats, sums by math.fsum.
 
@@ -307,24 +399,6 @@ def scalar_reference(cfg, lattice, spec):
     post = cfg.kind == "full_projection_post"
     T = partial(fp.truncate, cfg.truncation, h)
     H, _ = fp.weight_values(fp.make_weight_config(h), lattice.dist, h)
-
-    def solve(m, z, hh):  # y - hh f(y, z) = m: bracket from m, safe Newton
-        def F(y):
-            return y - hh * f(y, z) - m
-        up, b = F(m) > 0.0, m
-        step = max(abs(hh * f(m, z)), 1e-12 * max(1.0, abs(m)), 1e-8)
-        while F(b) != 0.0 and (F(b) > 0.0) == up:
-            b, step = b - step if up else b + step, 2.0 * step
-        if F(b) == 0.0:
-            return b
-        lo, hi, y = min(m, b), max(m, b), m
-        for _ in range(100):
-            if abs(F(y)) <= 1e-12 * max(1.0, abs(m)):
-                return y
-            lo, hi = (lo, min(hi, y)) if F(y) > 0.0 else (max(lo, y), hi)
-            y = y - F(y) / (1.0 - hh * df(y, z))
-            y = y if lo <= y <= hi else 0.5 * (lo + hi)
-        raise AssertionError("reference Newton did not converge")
 
     vals = [float(spec.g(x)) for x in lattice.supports[-1]]
     ys = [[T(v) for v in vals] if post else vals]
@@ -343,7 +417,7 @@ def scalar_reference(cfg, lattice, spec):
                 return None
             if not (math.isfinite(m) and math.isfinite(z)):
                 return None
-            y = solve(m, z, theta * h) if theta else m
+            y = scalar_solve(m, z, theta * h, f, df) if theta else m
             y_level.append(T(y) if post else y)
             z_level.append(z)
         ys.append(y_level)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fptree as fp
 from fptree.schemes import _level
 
-from conftest import W, build, one_node
+from conftest import W, WCOL, build, col, one_node
 
 ZERO = fp.poly_driver((0.0,))
 INF = math.inf
@@ -35,8 +35,8 @@ class TestSafeWeightedSum:
         rng = np.random.default_rng(20240607)
         kids = rng.standard_normal((3, 2000)) * 10.0 ** rng.integers(-8, 9, (3, 2000))
         with np.errstate(all="ignore"):
-            y, _, _ = _level(list(kids), W, (0.0, 0.0, 0.0), ZERO, 0.1, 0.0)
-        want = [math.fsum(w * v for w, v in zip(W, col)) for col in kids.T]
+            y, _, _ = _level(kids, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 0.0)
+        want = [math.fsum(w * v for w, v in zip(W, node)) for node in kids.T]
         assert y.tolist() == want
 
     def test_nan_dominates(self):
@@ -56,8 +56,8 @@ class TestSafeWeightedSum:
         assert z_of((1e308, 0.0, -1e308)) == -INF
 
     def test_empty(self):
-        empty = np.zeros(0)
-        y, z, iters = _level([empty] * 3, W, (0.0, 0.0, 0.0), ZERO, 0.1, 1.0)
+        empty = np.zeros((3, 0))
+        y, z, iters = _level(empty, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 1.0)
         assert y.size == z.size == iters.size == 0
 
 
@@ -84,8 +84,8 @@ class TestCondExpect:
     def test_level_expectation(self):
         lat = build(fp.experiment1_model(), 2)
         vals_next = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        y, _, _ = _level(lat.gather(1, vals_next), lat.weights, (0.0,) * 3,
-                         ZERO, 0.5, 0.0)
+        y, _, _ = _level(lat.gather(1, vals_next), col(lat.weights),
+                         col((0.0,) * 3), ZERO, 0.5, 0.0)
         want = (1 / 6) * 2.0 + (2 / 3) * 3.0 + (1 / 6) * 4.0
         assert y[1] == pytest.approx(want)
 
