@@ -22,8 +22,7 @@ from .analysis import (
     one_step_checks,
     sup_norm_check,
 )
-from .forward import Lattice, build_lattice, dump_lattice, euler_step, \
-    quantized_forward_step
+from .forward import Lattice, build_lattice, dump_lattice
 from .grids import (
     ConfigurationError,
     IncrementDistribution,
@@ -37,7 +36,6 @@ from .grids import (
     grid_project_index,
     increment_radius,
     make_weight_config,
-    moment,
     moment_exact,
     trinomial,
     truncate,

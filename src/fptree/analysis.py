@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice, build_lattice
-from .grids import TimeGrid, TruncationConfig, trinomial, truncate_array
+from .grids import TimeGrid, TruncationConfig, trinomial, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
 from .treeval import chain_law, l2_norm, level_sum
@@ -443,7 +443,7 @@ def one_step_checks(
             if kind == "size":
                 y = run.y[i]
                 z = run.z[i]
-                nxt = truncate_array(trunc, h, run.y[i + 1])
+                nxt = truncate(trunc, h, run.y[i + 1])
             else:
                 y = run.y[i] - run2.y[i]
                 z = run.z[i] - run2.z[i]

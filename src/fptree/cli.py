@@ -46,7 +46,6 @@ from .grids import (
     moment_exact,
     trinomial,
     truncate,
-    truncate_array,
     truncation_radius,
     weight_values,
 )
@@ -619,21 +618,21 @@ def _suite_truncation(st: Settings):
     trunc = _truncation(st)
     h = st.model.T / max(st.ns)
     R = truncation_radius(trunc, h)
-    xs = [(-1.0) ** k * (0.37 * k * k % (3.0 * R)) for k in range(400)]
+    xs = np.array([(-1.0) ** k * (0.37 * k * k % (3.0 * R))
+                   for k in range(400)])
+    # every pair of xs[::7] and xs[::13], as one broadcast block
+    a, b = xs[::7, None], xs[None, ::13]
     for mode in ("hard", "mollified"):
         cfg = TruncationConfig(R0=trunc.R0, alpha=trunc.alpha, mode=mode,
                                epsilon=trunc.epsilon)
-        for a in xs[::7]:
-            for b in xs[::13]:
-                if abs(truncate(cfg, h, a) - truncate(cfg, h, b)) > abs(a - b) * (
-                    1.0 + 1e-12
-                ) + 1e-15:
-                    return False, "1-Lipschitz violated (%s mode)" % mode
-        for a in xs:
-            if abs(a) <= R and truncate(cfg, h, a) != a:
-                return False, "identity inside radius violated (%s mode)" % mode
-            if truncate(cfg, h, -a) != -truncate(cfg, h, a):
-                return False, "odd symmetry violated (%s mode)" % mode
+        gap = np.abs(truncate(cfg, h, a) - truncate(cfg, h, b))
+        if (gap > np.abs(a - b) * (1.0 + 1e-12) + 1e-15).any():
+            return False, "1-Lipschitz violated (%s mode)" % mode
+        tx = truncate(cfg, h, xs)
+        if ((np.abs(xs) <= R) & (tx != xs)).any():
+            return False, "identity inside radius violated (%s mode)" % mode
+        if (truncate(cfg, h, -xs) != -tx).any():
+            return False, "odd symmetry violated (%s mode)" % mode
     return True, "1-Lipschitz, identity inside radius, odd symmetry"
 
 
@@ -646,13 +645,13 @@ def _suite_projection(st: Settings):
         (-5.0, -1.0),
     ]
     for x, want in cases:
-        got = grid_project(grid, x)
+        got = float(grid_project(grid, x))
         if abs(got - want) > 1e-15:
             return False, "project(%r) = %r, wanted %r" % (x, got, want)
     # exact midpoints need a dyadic mesh; 0.35/0.1 is not a tie in floats
     dyadic = SpatialGrid(x0=0.0, eta=0.5, M=4)
     for x, want in [(0.25, 0.0), (-0.25, -0.5), (0.75, 0.5)]:
-        got = grid_project(dyadic, x)
+        got = float(grid_project(dyadic, x))
         if got != want:
             return False, "tie project(%r) = %r, wanted %r" % (x, got, want)
     for x in [-1.7, -0.33, 0.0, 0.08, 0.555, 2.4]:
@@ -671,7 +670,7 @@ def _suite_pre_post(st: Settings):
     post = run_backward(_scheme_config("fp-post", st), lattice, st.model)
     h = tg.h
     for i in range(N + 1):
-        if not np.array_equal(truncate_array(trunc, h, pre.y[i]), post.y[i]):
+        if not np.array_equal(truncate(trunc, h, pre.y[i]), post.y[i]):
             return False, "post y != T(pre y) at level %d" % i
     for i in range(N):
         if not np.array_equal(pre.z[i], post.z[i]):

@@ -7,7 +7,9 @@ are finite sums.  With constant b and sigma no spatial projection is
 needed and level i carries exactly 2i+1 states.  With state-dependent
 coefficients recombination is lost, so each step is projected onto a
 uniform spatial grid; saturation at the grid hull is tolerated but
-counted.
+counted.  The projected lattice is built a level at a time: b(t, x)
+and sigma(t, x) are called once per level with a float t and the
+float64 array x of the level's states, so they must accept arrays.
 """
 
 from __future__ import annotations
@@ -28,40 +30,9 @@ from .model import ModelSpec
 
 __all__ = [
     "Lattice",
-    "euler_step",
-    "quantized_forward_step",
     "build_lattice",
     "dump_lattice",
 ]
-
-
-def euler_step(spec: ModelSpec, t: float, x: float, dw: float, h: float) -> float:
-    """One Euler step x + b(t,x) h + sigma(t,x) dw.
-
-    Non-finite outputs are returned as-is; explosion is data here, not
-    an exception.
-    """
-    if not h > 0:
-        raise ConfigurationError("h must be positive, got %r" % (h,))
-    return x + spec.b(t, x) * h + spec.sigma(t, x) * dw
-
-
-def quantized_forward_step(
-    spec: ModelSpec,
-    grid: SpatialGrid,
-    t: float,
-    x: float,
-    dw_bar: float,
-    h: float,
-) -> Tuple[float, bool]:
-    """Euler step followed by grid projection.
-
-    Returns the projected state and a flag saying whether the raw step
-    left the grid hull (boundary clamp).
-    """
-    raw = euler_step(spec, t, x, dw_bar, h)
-    k, saturated = grid_project_index(grid, raw)
-    return grid.point(k), saturated
 
 
 def _is_trinomial_support(dist: IncrementDistribution) -> bool:
@@ -138,8 +109,10 @@ def build_lattice(
     Without a spatial grid the coefficients must be constant (and the
     increment support trinomial), which is what guarantees
     recombination; level i then holds x0 + b t_i + sigma k sqrt(3h) for
-    k in {-i..i}.  With a grid, every Euler step is projected and the
-    reachable set is tracked level by level.
+    k in {-i..i}.  With a grid, every Euler step
+    x + b(t, x) h + sigma(t, x) dw is projected and the reachable set is
+    tracked level by level; a non-finite step raises ConfigurationError
+    naming its level and node.
     """
     h = tg.h
     if grid is None:
@@ -170,32 +143,31 @@ def build_lattice(
             saturation_count=0,
         )
 
-    root_k, root_sat = grid_project_index(grid, spec.x0)
-    saturation = int(root_sat)
-    level_states = [root_k]
-    supports = [np.array([grid.point(root_k)])]
-    children_all = []
-    times = tg.times
-    for i in range(tg.N):
-        t = times[i]
-        child_keys = []
-        for k in level_states:
-            x = grid.point(k)
-            for dw in dist.points:
-                raw = euler_step(spec, t, x, dw, h)
-                kk, sat = grid_project_index(grid, raw)
-                saturation += int(sat)
-                child_keys.append(kk)
-        keys = np.array(child_keys, dtype=np.int64).reshape(-1, len(dist.points))
-        nxt, idx = np.unique(keys, return_inverse=True)
-        children_all.append(idx.reshape(keys.shape).astype(np.int64, copy=False))
-        level_states = nxt.tolist()
-        supports.append(np.array([grid.point(k) for k in level_states]))
+    k, sat = grid_project_index(grid, spec.x0)
+    saturation = int(sat)
+    supports = [grid.point(k.reshape(1))]
+    children = []
+    dws = np.array(dist.points)
+    for i, t in enumerate(tg.times[:-1]):
+        # the (nodes, branches) block of Euler steps from level i
+        x = supports[i][:, None]
+        raw = x + spec.b(t, x) * h + spec.sigma(t, x) * dws
+        if not np.isfinite(raw).all():
+            node, branch = np.argwhere(~np.isfinite(raw))[0]
+            raise ConfigurationError(
+                "the forward step from level %d node %d (branch %d) gave the "
+                "non-finite state %r"
+                % (i, node, branch, float(raw[node, branch])))
+        keys, sat = grid_project_index(grid, raw)
+        saturation += int(np.count_nonzero(sat))
+        states, idx = np.unique(keys, return_inverse=True)
+        children.append(idx.reshape(keys.shape).astype(np.int64, copy=False))
+        supports.append(grid.point(states))
     return Lattice(
         time_grid=tg,
         dist=dist,
         supports=tuple(supports),
-        children=tuple(children_all),
+        children=tuple(children),
         grid=grid,
         saturation_count=saturation,
     )

@@ -32,11 +32,9 @@ __all__ = [
     "SpatialGrid",
     "truncation_radius",
     "truncate",
-    "truncate_array",
     "truncate_increment",
     "increment_radius",
     "trinomial",
-    "moment",
     "moment_exact",
     "gaussian_moment_exact",
     "make_weight_config",
@@ -140,44 +138,16 @@ def truncation_radius(cfg: TruncationConfig, h: float) -> float:
     return cfg.R0 * h ** (-cfg.alpha)
 
 
-def _mollified_radius_transfer(r: float, R: float, eps: float) -> float:
-    # rho(r) = r below R, then the blend with rho'(R)=1, rho'(R+eps)=0.
-    # Fixing the end value at R + eps/2 makes rho' linear (the Hermite
-    # cubic degenerates), so rho' = 1 - (r-R)/eps lies in [0, 1]: the
-    # transfer stays monotone and 1-Lipschitz.
-    if r <= R:
-        return r
-    if eps <= 0.0 or r >= R + eps:
-        return R if eps <= 0.0 else R + 0.5 * eps
-    s = (r - R) / eps
-    return R + eps * (s - 0.5 * s * s)
+def truncate(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:
+    """Radial truncation of y at radius R = R0 * h^{-alpha}, elementwise.
 
-
-def truncate(cfg: TruncationConfig, h: float, y: float) -> float:
-    """Radial truncation of y at radius R0 * h^{-alpha}.
-
-    Hard mode is min(1, R/|y|) y.  Mollified mode applies a C^1 radius
-    transfer that is the identity for |y| <= R and constant R + eps/2
-    beyond R + eps.  Both are odd, 1-Lipschitz, and total (non-finite y
-    maps to the signed cap).
-    """
-    R = truncation_radius(cfg, h)
-    if y != y:  # nan stays nan: an exploded value must remain visible
-        return y
-    r = abs(y)
-    if r <= R:
-        return y
-    if cfg.mode == "hard":
-        return math.copysign(R, y)
-    eps = h if cfg.epsilon is None else cfg.epsilon
-    return math.copysign(_mollified_radius_transfer(r, R, eps), y)
-
-
-def truncate_array(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:
-    """:func:`truncate` applied elementwise to a float64 array.
-
-    Each entry goes through the same floating-point operations as the
-    scalar form, so the two agree bitwise.
+    Hard mode is min(1, R/|y|) y.  Mollified mode maps the radius
+    r = |y| > R to R + eps (s - s^2/2) with s = (r - R)/eps, which
+    reaches R + eps/2 at r = R + eps and stays there beyond; its slope
+    1 - s lies in [0, 1], so the map stays monotone and 1-Lipschitz.
+    Both modes are odd, 1-Lipschitz and total: nan stays nan (an
+    exploded value must remain visible) and +-inf maps to the signed
+    cap.
     """
     R = truncation_radius(cfg, h)
     r = np.abs(y)
@@ -277,14 +247,6 @@ def moment_exact(dist: IncrementDistribution, k: int) -> Optional[Fraction]:
         (w * sq ** half for w, sq in zip(dist.weights_exact, dist.squares_exact)),
         Fraction(0),
     )
-
-
-def moment(dist: IncrementDistribution, k: int) -> float:
-    """k-th moment of the increment distribution as a float."""
-    exact = moment_exact(dist, k)
-    if exact is not None:
-        return float(exact)
-    return math.fsum(w * p ** k for w, p in zip(dist.weights, dist.points))
 
 
 def gaussian_moment_exact(h: float, k: int) -> Fraction:
@@ -394,16 +356,14 @@ class SpatialGrid:
     M: int
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigurationError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ConfigurationError("eta must be positive and finite")
+        if not math.isfinite(self.x0):
+            raise ConfigurationError("x0 must be finite")
         if self.M < 0:
             raise ConfigurationError("M must be nonnegative")
 
-    @property
-    def points(self) -> Tuple[float, ...]:
-        return tuple(self.x0 + k * self.eta for k in range(-self.M, self.M + 1))
-
-    def point(self, k: int) -> float:
+    def point(self, k: np.ndarray) -> np.ndarray:
         return self.x0 + k * self.eta
 
     @property
@@ -415,24 +375,28 @@ class SpatialGrid:
         return self.x0 + self.M * self.eta
 
 
-def grid_project_index(grid: SpatialGrid, x: float) -> Tuple[int, bool]:
-    """Index of the nearest grid point and a saturation flag.
+def grid_project_index(grid: SpatialGrid, x: np.ndarray):
+    """Indices of the nearest grid points and saturation flags.
 
     Ties break toward the smaller coordinate (k = ceil(u - 1/2) rounds
     half-integers down).  Out-of-hull x clamps to the boundary index
     with the flag set; callers that track saturation counts read it
-    from here, keeping the grid itself immutable.
+    from here, keeping the grid itself immutable.  k is clipped in
+    float before the int64 cast, so a huge finite x saturates on its
+    own side; non-finite x raises ConfigurationError.  Returns int64
+    and bool arrays of x's shape.
     """
-    u = (x - grid.x0) / grid.eta
-    k = math.ceil(u - 0.5)
-    if k > grid.M:
-        return grid.M, True
-    if k < -grid.M:
-        return -grid.M, True
-    return k, False
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ConfigurationError("cannot project the non-finite state %r"
+                                 % (float(x[~np.isfinite(x)][0]),))
+    with np.errstate(over="ignore"):
+        k = np.ceil((x - grid.x0) / grid.eta - 0.5)
+    saturated = np.abs(k) > grid.M
+    return np.clip(k, -grid.M, grid.M).astype(np.int64), saturated
 
 
-def grid_project(grid: SpatialGrid, x: float) -> float:
-    """Nearest grid point of x (ties toward the smaller coordinate)."""
+def grid_project(grid: SpatialGrid, x: np.ndarray) -> np.ndarray:
+    """Nearest grid points of x (ties toward the smaller coordinate)."""
     k, _ = grid_project_index(grid, x)
     return grid.point(k)

@@ -314,8 +314,12 @@ def constant_b_sigma(b0: float, sigma0: float):
 class ModelSpec:
     """A full problem instance.
 
-    d (Brownian dimension) and n (Y dimension) are typed for generality
-    but fixed to 1 by the implementation.
+    The coefficients b(t, x) and sigma(t, x) take a float t and a
+    float64 array x of states and return a float or an array that
+    broadcasts against x, like DriverSpec.eval; the projected lattice
+    calls them once per level.  d (Brownian dimension) and n (Y
+    dimension) are typed for generality but fixed to 1 by the
+    implementation.
     """
 
     T: float

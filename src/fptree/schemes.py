@@ -41,7 +41,7 @@ from .grids import (
     TruncationConfig,
     check_alpha,
     make_weight_config,
-    truncate_array,
+    truncate,
     weight_values,
 )
 from .model import DriverSpec, ModelSpec
@@ -179,8 +179,11 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     :func:`_bracket_end` brackets the root; F(b) of the wrong sign
     means the driver's slope exceeds the declared M_y.  Every node runs
     its own Newton iteration from m, masked over the level, bisecting
-    whenever a step leaves the bracket.  Nodes with non-finite m or z
-    give nan; they and nodes with F(m) = 0 take zero iterations.
+    whenever a step leaves the bracket.  A node still short of the
+    tolerance after _MAX_ITER steps is accepted when F changes sign
+    between its iterate and the adjacent float toward the root.  Nodes
+    with non-finite m or z give nan; they and nodes with F(m) = 0 take
+    zero iterations.
     Returns (y, iterations); a failure raises SolverError carrying the
     first failing node.
     """
@@ -231,6 +234,15 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
         hi = np.where(up & (yv < hi), yv, hi)
         lo = np.where(~up & (yv > lo), yv, lo)
         yv = np.where(live, y_new, yv)
+    if live.any():
+        # where F's terms dwarf |m| no float may meet the tolerance: accept
+        # a root pinned between yv and the next float toward it
+        fy = F(yv)
+        nb = np.nextafter(yv, np.where(fy > 0.0, -np.inf, np.inf))
+        fn = F(nb)
+        pinned = live & np.where(fy > 0.0, fn <= 0.0, (fy < 0.0) & (fn >= 0.0))
+        yv = np.where(pinned & (np.abs(fn) < np.abs(fy)), nb, yv)
+        live &= ~pinned
     failed[live] = 3
     if failed.any():
         first = int(np.argmax(failed != 0))
@@ -311,7 +323,7 @@ def run_backward(
     trunc = None
     if kind in _FP_KINDS:
         check_alpha(cfg.truncation, driver.m)
-        trunc = partial(truncate_array, cfg.truncation, h)
+        trunc = partial(truncate, cfg.truncation, h)
     pre = trunc if kind == "full_projection_pre" else None
     post = trunc if kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -47,10 +48,10 @@ def test_c2_pre_post_equivalence_node_exact(exp1_model, exp1_trunc):
             fp.SchemeConfig(kind="full_projection_post", truncation=exp1_trunc),
             lattice, exp1_model,
         )
-        worst_y = 0.0
-        for i in range(N + 1):
-            for a, b in zip(pre.y[i], post.y[i]):
-                worst_y = max(worst_y, abs(fp.truncate(exp1_trunc, h, a) - b))
+        worst_y = max(
+            float(np.max(np.abs(fp.truncate(exp1_trunc, h, a) - b)))
+            for a, b in zip(pre.y, post.y)
+        )
         worst_z = 0.0
         for i in range(N):
             for a, b in zip(pre.z[i], post.z[i]):
@@ -200,20 +201,18 @@ def test_c8_truncation_weight_and_projection_properties(exp1_trunc):
     moll = fp.TruncationConfig(
         R0=exp1_trunc.R0, alpha=exp1_trunc.alpha, mode="mollified"
     )
-    for _ in range(100_000):
-        a = rng.uniform(-span, span)
-        b = rng.uniform(-span, span)
-        got = abs(fp.truncate(exp1_trunc, h, a) - fp.truncate(exp1_trunc, h, b))
-        assert got <= abs(a - b) * (1.0 + 1e-12) + 1e-15
-    for _ in range(10_000):
-        a = rng.uniform(-span, span)
-        b = rng.uniform(-span, span)
-        got = abs(fp.truncate(moll, h, a) - fp.truncate(moll, h, b))
-        assert got <= abs(a - b) * (1.0 + 1e-12) + 1e-15
-    for _ in range(10_000):
-        y = rng.uniform(-R, R)
-        assert fp.truncate(exp1_trunc, h, y) == y
-        assert fp.truncate(moll, h, y) == y
+
+    def draw(n, lo, hi):
+        # n draws in the order of n scalar rng.uniform(lo, hi) calls
+        return np.array([rng.uniform(lo, hi) for _ in range(n)])
+
+    for cfg, pairs in ((exp1_trunc, 100_000), (moll, 10_000)):
+        a, b = draw(2 * pairs, -span, span).reshape(-1, 2).T
+        got = np.abs(fp.truncate(cfg, h, a) - fp.truncate(cfg, h, b))
+        assert (got <= np.abs(a - b) * (1.0 + 1e-12) + 1e-15).all(), cfg.mode
+    y = draw(10_000, -R, R)
+    assert np.array_equal(fp.truncate(exp1_trunc, h, y), y)
+    assert np.array_equal(fp.truncate(moll, h, y), y)
 
     for N in (5, 10, 20, 40, 80, 120, 160, 320):
         hN = 1.0 / N
@@ -223,15 +222,13 @@ def test_c8_truncation_weight_and_projection_properties(exp1_trunc):
         assert lam <= 1.0
 
     grid = fp.SpatialGrid(x0=0.0, eta=0.1, M=10)
-    for x, want in ((0.349, 0.3), (0.35, 0.3), (5.0, 1.0), (-5.0, -1.0)):
-        assert fp.grid_project(grid, x) == pytest.approx(want, abs=1e-15)
+    got = fp.grid_project(grid, np.array([0.349, 0.35, 5.0, -5.0]))
+    assert got.tolist() == pytest.approx([0.3, 0.3, 1.0, -1.0], abs=1e-15)
     dyadic = fp.SpatialGrid(x0=0.0, eta=0.5, M=4)
-    for x, want in ((0.25, 0.0), (-0.25, -0.5), (0.75, 0.5)):
-        assert fp.grid_project(dyadic, x) == want
-    for _ in range(5_000):
-        x = rng.uniform(-2.0, 2.0)
-        once = fp.grid_project(grid, x)
-        assert fp.grid_project(grid, once) == once
+    got = fp.grid_project(dyadic, np.array([0.25, -0.25, 0.75]))
+    assert got.tolist() == [0.0, -0.5, 0.5]
+    once = fp.grid_project(grid, draw(5_000, -2.0, 2.0))
+    assert np.array_equal(fp.grid_project(grid, once), once)
 
 
 def test_c9_cli_determinism_across_thread_counts(tmp_path):

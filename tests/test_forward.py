@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
@@ -13,34 +14,70 @@ from fptree.model import ModelSpec, constant_b_sigma
 from conftest import build
 
 
+def one_step(spec, dw, h, grid):
+    """build_lattice over one step of size h, increments (-dw, 0, dw)."""
+    sq = Fraction(dw) ** 2
+    dist = fp.IncrementDistribution(
+        points=(-dw, 0.0, dw), weights=(1 / 6, 2 / 3, 1 / 6),
+        order_matched=1,
+        weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
+        squares_exact=(sq, Fraction(0), sq),
+    )
+    return fp.build_lattice(spec, fp.TimeGrid(T=h, N=1), dist, grid)
+
+
+def child_state(lat, branch):
+    """The level-1 state of the root's child on `branch`."""
+    return lat.supports[1][lat.children[0][0, branch]]
+
+
 class TestEulerStep:
+    """One grid-aligned step lands on x + b h + sigma dw exactly."""
+
     def test_constant_coefficients(self):
-        m = fp.experiment1_model()
-        # x + b h + sigma dw with b=0, sigma=1.5
-        assert fp.euler_step(m, 0.0, 1.0, 0.2, 0.1) == 1.0 + 1.5 * 0.2
+        # experiment1's b=0, sigma=1.5 from x=1 with dw=0.2, h=0.1
+        m = fp.make_constant_model(
+            T=1.0, x0=1.0, b=0.0, sigma=1.5,
+            g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
+        )
+        grid = fp.SpatialGrid(x0=1.0, eta=1.5 * 0.2, M=4)
+        assert child_state(one_step(m, 0.2, 0.1, grid), 2) == 1.0 + 1.5 * 0.2
 
     def test_drift(self):
         m = fp.make_constant_model(
-            T=1.0, x0=0.0, b=2.0, sigma=1.0,
+            T=1.0, x0=1.0, b=2.0, sigma=1.0,
             g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
         )
-        assert fp.euler_step(m, 0.0, 1.0, 0.0, 0.25) == 1.5
+        grid = fp.SpatialGrid(x0=1.0, eta=0.5, M=4)
+        assert child_state(one_step(m, 0.3, 0.25, grid), 1) == 1.5
+
+    def test_operation_order(self):
+        # (x + b h) + sigma dw = 0.5499999999999999 projects down to 0.3;
+        # x + (b h + sigma dw) = 0.55 would land one cell up, on 0.8
+        m = fp.make_constant_model(
+            T=1.0, x0=0.3, b=0.2, sigma=0.5,
+            g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
+        )
+        grid = fp.SpatialGrid(x0=0.3, eta=0.5, M=4)
+        assert (0.3 + 0.2 * 0.2) + 0.5 * 0.42 < 0.3 + (0.2 * 0.2 + 0.5 * 0.42)
+        assert child_state(one_step(m, 0.42, 0.2, grid), 2) == 0.3
 
 
 class TestQuantizedStep:
     def test_projects_to_grid(self):
         m = fp.experiment1_model()
         grid = fp.SpatialGrid(x0=0.0, eta=0.1, M=100)
-        x, sat = fp.quantized_forward_step(m, grid, 0.0, 0.0, 0.2, 0.1)
-        assert x == pytest.approx(0.3)
-        assert not sat
+        lat = one_step(m, 0.2, 0.1, grid)
+        assert child_state(lat, 2) == pytest.approx(0.3)
+        assert lat.saturation_count == 0
 
     def test_saturates_at_hull(self):
         m = fp.experiment1_model()
         grid = fp.SpatialGrid(x0=0.0, eta=0.1, M=3)
-        x, sat = fp.quantized_forward_step(m, grid, 0.0, 0.0, 10.0, 0.1)
-        assert x == pytest.approx(0.3)
-        assert sat
+        lat = one_step(m, 10.0, 0.1, grid)
+        assert child_state(lat, 2) == pytest.approx(0.3)
+        assert child_state(lat, 0) == pytest.approx(-0.3)
+        assert lat.saturation_count == 2
 
 
 class TestBuildLattice:
@@ -144,20 +181,38 @@ def tuple_tree_supports(spec, tg, dist):
     return out
 
 
+def scalar_project(grid, x):
+    """Nearest grid index of one float, clamped to the hull, and whether
+    it was clamped (ties toward the smaller coordinate)."""
+    k = math.ceil((x - grid.x0) / grid.eta - 0.5)
+    return min(max(k, -grid.M), grid.M), abs(k) > grid.M
+
+
 def tuple_grid_lattice(spec, tg, dist, grid):
-    """Projected supports and child tables as tuples, through sets."""
-    root = fp.grid_project_index(grid, spec.x0)[0]
-    states, supports, children = [root], [(grid.point(root),)], []
+    """Projected supports, child tables and saturation count as tuples:
+    one scalar Euler step x + b h + sigma dw per node and branch, then
+    the nearest grid index, the reachable set through a set."""
+    def point(k):
+        return grid.x0 + k * grid.eta
+
+    root, saturation = scalar_project(grid, spec.x0)
+    states, supports, children = [root], [(point(root),)], []
     for i in range(tg.N):
-        rows = [[fp.grid_project_index(
-                    grid, fp.euler_step(spec, tg.times[i], grid.point(k),
-                                        dw, tg.h))[0]
-                 for dw in dist.points] for k in states]
+        t, rows = tg.times[i], []
+        for k in states:
+            x = point(k)
+            row = []
+            for dw in dist.points:
+                kk, sat = scalar_project(
+                    grid, x + spec.b(t, x) * tg.h + spec.sigma(t, x) * dw)
+                saturation += sat
+                row.append(kk)
+            rows.append(row)
         states = sorted({k for row in rows for k in row})
         index_of = {k: j for j, k in enumerate(states)}
         children.append(tuple(tuple(index_of[k] for k in row) for row in rows))
-        supports.append(tuple(grid.point(k) for k in states))
-    return supports, children
+        supports.append(tuple(point(k) for k in states))
+    return supports, children, int(saturation)
 
 
 def tuple_dump(lat, supports, children):
@@ -188,6 +243,27 @@ def constant_model(x0, b, sigma):
         T=1.0, x0=x0, b=b, sigma=sigma,
         g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
     )
+
+
+def state_model(x0, b, sigma):
+    """A model with the given (t, x) coefficient callables."""
+    return ModelSpec(T=1.0, x0=x0, b=b, sigma=sigma, g=fp.quadratic_g(),
+                     driver=fp.poly_driver((0.0,)))
+
+
+def ou_model(x0, a, s0, s1, s2):
+    """Mean-reverting drift -a x and a diffusion that moves with t and x;
+    plain arithmetic, so arrays and floats take the same IEEE steps."""
+    return state_model(x0, lambda t, x: -a * x,
+                       lambda t, x: s0 + s1 * t + s2 * (x * x) / (1.0 + x * x))
+
+
+def grid_levels_equal(lat, supports, children):
+    for i, want in enumerate(supports):
+        assert bitwise_equal(lat.supports[i], want)
+    for table, want in zip(lat.children, children, strict=True):
+        assert table.dtype == np.int64
+        assert table.tolist() == [list(c) for c in want]
 
 
 class TestArrayLattice:
@@ -224,7 +300,9 @@ class TestArrayLattice:
 
         grid = fp.SpatialGrid(x0=x0, eta=eta, M=M)
         lat = fp.build_lattice(spec, tg, dist, grid)
-        supports, children = tuple_grid_lattice(spec, tg, dist, grid)
+        supports, children, saturation = tuple_grid_lattice(spec, tg, dist,
+                                                            grid)
+        assert lat.saturation_count == saturation
         rng = np.random.default_rng(N)
         for i in range(N + 1):
             assert bitwise_equal(lat.supports[i], supports[i])
@@ -251,7 +329,60 @@ class TestArrayLattice:
         if grid is None:
             want = tuple_dump(lat, tuple_tree_supports(spec, tg, dist), None)
         else:
-            want = tuple_dump(lat, *tuple_grid_lattice(spec, tg, dist, grid))
+            want = tuple_dump(lat, *tuple_grid_lattice(spec, tg, dist,
+                                                       grid)[:2])
         got = fp.dump_lattice(lat)
         assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
             want, indent=2, sort_keys=True)
+
+    @given(
+        x0=st.floats(-2.0, 2.0), a=st.floats(0.0, 3.0),
+        s0=st.floats(0.1, 2.0), s1=st.floats(0.0, 1.0),
+        s2=st.floats(0.0, 1.0), N=st.integers(1, 40),
+        eta=st.floats(0.02, 0.5), M=st.integers(2, 60),
+    )
+    @example(x0=0.3, a=2.0, s0=1.0, s1=0.1, s2=0.0, N=100, eta=0.01, M=400)
+    @settings(max_examples=60, deadline=None)
+    def test_state_dependent_coefficients(self, x0, a, s0, s1, s2, N, eta,
+                                          M):
+        # b = -2x, sigma = 1 + 0.1 t is the explicit example
+        spec = ou_model(x0, a, s0, s1, s2)
+        tg = fp.TimeGrid(T=1.0, N=N)
+        dist = fp.trinomial(tg.h)
+        grid = fp.SpatialGrid(x0=0.0, eta=eta, M=M)
+        lat = fp.build_lattice(spec, tg, dist, grid)
+        supports, children, saturation = tuple_grid_lattice(spec, tg, dist,
+                                                            grid)
+        grid_levels_equal(lat, supports, children)
+        assert lat.saturation_count == saturation
+
+    @pytest.mark.parametrize("value, node", [(math.inf, 2), (math.nan, 0)])
+    def test_nonfinite_step_names_level_and_node(self, value, node):
+        # level 1 holds -1, 0, 1; the drift is non-finite at one end
+        where = (lambda x: x >= 1.0) if node == 2 else (lambda x: x <= -1.0)
+        spec = state_model(0.0, lambda t, x: np.where(where(x), value, -x),
+                           lambda t, x: 1.0)
+        tg = fp.TimeGrid(T=1.0, N=4)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ConfigurationError,
+                match=r"level 1 node %d \(branch 0\).* non-finite state %s"
+                % (node, value)):
+            fp.build_lattice(spec, tg, fp.trinomial(tg.h), grid)
+
+    def test_huge_finite_step_saturates_on_its_side(self):
+        # from level 1 (-1, 0, 1) the outer nodes step to -+2.5e299,
+        # far beyond the int64 range of (x - x0)/eta
+        spec = state_model(
+            0.0, lambda t, x: np.where(np.abs(x) > 0.5, 1e300 * x, 0.0),
+            lambda t, x: 1.0)
+        tg = fp.TimeGrid(T=1.0, N=4)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
+        lat = fp.build_lattice(spec, tg, fp.trinomial(tg.h), grid)
+        assert lat.supports[1].tolist() == [-1.0, 0.0, 1.0]
+        low, high = lat.supports[2][lat.children[1][[0, 2]]]
+        assert low.tolist() == [-5.0] * 3 and high.tolist() == [5.0] * 3
+        supports, children, saturation = tuple_grid_lattice(
+            spec, tg, fp.trinomial(tg.h), grid)
+        grid_levels_equal(lat, supports, children)
+        assert lat.saturation_count == saturation >= 6

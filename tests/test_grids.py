@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.grids import ConfigurationError, check_alpha, truncate_array
+from fptree.grids import ConfigurationError, check_alpha
+
+from conftest import scalar_truncate
 
 HARD = fp.TruncationConfig(R0=2.0, alpha=0.249)
 MOLL = fp.TruncationConfig(R0=2.0, alpha=0.249, mode="mollified")
@@ -44,6 +46,11 @@ class TestTruncationRadius:
             check_alpha(fp.TruncationConfig(R0=1.0, alpha=0.3), m=3)
 
 
+def T(cfg, h, *ys):
+    """The library truncation on a float64 array of ys."""
+    return fp.truncate(cfg, h, np.array(ys, dtype=np.float64))
+
+
 class TestTruncate:
     @given(
         y=st.floats(-1e6, 1e6, allow_nan=False),
@@ -53,12 +60,12 @@ class TestTruncate:
     )
     @settings(max_examples=400, deadline=None)
     def test_one_lipschitz_and_bounded(self, y, yp, h, mode):
-        ty, typ = fp.truncate(mode, h, y), fp.truncate(mode, h, yp)
+        ty, typ = T(mode, h, y, yp)
         assert abs(ty - typ) <= abs(y - yp) + 1e-12 * max(abs(y), abs(yp), 1)
         assert abs(ty) <= abs(y)
-        # the array form is the same map, bit for bit
-        assert np.array_equal(truncate_array(mode, h, np.array([y, yp])),
-                              [ty, typ])
+        # the array form is the scalar reference, bit for bit
+        assert [ty, typ] == [scalar_truncate(mode, h, y),
+                             scalar_truncate(mode, h, yp)]
 
     @given(
         h=st.sampled_from([0.2, 0.05, 1 / 120]),
@@ -69,25 +76,23 @@ class TestTruncate:
     def test_identity_inside_and_odd(self, h, mode, u):
         R = fp.truncation_radius(mode, h)
         y = u * R
-        assert fp.truncate(mode, h, y) == y
+        assert T(mode, h, y)[0] == y
         far = R * (1.0 + 3.0 * u)
-        assert fp.truncate(mode, h, -far) == -fp.truncate(mode, h, far)
+        assert T(mode, h, -far)[0] == -T(mode, h, far)[0]
 
     def test_hard_clamps_to_radius(self):
         R = fp.truncation_radius(HARD, 0.05)
-        assert fp.truncate(HARD, 0.05, R * 10) == R
-        assert fp.truncate(HARD, 0.05, -R * 10) == -R
+        assert T(HARD, 0.05, R * 10, -R * 10).tolist() == [R, -R]
 
     def test_nonfinite(self):
         R = fp.truncation_radius(HARD, 0.05)
-        assert math.isnan(fp.truncate(HARD, 0.05, math.nan))
-        assert fp.truncate(HARD, 0.05, math.inf) == R
-        assert fp.truncate(HARD, 0.05, -math.inf) == -R
+        got = T(HARD, 0.05, math.nan, math.inf, -math.inf)
+        assert math.isnan(got[0]) and got[1:].tolist() == [R, -R]
         for mode in (HARD, MOLL):
             ys = [math.nan, math.inf, -math.inf]
-            got = truncate_array(mode, 0.05, np.array(ys))
-            assert np.array_equal(got, [fp.truncate(mode, 0.05, y) for y in ys],
-                                  equal_nan=True)
+            assert np.array_equal(
+                T(mode, 0.05, *ys),
+                [scalar_truncate(mode, 0.05, y) for y in ys], equal_nan=True)
 
     def test_mollified_blend_endpoint(self):
         # radius transfer reaches R + eps/2 at the end of the blend and
@@ -97,17 +102,17 @@ class TestTruncate:
         )
         R = fp.truncation_radius(cfg, 1.0)
         assert R == 1.0
-        assert fp.truncate(cfg, 1.0, 100.0) == pytest.approx(1.25, abs=1e-14)
-        assert fp.truncate(cfg, 1.0, 1.5) == pytest.approx(1.25, abs=1e-14)
-        mid = fp.truncate(cfg, 1.0, 1.25)
+        end, at_end, mid = T(cfg, 1.0, 100.0, 1.5, 1.25)
+        assert end == pytest.approx(1.25, abs=1e-14)
+        assert at_end == pytest.approx(1.25, abs=1e-14)
         assert 1.0 < mid < 1.25
 
     def test_mollified_monotone_in_radius(self):
         cfg = fp.TruncationConfig(
             R0=1.0, alpha=0.25, mode="mollified", epsilon=0.5
         )
-        vals = [fp.truncate(cfg, 1.0, 1.0 + 0.05 * k) for k in range(14)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = T(cfg, 1.0, *(1.0 + 0.05 * k for k in range(14)))
+        assert (np.diff(vals) >= 0).all()
 
 
 class TestIncrementWeights:
@@ -234,3 +239,34 @@ class TestSpatialGrid:
         g = fp.SpatialGrid(x0=0.0, eta=0.1, M=10)
         got = fp.grid_project(g, x)
         assert abs(got - x) <= 0.05 + 1e-12
+
+    @given(xs=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1,
+                       max_size=20),
+           x0=st.floats(-2.0, 2.0), eta=st.floats(1e-3, 1.0),
+           M=st.integers(0, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_array_matches_scalar_ceil(self, xs, x0, eta, M):
+        g = fp.SpatialGrid(x0=x0, eta=eta, M=M)
+        k, sat = fp.grid_project_index(g, np.array(xs).reshape(-1, 1))
+        assert k.dtype == np.int64 and k.shape == sat.shape == (len(xs), 1)
+        for x, kk, ss in zip(xs, k.ravel().tolist(), sat.ravel().tolist()):
+            want = math.ceil((x - x0) / eta - 0.5)
+            assert (kk, ss) == (min(max(want, -M), M), abs(want) > M)
+
+    def test_huge_finite_saturates_on_its_side(self):
+        g = fp.SpatialGrid(x0=0.5, eta=1e-3, M=7)
+        # (x - x0)/eta overflows to +-inf, beyond int64 either way
+        k, sat = fp.grid_project_index(g, np.array([1e308, -1e308, 1e20]))
+        assert k.tolist() == [7, -7, 7] and sat.all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_raises(self, bad):
+        g = fp.SpatialGrid(x0=0.0, eta=0.1, M=10)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            fp.grid_project_index(g, np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("kw", [dict(eta=math.inf), dict(eta=0.0),
+                                    dict(x0=math.nan)])
+    def test_degenerate_grid_rejected(self, kw):
+        with pytest.raises(ConfigurationError):
+            fp.SpatialGrid(**{"x0": 0.0, "eta": 0.1, "M": 10, **kw})

@@ -7,13 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.grids import truncate_array
 from fptree.model import with_declared_my
 from fptree.schemes import (
     SchemeError, SolverError, _bracket_end, _level, _solve,
 )
 
-from conftest import WCOL, build, col, one_node
+from conftest import WCOL, build, col, one_node, scalar_truncate
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
 ZERO = fp.poly_driver((0.0,))
@@ -27,7 +26,7 @@ def H_for(h):
 
 
 def T_for(trunc, h):
-    return partial(truncate_array, trunc, h)
+    return partial(fp.truncate, trunc, h)
 
 
 class TestZStep:
@@ -181,6 +180,27 @@ class TestClosedFormBracket:
         want = scalar_solve(m, z, hh, f, df)
         # both stop at |F| <= 1e-12 max(1, |m|), and F' > 1/2
         assert abs(y[0] - want) <= 4e-12 * max(1.0, abs(m))
+
+    def test_root_pinned_to_one_ulp(self):
+        # z puts the root within an ulp above m = 114503, where F moves
+        # by about 0.56 per ulp against the tolerance 1.1e-7: no float
+        # meets the tolerance, but F changes sign across the ulp
+        driver = fp.poly_driver((0.0, 0.0, 1.0, -2.0), z_coeff=1.0)
+        m, hh, z = 114503.0, 0.375, 3002470129746045.5
+
+        def F(y):
+            return y - hh * driver.eval(y, z) - m
+
+        up = math.nextafter(m, math.inf)
+        assert F(m) == -0.1875 and F(up) == pytest.approx(0.375)
+        with np.errstate(all="ignore"):
+            y, iters = _solve(np.array([m, 1.0]), np.array([z, 0.0]),
+                              driver, hh)
+        # the end with the smaller |F| is kept; the other node is as
+        # it was
+        assert y[0] == m and iters[0] == 100
+        assert abs(y[1] - scalar_solve(1.0, 0.0, hh, driver.eval,
+                                       driver.dfdy)) <= 4e-12
 
     def test_declared_slope_below_true_slope_raises(self):
         # f = y - y^3 has slope 1 at 0; declared 0, the bracket end
@@ -360,7 +380,7 @@ class TestRunBackward:
             lat, exp1_model,
         )
         for a, b in zip(pre.y, post.y):
-            assert np.array_equal([fp.truncate(trunc, h, v) for v in a], b)
+            assert np.array_equal([scalar_truncate(trunc, h, v) for v in a], b)
         for a, b in zip(pre.z, post.z):
             assert np.array_equal(a, b)
 
@@ -397,7 +417,7 @@ def scalar_reference(cfg, lattice, spec):
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(cfg.kind, 0.0)
     pre = cfg.kind == "full_projection_pre"
     post = cfg.kind == "full_projection_post"
-    T = partial(fp.truncate, cfg.truncation, h)
+    T = partial(scalar_truncate, cfg.truncation, h)
     H, _ = fp.weight_values(fp.make_weight_config(h), lattice.dist, h)
 
     vals = [float(spec.g(x)) for x in lattice.supports[-1]]
