@@ -12,9 +12,6 @@ satisfy.
 """
 
 from .analysis import (
-    ErrorReport,
-    Reference,
-    StabilityLedger,
     contraction_check,
     convergence_study,
     fd_comparison,
@@ -22,14 +19,13 @@ from .analysis import (
     one_step_checks,
     sup_norm_check,
 )
-from .forward import Lattice, build_lattice, dump_lattice
+from .forward import build_lattice, dump_lattice
 from .grids import (
     ConfigurationError,
     IncrementDistribution,
     SpatialGrid,
     TimeGrid,
     TruncationConfig,
-    WeightConfig,
     default_alpha,
     gaussian_moment_exact,
     grid_project,
@@ -46,7 +42,6 @@ from .grids import (
 from .model import (
     DriverSpec,
     ModelSpec,
-    ValidationReport,
     constant_b_sigma,
     constant_g,
     experiment1_model,
@@ -59,14 +54,8 @@ from .model import (
     quadratic_g,
     validate_model,
 )
-from .oracle import (
-    PdeSolution,
-    ProxyReference,
-    fd_solve,
-    linear_solution,
-    proxy_reference,
-)
-from .schemes import SchemeConfig, SolverError, ValueFunctions, run_backward
-from .treeval import ChainLaw, chain_law, l2_norm
+from .oracle import fd_solve, linear_solution, proxy_reference
+from .schemes import SchemeConfig, SolverError, run_backward
+from .treeval import chain_law, l2_norm
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Error studies and stability monitors.
 
 The continuous-time error functionals (time-integrated squared Y/Z
-errors) need the exact solution and are not directly computable; the
-implementable surrogates used here are |Y0^N - reference| per run and
-sup-over-grid differences against the finite-difference oracle at
-matching time slices.  Both are reported.
+errors) need the exact solution and are not computed.  The convergence
+study reports |Y0^N - reference| per run on one lattice per N, with the
+fitted order.  fd_comparison gives the per-level sup difference to the
+finite-difference oracle at matching time slices; it is a library
+function only, and no CLI artifact carries it.
 
 The stability side evaluates three families of inequalities whose
 conditional expectations are exact finite sums on the lattice, so any
@@ -26,18 +27,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forward import Lattice, build_lattice
-from .grids import TimeGrid, TruncationConfig, trinomial, truncate
+from .forward import Lattice
+from .grids import TruncationConfig, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
 from .treeval import chain_law, l2_norm, level_sum
 
 __all__ = [
-    "Reference",
     "ErrorEntry",
     "ErrorReport",
     "convergence_study",
@@ -60,18 +60,13 @@ TOL_REL = 1e-8
 # information and are excluded from log-log fits
 _EXACT_FLOOR = 1e-12
 
+# the paper's d + 1 for Brownian dimension d; the package is scalar
+_D_PLUS_1 = 2
+
 
 # ---------------------------------------------------------------------------
 # Convergence studies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Reference:
-    """A reference value for Y0 and where it came from."""
-
-    kind: str  # proxy | linear_oracle | fd_oracle
-    value: float
 
 
 @dataclass(frozen=True)
@@ -89,8 +84,6 @@ class ErrorReport:
     entries: Tuple[ErrorEntry, ...]
     slope: Optional[float]
     slope_residual: Optional[float]
-    reference_kind: str
-    reference_value: float
     note: str = ""
 
 
@@ -111,42 +104,36 @@ def _fit_slope(entries: Sequence[ErrorEntry]):
 
 def convergence_study(
     spec: ModelSpec,
-    scheme_cfg: SchemeConfig,
-    Ns: Sequence[int],
-    reference: Reference,
+    cfg: SchemeConfig,
+    lattices: Sequence[Lattice],
+    reference: float,
     timing: bool = True,
-    grid_factory: Optional[Callable] = None,
 ) -> ErrorReport:
-    """Run the scheme for each N and fit the error order.
+    """Run the scheme on each lattice and fit the error order.
 
-    Errors are |Y0^N - reference.value|; runs with non-finite Y0 are
-    marked exploded and excluded from the fit, as are
-    quantization-exact entries (error <= 1e-12).  Runs are independent:
-    dropping an N does not change the other rows.
-
-    grid_factory, when given, maps each TimeGrid to a SpatialGrid (or
-    None) so the per-N lattice is projected onto a fixed mesh instead
-    of recombining exactly.
+    The lattices are built by the caller, one per N in strictly
+    increasing order, so every scheme of a study reads the same ones.
+    Errors are |Y0^N - reference|; runs with non-finite Y0 are marked
+    exploded and excluded from the fit, as are quantization-exact
+    entries (error <= 1e-12).  Runs are independent: dropping a lattice
+    does not change the other rows.
     """
-    if len(Ns) == 0:
-        raise ValueError("Ns must be nonempty")
-    if list(Ns) != sorted(set(Ns)):
-        raise ValueError("Ns must be strictly increasing")
+    Ns = [lat.time_grid.N for lat in lattices]
+    if not Ns:
+        raise ValueError("lattices must be nonempty")
+    if Ns != sorted(set(Ns)):
+        raise ValueError("lattice Ns must be strictly increasing")
     entries = []
-    for N in Ns:
-        tg = TimeGrid(T=spec.T, N=int(N))
-        grid = grid_factory(tg) if grid_factory is not None else None
-        lattice = build_lattice(spec, tg, trinomial(tg.h), grid)
+    for lattice in lattices:
         t0 = time.perf_counter()
-        run = run_backward(scheme_cfg, lattice, spec)
+        run = run_backward(cfg, lattice, spec)
         seconds = time.perf_counter() - t0 if timing else 0.0
         y0 = run.y0
-        exploded = not run.finite
-        err = abs(y0 - reference.value) if math.isfinite(y0) else math.nan
+        err = abs(y0 - reference) if math.isfinite(y0) else math.nan
         entries.append(
             ErrorEntry(
-                N=int(N), h=tg.h, Y0=y0, err=err,
-                seconds=seconds, exploded=exploded,
+                N=lattice.time_grid.N, h=lattice.time_grid.h, Y0=y0,
+                err=err, seconds=seconds, exploded=not run.finite,
             )
         )
     slope, resid = _fit_slope(entries)
@@ -160,8 +147,6 @@ def convergence_study(
         entries=tuple(entries),
         slope=slope,
         slope_residual=resid,
-        reference_kind=reference.kind,
-        reference_value=reference.value,
         note=note,
     )
 
@@ -251,7 +236,6 @@ def contraction_check(
     of the lattice the run was made on, computed here once.
     """
     drv = spec.driver
-    d = spec.d
     tg = lattice.time_grid
     h = tg.h
     reasons = []
@@ -265,11 +249,11 @@ def contraction_check(
     if drv.m > 1 and not trunc.alpha < 1.0 / mm:
         reasons.append("alpha=%g is not strictly below 1/(2(m-1))" % trunc.alpha)
     if drv.M_y < 0.0:
-        base = (-drv.M_y / 4.0) / (4.0 * (d + 1) * drv.L_y ** 2) \
+        base = (-drv.M_y / 4.0) / (4.0 * _D_PLUS_1 * drv.L_y ** 2) \
             if drv.L_y > 0 else math.inf
         if drv.L_y > 0:
             scaled = (-drv.M_y / 4.0) / (
-                4.0 * (d + 1) * drv.L_y ** 2 * trunc.R0 ** mm
+                4.0 * _D_PLUS_1 * drv.L_y ** 2 * trunc.R0 ** mm
             )
             expo = 1.0 - mm * trunc.alpha
             second = scaled ** (1.0 / expo) if expo > 0 else math.inf
@@ -351,13 +335,12 @@ def sup_norm_check(
 
 def _size_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
     drv = spec.driver
-    d = spec.d
     mm = 2 * (drv.m - 1)
     radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
     c = (
         2.0 * drv.M_y
         + 8.0 * drv.L_z ** 2
-        + 4.0 * (d + 1) * drv.L_y ** 2 * (1.0 + radius_term) * h
+        + 4.0 * _D_PLUS_1 * drv.L_y ** 2 * (1.0 + radius_term) * h
     )
     if drv.f00 == 0.0:
         K2 = 0.0
@@ -365,19 +348,18 @@ def _size_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
         K2 = math.inf
     else:
         K2 = drv.f00 ** 2 / (4.0 * drv.L_z ** 2) \
-            + (d + 1) * drv.f00 ** 2 * h
+            + _D_PLUS_1 * drv.f00 ** 2 * h
     return c, K2
 
 
 def _stability_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
     drv = spec.driver
-    d = spec.d
     mm = 2 * (drv.m - 1)
     radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
     c = (
         2.0 * drv.M_y
         + 4.0 * drv.L_z ** 2
-        + 3.0 * (d + 1) * drv.L_y ** 2 * (1.0 + 2.0 * radius_term) * h
+        + 3.0 * _D_PLUS_1 * drv.L_y ** 2 * (1.0 + 2.0 * radius_term) * h
     )
     return c
 
@@ -412,16 +394,15 @@ def one_step_checks(
     if kind == "stability" and run2 is None:
         raise ValueError("stability check needs a second run")
     drv = spec.driver
-    d = spec.d
     tg = lattice.time_grid
     h = tg.h
     W = np.array(lattice.weights)[:, None]
 
     reasons = []
     if drv.L_z > 0:
-        h_max = 1.0 / (16.0 * (d + 1) * drv.L_z ** 2)
+        h_max = 1.0 / (16.0 * _D_PLUS_1 * drv.L_z ** 2)
         if kind == "stability":
-            h_max = 0.125 / (2.0 * (d + 1) * drv.L_z ** 2)
+            h_max = 0.125 / (2.0 * _D_PLUS_1 * drv.L_z ** 2)
         if h > h_max:
             reasons.append("h=%g exceeds threshold %g" % (h, h_max))
     if drv.m > 1 and trunc.alpha > 1.0 / (2 * (drv.m - 1)):

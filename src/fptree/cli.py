@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from . import analysis
-from .analysis import Reference, convergence_study, minmax_processes
+from .analysis import convergence_study, minmax_processes
 from .forward import build_lattice, dump_lattice
 from .grids import (
     ConfigurationError,
@@ -391,6 +391,21 @@ def _truncation(st: Settings) -> TruncationConfig:
     )
 
 
+def _lattices(st: Settings) -> tuple:
+    """One lattice per N of st.ns, in that order.
+
+    Every scheme, ledger and --dump-lattice of a run reads these, so
+    each N's lattice is built once.
+    """
+    lattices = []
+    for N in st.ns:
+        tg = TimeGrid(T=st.model.T, N=N)
+        lattices.append(
+            build_lattice(st.model, tg, trinomial(tg.h), _grid_for(st, tg))
+        )
+    return tuple(lattices)
+
+
 def _grid_for(st: Settings, tg: TimeGrid) -> Optional[SpatialGrid]:
     """Spatial mesh for one run, or None for the exact recombining tree.
 
@@ -543,20 +558,17 @@ def _ledger_digest(ledger: analysis.StabilityLedger) -> dict:
     }
 
 
-def _reference_for(st: Settings) -> Tuple[Reference, dict]:
+def _reference_for(st: Settings) -> dict:
+    """The summary's oracle block; errors are taken against its value."""
     base = _PRESETS[st.preset]
     if base["reference"] == "linear_oracle":
         a = st.model.driver.eval(1.0, 0.0) - st.model.driver.f00
         _, y0 = linear_solution(a, st.model)
-        return Reference(kind="linear_oracle", value=y0), {
-            "kind": "linear_oracle",
-            "value": y0,
-            "a": a,
-        }
+        return {"kind": "linear_oracle", "value": y0, "a": a}
     proxy = proxy_reference(
         st.model, _truncation(st), weight_rule=st.weight_rule, N=st.proxy_n
     )
-    return Reference(kind="proxy", value=proxy.value), {
+    return {
         "kind": "proxy",
         "value": proxy.value,
         "implicit_y0": proxy.implicit_y0,
@@ -740,14 +752,14 @@ def convergence(fd_check, dump_flag, **kw):
         )
     out = _out_dir(st)
     try:
-        reference, oracle_info = _reference_for(st)
+        oracle_info = _reference_for(st)
+        lattices = _lattices(st)
     except _CONFIG_ERRORS as err:
         raise click.UsageError(str(err))
 
     if fd_check:
         try:
             pde = fd_solve(st.model, dx=0.02)
-            oracle_info = dict(oracle_info)
             oracle_info["fd_value_at_origin"] = pde.value_at(0.0, st.model.x0)
         except (FdSolverError, OracleError) as err:
             raise click.ClickException("FD oracle failed: %s" % err)
@@ -762,8 +774,8 @@ def convergence(fd_check, dump_flag, **kw):
         cfg = _scheme_config(name, st)
         try:
             report = convergence_study(
-                st.model, cfg, st.ns, reference, timing=not st.no_timing,
-                grid_factory=lambda tg: _grid_for(st, tg),
+                st.model, cfg, lattices, oracle_info["value"],
+                timing=not st.no_timing,
             )
         except SolverError as err:
             raise click.ClickException(
@@ -783,8 +795,8 @@ def convergence(fd_check, dump_flag, **kw):
             "slope": report.slope,
             "slope_residual": report.slope_residual,
             "note": report.note,
-            "reference_kind": report.reference_kind,
-            "reference_value": report.reference_value,
+            "reference_kind": oracle_info["kind"],
+            "reference_value": oracle_info["value"],
             "exploded_Ns": [e.N for e in report.entries if e.exploded],
             "Y0": {str(e.N): e.Y0 for e in report.entries},
             "err": {str(e.N): e.err for e in report.entries},
@@ -800,11 +812,7 @@ def convergence(fd_check, dump_flag, **kw):
         )
 
     if dump_flag:
-        for N in st.ns:
-            tg = TimeGrid(T=st.model.T, N=N)
-            lattice = build_lattice(
-                st.model, tg, trinomial(tg.h), _grid_for(st, tg)
-            )
+        for N, lattice in zip(st.ns, lattices):
             _write_json(
                 os.path.join(out, "lattice_N%d.json" % N),
                 dump_lattice(lattice),
@@ -821,6 +829,10 @@ def stability(**kw):
     st = _settings(kw)
     out = _out_dir(st)
     trunc = _truncation(st)
+    try:
+        lattices = _lattices(st)
+    except _CONFIG_ERRORS as err:
+        raise click.UsageError(str(err))
     summary = {
         "command": "stability",
         "settings": _settings_echo(st),
@@ -831,11 +843,7 @@ def stability(**kw):
 
     for name in st.scheme:
         cfg = _scheme_config(name, st)
-        for N in st.ns:
-            tg = TimeGrid(T=st.model.T, N=N)
-            lattice = build_lattice(
-                st.model, tg, trinomial(tg.h), _grid_for(st, tg)
-            )
+        for N, lattice in zip(st.ns, lattices):
             try:
                 run = run_backward(cfg, lattice, st.model)
             except SolverError as err:

@@ -61,7 +61,6 @@ class Lattice:
     dist: IncrementDistribution
     supports: Tuple[np.ndarray, ...]
     children: Optional[Tuple[np.ndarray, ...]]
-    grid: Optional[SpatialGrid]
     saturation_count: int
 
     @property
@@ -92,10 +91,6 @@ class Lattice:
     @property
     def weights(self) -> Tuple[float, ...]:
         return self.dist.weights
-
-    @property
-    def increments(self) -> Tuple[float, ...]:
-        return self.dist.points
 
 
 def build_lattice(
@@ -139,7 +134,6 @@ def build_lattice(
                 for i in range(N + 1)
             ),
             children=None,
-            grid=grid,
             saturation_count=0,
         )
 
@@ -168,7 +162,6 @@ def build_lattice(
         dist=dist,
         supports=tuple(supports),
         children=tuple(children),
-        grid=grid,
         saturation_count=saturation,
     )
 
@@ -194,7 +187,7 @@ def dump_lattice(lattice: Lattice) -> dict:
         "N": tg.N,
         "h": tg.h,
         "weights": list(lattice.weights),
-        "increments": list(lattice.increments),
+        "increments": list(lattice.dist.points),
         "saturation_count": lattice.saturation_count,
         "levels": levels,
     }

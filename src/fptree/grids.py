@@ -269,13 +269,12 @@ class WeightConfig:
     """How the martingale weights H_j are formed from the increments.
 
     rule 'truncated' clamps each increment to [-r_h, r_h] before
-    dividing by h; 'raw' divides directly.  Lambda is filled in by
-    weight_values; by construction h * E[H^2] = Lambda <= 1.
+    dividing by h; 'raw' divides directly.  weight_values returns the
+    weights with their Lambda = h * E[H^2] <= 1.
     """
 
     rule: str
     r_h: float
-    Lambda: Optional[float] = None
 
     def __post_init__(self):
         if self.rule not in ("raw", "truncated"):

@@ -260,10 +260,7 @@ class ClampG:
         return abs(self.slope)
 
     def __call__(self, x):
-        y = self.slope * x
-        if np.isscalar(y):
-            return min(max(y, self.lo), self.hi)
-        return np.clip(y, self.lo, self.hi)
+        return np.clip(self.slope * x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -273,9 +270,7 @@ class ConstantG:
     lipschitz: float = 0.0
 
     def __call__(self, x):
-        if np.isscalar(x):
-            return self.c
-        return np.full_like(np.asarray(x, dtype=float), self.c)
+        return np.full(np.shape(x), self.c)
 
 
 def quadratic_g() -> QuadraticG:
@@ -317,9 +312,10 @@ class ModelSpec:
     The coefficients b(t, x) and sigma(t, x) take a float t and a
     float64 array x of states and return a float or an array that
     broadcasts against x, like DriverSpec.eval; the projected lattice
-    calls them once per level.  d (Brownian dimension) and n (Y
-    dimension) are typed for generality but fixed to 1 by the
-    implementation.
+    calls them once per level.  The terminal function g follows the
+    same contract: it takes a float64 array of states and returns an
+    array or a float that broadcasts against it.  Both X and Y are
+    scalar.
     """
 
     T: float
@@ -329,14 +325,10 @@ class ModelSpec:
     g: Callable
     driver: DriverSpec
     L_g: Optional[float] = None
-    d: int = 1
-    n: int = 1
 
     def __post_init__(self):
         if not self.T > 0:
             raise ModelError("horizon T must be positive")
-        if self.d != 1 or self.n != 1:
-            raise ModelError("only d = n = 1 is implemented")
 
     @property
     def b_const(self) -> Optional[float]:

@@ -123,14 +123,12 @@ class PdeSolution:
     """Snapshots of the backward PDE solution on a uniform space grid.
 
     xs is the grid; ts the snapshot times (increasing, containing 0 and
-    T); values[k] the solution at ts[k] on xs.  z = sigma * dy/dx via
-    central differences.
+    T); values[k] the solution at ts[k] on xs; dt the time step taken.
     """
 
     xs: np.ndarray
     ts: Tuple[float, ...]
     values: np.ndarray
-    sigma: float
     dt: float
 
     def _slice(self, t: float) -> np.ndarray:
@@ -151,14 +149,6 @@ class PdeSolution:
         x0, x1 = xs[j - 1], xs[j]
         w = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
         return float((1.0 - w) * vals[j - 1] + w * vals[j])
-
-    def z_at(self, t: float, x: float) -> float:
-        vals = self._slice(t)
-        xs = self.xs
-        dx = xs[1] - xs[0]
-        j = int(np.clip(np.searchsorted(xs, x), 1, len(xs) - 2))
-        dydx = (vals[j + 1] - vals[j - 1]) / (2.0 * dx)
-        return float(self.sigma * dydx)
 
 
 def _reaction_bound(spec: ModelSpec, y_range: float) -> float:
@@ -276,7 +266,6 @@ def fd_solve(
         xs=xs,
         ts=ts,
         values=np.asarray(out),
-        sigma=s0,
         dt=dt_eff,
     )
 

@@ -308,11 +308,12 @@ def run_backward(
     """Backward induction of the configured scheme over the lattice.
 
     terminal overrides spec.g when supplied (perturbed-terminal
-    stability studies); it is called with one float at a time.  The
-    run is deterministic: identical inputs give bit-identical outputs.
-    Implicit solver failures raise SolverError tagged with the level
-    and node; explicit explosions are recorded in the values and the
-    finite flag instead.
+    stability studies).  Like spec.g it is called once, with the
+    float64 array of the terminal states, and may return a float that
+    broadcasts against it.  The run is deterministic: identical inputs
+    give bit-identical outputs.  Implicit solver failures raise
+    SolverError tagged with the level and node; explicit explosions are
+    recorded in the values and the finite flag instead.
     """
     tg = lattice.time_grid
     h = tg.h
@@ -333,7 +334,10 @@ def run_backward(
     H = np.array(H)[:, None]
     times = tg.times
 
-    vals = np.array([float(g(x)) for x in lattice.supports[tg.N].tolist()])
+    x = lattice.supports[tg.N]
+    with np.errstate(all="ignore"):
+        # g overflowing is data, as in the level operator
+        vals = np.broadcast_to(g(x), x.shape).astype(float)
     if post is not None:
         vals = post(vals)
     y_levels = [vals]

@@ -13,7 +13,6 @@ signed infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .forward import Lattice
 
 __all__ = [
     "TreeStructureError",
-    "ChainLaw",
     "level_sum",
     "chain_law",
     "l2_norm",
@@ -58,18 +56,11 @@ def level_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
     return np.where(np.isfinite(total), total + err, total)
 
 
-@dataclass(frozen=True)
-class ChainLaw:
-    """Marginal distribution of the chain at each level."""
+def chain_law(lattice: Lattice) -> Tuple[np.ndarray, ...]:
+    """Marginal law of the chain: one float64 mass array per level.
 
-    masses: Tuple[np.ndarray, ...]
-
-    def level(self, i: int) -> np.ndarray:
-        return self.masses[i]
-
-
-def chain_law(lattice: Lattice) -> ChainLaw:
-    """Push the root point mass forward through the stencils."""
+    The root point mass is pushed forward through the stencils.
+    """
     w = lattice.weights
     out = [np.ones(1)]
     for i in range(lattice.time_grid.N):
@@ -87,12 +78,13 @@ def chain_law(lattice: Lattice) -> ChainLaw:
                               weights=(m[:, None] * np.asarray(w)).ravel(),
                               minlength=len(lattice.supports[i + 1]))
         out.append(nxt)
-    return ChainLaw(masses=tuple(out))
+    return tuple(out)
 
 
-def l2_norm(vals: Sequence[float], law: ChainLaw, level: int) -> float:
+def l2_norm(vals: Sequence[float], law: Sequence[np.ndarray],
+            level: int) -> float:
     """Discrete L2 norm sqrt(sum_nodes mass * v^2) under the chain law."""
-    masses = law.level(level)
+    masses = law[level]
     vals = np.asarray(vals, dtype=float)
     if len(vals) != len(masses):
         raise TreeStructureError(

@@ -1,11 +1,13 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from fptree import cli
+import fptree
+from fptree import analysis, cli, forward, oracle
 from fptree.cli import main
 
 
@@ -213,6 +215,30 @@ class TestStability:
         assert run["Y0"] == pytest.approx(0.5476816346610569, rel=1e-12)
 
 
+@pytest.mark.parametrize("args, builds", [
+    # ten Ns plus the proxy's one lattice at N=120
+    (["convergence", "--preset", "experiment1"], 11),
+    (["convergence", "--preset", "linear-oracle", "--dump-lattice"], 6),
+    (["stability", "--preset", "experiment2"], 4),
+])
+def test_one_lattice_per_N(runner, tmp_path, monkeypatch, args, builds):
+    # every scheme, ledger and dump of a run reads the same lattice per N
+    orig = forward.build_lattice
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return orig(*a, **kw)
+
+    for mod in (forward, cli, analysis, oracle):
+        if vars(mod).get("build_lattice") is orig:
+            monkeypatch.setattr(mod, "build_lattice", counting)
+    result = runner.invoke(main, args + ["--no-timing",
+                                         "--out", str(tmp_path / "art")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == builds
+
+
 class TestNsValidation:
     @pytest.mark.parametrize("args, named", [
         (["convergence", "--preset", "linear-oracle", "--Ns", "20,10"],
@@ -408,6 +434,18 @@ def test_readme_common_flags_match_option_table():
     block = readme_block("### Common flags")
     flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", block))
     assert flags == {o.flag for o in cli._OPTIONS}
+
+
+def test_readme_library_snippet_runs(capsys):
+    block = readme_block("## Library use")
+    assert block.startswith("python\n")
+    exec(block[len("python\n"):], {})
+    y0, finite, lam = capsys.readouterr().out.split()
+    assert math.isfinite(float(y0)) and finite == "True" and lam == "1.0"
+    # every fp.<name> the README names is still exported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name in set(re.findall(r"\bfp\.(\w+)", readme)):
+        assert hasattr(fptree, name), name
 
 
 def test_readme_config_example_runs(runner, tmp_path):

@@ -227,7 +227,7 @@ def tuple_dump(lat, supports, children):
         levels.append(entry)
     return {
         "T": tg.T, "N": tg.N, "h": tg.h,
-        "weights": list(lat.weights), "increments": list(lat.increments),
+        "weights": list(lat.weights), "increments": list(lat.dist.points),
         "saturation_count": lat.saturation_count, "levels": levels,
     }
 
@@ -296,7 +296,7 @@ class TestArrayLattice:
             idx = np.arange(len(m))[:, None] + np.arange(3)
             m = np.bincount(idx.ravel(), weights=(m[:, None] * w).ravel(),
                             minlength=len(m) + 2)
-            assert bitwise_equal(law.masses[i + 1], m)
+            assert bitwise_equal(law[i + 1], m)
 
         grid = fp.SpatialGrid(x0=x0, eta=eta, M=M)
         lat = fp.build_lattice(spec, tg, dist, grid)

@@ -61,10 +61,6 @@ class TestFdSolve:
         want = 2.25 * math.exp(-1.0)
         assert abs(v - want) / want <= 1e-3
 
-    def test_z_at_symmetric_origin(self):
-        pde = fp.fd_solve(fp.linear_model(), dx=0.02)
-        assert pde.z_at(0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
-
     def test_rejects_oversize_dt(self):
         with pytest.raises(fp.ConfigurationError):
             fp.fd_solve(fp.linear_model(), dx=0.02, dt=0.5)

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
+from fptree.forward import Lattice
 from fptree.model import with_declared_my
 from fptree.schemes import (
     SchemeError, SolverError, _bracket_end, _level, _solve,
@@ -343,6 +344,33 @@ class TestRunBackward:
             terminal=lambda x: 0.0,
         )
         assert run.y0 == 0.0
+
+    @pytest.mark.parametrize("g, scalar_g", [
+        (fp.quadratic_g(), lambda x: x * x),
+        (fp.lipschitz_clamp_g(-7.0, 7.0),
+         lambda x: min(max(x, -7.0), 7.0)),
+        (fp.lipschitz_clamp_g(0.0, 1.0, -2.0),
+         lambda x: min(max(-2.0 * x, 0.0), 1.0)),
+        (fp.constant_g(-0.0), lambda x: -0.0),
+        # the stability command's perturbed terminal on experiment2
+        (lambda x, g=fp.lipschitz_clamp_g(-7.0, 7.0): g(x) + 0.1 * g(x),
+         lambda x: min(max(x, -7.0), 7.0) + 0.1 * min(max(x, -7.0), 7.0)),
+    ])
+    def test_terminal_level_matches_per_float_evaluation(self, g, scalar_g):
+        # g is called once on the terminal array; each entry is bitwise
+        # what g and its plain-float formula give on that float alone
+        xs = np.array([-math.inf, -1e200, -2.5, -0.0, 0.0, 0.75, 1e200,
+                       math.inf, NAN])
+        tg = fp.TimeGrid(T=1.0, N=1)
+        lat = Lattice(time_grid=tg, dist=fp.trinomial(tg.h),
+                      supports=(np.zeros(1), xs),
+                      children=(np.array([[2, 3, 4]]),), saturation_count=0)
+        m = fp.experiment2_model()
+        run = fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat, m,
+                              terminal=g)
+        for want in ([float(g(x)) for x in xs.tolist()],
+                     [scalar_g(x) for x in xs.tolist()]):
+            assert run.y[1].tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("N", [15, 25])
     def test_odd_symmetry_exact_on_experiment2(self, N, exp2_model, exp2_trunc):

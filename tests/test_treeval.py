@@ -94,15 +94,15 @@ class TestChainLaw:
     def test_masses_sum_to_one(self):
         lat = build(fp.experiment1_model(), 6)
         law = fp.chain_law(lat)
-        for level_masses in law.masses:
+        for level_masses in law:
             assert math.fsum(level_masses) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_step_marginal(self):
         lat = build(fp.experiment1_model(), 2)
         law = fp.chain_law(lat)
-        assert law.masses[0] == (1.0,)
-        assert law.masses[1] == pytest.approx((1 / 6, 2 / 3, 1 / 6))
-        assert law.masses[2] == pytest.approx(
+        assert law[0] == (1.0,)
+        assert law[1] == pytest.approx((1 / 6, 2 / 3, 1 / 6))
+        assert law[2] == pytest.approx(
             (1 / 36, 2 / 9, 1 / 2, 2 / 9, 1 / 36)
         )
 
