@@ -31,7 +31,6 @@ from .grids import (
     grid_project,
     grid_project_index,
     increment_radius,
-    make_weight_config,
     moment_exact,
     trinomial,
     truncate,

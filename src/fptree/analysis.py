@@ -42,8 +42,6 @@ __all__ = [
     "ErrorReport",
     "convergence_study",
     "minmax_processes",
-    "ContractionEntry",
-    "NodeCheckEntry",
     "StabilityLedger",
     "contraction_check",
     "one_step_checks",
@@ -151,11 +149,29 @@ def convergence_study(
     )
 
 
-def minmax_processes(run: ValueFunctions):
+def _starts(levels) -> np.ndarray:
+    """Offsets of each level in np.concatenate(levels), for reduceat."""
+    return np.cumsum([0] + [len(a) for a in levels[:-1]])
+
+
+def _level_extremes(levels):
+    """Per-level max, min and all-finite flag of a tuple of level arrays.
+
+    max and min are nan on a level holding a non-finite entry.
+    """
+    flat = np.concatenate(levels)
+    starts = _starts(levels)
+    finite = np.logical_and.reduceat(np.isfinite(flat), starts)
+    hi = np.where(finite, np.maximum.reduceat(flat, starts), math.nan)
+    lo = np.where(finite, np.minimum.reduceat(flat, starts), math.nan)
+    return hi, lo, finite
+
+
+def minmax_processes(run: ValueFunctions, lattice: Lattice):
     """Per-level (level, t, max, min, finite) rows, terminal last."""
-    return [
-        (d.level, d.t, d.y_max, d.y_min, d.finite) for d in run.diagnostics
-    ]
+    hi, lo, finite = _level_extremes(run.y)
+    return list(zip(range(len(run.y)), lattice.time_grid.times, hi.tolist(),
+                    lo.tolist(), finite.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -164,27 +180,16 @@ def minmax_processes(run: ValueFunctions):
 
 
 @dataclass(frozen=True)
-class ContractionEntry:
-    level: int
-    t: float
-    l2: float
-    bound: float
-    residual: float
-    violation: bool
-
-
-@dataclass(frozen=True)
-class NodeCheckEntry:
-    level: int
-    checked: int
-    violations: int
-    worst_residual: float
-    worst_node: int
-
-
-@dataclass(frozen=True)
 class StabilityLedger:
-    """Outcome of one inequality monitor over a whole run."""
+    """Outcome of one inequality monitor over a whole run.
+
+    level_checked, level_violations and level_worst are per-level arrays
+    (terminal last for the per-level monitors, level N-1 last for the
+    one-step ones): the inequalities checked, those violated, and the
+    worst residual lhs - rhs.  total_checked and violations are the sums
+    of the first two, worst_residual the max of the third; a nan
+    residual (unverifiable) dominates both maxima.
+    """
 
     kind: str  # contraction | size | stability | sup_norm
     applicable: bool
@@ -192,11 +197,14 @@ class StabilityLedger:
     c_value: float
     tol_abs: float
     tol_rel: float
-    entries: tuple
     total_checked: int
     violations: int
-    rhs_overflows: int = 0
-    nonfinite: int = 0
+    rhs_overflows: int
+    nonfinite: int
+    worst_residual: float
+    level_checked: np.ndarray
+    level_violations: np.ndarray
+    level_worst: np.ndarray
 
 
 def _guarded_exp(x: float) -> float:
@@ -219,13 +227,45 @@ def _is_violation(residual, rhs, tol_abs: float, tol_rel: float):
     return np.isnan(residual) | (residual > tol)
 
 
+def _ledger(kind, reasons, c_value, residual, rhs, tol_rel=TOL_REL,
+            holds="all hypotheses hold") -> StabilityLedger:
+    """Fill a ledger from per-level residual and right-hand-side arrays.
+
+    residual and rhs are sequences of 1-D arrays, one per level, with
+    rhs[i] as long as residual[i].  A check overflows when its rhs is
+    +inf and is non-finite when its residual is nan or +inf (lhs
+    non-finite, or rhs nan); the lhs terms are never negative, so a
+    -inf residual comes from an overflowed rhs.
+    """
+    res = np.concatenate(residual)
+    rhs = np.concatenate(rhs)
+    starts = _starts(residual)
+    bad = _is_violation(res, rhs, TOL_ABS, tol_rel)
+    level_violations = np.add.reduceat(bad, starts, dtype=np.int64)
+    level_worst = np.maximum.reduceat(res, starts)
+    return StabilityLedger(
+        kind=kind,
+        applicable=not reasons,
+        applicability_reason="; ".join(reasons) if reasons else holds,
+        c_value=c_value,
+        tol_abs=TOL_ABS,
+        tol_rel=tol_rel,
+        total_checked=len(res),
+        violations=int(level_violations.sum()),
+        rhs_overflows=int(np.count_nonzero(rhs == math.inf)),
+        nonfinite=int(np.count_nonzero(~(res < math.inf))),
+        worst_residual=float(level_worst.max()),
+        level_checked=np.array([len(r) for r in residual]),
+        level_violations=level_violations,
+        level_worst=level_worst,
+    )
+
+
 def contraction_check(
     run: ValueFunctions,
     lattice: Lattice,
     spec: ModelSpec,
     trunc: TruncationConfig,
-    tol_abs: float = TOL_ABS,
-    tol_rel: float = TOL_REL,
 ) -> StabilityLedger:
     """Per-level norm decay ||Y_i||_2 <= e^{(M_y/2)(T-t_i)} ||Y_N||_2.
 
@@ -264,7 +304,6 @@ def contraction_check(
             reasons.append(
                 "h=%g exceeds the contraction threshold %g" % (h, h_threshold)
             )
-    applicable = not reasons
     c_prime = drv.M_y / 2.0
 
     law = chain_law(lattice)
@@ -273,64 +312,21 @@ def contraction_check(
         np.array([_guarded_exp(c_prime * (spec.T - t)) for t in tg.times]),
         l2[-1],
     )
-    residual = l2 - bound
-    bad = _is_violation(residual, bound, tol_abs, tol_rel)
-    entries = [
-        ContractionEntry(level=i, t=t, l2=n, bound=b, residual=r, violation=v)
-        for i, (t, n, b, r, v) in enumerate(zip(
-            tg.times, l2.tolist(), bound.tolist(), residual.tolist(),
-            bad.tolist()))
-    ]
-    violations = int(np.count_nonzero(bad))
-    nonfinite = int(np.count_nonzero(~np.isfinite(l2)))
-    return StabilityLedger(
-        kind="contraction",
-        applicable=applicable,
-        applicability_reason="; ".join(reasons) if reasons else "all hypotheses hold",
-        c_value=c_prime,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        entries=tuple(entries),
-        total_checked=len(entries),
-        violations=violations,
-        nonfinite=nonfinite,
-    )
+    return _ledger("contraction", reasons, c_prime, (l2 - bound)[:, None],
+                   bound[:, None])
 
 
-def sup_norm_check(
-    run: ValueFunctions, tol_abs: float = TOL_ABS
-) -> StabilityLedger:
+def sup_norm_check(run: ValueFunctions) -> StabilityLedger:
     """Per-level sup bound ||Y_i||_inf <= ||Y_N||_inf.
 
     The qualitative boundedness property of contracting dynamics;
     non-finite levels count as violations.
     """
-    diags = run.diagnostics
-    finite = np.array([dg.finite for dg in diags])
-    sup = np.where(finite, [max(abs(dg.y_max), abs(dg.y_min)) for dg in diags],
-                   math.nan)
-    residual = sup - sup[-1]
-    bad = _is_violation(residual, sup[-1], tol_abs, 0.0)
-    entries = [
-        ContractionEntry(level=dg.level, t=dg.t, l2=s, bound=float(sup[-1]),
-                         residual=r, violation=v)
-        for dg, s, r, v in zip(diags, sup.tolist(), residual.tolist(),
-                              bad.tolist())
-    ]
-    violations = int(np.count_nonzero(bad))
-    nonfinite = int(np.count_nonzero(~finite))
-    return StabilityLedger(
-        kind="sup_norm",
-        applicable=True,
-        applicability_reason="qualitative bound, no hypotheses",
-        c_value=0.0,
-        tol_abs=tol_abs,
-        tol_rel=0.0,
-        entries=tuple(entries),
-        total_checked=len(entries),
-        violations=violations,
-        nonfinite=nonfinite,
-    )
+    hi, lo, _ = _level_extremes(run.y)
+    sup = np.maximum(np.abs(hi), np.abs(lo))  # nan on non-finite levels
+    return _ledger("sup_norm", [], 0.0, (sup - sup[-1])[:, None],
+                   np.full((len(sup), 1), sup[-1]), tol_rel=0.0,
+                   holds="qualitative bound, no hypotheses")
 
 
 def _size_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
@@ -371,8 +367,6 @@ def one_step_checks(
     trunc: TruncationConfig,
     kind: str,
     run2: Optional[ValueFunctions] = None,
-    tol_abs: float = TOL_ABS,
-    tol_rel: float = TOL_REL,
 ) -> StabilityLedger:
     """Exact per-node evaluation of the one-step inequalities.
 
@@ -407,7 +401,6 @@ def one_step_checks(
             reasons.append("h=%g exceeds threshold %g" % (h, h_max))
     if drv.m > 1 and trunc.alpha > 1.0 / (2 * (drv.m - 1)):
         reasons.append("alpha above 1/(2(m-1))")
-    applicable = not reasons
 
     if kind == "size":
         c, K2 = _size_constants(spec, trunc, h)
@@ -417,8 +410,8 @@ def one_step_checks(
         tail = 0.0
     ech = _guarded_exp(c * h)
 
-    entries = []
-    total = violations = overflows = nonfinite = 0
+    residual = []
+    rhs = []
     with np.errstate(all="ignore"):
         for i in range(tg.N):
             if kind == "size":
@@ -430,44 +423,9 @@ def one_step_checks(
                 z = run.z[i] - run2.z[i]
                 nxt = run.y[i + 1] - run2.y[i + 1]
             e_sq = level_sum(W * lattice.gather(i, nxt) ** 2)
-            lhs = y * y + 0.125 * z * z * h
-            rhs = _guarded_product(ech, e_sq) + tail
-            residual = lhs - rhs
-            lv = int(np.count_nonzero(
-                _is_violation(residual, rhs, tol_abs, tol_rel)
-            ))
-            overflows += int(np.count_nonzero(rhs == math.inf))
-            nonfinite += int(np.count_nonzero(
-                ~(np.isfinite(lhs) & (np.isfinite(rhs) | (rhs == math.inf)))
-            ))
-            # nan residuals never count as the worst; all-nan levels
-            # report nan when they have violations
-            ranked = np.where(np.isnan(residual), -math.inf, residual)
-            worst_node = int(np.argmax(ranked))
-            worst = float(ranked[worst_node])
-            if worst == -math.inf and lv:
-                worst = math.nan
-            total += len(y)
-            violations += lv
-            entries.append(
-                NodeCheckEntry(
-                    level=i, checked=len(y), violations=lv,
-                    worst_residual=worst, worst_node=worst_node,
-                )
-            )
-    return StabilityLedger(
-        kind=kind,
-        applicable=applicable,
-        applicability_reason="; ".join(reasons) if reasons else "all hypotheses hold",
-        c_value=c,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        entries=tuple(entries),
-        total_checked=total,
-        violations=violations,
-        rhs_overflows=overflows,
-        nonfinite=nonfinite,
-    )
+            rhs.append(_guarded_product(ech, e_sq) + tail)
+            residual.append(y * y + 0.125 * z * z * h - rhs[-1])
+    return _ledger(kind, reasons, c, residual, rhs)
 
 
 # ---------------------------------------------------------------------------

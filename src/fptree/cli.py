@@ -42,7 +42,6 @@ from .grids import (
     gaussian_moment_exact,
     grid_project,
     increment_radius,
-    make_weight_config,
     moment_exact,
     trinomial,
     truncate,
@@ -534,15 +533,6 @@ def _settings_echo(st: Settings) -> dict:
 
 
 def _ledger_digest(ledger: analysis.StabilityLedger) -> dict:
-    # worst residual over all entries; nan (unverifiable) dominates
-    worst = -math.inf
-    for e in ledger.entries:
-        r = e.residual if hasattr(e, "residual") else e.worst_residual
-        if r != r:
-            worst = math.nan
-            break
-        if r > worst:
-            worst = r
     return {
         "kind": ledger.kind,
         "applicable": ledger.applicable,
@@ -554,7 +544,7 @@ def _ledger_digest(ledger: analysis.StabilityLedger) -> dict:
         "violations": ledger.violations,
         "rhs_overflows": ledger.rhs_overflows,
         "nonfinite": ledger.nonfinite,
-        "worst_residual": worst,
+        "worst_residual": ledger.worst_residual,
     }
 
 
@@ -611,8 +601,7 @@ def _suite_weights(st: Settings):
     for N in st.ns:
         h = st.model.T / N
         dist = trinomial(h)
-        wcfg = make_weight_config(h)
-        H, lam = weight_values(wcfg, dist, h)
+        H, lam = weight_values(dist, h)
         mean = math.fsum(w * hj for w, hj in zip(dist.weights, H))
         if mean != 0.0:
             return False, "H mean %r nonzero at N=%d" % (mean, N)
@@ -854,7 +843,7 @@ def stability(**kw):
             _write_csv(
                 os.path.join(out, "minmax_%s.csv" % key),
                 ("level", "t", "y_max", "y_min", "finite"),
-                minmax_processes(run),
+                minmax_processes(run, lattice),
             )
             digest = {
                 "finite": run.finite,

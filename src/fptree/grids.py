@@ -28,7 +28,6 @@ __all__ = [
     "TimeGrid",
     "TruncationConfig",
     "IncrementDistribution",
-    "WeightConfig",
     "SpatialGrid",
     "truncation_radius",
     "truncate",
@@ -37,7 +36,6 @@ __all__ = [
     "trinomial",
     "moment_exact",
     "gaussian_moment_exact",
-    "make_weight_config",
     "weight_values",
     "grid_project",
     "grid_project_index",
@@ -264,66 +262,40 @@ def gaussian_moment_exact(h: float, k: int) -> Fraction:
     return double_fact * Fraction(h) ** (k // 2)
 
 
-@dataclass(frozen=True)
-class WeightConfig:
-    """How the martingale weights H_j are formed from the increments.
-
-    rule 'truncated' clamps each increment to [-r_h, r_h] before
-    dividing by h; 'raw' divides directly.  weight_values returns the
-    weights with their Lambda = h * E[H^2] <= 1.
-    """
-
-    rule: str
-    r_h: float
-
-    def __post_init__(self):
-        if self.rule not in ("raw", "truncated"):
-            raise ConfigurationError("rule must be 'raw' or 'truncated'")
-
-
-def make_weight_config(h: float, rule: str = "truncated") -> WeightConfig:
-    """Weight configuration at step size h.
-
-    The truncation radius sqrt(2h) ln(1/h) is positive only for h < 1;
-    at h >= 1 the truncated rule degenerates and the raw rule is used
-    instead (r_h = +inf), which keeps the constructor total.
-    """
-    if not h > 0:
-        raise ConfigurationError("h must be positive, got %r" % (h,))
-    if rule not in ("raw", "truncated"):
-        raise ConfigurationError("rule must be 'raw' or 'truncated'")
-    if rule == "truncated" and h < 1.0:
-        return WeightConfig(rule="truncated", r_h=increment_radius(h))
-    return WeightConfig(rule="raw", r_h=math.inf)
-
-
 # Lambda may exceed 1 only through float noise in user-supplied points;
 # anything above this many ulps signals a genuinely bad distribution.
 _LAMBDA_TOL = 64 * 2.0 ** -53
 
 
 def weight_values(
-    wcfg: WeightConfig, dist: IncrementDistribution, h: float
+    dist: IncrementDistribution, h: float, rule: str = "truncated"
 ) -> Tuple[Tuple[float, ...], float]:
     """Per-branch weights H_j = clamp(g_j) / h and their Lambda.
+
+    rule 'truncated' clamps each increment to [-r_h, r_h] with
+    r_h = increment_radius(h) before dividing by h; 'raw' divides
+    directly.  The radius sqrt(2h) ln(1/h) is positive only for h < 1,
+    so at h >= 1 the truncated rule degenerates to the raw one.
 
     Lambda = h * sum_j p_j H_j^2 is evaluated in exact rational
     arithmetic: unclamped branches contribute their exact point square,
     clamped branches the exact square of the clamp radius.  For the
     trinomial with inactive clamping this yields Lambda = 1 exactly.
 
-    Raises ConfigurationError when Lambda leaves (0, 1] by more than
-    float noise, which signals an increment distribution incompatible
-    with the weight normalization.
+    Raises ConfigurationError for an unknown rule, and when Lambda
+    leaves (0, 1] by more than float noise, which signals an increment
+    distribution incompatible with the weight normalization.
     """
     if not h > 0:
         raise ConfigurationError("h must be positive, got %r" % (h,))
-    clamp = wcfg.rule == "truncated" and math.isfinite(wcfg.r_h)
+    if rule not in ("raw", "truncated"):
+        raise ConfigurationError("rule must be 'raw' or 'truncated'")
+    r_h = increment_radius(h) if rule == "truncated" and h < 1.0 else math.inf
     hs = []
     lam = Fraction(0)
     h_exact = Fraction(h)
     for g, w, sq in zip(dist.points, dist.weights_exact, dist.squares_exact):
-        c = truncate_increment(wcfg.r_h, g) if clamp else g
+        c = truncate_increment(r_h, g)
         hs.append(c / h)
         lam += w * (sq if c == g else Fraction(c) ** 2)
     lam = lam / h_exact

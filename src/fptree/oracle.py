@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -123,13 +123,12 @@ class PdeSolution:
     """Snapshots of the backward PDE solution on a uniform space grid.
 
     xs is the grid; ts the snapshot times (increasing, containing 0 and
-    T); values[k] the solution at ts[k] on xs; dt the time step taken.
+    T); values[k] the solution at ts[k] on xs.
     """
 
     xs: np.ndarray
     ts: Tuple[float, ...]
     values: np.ndarray
-    dt: float
 
     def _slice(self, t: float) -> np.ndarray:
         for k, tk in enumerate(self.ts):
@@ -262,12 +261,7 @@ def fd_solve(
     # reorder to increasing forward time t = T - tau
     out.reverse()
     ts = tuple(T * k / snapshots for k in range(snapshots + 1))
-    return PdeSolution(
-        xs=xs,
-        ts=ts,
-        values=np.asarray(out),
-        dt=dt_eff,
-    )
+    return PdeSolution(xs=xs, ts=ts, values=np.asarray(out))
 
 
 # ---------------------------------------------------------------------------

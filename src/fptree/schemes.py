@@ -37,13 +37,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import (
-    TruncationConfig,
-    check_alpha,
-    make_weight_config,
-    truncate,
-    weight_values,
-)
+from .grids import TruncationConfig, check_alpha, truncate, weight_values
 from .model import DriverSpec, ModelSpec
 from .treeval import level_sum
 
@@ -51,7 +45,6 @@ __all__ = [
     "SchemeError",
     "SolverError",
     "SchemeConfig",
-    "LevelDiagnostics",
     "ValueFunctions",
     "run_backward",
     "SCHEME_KINDS",
@@ -257,15 +250,6 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
 
 
 @dataclass(frozen=True)
-class LevelDiagnostics:
-    level: int
-    t: float
-    y_max: float
-    y_min: float
-    finite: bool
-
-
-@dataclass(frozen=True)
 class ValueFunctions:
     """Backward-induction output on the lattice.
 
@@ -277,7 +261,6 @@ class ValueFunctions:
     kind: str
     y: Tuple[np.ndarray, ...]
     z: Tuple[np.ndarray, ...]
-    diagnostics: Tuple[LevelDiagnostics, ...]
     finite: bool
     Lambda: float
     solver_iterations_total: int
@@ -286,17 +269,6 @@ class ValueFunctions:
     @property
     def y0(self) -> float:
         return float(self.y[0][0])
-
-
-def _level_diag(level, t, vals) -> LevelDiagnostics:
-    finite = bool(np.isfinite(vals).all())
-    return LevelDiagnostics(
-        level=level,
-        t=t,
-        y_max=float(vals.max()) if finite else math.nan,
-        y_min=float(vals.min()) if finite else math.nan,
-        finite=finite,
-    )
 
 
 def run_backward(
@@ -328,11 +300,9 @@ def run_backward(
     pre = trunc if kind == "full_projection_pre" else None
     post = trunc if kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
-    wcfg = make_weight_config(h, cfg.weight_rule)
-    H, lam = weight_values(wcfg, lattice.dist, h)
+    H, lam = weight_values(lattice.dist, h, cfg.weight_rule)
     W = np.array(lattice.weights)[:, None]
     H = np.array(H)[:, None]
-    times = tg.times
 
     x = lattice.supports[tg.N]
     with np.errstate(all="ignore"):
@@ -342,7 +312,6 @@ def run_backward(
         vals = post(vals)
     y_levels = [vals]
     z_levels = []
-    diags = [_level_diag(tg.N, times[tg.N], vals)]
     iters_total = 0
     iters_max = 0
 
@@ -365,17 +334,14 @@ def run_backward(
             iters_max = max(iters_max, int(iters.max()))
             y_levels.append(y)
             z_levels.append(z)
-            diags.append(_level_diag(i, times[i], y))
 
     y_levels.reverse()
     z_levels.reverse()
-    diags.reverse()
     return ValueFunctions(
         kind=kind,
         y=tuple(y_levels),
         z=tuple(z_levels),
-        diagnostics=tuple(diags),
-        finite=all(d.finite for d in diags),
+        finite=all(bool(np.isfinite(y).all()) for y in y_levels),
         Lambda=lam,
         solver_iterations_total=iters_total,
         solver_iterations_max=iters_max,

@@ -139,7 +139,7 @@ def test_c5_stability_contrast_on_steep_model(exp2_model, exp2_trunc):
         for label, cfg in (("fp", fp_cfg), ("implicit", impl_cfg)):
             run = fp.run_backward(cfg, lattice, exp2_model)
             ledger = fp.contraction_check(
-                run, lattice, exp2_model, exp2_trunc, tol_rel=1e-8
+                run, lattice, exp2_model, exp2_trunc
             )
             assert ledger.violations == 0, (
                 "%s contraction ledger has %d violations at N=%d"
@@ -154,7 +154,7 @@ def test_c6_per_node_inequality_ledgers(exp1_model, exp1_trunc):
         lattice = build(exp1_model, N)
         run = fp.run_backward(cfg, lattice, exp1_model)
         size = fp.one_step_checks(
-            run, lattice, exp1_model, exp1_trunc, kind="size", tol_abs=1e-10
+            run, lattice, exp1_model, exp1_trunc, kind="size"
         )
         assert size.violations == 0, (
             "size ledger: %d violations at N=%d" % (size.violations, N)
@@ -165,7 +165,7 @@ def test_c6_per_node_inequality_ledgers(exp1_model, exp1_trunc):
         )
         stab = fp.one_step_checks(
             run, lattice, exp1_model, exp1_trunc,
-            kind="stability", run2=run2, tol_abs=1e-10,
+            kind="stability", run2=run2,
         )
         assert stab.violations == 0, (
             "stability ledger: %d violations at N=%d" % (stab.violations, N)
@@ -216,7 +216,7 @@ def test_c8_truncation_weight_and_projection_properties(exp1_trunc):
     for N in (5, 10, 20, 40, 80, 120, 160, 320):
         hN = 1.0 / N
         dist = fp.trinomial(hN)
-        H, lam = fp.weight_values(fp.make_weight_config(hN), dist, hN)
+        H, lam = fp.weight_values(dist, hN)
         assert math.fsum(w * hj for w, hj in zip(dist.weights, H)) == 0.0
         assert lam <= 1.0
 

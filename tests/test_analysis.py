@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,9 +116,8 @@ class TestSupNorm:
         run = fp.run_backward(cfg, lattice, exp1_model)
         ledger = fp.sup_norm_check(run)
         assert ledger.violations == 0
-        for entry in ledger.entries:
-            assert entry.l2 <= entry.bound + ledger.tol_abs
-            assert not entry.violation
+        assert (ledger.level_worst <= ledger.tol_abs).all()
+        assert not ledger.level_violations.any()
 
 
 class TestContraction:
@@ -209,8 +209,91 @@ class TestOneStep:
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
         ledger = fp.one_step_checks(run, lattice, exp1_model, exp1_trunc, kind="size")
-        assert [e.checked for e in ledger.entries] == [2 * i + 1 for i in range(8)]
-        assert sum(e.checked for e in ledger.entries) == ledger.total_checked
+        assert ledger.level_checked.tolist() == [2 * i + 1 for i in range(8)]
+        assert ledger.level_checked.sum() == ledger.total_checked
+
+
+def _perturbed(g):
+    return lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0)
+
+
+def _all_ledgers(model, trunc, N, kind):
+    lattice = build(model, N)
+    cfg = fp.SchemeConfig(kind=kind, truncation=trunc)
+    run = fp.run_backward(cfg, lattice, model)
+    run2 = fp.run_backward(cfg, lattice, model, terminal=_perturbed(model.g))
+    return run, [
+        fp.sup_norm_check(run),
+        fp.contraction_check(run, lattice, model, trunc),
+        fp.one_step_checks(run, lattice, model, trunc, "size"),
+        fp.one_step_checks(run, lattice, model, trunc, "stability", run2=run2),
+    ]
+
+
+class TestLedgerArrays:
+    """Every ledger count is the sum of its per-level arrays."""
+
+    def check_sums(self, ledger):
+        assert type(ledger.total_checked) is int
+        assert type(ledger.violations) is int
+        assert ledger.total_checked == ledger.level_checked.sum()
+        assert ledger.violations == ledger.level_violations.sum()
+        worst = ledger.level_worst
+        if np.isnan(worst).any():
+            assert math.isnan(ledger.worst_residual)
+        else:
+            assert ledger.worst_residual == worst.max()
+
+    def test_explicit_nonfinite_run(self, exp2_model, exp2_trunc):
+        run, ledgers = _all_ledgers(exp2_model, exp2_trunc, 15, "explicit_euler")
+        assert not run.finite
+        for ledger in ledgers:
+            self.check_sums(ledger)
+            assert math.isnan(ledger.worst_residual)
+        # (checked, violations, nonfinite, rhs_overflows) per ledger: no
+        # CLI artifact runs the one-step ledgers on a non-finite run
+        assert [
+            (lg.total_checked, lg.violations, lg.nonfinite, lg.rhs_overflows)
+            for lg in ledgers
+        ] == [(16, 15, 9, 0), (16, 14, 9, 0), (225, 133, 80, 0),
+              (225, 116, 94, 15)]
+        assert ledgers[0].level_violations.tolist() == [1] * 15 + [0]
+
+    @pytest.mark.parametrize("N", [15, 25])
+    def test_fp_runs(self, exp2_model, exp2_trunc, N):
+        run, ledgers = _all_ledgers(
+            exp2_model, exp2_trunc, N, "full_projection_pre"
+        )
+        assert run.finite
+        for ledger in ledgers:
+            self.check_sums(ledger)
+            assert ledger.violations == ledger.nonfinite == 0
+            assert math.isfinite(ledger.worst_residual)
+
+    def test_partly_nan_level_reports_nan(self, exp1_model, exp1_trunc):
+        # one nan node on level 3 of the second run: its residual and
+        # that of its level-2 parent are nan, the others stay finite;
+        # the nan, not the worst finite residual, is the level's worst
+        lattice = build(exp1_model, 8)
+        cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
+        run = fp.run_backward(cfg, lattice, exp1_model)
+        run2 = fp.run_backward(
+            cfg, lattice, exp1_model, terminal=_perturbed(exp1_model.g)
+        )
+        y3 = run2.y[3].copy()
+        y3[0] = math.nan
+        run2 = dataclasses.replace(run2, y=run2.y[:3] + (y3,) + run2.y[4:])
+        ledger = fp.one_step_checks(
+            run, lattice, exp1_model, exp1_trunc, "stability", run2=run2
+        )
+        self.check_sums(ledger)
+        assert ledger.level_checked[3] == 7
+        assert ledger.level_violations.tolist() == [0, 0, 1, 1, 0, 0, 0, 0]
+        assert ledger.nonfinite == 2
+        assert np.isnan(ledger.level_worst).tolist() == [
+            False, False, True, True, False, False, False, False
+        ]
+        assert math.isnan(ledger.worst_residual)
 
 
 class TestViolationPredicate:
@@ -230,7 +313,7 @@ class TestMinMax:
         lattice = build(exp1_model, 10)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        rows = fp.minmax_processes(run)
+        rows = fp.minmax_processes(run, lattice)
         assert len(rows) == 11
         for level, t, y_max, y_min, finite in rows:
             assert y_min <= y_max
@@ -240,7 +323,7 @@ class TestMinMax:
         lattice = build(exp1_model, 10)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, exp1_model)
-        _, t, y_max, y_min, _ = fp.minmax_processes(run)[-1]
+        _, t, y_max, y_min, _ = fp.minmax_processes(run, lattice)[-1]
         assert t == pytest.approx(1.0)
         xs = lattice.supports[-1]
         g = exp1_model.g

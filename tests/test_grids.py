@@ -152,43 +152,41 @@ class TestIncrementWeights:
 
     def test_weight_values_example(self):
         tri = fp.trinomial(0.03)
-        wc = fp.make_weight_config(0.03)
-        H, lam = fp.weight_values(wc, tri, 0.03)
+        H, lam = fp.weight_values(tri, 0.03)
         assert H == (-10.0, 0.0, 10.0)
         assert lam == 1.0
 
     def test_lambda_exactly_one_when_clamp_inactive(self):
         for h in (0.29, 0.1, 1 / 120):
             tri = fp.trinomial(h)
-            wc = fp.make_weight_config(h)
-            H, lam = fp.weight_values(wc, tri, h)
+            H, lam = fp.weight_values(tri, h)
             assert lam == 1.0
             assert math.fsum(w * g for w, g in zip(tri.weights, H)) == 0.0
 
     def test_raw_equals_truncated_when_inactive(self):
         h = 0.1
         tri = fp.trinomial(h)
-        H_t, _ = fp.weight_values(fp.make_weight_config(h, "truncated"), tri, h)
-        H_r, _ = fp.weight_values(fp.make_weight_config(h, "raw"), tri, h)
+        H_t, _ = fp.weight_values(tri, h, "truncated")
+        H_r, _ = fp.weight_values(tri, h, "raw")
         assert H_t == H_r
 
     def test_raw_fallback_at_large_h(self):
-        wc = fp.make_weight_config(1.0)
-        assert wc.rule == "raw"
-        assert wc.r_h == math.inf
+        # the radius sqrt(2h) ln(1/h) is 0 at h = 1 and negative beyond
+        for h in (1.0, 2.0):
+            tri = fp.trinomial(h)
+            assert fp.weight_values(tri, h) == fp.weight_values(tri, h, "raw")
 
     def test_clamp_active_shrinks_lambda(self):
         # beyond h ~ 0.2929 the increment radius clamps sqrt(3h)
         h = 0.4
         tri = fp.trinomial(h)
-        wc = fp.make_weight_config(h)
         assert fp.increment_radius(h) < math.sqrt(3 * h)
-        H, lam = fp.weight_values(wc, tri, h)
+        H, lam = fp.weight_values(tri, h)
         assert 0.0 < lam < 1.0
 
     def test_bad_rule_rejected(self):
         with pytest.raises(ConfigurationError):
-            fp.make_weight_config(0.05, rule="bogus")
+            fp.weight_values(fp.trinomial(0.05), 0.05, rule="bogus")
 
     def test_degenerate_distribution_rejected(self):
         dist = fp.IncrementDistribution(
@@ -198,9 +196,8 @@ class TestIncrementWeights:
             weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
             squares_exact=(Fraction(0), Fraction(0), Fraction(0)),
         )
-        wc = fp.make_weight_config(0.05)
         with pytest.raises(ConfigurationError):
-            fp.weight_values(wc, dist, 0.05)
+            fp.weight_values(dist, 0.05)
 
 
 class TestSpatialGrid:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 import fptree as fp
-from fptree.oracle import (
-    FdSolverError,
-    OracleError,
-    _gaussian_expectation_of_g,
-)
-from fptree.model import ClampG
+from fptree.oracle import OracleError, _gaussian_expectation_of_g
 
 
 class TestLinearSolution:

@@ -22,7 +22,7 @@ NAN = math.nan
 
 def H_for(h):
     tri = fp.trinomial(h)
-    H, _ = fp.weight_values(fp.make_weight_config(h), tri, h)
+    H, _ = fp.weight_values(tri, h)
     return H
 
 
@@ -321,11 +321,11 @@ class TestRunBackward:
             fp.SchemeConfig(kind="full_projection_pre", truncation=trunc),
             lat, m,
         )
-        assert len(run.diagnostics) == 9
-        for d in run.diagnostics:
-            assert d.y_min <= d.y_max
-        for e in fp.contraction_check(run, lat, m, trunc).entries:
-            assert e.l2 >= 0.0
+        assert len(run.y) == 9
+        for _, _, y_max, y_min, finite in fp.minmax_processes(run, lat):
+            assert finite and y_min <= y_max
+        ledger = fp.contraction_check(run, lat, m, trunc)
+        assert ledger.level_checked.tolist() == [1] * 9
         assert run.finite
         assert run.Lambda == 1.0
 
@@ -446,7 +446,7 @@ def scalar_reference(cfg, lattice, spec):
     pre = cfg.kind == "full_projection_pre"
     post = cfg.kind == "full_projection_post"
     T = partial(scalar_truncate, cfg.truncation, h)
-    H, _ = fp.weight_values(fp.make_weight_config(h), lattice.dist, h)
+    H, _ = fp.weight_values(lattice.dist, h)
 
     vals = [float(spec.g(x)) for x in lattice.supports[-1]]
     ys = [[T(v) for v in vals] if post else vals]

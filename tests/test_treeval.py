@@ -14,8 +14,7 @@ ZERO = fp.poly_driver((0.0,))
 INF = math.inf
 
 
-H03 = fp.weight_values(fp.make_weight_config(0.03), fp.trinomial(0.03),
-                      0.03)[0]  # (-10, 0, 10)
+H03 = fp.weight_values(fp.trinomial(0.03), 0.03)[0]  # (-10, 0, 10)
 
 
 def expect(kids):
