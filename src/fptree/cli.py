@@ -113,14 +113,11 @@ _OPTIONS = (
             "explicit | implicit | fp | fp-post | theta=<v> (repeatable)",
             multiple=True),
     _Option("--Ns", click.STRING, "comma-separated list of N values"),
-    _Option("--N", click.INT, "single N (alternative to --Ns)"),
     _Option("--R0", click.FLOAT, "truncation radius coefficient"),
     _Option("--alpha", click.FLOAT, "truncation radius exponent"),
     _Option("--trunc-mode", click.Choice(["hard", "mollified"]),
             default="hard"),
     _Option("--epsilon", click.FLOAT, "mollification width (default h)"),
-    _Option("--weight-rule", click.Choice(["raw", "truncated"]),
-            default="truncated"),
     _Option("--eta", click.FLOAT,
             "spatial mesh width (default: exact recombining tree; with "
             "--grid-extent alone, h^2)"),
@@ -155,7 +152,6 @@ class Settings:
     alpha: float
     trunc_mode: str
     epsilon: Optional[float]
-    weight_rule: str
     eta: Optional[float]
     grid_extent: Optional[float]
     out: Optional[str]
@@ -332,17 +328,11 @@ def _settings(kw: dict) -> Settings:
         o.dest: kw[o.dest] for o in _FILE_OPTIONS.values()
         if kw[o.dest] not in (None, ())
     }
-    # --N is a one-element --Ns: Ns wins within a layer, either beats the
-    # layers below
     for layer in (file_vals, flag_vals):
-        n = layer.pop("n", None)
         if "ns" in layer:
             layer["ns"] = _parse_ns(layer["ns"])
-        elif n is not None:
-            layer["ns"] = (n,)
 
     values = {o.dest: o.default for o in _FILE_OPTIONS.values()}
-    del values["n"]
     preset = {**values, **file_vals, **flag_vals}["preset"]
     if preset not in _PRESETS:
         raise click.UsageError(
@@ -438,9 +428,7 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
             theta = float(name.split("=", 1)[1])
         except ValueError:
             raise click.UsageError("bad theta value in %r" % (name,))
-        return SchemeConfig(
-            kind="theta", theta=theta, weight_rule=st.weight_rule
-        )
+        return SchemeConfig(kind="theta", theta=theta)
     if name not in _SCHEME_KINDS:
         raise click.UsageError(
             "unknown scheme %r; expected one of %s or theta=<v>"
@@ -448,7 +436,7 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
         )
     kind = _SCHEME_KINDS[name]
     return SchemeConfig(
-        kind=kind, weight_rule=st.weight_rule,
+        kind=kind,
         truncation=_truncation(st) if name.startswith("fp") else None,
     )
 
@@ -514,7 +502,6 @@ def _settings_echo(st: Settings) -> dict:
         "alpha": st.alpha,
         "trunc_mode": st.trunc_mode,
         "epsilon": st.epsilon,
-        "weight_rule": st.weight_rule,
         "eta": st.eta,
         "grid_extent": st.grid_extent,
         "driver": st.model.driver.label,
@@ -555,9 +542,7 @@ def _reference_for(st: Settings) -> dict:
         a = st.model.driver.eval(1.0, 0.0) - st.model.driver.f00
         _, y0 = linear_solution(a, st.model)
         return {"kind": "linear_oracle", "value": y0, "a": a}
-    proxy = proxy_reference(
-        st.model, _truncation(st), weight_rule=st.weight_rule, N=st.proxy_n
-    )
+    proxy = proxy_reference(st.model, _truncation(st), N=st.proxy_n)
     return {
         "kind": "proxy",
         "value": proxy.value,

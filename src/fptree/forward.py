@@ -67,11 +67,6 @@ class Lattice:
     def n_levels(self) -> int:
         return len(self.supports)
 
-    def child_indices(self, level: int, pos: int) -> Tuple[int, ...]:
-        if self.children is None:
-            return (pos, pos + 1, pos + 2)
-        return tuple(self.children[level][pos].tolist())
-
     def gather(self, level: int, values: np.ndarray) -> np.ndarray:
         """Child values of every level-`level` node, (branches, nodes).
 

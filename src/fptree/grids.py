@@ -185,13 +185,11 @@ class IncrementDistribution:
 
     points and weights are the float support; weights_exact and
     squares_exact carry the rational data used by the exact moment and
-    Lambda computations.  order_matched is the largest q such that
-    moments 0..q agree with N(0, h).
+    Lambda computations.
     """
 
     points: Tuple[float, ...]
     weights: Tuple[float, ...]
-    order_matched: int
     weights_exact: Tuple[Fraction, ...]
     squares_exact: Tuple[Fraction, ...]
 
@@ -223,7 +221,6 @@ def trinomial(h: float) -> IncrementDistribution:
     return IncrementDistribution(
         points=(-g, 0.0, g),
         weights=(1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0),
-        order_matched=5,
         weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
         squares_exact=(sq, Fraction(0), sq),
     )
@@ -268,29 +265,27 @@ _LAMBDA_TOL = 64 * 2.0 ** -53
 
 
 def weight_values(
-    dist: IncrementDistribution, h: float, rule: str = "truncated"
+    dist: IncrementDistribution, h: float
 ) -> Tuple[Tuple[float, ...], float]:
     """Per-branch weights H_j = clamp(g_j) / h and their Lambda.
 
-    rule 'truncated' clamps each increment to [-r_h, r_h] with
-    r_h = increment_radius(h) before dividing by h; 'raw' divides
-    directly.  The radius sqrt(2h) ln(1/h) is positive only for h < 1,
-    so at h >= 1 the truncated rule degenerates to the raw one.
+    Each increment is clamped to [-r_h, r_h] with
+    r_h = increment_radius(h) before dividing by h.  The radius
+    sqrt(2h) ln(1/h) is positive only for h < 1, so at h >= 1 no
+    increment is clamped.
 
     Lambda = h * sum_j p_j H_j^2 is evaluated in exact rational
     arithmetic: unclamped branches contribute their exact point square,
     clamped branches the exact square of the clamp radius.  For the
     trinomial with inactive clamping this yields Lambda = 1 exactly.
 
-    Raises ConfigurationError for an unknown rule, and when Lambda
-    leaves (0, 1] by more than float noise, which signals an increment
-    distribution incompatible with the weight normalization.
+    Raises ConfigurationError when Lambda leaves (0, 1] by more than
+    float noise, which signals an increment distribution incompatible
+    with the weight normalization.
     """
     if not h > 0:
         raise ConfigurationError("h must be positive, got %r" % (h,))
-    if rule not in ("raw", "truncated"):
-        raise ConfigurationError("rule must be 'raw' or 'truncated'")
-    r_h = increment_radius(h) if rule == "truncated" and h < 1.0 else math.inf
+    r_h = increment_radius(h) if h < 1.0 else math.inf
     hs = []
     lam = Fraction(0)
     h_exact = Fraction(h)
@@ -336,14 +331,6 @@ class SpatialGrid:
 
     def point(self, k: np.ndarray) -> np.ndarray:
         return self.x0 + k * self.eta
-
-    @property
-    def lo(self) -> float:
-        return self.x0 - self.M * self.eta
-
-    @property
-    def hi(self) -> float:
-        return self.x0 + self.M * self.eta
 
 
 def grid_project_index(grid: SpatialGrid, x: np.ndarray):

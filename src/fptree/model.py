@@ -10,7 +10,8 @@ under which the rest of the library operates:
 
 Drivers built by :func:`poly_driver` (polynomial in y plus a linear z
 term) derive these constants symbolically.  Arbitrary callables are
-accepted too, but then the constants are trusted as declared.
+accepted too, with their derivative in y, but then the constants are
+trusted as declared.
 :func:`validate_model` probes the declared constants numerically on a
 deterministic low-discrepancy sample and reports the worst observed
 ratios, so a bad declaration is caught instead of silently poisoning
@@ -73,9 +74,10 @@ class DriverSpec:
         Lipschitz constant in z.
     f00 : float
         The value f(0, 0).
-    dfdy : callable or None
-        Analytic partial derivative in y, used by the implicit solver
-        when available.
+    dfdy : callable
+        Partial derivative in y, dfdy(y, z), with the array contract of
+        eval.  Every driver supplies it: the implicit solver's Newton
+        steps and the finite-difference reaction bound read it.
     """
 
     eval: Callable
@@ -84,7 +86,7 @@ class DriverSpec:
     m: int
     L_z: float
     f00: float
-    dfdy: Optional[Callable] = None
+    dfdy: Callable
     label: str = "custom"
 
     def __post_init__(self):
@@ -113,7 +115,6 @@ class GrowthConstants:
     M: float
     My_hat: float
     M_z: float
-    nu: float
 
 
 def growth_constants(driver: DriverSpec, nu: float) -> GrowthConstants:
@@ -128,7 +129,6 @@ def growth_constants(driver: DriverSpec, nu: float) -> GrowthConstants:
         M=f00 * f00 / (2.0 * nu),
         My_hat=driver.M_y + nu,
         M_z=driver.L_z * driver.L_z / (2.0 * nu),
-        nu=nu,
     )
 
 
@@ -235,7 +235,6 @@ def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
 class QuadraticG:
     """g(x) = x^2.  Not globally Lipschitz; lipschitz is None."""
 
-    kind: str = "quadratic"
     lipschitz: Optional[float] = None
 
     def __call__(self, x):
@@ -249,7 +248,6 @@ class ClampG:
     lo: float
     hi: float
     slope: float = 1.0
-    kind: str = "clamp"
 
     def __post_init__(self):
         if not self.lo <= self.hi:
@@ -266,7 +264,6 @@ class ClampG:
 @dataclass(frozen=True)
 class ConstantG:
     c: float
-    kind: str = "constant"
     lipschitz: float = 0.0
 
     def __call__(self, x):
@@ -391,14 +388,11 @@ class CheckResult:
     passed: bool
     worst: float
     witness: tuple = ()
-    detail: str = ""
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple
-    probe_budget: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -406,6 +400,11 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
+
+
+# half-widths of the y and z ranges validate_model probes
+Y_MAX = 50.0
+Z_MAX = 50.0
 
 
 # Kronecker (additive recurrence) sequence based on the generalized
@@ -425,14 +424,12 @@ def validate_model(
     spec: ModelSpec,
     probe_budget: int = 10_000,
     tol: float = 1e-9,
-    y_max: float = 50.0,
-    z_max: float = 50.0,
     seed: int = 0,
 ) -> ValidationReport:
     """Probe the declared assumption constants on a deterministic sample.
 
     Each assumption is evaluated on `probe_budget` low-discrepancy
-    points of the box [-y_max, y_max]^2 x [-z_max, z_max]^2; the pair
+    points of the box [-Y_MAX, Y_MAX]^2 x [-Z_MAX, Z_MAX]^2; the pair
     list additionally contains near-coincident pairs (y, y + delta)
     with |delta| <= 1e-3, which is where one-sided Lipschitz violations
     of smooth drivers show up first.  The report lists, per check, the
@@ -445,10 +442,10 @@ def validate_model(
         raise ModelError("probe_budget must be >= 1")
     drv = spec.driver
     u = _kronecker(probe_budget, 5, seed)
-    ys = (2.0 * u[:, 0] - 1.0) * y_max
-    yps = (2.0 * u[:, 1] - 1.0) * y_max
-    zs = (2.0 * u[:, 2] - 1.0) * z_max
-    zps = (2.0 * u[:, 3] - 1.0) * z_max
+    ys = (2.0 * u[:, 0] - 1.0) * Y_MAX
+    yps = (2.0 * u[:, 1] - 1.0) * Y_MAX
+    zs = (2.0 * u[:, 2] - 1.0) * Z_MAX
+    zps = (2.0 * u[:, 3] - 1.0) * Z_MAX
     deltas = (2.0 * u[:, 4] - 1.0) * 1e-3
 
     pairs_y = np.concatenate([np.stack([ys, yps]), np.stack([ys, ys + deltas])],
@@ -464,8 +461,7 @@ def validate_model(
     def finite_or_fail(name, *arrays):
         ok = all(np.isfinite(a).all() for a in arrays)
         if not ok:
-            checks.append(CheckResult(name, False, math.inf,
-                                      detail="non-finite evaluation"))
+            checks.append(CheckResult(name, False, math.inf))
         return ok
 
     # (Mon)
@@ -481,7 +477,6 @@ def validate_model(
         checks.append(CheckResult(
             "mon", bool(resid[k] <= 0.0), float(resid[k]),
             witness=(float(y0[k]), float(y1[k]), float(pair_z[k])),
-            detail="(y'-y)(f(y')-f(y)) <= M_y (y'-y)^2",
         ))
 
         # (RegY)
@@ -492,7 +487,6 @@ def validate_model(
         checks.append(CheckResult(
             "reg_y", bool(resid[k] <= 0.0), float(resid[k]),
             witness=(float(y0[k]), float(y1[k]), float(pair_z[k])),
-            detail="|f(y')-f(y)| <= L_y (1+|y'|^{m-1}+|y|^{m-1}) |y'-y|",
         ))
 
     # (RegZ)
@@ -505,7 +499,6 @@ def validate_model(
         checks.append(CheckResult(
             "reg_z", bool(resid[k] <= 0.0), float(resid[k]),
             witness=(float(ys[k]), float(zs[k]), float(zps[k])),
-            detail="|f(y,z')-f(y,z)| <= L_z |z'-z|",
         ))
 
     # Lipschitz bound for g (informational when no constant is declared)
@@ -517,17 +510,13 @@ def validate_model(
             slopes = np.where(dx > 0, np.abs(gx1 - gx0) / dx, 0.0)
         worst_slope = float(np.max(slopes))
         if spec.L_g is None:
-            checks.append(CheckResult(
-                "lipschitz_g", True, worst_slope,
-                detail="no L_g declared; worst sampled slope reported",
-            ))
+            checks.append(CheckResult("lipschitz_g", True, worst_slope))
         else:
             k = int(np.argmax(slopes))
             ok = worst_slope <= spec.L_g * (1.0 + tol) + tol
             checks.append(CheckResult(
                 "lipschitz_g", ok, worst_slope - spec.L_g,
                 witness=(float(ys[k]), float(yps[k])),
-                detail="|g(x')-g(x)| <= L_g |x'-x|",
             ))
 
     # growth bounds implied by the assumptions (nu = 1)
@@ -543,22 +532,18 @@ def validate_model(
         checks.append(CheckResult(
             "growth", bool(resid[k] <= 0.0), float(resid[k]),
             witness=(float(ys[k]), float(zs[k])),
-            detail="|f| and y*f growth bounds at nu=1",
         ))
 
     # finite coefficient evaluation on sampled (t, x)
     ts = u[: min(probe_budget, 256), 0] * spec.T
-    xs = (2.0 * u[: min(probe_budget, 256), 1] - 1.0) * y_max
+    xs = (2.0 * u[: min(probe_budget, 256), 1] - 1.0) * Y_MAX
     bv = np.asarray([spec.b(t, x) for t, x in zip(ts, xs)], dtype=float)
     sv = np.asarray([spec.sigma(t, x) for t, x in zip(ts, xs)], dtype=float)
     ok = bool(np.isfinite(bv).all() and np.isfinite(sv).all())
-    checks.append(CheckResult(
-        "coefficients_finite", ok, 0.0 if ok else math.inf,
-        detail="b and sigma finite on sampled (t, x)",
-    ))
+    checks.append(CheckResult("coefficients_finite", ok,
+                              0.0 if ok else math.inf))
 
-    return ValidationReport(checks=tuple(checks), probe_budget=probe_budget,
-                            seed=seed)
+    return ValidationReport(checks=tuple(checks))
 
 
 def with_declared_my(driver: DriverSpec, M_y: float) -> DriverSpec:

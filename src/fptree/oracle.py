@@ -152,18 +152,12 @@ class PdeSolution:
 
 def _reaction_bound(spec: ModelSpec, y_range: float) -> float:
     """Grid estimate of sup |df/dy| over |y| <= y_range (z fixed at 0)."""
-    drv = spec.driver
     ys = np.linspace(-y_range, y_range, 513)
-    if drv.dfdy is not None:
-        vals = np.abs(np.asarray(drv.dfdy(ys, 0.0), dtype=float))
-        return float(np.max(vals)) if vals.shape else float(vals)
-    eps = 1e-6 * max(1.0, y_range)
-    f = drv.eval
-    vals = np.abs(
-        (np.asarray(f(ys + eps, 0.0)) - np.asarray(f(ys - eps, 0.0)))
-        / (2.0 * eps)
-    )
-    return float(np.max(vals))
+    return float(np.max(np.abs(spec.driver.dfdy(ys, 0.0))))
+
+
+# the FD domain reaches this many standard deviations of X_T from x0
+_EXTENT_SIGMAS = 6.0
 
 
 def fd_solve(
@@ -171,11 +165,10 @@ def fd_solve(
     dx: float = 0.02,
     dt: Optional[float] = None,
     snapshots: int = 1,
-    extent_sigmas: float = 6.0,
 ) -> PdeSolution:
     """Explicit finite-difference march of the backward semilinear PDE.
 
-    The domain is [x0 - extent_sigmas*sigma*sqrt(T), x0 + ...]; the
+    The domain is [x0 - 6 sigma sqrt(T), x0 + 6 sigma sqrt(T)]; the
     terminal slice is g; boundary closure sets the second derivative to
     zero at the edges.  dt defaults to half the tighter of the
     diffusion CFL bound dx^2/sigma^2 and the reaction bound
@@ -197,7 +190,7 @@ def fd_solve(
     if s0 == 0.0:
         raise OracleError("fd_solve requires sigma != 0")
 
-    half_width = extent_sigmas * abs(s0) * math.sqrt(T)
+    half_width = _EXTENT_SIGMAS * abs(s0) * math.sqrt(T)
     n_half = int(math.ceil(half_width / dx))
     xs = spec.x0 + dx * np.arange(-n_half, n_half + 1)
     v = np.asarray(spec.g(xs), dtype=float)
@@ -282,7 +275,6 @@ class ProxyReference:
 def proxy_reference(
     spec: ModelSpec,
     trunc: TruncationConfig,
-    weight_rule: str = "truncated",
     N: int = 120,
 ) -> ProxyReference:
     """(Y0_implicit + Y0_full_projection)/2 at the proxy resolution N.
@@ -293,17 +285,9 @@ def proxy_reference(
     """
     tg = TimeGrid(T=spec.T, N=N)
     lattice = build_lattice(spec, tg, trinomial(tg.h))
-    impl = run_backward(
-        SchemeConfig(kind="implicit_euler", weight_rule=weight_rule),
-        lattice,
-        spec,
-    )
+    impl = run_backward(SchemeConfig(kind="implicit_euler"), lattice, spec)
     fp = run_backward(
-        SchemeConfig(
-            kind="full_projection_pre",
-            truncation=trunc,
-            weight_rule=weight_rule,
-        ),
+        SchemeConfig(kind="full_projection_pre", truncation=trunc),
         lattice,
         spec,
     )

@@ -91,14 +91,12 @@ class SchemeConfig:
     """Which backward operator to run and with what parameters.
 
     truncation is required for the full-projection kinds and ignored by
-    the others.  weight_rule picks how increments become the weights H
-    ('truncated' is the default, degenerating to 'raw' at h >= 1).
+    the others.
     """
 
     kind: str
     theta: float = 1.0
     truncation: Optional[TruncationConfig] = None
-    weight_rule: str = "truncated"
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -172,11 +170,12 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     :func:`_bracket_end` brackets the root; F(b) of the wrong sign
     means the driver's slope exceeds the declared M_y.  Every node runs
     its own Newton iteration from m, masked over the level, bisecting
-    whenever a step leaves the bracket.  A node still short of the
-    tolerance after _MAX_ITER steps is accepted when F changes sign
-    between its iterate and the adjacent float toward the root.  Nodes
-    with non-finite m or z give nan; they and nodes with F(m) = 0 take
-    zero iterations.
+    whenever a step leaves the bracket.  A Newton step that returns its
+    iterate would repeat forever, so the node stops there.  A node
+    short of the tolerance when it stops, or after _MAX_ITER steps, is
+    accepted when F changes sign between its iterate and the adjacent
+    float toward the root.  Nodes with non-finite m or z give nan; they
+    and nodes with F(m) = 0 take zero iterations.
     Returns (y, iterations); a failure raises SolverError carrying the
     first failing node.
     """
@@ -203,34 +202,39 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     failed[live & np.where(fa > 0.0, fb > 0.0, fb < 0.0)] = 2
     failed[live & ~np.isfinite(fb)] = 1
     live &= failed == 0
+    started = live.copy()
 
     # Newton from m, falling back to bisection outside the bracket;
-    # converged nodes freeze and drop out of `live`
+    # converged and stalled nodes freeze and drop out of `live`
     lo = np.minimum(m, b)
     hi = np.maximum(m, b)
     yv = m
+    done = ~started
     for _ in range(_MAX_ITER):
         if not live.any():
             break
         iters += live
         fy = F(yv)
-        live &= ~(np.abs(fy) <= tol)
-        mid = 0.5 * (lo + hi)
-        if dfdy is None:
-            y_new = mid
-        else:
-            slope = 1.0 - hh * dfdy(yv, z)
-            y_new = np.where((slope > 0.0) & np.isfinite(slope),
-                             yv - fy / slope, mid)
-        y_new = np.where((lo <= y_new) & (y_new <= hi), y_new, mid)
+        done = np.abs(fy) <= tol
+        slope = 1.0 - hh * dfdy(yv, z)
+        step = yv - fy / slope
+        newton = ((slope > 0.0) & np.isfinite(slope)
+                  & (lo <= step) & (step <= hi))
+        live &= ~(done | (newton & (step == yv)))
+        y_new = np.where(newton, step, 0.5 * (lo + hi))
         up = fy > 0.0
         hi = np.where(up & (yv < hi), yv, hi)
-        lo = np.where(~up & (yv > lo), yv, lo)
+        lo = np.where(up | (yv <= lo), lo, yv)
         yv = np.where(live, y_new, yv)
+    # `done` is |F(yv)| <= tol at every node the loop stopped; a node
+    # still live after _MAX_ITER steps has moved since and is evaluated
+    # again
+    live = started & ~done
     if live.any():
         # where F's terms dwarf |m| no float may meet the tolerance: accept
         # a root pinned between yv and the next float toward it
         fy = F(yv)
+        live &= ~(np.abs(fy) <= tol)
         nb = np.nextafter(yv, np.where(fy > 0.0, -np.inf, np.inf))
         fn = F(nb)
         pinned = live & np.where(fy > 0.0, fn <= 0.0, (fy < 0.0) & (fn >= 0.0))
@@ -258,7 +262,6 @@ class ValueFunctions:
     level contains a non-finite entry.
     """
 
-    kind: str
     y: Tuple[np.ndarray, ...]
     z: Tuple[np.ndarray, ...]
     finite: bool
@@ -300,7 +303,7 @@ def run_backward(
     pre = trunc if kind == "full_projection_pre" else None
     post = trunc if kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
-    H, lam = weight_values(lattice.dist, h, cfg.weight_rule)
+    H, lam = weight_values(lattice.dist, h)
     W = np.array(lattice.weights)[:, None]
     H = np.array(H)[:, None]
 
@@ -338,7 +341,6 @@ def run_backward(
     y_levels.reverse()
     z_levels.reverse()
     return ValueFunctions(
-        kind=kind,
         y=tuple(y_levels),
         z=tuple(z_levels),
         finite=all(bool(np.isfinite(y).all()) for y in y_levels),

@@ -50,6 +50,14 @@ def scalar_truncate(cfg, h, y):
     return math.copysign(R + eps * (s - 0.5 * s * s), y)
 
 
+def child_indices(lattice, level, pos):
+    """The children of node `pos` of `level`, as Python ints: the per-node
+    reference for the lattice's block `gather`."""
+    if lattice.children is None:
+        return (pos, pos + 1, pos + 2)
+    return tuple(lattice.children[level][pos].tolist())
+
+
 def build(model, N, grid=None):
     tg = fp.TimeGrid(T=model.T, N=N)
     return fp.build_lattice(model, tg, fp.trinomial(tg.h), grid)

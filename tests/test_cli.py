@@ -245,8 +245,8 @@ class TestNsValidation:
          "got 20,10"),
         (["convergence", "--preset", "linear-oracle", "--Ns", "10,-20"],
          "got -20"),
-        (["convergence", "--preset", "linear-oracle", "--N", "0"], "got 0"),
-        (["stability", "--preset", "experiment2", "--N", "0"], "got 0"),
+        (["convergence", "--preset", "linear-oracle", "--Ns", "0"], "got 0"),
+        (["stability", "--preset", "experiment2", "--Ns", "0"], "got 0"),
         (["stability", "--preset", "experiment2", "--Ns", "15,15"], "N=15"),
     ])
     def test_bad_ns_are_usage_errors_before_any_run(self, runner, tmp_path,
@@ -317,7 +317,7 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("text, key", [
         ("[run]\nr0 = abc\n", "r0"),
-        ("[run]\nn = x\n", "n"),
+        ("[run]\nproxy-n = x\n", "proxy-n"),
         ("[run]\nno-timing = maybe\n", "no-timing"),
         ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = const:abc\n", "g"),
         ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = quadratic\n"
@@ -338,6 +338,8 @@ class TestConfigPlumbing:
         ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = quadratic\n"
          "sigmaa = 2.0\n", "sigmaa"),
         ("[run]\npreset = experiment1\n[model]\nsigma = 1.0\n", "[model]"),
+        ("[run]\nn = 5\n", "n"),
+        ("[run]\nweight-rule = raw\n", "weight-rule"),
     ])
     def test_unknown_keys_rejected(self, runner, tmp_path, text, named):
         cfg = tmp_path / "typo.cfg"
@@ -345,6 +347,17 @@ class TestConfigPlumbing:
         result = runner.invoke(main, ["check", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert named in result.output
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--N", "5"), ("--weight-rule", "raw"),
+    ])
+    def test_unknown_flags_rejected(self, runner, tmp_path, flag, value):
+        result = runner.invoke(main, [
+            "convergence", "--preset", "linear-oracle", flag, value,
+            "--out", str(tmp_path / "art"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and flag in result.output
 
     @pytest.mark.parametrize("args", [
         ["stability", "--preset", "experiment2", "--Ns", "15", "--R0", "-1"],
@@ -368,15 +381,6 @@ class TestConfigPlumbing:
         assert result.exit_code == 0, result.output
         assert read_json(out / "check_report.json")["passed"] is True
 
-    @pytest.mark.parametrize("flags, lines, want", [
-        (["--Ns", "5", "--N", "9"], [], [5]),
-        (["--N", "9"], ["ns = 6,8"], [9]),
-        ([], ["ns = 6,8", "n = 11"], [6, 8]),
-        ([], ["n = 11"], [11]),
-    ])
-    def test_ns_and_n_precedence(self, runner, tmp_path, flags, lines, want):
-        assert settings_echo(runner, tmp_path, flags, lines)["Ns"] == want
-
 
 # rows whose value is not in the settings echo of the artifacts
 _NOT_ECHOED = {"config", "out", "no-timing", "proxy-n"}
@@ -387,12 +391,10 @@ _PRECEDENCE_CASES = {
     "preset": ("linear-oracle", "experiment2", "preset", "linear-oracle"),
     "scheme": ("fp-post,implicit", "fp", "schemes", ["fp-post", "implicit"]),
     "ns": ("5,7", "6,8", "Ns", [5, 7]),
-    "n": ("9", "11", "Ns", [9]),
     "r0": ("3.5", "4.5", "R0", 3.5),
     "alpha": ("0.2", "0.1", "alpha", 0.2),
     "trunc-mode": ("mollified", "hard", "trunc_mode", "mollified"),
     "epsilon": ("0.01", "0.02", "epsilon", 0.01),
-    "weight-rule": ("raw", "truncated", "weight_rule", "raw"),
     "eta": ("0.05", "0.1", "eta", 0.05),
     "grid-extent": ("3.0", "4.0", "grid_extent", 3.0),
 }
@@ -454,4 +456,24 @@ def test_readme_config_example_runs(runner, tmp_path):
     result = runner.invoke(main, [
         "check", "--config", str(cfg), "--probe-budget", "500",
     ])
+    assert result.exit_code == 0, result.output
+
+
+def _readme_runs():
+    """The argument lists of the README's typical `fptree` runs."""
+    runs = []
+    for line in readme_block("Typical runs:").splitlines():
+        if line.startswith("fptree "):
+            args = line.split()[1:]
+            if "--out" in args:
+                k = args.index("--out")
+                del args[k:k + 2]
+            runs.append(args)
+    return runs
+
+
+@pytest.mark.parametrize("args", _readme_runs(), ids=" ".join)
+def test_readme_typical_runs_exit_zero(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--no-timing", "--out",
+                                         str(tmp_path / "art")])
     assert result.exit_code == 0, result.output

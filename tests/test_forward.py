@@ -11,7 +11,7 @@ import fptree as fp
 from fptree.grids import ConfigurationError
 from fptree.model import ModelSpec, constant_b_sigma
 
-from conftest import build
+from conftest import build, child_indices
 
 
 def one_step(spec, dw, h, grid):
@@ -19,7 +19,6 @@ def one_step(spec, dw, h, grid):
     sq = Fraction(dw) ** 2
     dist = fp.IncrementDistribution(
         points=(-dw, 0.0, dw), weights=(1 / 6, 2 / 3, 1 / 6),
-        order_matched=1,
         weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
         squares_exact=(sq, Fraction(0), sq),
     )
@@ -97,9 +96,11 @@ class TestBuildLattice:
 
     def test_children_identity_stencil(self):
         lat = build(fp.experiment1_model(), 3)
+        assert lat.children is None
         for i in range(3):
+            kids = lat.gather(i, np.arange(2.0 * i + 3))
             for pos in range(len(lat.supports[i])):
-                assert lat.child_indices(i, pos) == (pos, pos + 1, pos + 2)
+                assert kids[:, pos].tolist() == [pos, pos + 1, pos + 2]
 
     def test_gather_block_is_a_read_only_view(self):
         lat = build(fp.experiment1_model(), 3)
@@ -109,7 +110,7 @@ class TestBuildLattice:
         assert np.shares_memory(kids, vals) and not kids.flags.writeable
         for pos in range(5):
             assert kids[:, pos].tolist() == [
-                vals[c] for c in lat.child_indices(2, pos)]
+                vals[c] for c in child_indices(lat, 2, pos)]
         with pytest.raises(ValueError):
             lat.gather(2, vals[:6])
 
@@ -314,7 +315,7 @@ class TestArrayLattice:
             vals = rng.standard_normal(len(supports[i + 1]))
             kids = lat.gather(i, vals)
             for p in range(len(supports[i])):
-                cs = lat.child_indices(i, p)
+                cs = child_indices(lat, i, p)
                 assert all(type(c) is int for c in cs)
                 assert [k[p] for k in kids] == [vals[c] for c in cs]
 

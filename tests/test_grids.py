@@ -133,7 +133,6 @@ class TestIncrementWeights:
         assert tri.weights_exact == (
             Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)
         )
-        assert tri.order_matched == 5
 
     def test_moments_match_gaussian_exactly(self):
         for h in (0.2, 0.05, 1 / 120):
@@ -166,15 +165,15 @@ class TestIncrementWeights:
     def test_raw_equals_truncated_when_inactive(self):
         h = 0.1
         tri = fp.trinomial(h)
-        H_t, _ = fp.weight_values(tri, h, "truncated")
-        H_r, _ = fp.weight_values(tri, h, "raw")
-        assert H_t == H_r
+        H, _ = fp.weight_values(tri, h)
+        assert H == tuple(p / h for p in tri.points)
 
     def test_raw_fallback_at_large_h(self):
         # the radius sqrt(2h) ln(1/h) is 0 at h = 1 and negative beyond
         for h in (1.0, 2.0):
             tri = fp.trinomial(h)
-            assert fp.weight_values(tri, h) == fp.weight_values(tri, h, "raw")
+            H, _ = fp.weight_values(tri, h)
+            assert H == tuple(p / h for p in tri.points)
 
     def test_clamp_active_shrinks_lambda(self):
         # beyond h ~ 0.2929 the increment radius clamps sqrt(3h)
@@ -184,15 +183,10 @@ class TestIncrementWeights:
         H, lam = fp.weight_values(tri, h)
         assert 0.0 < lam < 1.0
 
-    def test_bad_rule_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fp.weight_values(fp.trinomial(0.05), 0.05, rule="bogus")
-
     def test_degenerate_distribution_rejected(self):
         dist = fp.IncrementDistribution(
             points=(0.0, 0.0, 0.0),
             weights=(1 / 6, 2 / 3, 1 / 6),
-            order_matched=1,
             weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
             squares_exact=(Fraction(0), Fraction(0), Fraction(0)),
         )
@@ -205,8 +199,6 @@ class TestSpatialGrid:
         g = fp.SpatialGrid(x0=0.0, eta=0.1, M=10)
         assert g.point(0) == 0.0
         assert g.point(3) == pytest.approx(0.3)
-        assert g.lo == pytest.approx(-1.0)
-        assert g.hi == pytest.approx(1.0)
 
     def test_documented_projections(self):
         g = fp.SpatialGrid(x0=0.0, eta=0.1, M=10)

@@ -53,6 +53,11 @@ class TestPolyDriver:
         with pytest.raises(ModelError):
             fp.poly_driver((0.0, 0.0, -1.0))
 
+    def test_derivative_is_required(self):
+        with pytest.raises(TypeError, match="dfdy"):
+            fp.DriverSpec(eval=lambda y, z: -y, M_y=-1.0, L_y=1.0, m=1,
+                          L_z=0.0, f00=0.0)
+
     def test_declared_my_override(self):
         d = with_declared_my(fp.poly_driver((0.0, -1.0)), -0.5)
         assert d.M_y == -0.5

@@ -13,7 +13,9 @@ from fptree.schemes import (
     SchemeError, SolverError, _bracket_end, _level, _solve,
 )
 
-from conftest import WCOL, build, col, one_node, scalar_truncate
+from conftest import (
+    WCOL, build, child_indices, col, one_node, scalar_truncate,
+)
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
 ZERO = fp.poly_driver((0.0,))
@@ -199,7 +201,7 @@ class TestClosedFormBracket:
                               driver, hh)
         # the end with the smaller |F| is kept; the other node is as
         # it was
-        assert y[0] == m and iters[0] == 100
+        assert y[0] == m and iters[0] == 1
         assert abs(y[1] - scalar_solve(1.0, 0.0, hh, driver.eval,
                                        driver.dfdy)) <= 4e-12
 
@@ -454,7 +456,7 @@ def scalar_reference(cfg, lattice, spec):
     for i in range(tg.N - 1, -1, -1):
         y_level, z_level = [], []
         for pos in range(len(lattice.supports[i])):
-            v = [ys[-1][c] for c in lattice.child_indices(i, pos)]
+            v = [ys[-1][c] for c in child_indices(lattice, i, pos)]
             if pre:
                 v = [T(x) for x in v]
             try:
