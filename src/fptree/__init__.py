@@ -22,7 +22,6 @@ from .analysis import (
 from .forward import build_lattice, dump_lattice
 from .grids import (
     ConfigurationError,
-    IncrementDistribution,
     SpatialGrid,
     TimeGrid,
     TruncationConfig,
@@ -34,7 +33,6 @@ from .grids import (
     moment_exact,
     trinomial,
     truncate,
-    truncate_increment,
     truncation_radius,
     weight_values,
 )

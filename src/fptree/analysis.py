@@ -440,12 +440,10 @@ def fd_comparison(run: ValueFunctions, lattice: Lattice, pde) -> list:
     the FD domain are skipped.  Returns rows (level, t, nodes_compared,
     sup_diff).
     """
-    tg = lattice.time_grid
     rows = []
     snap = {round(t, 12): t for t in pde.ts}
     lo, hi = float(pde.xs[0]), float(pde.xs[-1])
-    for i in range(tg.N + 1):
-        t = tg.times[i]
+    for i, t in enumerate(lattice.time_grid.times):
         key = round(t, 12)
         if key not in snap:
             continue

@@ -389,9 +389,7 @@ def _lattices(st: Settings) -> tuple:
     lattices = []
     for N in st.ns:
         tg = TimeGrid(T=st.model.T, N=N)
-        lattices.append(
-            build_lattice(st.model, tg, trinomial(tg.h), _grid_for(st, tg))
-        )
+        lattices.append(build_lattice(st.model, tg, _grid_for(st, tg)))
     return tuple(lattices)
 
 
@@ -557,8 +555,8 @@ def _reference_for(st: Settings) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _suite_model_assumptions(st: Settings, budget: int, tol: float, seed: int):
-    report = validate_model(st.model, probe_budget=budget, tol=tol, seed=seed)
+def _suite_model_assumptions(st: Settings, budget: int):
+    report = validate_model(st.model, probe_budget=budget)
     if report.passed:
         return True, "all %d assumption checks passed" % len(report.checks)
     parts = [
@@ -650,7 +648,7 @@ def _suite_projection(st: Settings):
 def _suite_pre_post(st: Settings):
     N = min(min(st.ns), 12)
     tg = TimeGrid(T=st.model.T, N=N)
-    lattice = build_lattice(st.model, tg, trinomial(tg.h))
+    lattice = build_lattice(st.model, tg)
     trunc = _truncation(st)
     pre = run_backward(_scheme_config("fp", st), lattice, st.model)
     post = run_backward(_scheme_config("fp-post", st), lattice, st.model)
@@ -677,14 +675,12 @@ def main():
 @main.command()
 @_shared_options
 @click.option("--probe-budget", type=int, default=10_000)
-@click.option("--tol", type=float, default=1e-9)
-@click.option("--seed", type=int, default=0)
-def check(probe_budget, tol, seed, **kw):
+def check(probe_budget, **kw):
     """Run the invariant suites; exit 0 iff all pass."""
     st = _settings(kw)
     suites = [
         ("model_assumptions",
-         lambda: _suite_model_assumptions(st, probe_budget, tol, seed)),
+         lambda: _suite_model_assumptions(st, probe_budget)),
         ("trinomial_moments", lambda: _suite_moments(st)),
         ("weights", lambda: _suite_weights(st)),
         ("truncation", lambda: _suite_truncation(st)),

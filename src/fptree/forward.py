@@ -1,15 +1,16 @@
 """Forward chains and the recombining lattice.
 
 The forward component X is discretized by the Euler step; replacing the
-Gaussian increment with the moment-matched trinomial distribution turns
-the chain into a recombining lattice on which conditional expectations
-are finite sums.  With constant b and sigma no spatial projection is
-needed and level i carries exactly 2i+1 states.  With state-dependent
-coefficients recombination is lost, so each step is projected onto a
-uniform spatial grid; saturation at the grid hull is tolerated but
-counted.  The projected lattice is built a level at a time: b(t, x)
-and sigma(t, x) are called once per level with a float t and the
-float64 array x of the level's states, so they must accept arrays.
+Gaussian increment with the moment-matched trinomial distribution (the
+one increment law every lattice uses) turns the chain into a recombining
+lattice on which conditional expectations are finite sums.  With
+constant b and sigma no spatial projection is needed and level i
+carries exactly 2i+1 states.  With state-dependent coefficients
+recombination is lost, so each step is projected onto a uniform spatial
+grid; saturation at the grid hull is tolerated but counted.  The
+projected lattice is built a level at a time: b(t, x) and sigma(t, x)
+are called once per level with a float t and the float64 array x of
+the level's states, so they must accept arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .grids import (
     SpatialGrid,
     TimeGrid,
     grid_project_index,
+    trinomial,
 )
 from .model import ModelSpec
 
@@ -35,15 +37,6 @@ __all__ = [
 ]
 
 
-def _is_trinomial_support(dist: IncrementDistribution) -> bool:
-    # the projection-free fast path relies on equally spaced symmetric
-    # support (-g, 0, g); that is exactly the built-in trinomial
-    if len(dist.points) != 3:
-        return False
-    a, b, c = dist.points
-    return b == 0.0 and a == -c and c > 0.0
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Recombining state tree of the quantized forward chain.
@@ -52,9 +45,9 @@ class Lattice:
     increasing order.  When children is None the lattice is the
     constant-coefficient trinomial tree and node p at level i has
     children (p, p+1, p+2) at level i+1, in the order of dist.points;
-    otherwise children[i] is the (n_i, len(dist.points)) int64 array
-    of the projected child indices.  Branch weights and increments are
-    those of dist at every node.
+    otherwise children[i] is the (n_i, 3) int64 array of the projected
+    child indices.  Branch weights and increments are those of dist,
+    the trinomial of the step size, at every node.
     """
 
     time_grid: TimeGrid
@@ -91,29 +84,25 @@ class Lattice:
 def build_lattice(
     spec: ModelSpec,
     tg: TimeGrid,
-    dist: IncrementDistribution,
     grid: Optional[SpatialGrid] = None,
 ) -> Lattice:
-    """Build the forward lattice for the given time grid and increments.
+    """Build the forward lattice of the time grid's trinomial increments.
 
-    Without a spatial grid the coefficients must be constant (and the
-    increment support trinomial), which is what guarantees
-    recombination; level i then holds x0 + b t_i + sigma k sqrt(3h) for
-    k in {-i..i}.  With a grid, every Euler step
-    x + b(t, x) h + sigma(t, x) dw is projected and the reachable set is
-    tracked level by level; a non-finite step raises ConfigurationError
-    naming its level and node.
+    The increments are trinomial(tg.h), the same law for every lattice.
+    Without a spatial grid the coefficients must be constant, which is
+    what guarantees recombination; level i then holds
+    x0 + b t_i + sigma k sqrt(3h) for k in {-i..i}.  With a grid, every
+    Euler step x + b(t, x) h + sigma(t, x) dw is projected and the
+    reachable set is tracked level by level; a non-finite step raises
+    ConfigurationError naming its level and node.
     """
     h = tg.h
+    dist = trinomial(h)
     if grid is None:
         if not spec.has_constant_coefficients:
             raise ConfigurationError(
                 "non-constant coefficients require a spatial grid: "
                 "recombination is not guaranteed without projection"
-            )
-        if not _is_trinomial_support(dist):
-            raise ConfigurationError(
-                "projection-free lattice requires the trinomial support"
             )
         b0 = spec.b_const
         N = tg.N
@@ -165,10 +154,10 @@ def dump_lattice(lattice: Lattice) -> dict:
     """JSON-ready description of the lattice (debugging artifact)."""
     tg = lattice.time_grid
     levels = []
-    for i, states in enumerate(lattice.supports):
+    for i, (t, states) in enumerate(zip(tg.times, lattice.supports)):
         entry = {
             "level": i,
-            "t": tg.times[i],
+            "t": t,
             "states": states.tolist(),
         }
         if i < tg.N:

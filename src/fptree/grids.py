@@ -27,11 +27,9 @@ __all__ = [
     "ConfigurationError",
     "TimeGrid",
     "TruncationConfig",
-    "IncrementDistribution",
     "SpatialGrid",
     "truncation_radius",
     "truncate",
-    "truncate_increment",
     "increment_radius",
     "trinomial",
     "moment_exact",
@@ -172,20 +170,14 @@ def increment_radius(h: float) -> float:
     return math.sqrt(2.0 * h) * math.log(1.0 / h)
 
 
-def truncate_increment(r_h: float, dw: float) -> float:
-    """Clamp an increment to [-r_h, r_h]."""
-    if not r_h > 0:
-        raise ConfigurationError("r_h must be positive, got %r" % (r_h,))
-    return min(max(dw, -r_h), r_h)
-
-
 @dataclass(frozen=True)
 class IncrementDistribution:
     """Discrete stand-in for a Brownian increment over one step.
 
-    points and weights are the float support; weights_exact and
-    squares_exact carry the rational data used by the exact moment and
-    Lambda computations.
+    Built only by :func:`trinomial`, so the support is always the
+    symmetric (-sqrt(3h), 0, sqrt(3h)).  points and weights are the
+    float support; weights_exact and squares_exact carry the rational
+    data used by the exact moment and Lambda computations.
     """
 
     points: Tuple[float, ...]
@@ -193,26 +185,13 @@ class IncrementDistribution:
     weights_exact: Tuple[Fraction, ...]
     squares_exact: Tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.points) != len(self.weights):
-            raise ConfigurationError("points and weights length mismatch")
-        if any(w < 0 for w in self.weights_exact):
-            raise ConfigurationError("weights must be nonnegative")
-        if sum(self.weights_exact) != 1:
-            raise ConfigurationError("weights must sum to 1 exactly")
-
-    @property
-    def symmetric(self) -> bool:
-        paired = sorted(zip(self.points, self.weights_exact))
-        flipped = sorted((-p, w) for p, w in paired)
-        return paired == flipped
-
 
 def trinomial(h: float) -> IncrementDistribution:
     """Three-point distribution matching N(0, h) moments through order 5.
 
-    Support (-sqrt(3h), 0, +sqrt(3h)) with weights (1/6, 2/3, 1/6).
-    Order 6 is the first mismatch: 9h^3 against the Gaussian 15h^3.
+    The only constructor of IncrementDistribution.  Support
+    (-sqrt(3h), 0, +sqrt(3h)) with weights (1/6, 2/3, 1/6).  Order 6 is
+    the first mismatch: 9h^3 against the Gaussian 15h^3.
     """
     if not h > 0:
         raise ConfigurationError("h must be positive, got %r" % (h,))
@@ -226,17 +205,16 @@ def trinomial(h: float) -> IncrementDistribution:
     )
 
 
-def moment_exact(dist: IncrementDistribution, k: int) -> Optional[Fraction]:
-    """k-th moment as an exact Fraction, or None when not representable.
+def moment_exact(dist: IncrementDistribution, k: int) -> Fraction:
+    """k-th moment as an exact Fraction.
 
-    Odd moments of symmetric distributions are exactly zero; even
-    moments use the rational point squares.  Odd moments of asymmetric
-    distributions involve irrational square roots and return None.
+    Odd moments of the symmetric trinomial are exactly zero; even
+    moments use the rational point squares.
     """
     if k < 0:
         raise ConfigurationError("moment order must be >= 0")
     if k % 2 == 1:
-        return Fraction(0) if dist.symmetric else None
+        return Fraction(0)
     half = k // 2
     return sum(
         (w * sq ** half for w, sq in zip(dist.weights_exact, dist.squares_exact)),
@@ -259,11 +237,6 @@ def gaussian_moment_exact(h: float, k: int) -> Fraction:
     return double_fact * Fraction(h) ** (k // 2)
 
 
-# Lambda may exceed 1 only through float noise in user-supplied points;
-# anything above this many ulps signals a genuinely bad distribution.
-_LAMBDA_TOL = 64 * 2.0 ** -53
-
-
 def weight_values(
     dist: IncrementDistribution, h: float
 ) -> Tuple[Tuple[float, ...], float]:
@@ -277,35 +250,20 @@ def weight_values(
     Lambda = h * sum_j p_j H_j^2 is evaluated in exact rational
     arithmetic: unclamped branches contribute their exact point square,
     clamped branches the exact square of the clamp radius.  For the
-    trinomial with inactive clamping this yields Lambda = 1 exactly.
-
-    Raises ConfigurationError when Lambda leaves (0, 1] by more than
-    float noise, which signals an increment distribution incompatible
-    with the weight normalization.
+    trinomial this yields Lambda = 1 exactly when no increment is
+    clamped, and r_h^2 / (3h) with r_h < sqrt(3h), so 0 < Lambda < 1,
+    when the outer two are.
     """
     if not h > 0:
         raise ConfigurationError("h must be positive, got %r" % (h,))
     r_h = increment_radius(h) if h < 1.0 else math.inf
     hs = []
     lam = Fraction(0)
-    h_exact = Fraction(h)
     for g, w, sq in zip(dist.points, dist.weights_exact, dist.squares_exact):
-        c = truncate_increment(r_h, g)
+        c = min(max(g, -r_h), r_h)
         hs.append(c / h)
         lam += w * (sq if c == g else Fraction(c) ** 2)
-    lam = lam / h_exact
-    lam_f = float(lam)
-    if lam > 1 + _LAMBDA_TOL:
-        raise ConfigurationError(
-            "Lambda=%r exceeds 1: increment distribution has too much "
-            "mass outside the clamp radius" % (lam_f,)
-        )
-    if lam <= 0:
-        raise ConfigurationError(
-            "Lambda=%r is not positive: degenerate increment distribution"
-            % (lam_f,)
-        )
-    return tuple(hs), min(lam_f, 1.0)
+    return tuple(hs), float(lam / Fraction(h))
 
 
 # ---------------------------------------------------------------------------

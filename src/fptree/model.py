@@ -402,30 +402,28 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-# half-widths of the y and z ranges validate_model probes
+# half-widths of the y and z ranges validate_model probes, and the
+# tolerance of its residuals
 Y_MAX = 50.0
 Z_MAX = 50.0
+PROBE_TOL = 1e-9
 
 
 # Kronecker (additive recurrence) sequence based on the generalized
-# golden ratio; deterministic, well spread, no RNG state involved.
-def _kronecker(n: int, dim: int, seed: int):
+# golden ratio, from index 1; deterministic, well spread, no RNG state.
+def _kronecker(n: int, dim: int):
     phi = 2.0
     for _ in range(40):
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
     alphas = [(1.0 / phi) ** (k + 1) % 1.0 for k in range(dim)]
     out = np.empty((n, dim))
-    idx = np.arange(seed + 1, seed + n + 1, dtype=float)[:, None]
+    idx = np.arange(1, n + 1, dtype=float)[:, None]
     out[:] = (0.5 + idx * np.asarray(alphas)[None, :]) % 1.0
     return out
 
 
-def validate_model(
-    spec: ModelSpec,
-    probe_budget: int = 10_000,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_model(spec: ModelSpec,
+                   probe_budget: int = 10_000) -> ValidationReport:
     """Probe the declared assumption constants on a deterministic sample.
 
     Each assumption is evaluated on `probe_budget` low-discrepancy
@@ -433,15 +431,15 @@ def validate_model(
     list additionally contains near-coincident pairs (y, y + delta)
     with |delta| <= 1e-3, which is where one-sided Lipschitz violations
     of smooth drivers show up first.  The report lists, per check, the
-    worst observed residual (positive means violated beyond tolerance)
-    and a witness point.
+    worst observed residual (positive means violated beyond the
+    tolerance PROBE_TOL) and a witness point.
 
-    Identical (spec, budget, tol, seed) give bit-identical reports.
+    Identical (spec, budget) give bit-identical reports.
     """
     if probe_budget < 1:
         raise ModelError("probe_budget must be >= 1")
     drv = spec.driver
-    u = _kronecker(probe_budget, 5, seed)
+    u = _kronecker(probe_budget, 5)
     ys = (2.0 * u[:, 0] - 1.0) * Y_MAX
     yps = (2.0 * u[:, 1] - 1.0) * Y_MAX
     zs = (2.0 * u[:, 2] - 1.0) * Z_MAX
@@ -471,8 +469,8 @@ def validate_model(
     if finite_or_fail("mon", f0, f1):
         lhs = (y1 - y0) * (f1 - f0)
         rhs = drv.M_y * (y1 - y0) ** 2
-        resid = lhs - rhs - tol * np.maximum(1.0, np.maximum(np.abs(lhs),
-                                                             np.abs(rhs)))
+        resid = lhs - rhs - PROBE_TOL * np.maximum(
+            1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         k = int(np.argmax(resid))
         checks.append(CheckResult(
             "mon", bool(resid[k] <= 0.0), float(resid[k]),
@@ -482,7 +480,7 @@ def validate_model(
         # (RegY)
         grow = 1.0 + np.abs(y0) ** (drv.m - 1) + np.abs(y1) ** (drv.m - 1)
         bound = drv.L_y * grow * np.abs(y1 - y0)
-        resid = np.abs(f1 - f0) - bound - tol * np.maximum(1.0, bound)
+        resid = np.abs(f1 - f0) - bound - PROBE_TOL * np.maximum(1.0, bound)
         k = int(np.argmax(resid))
         checks.append(CheckResult(
             "reg_y", bool(resid[k] <= 0.0), float(resid[k]),
@@ -494,7 +492,7 @@ def validate_model(
     fz1 = ev(ys, zps)
     if finite_or_fail("reg_z", fz0, fz1):
         bound = drv.L_z * np.abs(zps - zs)
-        resid = np.abs(fz1 - fz0) - bound - tol * np.maximum(1.0, bound)
+        resid = np.abs(fz1 - fz0) - bound - PROBE_TOL * np.maximum(1.0, bound)
         k = int(np.argmax(resid))
         checks.append(CheckResult(
             "reg_z", bool(resid[k] <= 0.0), float(resid[k]),
@@ -513,7 +511,7 @@ def validate_model(
             checks.append(CheckResult("lipschitz_g", True, worst_slope))
         else:
             k = int(np.argmax(slopes))
-            ok = worst_slope <= spec.L_g * (1.0 + tol) + tol
+            ok = worst_slope <= spec.L_g * (1.0 + PROBE_TOL) + PROBE_TOL
             checks.append(CheckResult(
                 "lipschitz_g", ok, worst_slope - spec.L_g,
                 witness=(float(ys[k]), float(yps[k])),
@@ -524,9 +522,9 @@ def validate_model(
     fv = ev(ys, zs)
     if finite_or_fail("growth", fv):
         bound = gc.K + gc.K_y * np.abs(ys) ** drv.m + gc.K_z * np.abs(zs)
-        r1 = np.abs(fv) - bound - tol * np.maximum(1.0, bound)
+        r1 = np.abs(fv) - bound - PROBE_TOL * np.maximum(1.0, bound)
         bound2 = gc.M + gc.My_hat * ys ** 2 + gc.M_z * zs ** 2
-        r2 = ys * fv - bound2 - tol * np.maximum(1.0, np.abs(bound2))
+        r2 = ys * fv - bound2 - PROBE_TOL * np.maximum(1.0, np.abs(bound2))
         resid = np.maximum(r1, r2)
         k = int(np.argmax(resid))
         checks.append(CheckResult(

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .forward import build_lattice
-from .grids import ConfigurationError, TimeGrid, TruncationConfig, trinomial
+from .grids import ConfigurationError, TimeGrid, TruncationConfig
 from .model import ClampG, ConstantG, ModelSpec, QuadraticG
 from .schemes import SchemeConfig, run_backward
 
@@ -284,7 +284,7 @@ def proxy_reference(
     garbage is not a reference.
     """
     tg = TimeGrid(T=spec.T, N=N)
-    lattice = build_lattice(spec, tg, trinomial(tg.h))
+    lattice = build_lattice(spec, tg)
     impl = run_backward(SchemeConfig(kind="implicit_euler"), lattice, spec)
     fp = run_backward(
         SchemeConfig(kind="full_projection_pre", truncation=trunc),

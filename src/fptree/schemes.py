@@ -90,12 +90,12 @@ class SolverError(RuntimeError):
 class SchemeConfig:
     """Which backward operator to run and with what parameters.
 
-    truncation is required for the full-projection kinds and ignored by
-    the others.
+    theta is required for kind "theta" and truncation for the
+    full-projection kinds; every other kind rejects them.
     """
 
     kind: str
-    theta: float = 1.0
+    theta: Optional[float] = None
     truncation: Optional[TruncationConfig] = None
 
     def __post_init__(self):
@@ -104,9 +104,15 @@ class SchemeConfig:
                 "unknown scheme kind %r; expected one of %s"
                 % (self.kind, ", ".join(SCHEME_KINDS))
             )
-        if self.kind == "theta" and not 0.0 <= self.theta <= 1.0:
+        if self.kind != "theta":
+            if self.theta is not None:
+                raise SchemeError("kind %r takes no theta" % (self.kind,))
+        elif self.theta is None or not 0.0 <= self.theta <= 1.0:
             raise SchemeError("theta must lie in [0, 1]")
-        if self.kind in _FP_KINDS and self.truncation is None:
+        if self.kind not in _FP_KINDS:
+            if self.truncation is not None:
+                raise SchemeError("kind %r takes no truncation" % (self.kind,))
+        elif self.truncation is None:
             raise SchemeError("full-projection kinds require a TruncationConfig")
 
 
@@ -171,7 +177,8 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     means the driver's slope exceeds the declared M_y.  Every node runs
     its own Newton iteration from m, masked over the level, bisecting
     whenever a step leaves the bracket.  A Newton step that returns its
-    iterate would repeat forever, so the node stops there.  A node
+    iterate would repeat forever, so the node stops there; so does a
+    node whose bracket holds no float strictly inside.  A node
     short of the tolerance when it stops, or after _MAX_ITER steps, is
     accepted when F changes sign between its iterate and the adjacent
     float toward the root.  Nodes with non-finite m or z give nan; they
@@ -205,7 +212,8 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     started = live.copy()
 
     # Newton from m, falling back to bisection outside the bracket;
-    # converged and stalled nodes freeze and drop out of `live`
+    # converged and stalled nodes, and nodes whose bracket is two
+    # adjacent floats, freeze and drop out of `live`
     lo = np.minimum(m, b)
     hi = np.maximum(m, b)
     yv = m
@@ -225,6 +233,7 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
         up = fy > 0.0
         hi = np.where(up & (yv < hi), yv, hi)
         lo = np.where(up | (yv <= lo), lo, yv)
+        live &= np.nextafter(lo, hi) < hi
         yv = np.where(live, y_new, yv)
     # `done` is |F(yv)| <= tol at every node the loop stopped; a node
     # still live after _MAX_ITER steps has moved since and is evaluated

@@ -60,7 +60,7 @@ def child_indices(lattice, level, pos):
 
 def build(model, N, grid=None):
     tg = fp.TimeGrid(T=model.T, N=N)
-    return fp.build_lattice(model, tg, fp.trinomial(tg.h), grid)
+    return fp.build_lattice(model, tg, grid)
 
 
 def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,

@@ -49,8 +49,8 @@ class TestConvergenceStudy:
                     reference=1.0, timing=False,
                 )
 
-    def test_exploded_entries_excluded_from_fit(self, exp2_model, exp2_trunc):
-        cfg = fp.SchemeConfig(kind="explicit_euler", truncation=exp2_trunc)
+    def test_exploded_entries_excluded_from_fit(self, exp2_model):
+        cfg = fp.SchemeConfig(kind="explicit_euler")
         report = fp.convergence_study(
             exp2_model, cfg, [build(exp2_model, N) for N in (10, 15, 25)],
             reference=0.0, timing=False,
@@ -91,9 +91,9 @@ class TestFitSlope:
 
 
 class TestSupNorm:
-    def test_explicit_blowup_counted(self, exp2_model, exp2_trunc):
+    def test_explicit_blowup_counted(self, exp2_model):
         lattice = build(exp2_model, 15)
-        cfg = fp.SchemeConfig(kind="explicit_euler", truncation=exp2_trunc)
+        cfg = fp.SchemeConfig(kind="explicit_euler")
         run = fp.run_backward(cfg, lattice, exp2_model)
         ledger = fp.sup_norm_check(run)
         assert ledger.kind == "sup_norm"
@@ -219,7 +219,8 @@ def _perturbed(g):
 
 def _all_ledgers(model, trunc, N, kind):
     lattice = build(model, N)
-    cfg = fp.SchemeConfig(kind=kind, truncation=trunc)
+    cfg = fp.SchemeConfig(
+        kind=kind, truncation=trunc if kind.startswith("full_") else None)
     run = fp.run_backward(cfg, lattice, model)
     run2 = fp.run_backward(cfg, lattice, model, terminal=_perturbed(model.g))
     return run, [

@@ -349,11 +349,13 @@ class TestConfigPlumbing:
         assert named in result.output
 
     @pytest.mark.parametrize("flag, value", [
-        ("--N", "5"), ("--weight-rule", "raw"),
+        ("--N", "5"), ("--weight-rule", "raw"), ("--tol", "1e-9"),
+        ("--seed", "0"),
     ])
     def test_unknown_flags_rejected(self, runner, tmp_path, flag, value):
+        command = "check" if flag in ("--tol", "--seed") else "convergence"
         result = runner.invoke(main, [
-            "convergence", "--preset", "linear-oracle", flag, value,
+            command, "--preset", "linear-oracle", flag, value,
             "--out", str(tmp_path / "art"),
         ])
         assert result.exit_code == 2, result.output

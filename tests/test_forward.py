@@ -1,6 +1,5 @@
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,15 +13,10 @@ from fptree.model import ModelSpec, constant_b_sigma
 from conftest import build, child_indices
 
 
-def one_step(spec, dw, h, grid):
-    """build_lattice over one step of size h, increments (-dw, 0, dw)."""
-    sq = Fraction(dw) ** 2
-    dist = fp.IncrementDistribution(
-        points=(-dw, 0.0, dw), weights=(1 / 6, 2 / 3, 1 / 6),
-        weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
-        squares_exact=(sq, Fraction(0), sq),
-    )
-    return fp.build_lattice(spec, fp.TimeGrid(T=h, N=1), dist, grid)
+def one_step(spec, h, grid):
+    """build_lattice over one step of size h, increments
+    (-sqrt(3h), 0, sqrt(3h))."""
+    return fp.build_lattice(spec, fp.TimeGrid(T=h, N=1), grid)
 
 
 def child_state(lat, branch):
@@ -34,13 +28,15 @@ class TestEulerStep:
     """One grid-aligned step lands on x + b h + sigma dw exactly."""
 
     def test_constant_coefficients(self):
-        # experiment1's b=0, sigma=1.5 from x=1 with dw=0.2, h=0.1
+        # experiment1's b=0, sigma=1.5 from x=1 with h=3/16, dw=0.75
         m = fp.make_constant_model(
             T=1.0, x0=1.0, b=0.0, sigma=1.5,
             g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
         )
-        grid = fp.SpatialGrid(x0=1.0, eta=1.5 * 0.2, M=4)
-        assert child_state(one_step(m, 0.2, 0.1, grid), 2) == 1.0 + 1.5 * 0.2
+        grid = fp.SpatialGrid(x0=1.0, eta=1.5 * 0.75, M=4)
+        lat = one_step(m, 0.1875, grid)
+        assert lat.dist.points == (-0.75, 0.0, 0.75)
+        assert child_state(lat, 2) == 1.0 + 1.5 * 0.75
 
     def test_drift(self):
         m = fp.make_constant_model(
@@ -48,32 +44,39 @@ class TestEulerStep:
             g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
         )
         grid = fp.SpatialGrid(x0=1.0, eta=0.5, M=4)
-        assert child_state(one_step(m, 0.3, 0.25, grid), 1) == 1.5
+        assert child_state(one_step(m, 0.25, grid), 1) == 1.5
 
     def test_operation_order(self):
-        # (x + b h) + sigma dw = 0.5499999999999999 projects down to 0.3;
-        # x + (b h + sigma dw) = 0.55 would land one cell up, on 0.8
+        # h = 1/3 gives dw = 1: (x + b h) + sigma dw = 0.5499999999999999
+        # projects down to 0.45; x + (b h + sigma dw) = 0.55 would land
+        # one cell up, on 0.65
         m = fp.make_constant_model(
-            T=1.0, x0=0.3, b=0.2, sigma=0.5,
+            T=1.0, x0=0.25, b=0.6, sigma=0.1,
             g=fp.quadratic_g(), driver=fp.poly_driver((0.0,)),
         )
-        grid = fp.SpatialGrid(x0=0.3, eta=0.5, M=4)
-        assert (0.3 + 0.2 * 0.2) + 0.5 * 0.42 < 0.3 + (0.2 * 0.2 + 0.5 * 0.42)
-        assert child_state(one_step(m, 0.42, 0.2, grid), 2) == 0.3
+        grid = fp.SpatialGrid(x0=0.25, eta=0.2, M=4)
+        h = 1 / 3
+        assert (0.25 + 0.6 * h) + 0.1 * 1.0 < 0.25 + (0.6 * h + 0.1 * 1.0)
+        assert float(fp.grid_project(grid, 0.25 + (0.6 * h + 0.1))) == 0.65
+        lat = one_step(m, h, grid)
+        assert lat.dist.points[2] == 1.0
+        assert child_state(lat, 2) == 0.45
 
 
 class TestQuantizedStep:
     def test_projects_to_grid(self):
         m = fp.experiment1_model()
         grid = fp.SpatialGrid(x0=0.0, eta=0.1, M=100)
-        lat = one_step(m, 0.2, 0.1, grid)
-        assert child_state(lat, 2) == pytest.approx(0.3)
+        # sigma dw = 1.5 * 0.75 = 1.125 projects to 1.1
+        lat = one_step(m, 0.1875, grid)
+        assert child_state(lat, 2) == pytest.approx(1.1)
+        assert child_state(lat, 0) == pytest.approx(-1.1)
         assert lat.saturation_count == 0
 
     def test_saturates_at_hull(self):
         m = fp.experiment1_model()
         grid = fp.SpatialGrid(x0=0.0, eta=0.1, M=3)
-        lat = one_step(m, 10.0, 0.1, grid)
+        lat = one_step(m, 0.1875, grid)
         assert child_state(lat, 2) == pytest.approx(0.3)
         assert child_state(lat, 0) == pytest.approx(-0.3)
         assert lat.saturation_count == 2
@@ -135,15 +138,15 @@ class TestBuildLattice:
         )
         tg = fp.TimeGrid(T=1.0, N=4)
         with pytest.raises(ConfigurationError):
-            fp.build_lattice(m, tg, fp.trinomial(tg.h))
+            fp.build_lattice(m, tg)
 
     def test_grid_aligned_to_tree_is_identity(self):
         m = fp.experiment1_model()
         tg = fp.TimeGrid(T=1.0, N=4)
         step = 1.5 * math.sqrt(3 * tg.h)
         grid = fp.SpatialGrid(x0=0.0, eta=step, M=8)
-        free = fp.build_lattice(m, tg, fp.trinomial(tg.h))
-        gridded = fp.build_lattice(m, tg, fp.trinomial(tg.h), grid)
+        free = fp.build_lattice(m, tg)
+        gridded = fp.build_lattice(m, tg, grid)
         for a, b in zip(free.supports, gridded.supports):
             assert tuple(a) == pytest.approx(tuple(b))
         assert gridded.saturation_count == 0
@@ -152,7 +155,7 @@ class TestBuildLattice:
         m = fp.experiment1_model()
         tg = fp.TimeGrid(T=1.0, N=6)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=3)
-        lat = fp.build_lattice(m, tg, fp.trinomial(tg.h), grid)
+        lat = fp.build_lattice(m, tg, grid)
         assert lat.saturation_count > 0
         hull = 0.5 * 3
         for s in lat.supports:
@@ -283,7 +286,7 @@ class TestArrayLattice:
         tg = fp.TimeGrid(T=1.0, N=N)
         dist = fp.trinomial(tg.h)
 
-        tree = fp.build_lattice(spec, tg, dist)
+        tree = fp.build_lattice(spec, tg)
         for got, want in zip(tree.supports, tuple_tree_supports(spec, tg, dist),
                              strict=True):
             assert got.dtype == np.float64
@@ -300,7 +303,7 @@ class TestArrayLattice:
             assert bitwise_equal(law[i + 1], m)
 
         grid = fp.SpatialGrid(x0=x0, eta=eta, M=M)
-        lat = fp.build_lattice(spec, tg, dist, grid)
+        lat = fp.build_lattice(spec, tg, grid)
         supports, children, saturation = tuple_grid_lattice(spec, tg, dist,
                                                             grid)
         assert lat.saturation_count == saturation
@@ -326,7 +329,7 @@ class TestArrayLattice:
         spec = fp.experiment1_model()
         tg = fp.TimeGrid(T=1.0, N=9)
         dist = fp.trinomial(tg.h)
-        lat = fp.build_lattice(spec, tg, dist, grid)
+        lat = fp.build_lattice(spec, tg, grid)
         if grid is None:
             want = tuple_dump(lat, tuple_tree_supports(spec, tg, dist), None)
         else:
@@ -351,7 +354,7 @@ class TestArrayLattice:
         tg = fp.TimeGrid(T=1.0, N=N)
         dist = fp.trinomial(tg.h)
         grid = fp.SpatialGrid(x0=0.0, eta=eta, M=M)
-        lat = fp.build_lattice(spec, tg, dist, grid)
+        lat = fp.build_lattice(spec, tg, grid)
         supports, children, saturation = tuple_grid_lattice(spec, tg, dist,
                                                             grid)
         grid_levels_equal(lat, supports, children)
@@ -369,7 +372,7 @@ class TestArrayLattice:
                 ConfigurationError,
                 match=r"level 1 node %d \(branch 0\).* non-finite state %s"
                 % (node, value)):
-            fp.build_lattice(spec, tg, fp.trinomial(tg.h), grid)
+            fp.build_lattice(spec, tg, grid)
 
     def test_huge_finite_step_saturates_on_its_side(self):
         # from level 1 (-1, 0, 1) the outer nodes step to -+2.5e299,
@@ -379,7 +382,7 @@ class TestArrayLattice:
             lambda t, x: 1.0)
         tg = fp.TimeGrid(T=1.0, N=4)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
-        lat = fp.build_lattice(spec, tg, fp.trinomial(tg.h), grid)
+        lat = fp.build_lattice(spec, tg, grid)
         assert lat.supports[1].tolist() == [-1.0, 0.0, 1.0]
         low, high = lat.supports[2][lat.children[1][[0, 2]]]
         assert low.tolist() == [-5.0] * 3 and high.tolist() == [5.0] * 3

@@ -122,11 +122,6 @@ class TestIncrementWeights:
             math.sqrt(2 * h) * math.log(1 / h), abs=1e-15
         )
 
-    def test_truncate_increment(self):
-        assert fp.truncate_increment(0.5, 0.3) == 0.3
-        assert fp.truncate_increment(0.5, 0.7) == 0.5
-        assert fp.truncate_increment(0.5, -0.7) == -0.5
-
     def test_trinomial_points_and_weights(self):
         tri = fp.trinomial(0.03)
         assert tri.points == (-0.3, 0.0, 0.3)
@@ -182,16 +177,6 @@ class TestIncrementWeights:
         assert fp.increment_radius(h) < math.sqrt(3 * h)
         H, lam = fp.weight_values(tri, h)
         assert 0.0 < lam < 1.0
-
-    def test_degenerate_distribution_rejected(self):
-        dist = fp.IncrementDistribution(
-            points=(0.0, 0.0, 0.0),
-            weights=(1 / 6, 2 / 3, 1 / 6),
-            weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
-            squares_exact=(Fraction(0), Fraction(0), Fraction(0)),
-        )
-        with pytest.raises(ConfigurationError):
-            fp.weight_values(dist, 0.05)
 
 
 class TestSpatialGrid:

@@ -205,6 +205,20 @@ class TestClosedFormBracket:
         assert abs(y[1] - scalar_solve(1.0, 0.0, hh, driver.eval,
                                        driver.dfdy)) <= 4e-12
 
+    def test_alternating_adjacent_floats_stop(self):
+        # Newton alternates between the adjacent floats -64.49901683760109
+        # (F = -6.3e-8) and -64.49901683760108 (F = 5.0e-8), each step
+        # returning the other, against the tolerance 5.6e-10; once the
+        # bracket is those two floats the node stops instead of running
+        # out its 100 iterations
+        driver = fp.poly_driver(
+            (-0.7364540870016669, -0.16290994799305278, -0.48211931267997826,
+             0.5988462126346276, 0.03972210748165899, -0.2924567509650886),
+            z_coeff=-0.7819084623568421)
+        m, z, hh = -559.4933527097415, 418182960.77212954, 0.269690207037431
+        y, iters = _solve(np.array([m]), np.array([z]), driver, hh)
+        assert y[0] == -64.49901683760108 and iters[0] == 17
+
     def test_declared_slope_below_true_slope_raises(self):
         # f = y - y^3 has slope 1 at 0; declared 0, the bracket end
         # falls short of the root and the sign check fails
@@ -288,6 +302,39 @@ class TestRunBackward:
             fp.run_backward(
                 fp.SchemeConfig(kind="full_projection_pre"), lat, m
             )
+
+    @pytest.mark.parametrize("kind", ["explicit_euler", "implicit_euler",
+                                      "full_projection_pre",
+                                      "full_projection_post"])
+    def test_theta_rejected_outside_theta_kind(self, kind):
+        trunc = fp.TruncationConfig() if kind.startswith("full_") else None
+        with pytest.raises(SchemeError, match="takes no theta"):
+            fp.SchemeConfig(kind=kind, theta=0.5, truncation=trunc)
+
+    @pytest.mark.parametrize("kind, theta", [
+        ("explicit_euler", None), ("implicit_euler", None), ("theta", 0.5),
+    ])
+    def test_truncation_rejected_outside_fp_kinds(self, kind, theta):
+        with pytest.raises(SchemeError, match="takes no truncation"):
+            fp.SchemeConfig(kind=kind, theta=theta,
+                            truncation=fp.TruncationConfig())
+
+    def test_theta_kind_requires_theta(self):
+        with pytest.raises(SchemeError, match=r"theta must lie in \[0, 1\]"):
+            fp.SchemeConfig(kind="theta")
+
+    @pytest.mark.parametrize("preset, N, iterations, y0", [
+        ("experiment1", 120, 54598, 0.5785999412151437),
+        ("experiment2", 15, 1016, 0.0),
+    ])
+    def test_implicit_preset_counts_pinned(self, preset, N, iterations, y0):
+        # the Newton stopping rules may only drop iterations that cannot
+        # move y: the preset totals and the bits of Y0 stay put
+        m = getattr(fp, preset + "_model")()
+        run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"),
+                              build(m, N), m)
+        assert run.solver_iterations_total == iterations
+        assert run.y0.hex() == y0.hex()
 
     def test_unknown_kind(self):
         m = fp.linear_model()
@@ -498,7 +545,9 @@ class TestScalarReference:
                                       g=fp.quadratic_g(), driver=driver)
         top = 1.0 if driver.m == 1 else 1.0 / (2 * (driver.m - 1))
         trunc = fp.TruncationConfig(R0=R0, alpha=alpha_frac * top, mode=mode)
-        cfg = fp.SchemeConfig(kind=kind[0], theta=kind[1], truncation=trunc)
+        cfg = fp.SchemeConfig(
+            kind=kind[0], theta=kind[1] if kind[0] == "theta" else None,
+            truncation=trunc if kind[0].startswith("full_") else None)
         grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=80) if projected else None
         lattice = build(spec, N, grid)
 
