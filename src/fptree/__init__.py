@@ -21,6 +21,7 @@ from .analysis import (
 )
 from .forward import build_lattice, dump_lattice
 from .grids import (
+    WEIGHTS,
     ConfigurationError,
     SpatialGrid,
     TimeGrid,
@@ -30,8 +31,8 @@ from .grids import (
     grid_project,
     grid_project_index,
     increment_radius,
+    increments,
     moment_exact,
-    trinomial,
     truncate,
     truncation_radius,
     weight_values,

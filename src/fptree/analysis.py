@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import TruncationConfig, truncate
+from .grids import WEIGHTS, TruncationConfig, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
 from .treeval import chain_law, l2_norm, level_sum
@@ -390,7 +390,7 @@ def one_step_checks(
     drv = spec.driver
     tg = lattice.time_grid
     h = tg.h
-    W = np.array(lattice.weights)[:, None]
+    W = np.array(WEIGHTS)[:, None]
 
     reasons = []
     if drv.L_z > 0:

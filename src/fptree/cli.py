@@ -34,6 +34,7 @@ from . import analysis
 from .analysis import convergence_study, minmax_processes
 from .forward import build_lattice, dump_lattice
 from .grids import (
+    WEIGHTS,
     ConfigurationError,
     SpatialGrid,
     TimeGrid,
@@ -43,7 +44,6 @@ from .grids import (
     grid_project,
     increment_radius,
     moment_exact,
-    trinomial,
     truncate,
     truncation_radius,
     weight_values,
@@ -555,8 +555,8 @@ def _reference_for(st: Settings) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _suite_model_assumptions(st: Settings, budget: int):
-    report = validate_model(st.model, probe_budget=budget)
+def _suite_model_assumptions(st: Settings):
+    report = validate_model(st.model)
     if report.passed:
         return True, "all %d assumption checks passed" % len(report.checks)
     parts = [
@@ -569,13 +569,12 @@ def _suite_model_assumptions(st: Settings, budget: int):
 def _suite_moments(st: Settings):
     for N in st.ns:
         h = st.model.T / N
-        dist = trinomial(h)
         for k in range(6):
-            lhs = moment_exact(dist, k)
+            lhs = moment_exact(h, k)
             rhs = gaussian_moment_exact(h, k)
             if lhs != rhs:
                 return False, "order-%d moment mismatch at N=%d" % (k, N)
-        if moment_exact(dist, 6) == gaussian_moment_exact(h, 6):
+        if moment_exact(h, 6) == gaussian_moment_exact(h, 6):
             return False, "order-6 moment unexpectedly Gaussian at N=%d" % N
     return True, "orders 0..5 exact, order 6 non-Gaussian, for all Ns"
 
@@ -583,9 +582,8 @@ def _suite_moments(st: Settings):
 def _suite_weights(st: Settings):
     for N in st.ns:
         h = st.model.T / N
-        dist = trinomial(h)
-        H, lam = weight_values(dist, h)
-        mean = math.fsum(w * hj for w, hj in zip(dist.weights, H))
+        H, lam = weight_values(h)
+        mean = math.fsum(w * hj for w, hj in zip(WEIGHTS, H))
         if mean != 0.0:
             return False, "H mean %r nonzero at N=%d" % (mean, N)
         if lam > 1.0:
@@ -674,13 +672,11 @@ def main():
 
 @main.command()
 @_shared_options
-@click.option("--probe-budget", type=int, default=10_000)
-def check(probe_budget, **kw):
+def check(**kw):
     """Run the invariant suites; exit 0 iff all pass."""
     st = _settings(kw)
     suites = [
-        ("model_assumptions",
-         lambda: _suite_model_assumptions(st, probe_budget)),
+        ("model_assumptions", lambda: _suite_model_assumptions(st)),
         ("trinomial_moments", lambda: _suite_moments(st)),
         ("weights", lambda: _suite_weights(st)),
         ("truncation", lambda: _suite_truncation(st)),

@@ -1,16 +1,17 @@
 """Forward chains and the recombining lattice.
 
 The forward component X is discretized by the Euler step; replacing the
-Gaussian increment with the moment-matched trinomial distribution (the
-one increment law every lattice uses) turns the chain into a recombining
-lattice on which conditional expectations are finite sums.  With
-constant b and sigma no spatial projection is needed and level i
-carries exactly 2i+1 states.  With state-dependent coefficients
-recombination is lost, so each step is projected onto a uniform spatial
-grid; saturation at the grid hull is tolerated but counted.  The
-projected lattice is built a level at a time: b(t, x) and sigma(t, x)
-are called once per level with a float t and the float64 array x of
-the level's states, so they must accept arrays.
+Gaussian increment with the moment-matched trinomial law (the branch
+weights grids.WEIGHTS and the increments grids.increments(h), the one
+law every lattice uses) turns the chain into a recombining lattice on
+which conditional expectations are finite sums.  With constant b and
+sigma no spatial projection is needed and level i carries exactly 2i+1
+states.  With state-dependent coefficients recombination is lost, so
+each step is projected onto a uniform spatial grid; saturation at the
+grid hull is tolerated but counted.  The projected lattice is built a
+level at a time: b(t, x) and sigma(t, x) are called once per level with
+a float t and the float64 array x of the level's states, so they must
+accept arrays.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .grids import (
+    WEIGHTS,
     ConfigurationError,
-    IncrementDistribution,
     SpatialGrid,
     TimeGrid,
     grid_project_index,
-    trinomial,
+    increments,
 )
 from .model import ModelSpec
 
@@ -44,14 +45,14 @@ class Lattice:
     supports[i] is the float64 array of the states of level i, in
     increasing order.  When children is None the lattice is the
     constant-coefficient trinomial tree and node p at level i has
-    children (p, p+1, p+2) at level i+1, in the order of dist.points;
-    otherwise children[i] is the (n_i, 3) int64 array of the projected
-    child indices.  Branch weights and increments are those of dist,
-    the trinomial of the step size, at every node.
+    children (p, p+1, p+2) at level i+1, in the order of
+    increments(h); otherwise children[i] is the (n_i, 3) int64 array of
+    the projected child indices.  The lattice stores no increment law:
+    the branch weights are the constant WEIGHTS and the increments are
+    increments(time_grid.h), the same at every node.
     """
 
     time_grid: TimeGrid
-    dist: IncrementDistribution
     supports: Tuple[np.ndarray, ...]
     children: Optional[Tuple[np.ndarray, ...]]
     saturation_count: int
@@ -69,16 +70,12 @@ class Lattice:
         if self.children is None:
             # row j is values[j:j + n]; unlike as_strided, the constructor
             # checks the bounds and keeps no per-call cache
-            block = np.ndarray((len(self.weights), len(self.supports[level])),
+            block = np.ndarray((len(WEIGHTS), len(self.supports[level])),
                                dtype=values.dtype, buffer=values,
                                strides=values.strides * 2)
             block.flags.writeable = False
             return block
         return values[self.children[level].T]
-
-    @property
-    def weights(self) -> Tuple[float, ...]:
-        return self.dist.weights
 
 
 def build_lattice(
@@ -88,7 +85,7 @@ def build_lattice(
 ) -> Lattice:
     """Build the forward lattice of the time grid's trinomial increments.
 
-    The increments are trinomial(tg.h), the same law for every lattice.
+    The increments are increments(tg.h), the same law for every lattice.
     Without a spatial grid the coefficients must be constant, which is
     what guarantees recombination; level i then holds
     x0 + b t_i + sigma k sqrt(3h) for k in {-i..i}.  With a grid, every
@@ -97,7 +94,6 @@ def build_lattice(
     ConfigurationError naming its level and node.
     """
     h = tg.h
-    dist = trinomial(h)
     if grid is None:
         if not spec.has_constant_coefficients:
             raise ConfigurationError(
@@ -109,10 +105,10 @@ def build_lattice(
         # sigma * k * step for k in -N..N, taken in the order of the
         # scalar formula x0 + b t_i + sigma (k step); level i adds its
         # base to the middle 2i+1 entries
-        offsets = spec.sigma_const * (np.arange(-N, N + 1.0) * dist.points[-1])
+        step = increments(h)[-1]
+        offsets = spec.sigma_const * (np.arange(-N, N + 1.0) * step)
         return Lattice(
             time_grid=tg,
-            dist=dist,
             supports=tuple(
                 (spec.x0 + b0 * (i * h)) + offsets[N - i:N + i + 1]
                 for i in range(N + 1)
@@ -125,7 +121,7 @@ def build_lattice(
     saturation = int(sat)
     supports = [grid.point(k.reshape(1))]
     children = []
-    dws = np.array(dist.points)
+    dws = np.array(increments(h))
     for i, t in enumerate(tg.times[:-1]):
         # the (nodes, branches) block of Euler steps from level i
         x = supports[i][:, None]
@@ -143,7 +139,6 @@ def build_lattice(
         supports.append(grid.point(states))
     return Lattice(
         time_grid=tg,
-        dist=dist,
         supports=tuple(supports),
         children=tuple(children),
         saturation_count=saturation,
@@ -170,8 +165,8 @@ def dump_lattice(lattice: Lattice) -> dict:
         "T": tg.T,
         "N": tg.N,
         "h": tg.h,
-        "weights": list(lattice.weights),
-        "increments": list(lattice.dist.points),
+        "weights": list(WEIGHTS),
+        "increments": list(increments(tg.h)),
         "saturation_count": lattice.saturation_count,
         "levels": levels,
     }

@@ -2,16 +2,19 @@
 
 This module owns the small deterministic objects the schemes are built
 from: the uniform time grid, the polynomial-radius truncation
-T(y) = min(1, R/|y|) y with R = R0 * h^{-alpha}, the truncated-increment
-weight family H_j with its normalization Lambda, the moment-matched
-trinomial increment distribution, and the spatial grid with nearest-point
+T(y) = min(1, R/|y|) y with R = R0 * h^{-alpha}, the moment-matched
+trinomial increment law, the truncated-increment weight family H_j
+with its normalization Lambda, and the spatial grid with nearest-point
 projection.
 
-Moments and Lambda are computed in exact rational arithmetic.  The
-trinomial points are +-sqrt(3h) whose squares are rational, so even
-moments are exact Fractions and odd moments vanish by symmetry; this is
-what makes "moments 0..5 equal the Gaussian's exactly" a testable
-statement rather than a tolerance game.
+The trinomial law is a constant of h, not an object: its branch
+weights are WEIGHTS = (1/6, 2/3, 1/6) at every step, its increments
+are increments(h) = (-sqrt(3h), 0, sqrt(3h)), and moment_exact(h, k)
+and weight_values(h) are closed forms in h.  Moments and Lambda are
+computed in exact rational arithmetic: the squared increments 3h are
+rational, so even moments are exact Fractions and odd moments vanish
+by symmetry; this is what makes "moments 0..5 equal the Gaussian's
+exactly" a testable statement rather than a tolerance game.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ __all__ = [
     "truncation_radius",
     "truncate",
     "increment_radius",
-    "trinomial",
+    "WEIGHTS",
+    "increments",
     "moment_exact",
     "gaussian_moment_exact",
     "weight_values",
@@ -170,56 +174,38 @@ def increment_radius(h: float) -> float:
     return math.sqrt(2.0 * h) * math.log(1.0 / h)
 
 
-@dataclass(frozen=True)
-class IncrementDistribution:
-    """Discrete stand-in for a Brownian increment over one step.
-
-    Built only by :func:`trinomial`, so the support is always the
-    symmetric (-sqrt(3h), 0, sqrt(3h)).  points and weights are the
-    float support; weights_exact and squares_exact carry the rational
-    data used by the exact moment and Lambda computations.
-    """
-
-    points: Tuple[float, ...]
-    weights: Tuple[float, ...]
-    weights_exact: Tuple[Fraction, ...]
-    squares_exact: Tuple[Fraction, ...]
+# The trinomial increment law: support (-sqrt(3h), 0, sqrt(3h)) with
+# these branch weights, the same at every node of every lattice.
+WEIGHTS = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 
-def trinomial(h: float) -> IncrementDistribution:
-    """Three-point distribution matching N(0, h) moments through order 5.
+def increments(h: float) -> Tuple[float, float, float]:
+    """The trinomial increments (-sqrt(3h), 0, sqrt(3h)), in branch order.
 
-    The only constructor of IncrementDistribution.  Support
-    (-sqrt(3h), 0, +sqrt(3h)) with weights (1/6, 2/3, 1/6).  Order 6 is
-    the first mismatch: 9h^3 against the Gaussian 15h^3.
+    With WEIGHTS they match the N(0, h) moments through order 5.
     """
     if not h > 0:
         raise ConfigurationError("h must be positive, got %r" % (h,))
     g = math.sqrt(3.0 * h)
-    sq = 3 * Fraction(h)
-    return IncrementDistribution(
-        points=(-g, 0.0, g),
-        weights=(1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0),
-        weights_exact=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
-        squares_exact=(sq, Fraction(0), sq),
-    )
+    return (-g, 0.0, g)
 
 
-def moment_exact(dist: IncrementDistribution, k: int) -> Fraction:
-    """k-th moment as an exact Fraction.
+def moment_exact(h: float, k: int) -> Fraction:
+    """k-th moment of the trinomial increment as an exact Fraction.
 
-    Odd moments of the symmetric trinomial are exactly zero; even
-    moments use the rational point squares.
+    Odd moments vanish by symmetry; the even ones are (3h)^{k/2} / 3
+    for k > 0, with h taken at its binary value.  Order 6 is the first
+    mismatch with the Gaussian: 9h^3 against 15h^3.
     """
+    if not h > 0:
+        raise ConfigurationError("h must be positive, got %r" % (h,))
     if k < 0:
         raise ConfigurationError("moment order must be >= 0")
     if k % 2 == 1:
         return Fraction(0)
-    half = k // 2
-    return sum(
-        (w * sq ** half for w, sq in zip(dist.weights_exact, dist.squares_exact)),
-        Fraction(0),
-    )
+    if k == 0:
+        return Fraction(1)
+    return (3 * Fraction(h)) ** (k // 2) / 3
 
 
 def gaussian_moment_exact(h: float, k: int) -> Fraction:
@@ -237,33 +223,23 @@ def gaussian_moment_exact(h: float, k: int) -> Fraction:
     return double_fact * Fraction(h) ** (k // 2)
 
 
-def weight_values(
-    dist: IncrementDistribution, h: float
-) -> Tuple[Tuple[float, ...], float]:
+def weight_values(h: float) -> Tuple[Tuple[float, float, float], float]:
     """Per-branch weights H_j = clamp(g_j) / h and their Lambda.
 
-    Each increment is clamped to [-r_h, r_h] with
-    r_h = increment_radius(h) before dividing by h.  The radius
-    sqrt(2h) ln(1/h) is positive only for h < 1, so at h >= 1 no
-    increment is clamped.
+    The outer increments +-g, g = sqrt(3h), are clamped to
+    [-r_h, r_h] with r_h = increment_radius(h) before dividing by h.
+    The radius sqrt(2h) ln(1/h) is positive only for h < 1, so at
+    h >= 1 no increment is clamped.
 
-    Lambda = h * sum_j p_j H_j^2 is evaluated in exact rational
-    arithmetic: unclamped branches contribute their exact point square,
-    clamped branches the exact square of the clamp radius.  For the
-    trinomial this yields Lambda = 1 exactly when no increment is
-    clamped, and r_h^2 / (3h) with r_h < sqrt(3h), so 0 < Lambda < 1,
-    when the outer two are.
+    Lambda = h * sum_j p_j H_j^2 is exactly 1 when no increment is
+    clamped.  When the outer two are, it is r_h^2 / (3h), evaluated in
+    exact rational arithmetic and rounded once; r_h < g, so
+    0 < Lambda < 1.
     """
-    if not h > 0:
-        raise ConfigurationError("h must be positive, got %r" % (h,))
-    r_h = increment_radius(h) if h < 1.0 else math.inf
-    hs = []
-    lam = Fraction(0)
-    for g, w, sq in zip(dist.points, dist.weights_exact, dist.squares_exact):
-        c = min(max(g, -r_h), r_h)
-        hs.append(c / h)
-        lam += w * (sq if c == g else Fraction(c) ** 2)
-    return tuple(hs), float(lam / Fraction(h))
+    g = increments(h)[2]
+    c = min(g, increment_radius(h)) if h < 1.0 else g
+    lam = 1.0 if c == g else float(Fraction(c) ** 2 / (3 * Fraction(h)))
+    return (-c / h, 0.0, c / h), lam
 
 
 # ---------------------------------------------------------------------------

@@ -402,11 +402,12 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-# half-widths of the y and z ranges validate_model probes, and the
-# tolerance of its residuals
+# half-widths of the y and z ranges validate_model probes, the
+# tolerance of its residuals and the size of its sample
 Y_MAX = 50.0
 Z_MAX = 50.0
 PROBE_TOL = 1e-9
+PROBE_BUDGET = 10_000
 
 
 # Kronecker (additive recurrence) sequence based on the generalized
@@ -422,11 +423,10 @@ def _kronecker(n: int, dim: int):
     return out
 
 
-def validate_model(spec: ModelSpec,
-                   probe_budget: int = 10_000) -> ValidationReport:
+def validate_model(spec: ModelSpec) -> ValidationReport:
     """Probe the declared assumption constants on a deterministic sample.
 
-    Each assumption is evaluated on `probe_budget` low-discrepancy
+    Each assumption is evaluated on PROBE_BUDGET low-discrepancy
     points of the box [-Y_MAX, Y_MAX]^2 x [-Z_MAX, Z_MAX]^2; the pair
     list additionally contains near-coincident pairs (y, y + delta)
     with |delta| <= 1e-3, which is where one-sided Lipschitz violations
@@ -434,12 +434,10 @@ def validate_model(spec: ModelSpec,
     worst observed residual (positive means violated beyond the
     tolerance PROBE_TOL) and a witness point.
 
-    Identical (spec, budget) give bit-identical reports.
+    Identical specs give bit-identical reports.
     """
-    if probe_budget < 1:
-        raise ModelError("probe_budget must be >= 1")
     drv = spec.driver
-    u = _kronecker(probe_budget, 5)
+    u = _kronecker(PROBE_BUDGET, 5)
     ys = (2.0 * u[:, 0] - 1.0) * Y_MAX
     yps = (2.0 * u[:, 1] - 1.0) * Y_MAX
     zs = (2.0 * u[:, 2] - 1.0) * Z_MAX
@@ -533,8 +531,8 @@ def validate_model(spec: ModelSpec,
         ))
 
     # finite coefficient evaluation on sampled (t, x)
-    ts = u[: min(probe_budget, 256), 0] * spec.T
-    xs = (2.0 * u[: min(probe_budget, 256), 1] - 1.0) * Y_MAX
+    ts = u[:256, 0] * spec.T
+    xs = (2.0 * u[:256, 1] - 1.0) * Y_MAX
     bv = np.asarray([spec.b(t, x) for t, x in zip(ts, xs)], dtype=float)
     sv = np.asarray([spec.sigma(t, x) for t, x in zip(ts, xs)], dtype=float)
     ok = bool(np.isfinite(bv).all() and np.isfinite(sv).all())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -163,20 +163,19 @@ _EXTENT_SIGMAS = 6.0
 def fd_solve(
     spec: ModelSpec,
     dx: float = 0.02,
-    dt: Optional[float] = None,
     snapshots: int = 1,
 ) -> PdeSolution:
     """Explicit finite-difference march of the backward semilinear PDE.
 
     The domain is [x0 - 6 sigma sqrt(T), x0 + 6 sigma sqrt(T)]; the
     terminal slice is g; boundary closure sets the second derivative to
-    zero at the edges.  dt defaults to half the tighter of the
-    diffusion CFL bound dx^2/sigma^2 and the reaction bound
-    1/(2 L_react), rounded so the number of steps is a multiple of
-    `snapshots`; an explicit dt above either guard is rejected.  The
-    reaction bound is re-checked each step against the current value
-    range, so drivers that leave the initially observed range are
-    caught instead of silently under-resolved.
+    zero at the edges.  dt is half the tightest of the diffusion CFL
+    bound dx^2/sigma^2, the reaction bound 1/(2 L_react) and the
+    advection bound dx/|b|, rounded so the number of steps is a
+    multiple of `snapshots`.  The reaction bound is re-checked each
+    step against the current value range, so drivers that leave the
+    initially observed range are caught instead of silently
+    under-resolved.
     """
     if not spec.has_constant_coefficients:
         raise OracleError("fd_solve requires constant b and sigma")
@@ -203,14 +202,7 @@ def fd_solve(
     dt_react = 0.5 / l_react if l_react > 0 else math.inf
     dt_adv = dx / abs(b0) if b0 != 0.0 else math.inf
     dt_guard = min(dt_diff, dt_react, dt_adv)
-    if dt is None:
-        dt_target = 0.5 * dt_guard
-    else:
-        if dt > dt_guard:
-            raise ConfigurationError(
-                "dt=%g violates the stability guard %g" % (dt, dt_guard)
-            )
-        dt_target = dt
+    dt_target = 0.5 * dt_guard
     per_block = max(1, int(math.ceil(T / snapshots / dt_target)))
     n_steps = per_block * snapshots
     dt_eff = T / n_steps

@@ -37,7 +37,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import TruncationConfig, check_alpha, truncate, weight_values
+from .grids import (
+    WEIGHTS, TruncationConfig, check_alpha, truncate, weight_values,
+)
 from .model import DriverSpec, ModelSpec
 from .treeval import level_sum
 
@@ -69,7 +71,7 @@ _FAILURES = (
     "implicit residual became non-finite",
     "failed to bracket the implicit root: the driver's slope exceeds "
     "its declared M_y = {M_y:g}",
-    "newton did not converge in %d iterations" % _MAX_ITER,
+    "newton did not converge in {iters} iterations",
 )
 
 
@@ -252,8 +254,8 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     failed[live] = 3
     if failed.any():
         first = int(np.argmax(failed != 0))
-        raise SolverError(_FAILURES[failed[first]].format(M_y=driver.M_y),
-                          node=first)
+        raise SolverError(_FAILURES[failed[first]].format(
+            M_y=driver.M_y, iters=iters[first]), node=first)
     return np.where(ok, yv, math.nan), iters
 
 
@@ -312,8 +314,8 @@ def run_backward(
     pre = trunc if kind == "full_projection_pre" else None
     post = trunc if kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
-    H, lam = weight_values(lattice.dist, h)
-    W = np.array(lattice.weights)[:, None]
+    H, lam = weight_values(h)
+    W = np.array(WEIGHTS)[:, None]
     H = np.array(H)[:, None]
 
     x = lattice.supports[tg.N]

@@ -18,6 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice
+from .grids import WEIGHTS
 
 __all__ = [
     "TreeStructureError",
@@ -61,7 +62,7 @@ def chain_law(lattice: Lattice) -> Tuple[np.ndarray, ...]:
 
     The root point mass is pushed forward through the stencils.
     """
-    w = lattice.weights
+    w = WEIGHTS
     out = [np.ones(1)]
     for i in range(lattice.time_grid.N):
         m = out[-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,40 @@ def col(values):
 
 
 WCOL = col(W)
+
+# the trinomial's branch weights as exact Fractions
+W_EXACT = (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
+
+
+def branch_weight_values(h):
+    """H and Lambda branch by branch: the reference for the closed form
+    of fp.weight_values.
+
+    Each increment of (-sqrt(3h), 0, sqrt(3h)) is clamped to
+    [-r_h, r_h] (no clamp at h >= 1) and divided by h; Lambda sums
+    p_j c_j^2 / h in Fractions, where an unclamped branch contributes
+    its exact square (3h or 0) and a clamped one the square of its
+    float clamp.
+    """
+    g = math.sqrt(3.0 * h)
+    r_h = fp.increment_radius(h) if h < 1.0 else math.inf
+    sq = 3 * Fraction(h)
+    H, lam = [], Fraction(0)
+    for x, w, x2 in zip((-g, 0.0, g), W_EXACT, (sq, Fraction(0), sq)):
+        c = min(max(x, -r_h), r_h)
+        H.append(c / h)
+        lam += w * (x2 if c == x else Fraction(c) ** 2)
+    return tuple(H), float(lam / Fraction(h))
+
+
+def branch_moment(h, k):
+    """The k-th trinomial moment summed branch by branch in Fractions:
+    the reference for fp.moment_exact."""
+    if k % 2 == 1:
+        return Fraction(0)
+    sq = 3 * Fraction(h)
+    return sum((w * x2 ** (k // 2)
+                for w, x2 in zip(W_EXACT, (sq, Fraction(0), sq))), Fraction(0))
 
 
 def scalar_truncate(cfg, h, y):

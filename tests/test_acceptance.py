@@ -23,13 +23,12 @@ from conftest import build
 def test_c1_trinomial_moments_gaussian_through_order_five():
     for N in (5, 20, 120, 320):
         h = 1.0 / N
-        dist = fp.trinomial(h)
         for k in range(6):
-            got = fp.moment_exact(dist, k)
+            got = fp.moment_exact(h, k)
             want = fp.gaussian_moment_exact(h, k)
             assert got == want, "order-%d moment differs at h=%g" % (k, h)
             assert abs(float(got) - float(want)) <= 1e-14
-        got6 = fp.moment_exact(dist, 6)
+        got6 = fp.moment_exact(h, 6)
         want6 = fp.gaussian_moment_exact(h, 6)
         assert got6 == 9 * Fraction(h) ** 3
         assert want6 == 15 * Fraction(h) ** 3
@@ -215,9 +214,8 @@ def test_c8_truncation_weight_and_projection_properties(exp1_trunc):
 
     for N in (5, 10, 20, 40, 80, 120, 160, 320):
         hN = 1.0 / N
-        dist = fp.trinomial(hN)
-        H, lam = fp.weight_values(dist, hN)
-        assert math.fsum(w * hj for w, hj in zip(dist.weights, H)) == 0.0
+        H, lam = fp.weight_values(hN)
+        assert math.fsum(w * hj for w, hj in zip(fp.WEIGHTS, H)) == 0.0
         assert lam <= 1.0
 
     grid = fp.SpatialGrid(x0=0.0, eta=0.1, M=10)

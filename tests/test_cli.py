@@ -37,7 +37,7 @@ class TestCheck:
         out = tmp_path / "art"
         result = runner.invoke(main, [
             "check", "--preset", "experiment1", "--Ns", "5,10",
-            "--probe-budget", "2000", "--out", str(out),
+            "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         assert "PASS model_assumptions" in result.output
@@ -57,9 +57,7 @@ class TestCheck:
             "[model]\nsigma = 1.0\ng = quadratic\n"
             "driver = poly:0,0,0,-1\ndriver-my = -2.0\n"
         )
-        result = runner.invoke(main, [
-            "check", "--config", str(cfg), "--probe-budget", "2000",
-        ])
+        result = runner.invoke(main, ["check", "--config", str(cfg)])
         assert result.exit_code == 1
         assert "FAIL model_assumptions" in result.output
 
@@ -350,10 +348,11 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("flag, value", [
         ("--N", "5"), ("--weight-rule", "raw"), ("--tol", "1e-9"),
-        ("--seed", "0"),
+        ("--seed", "0"), ("--probe-budget", "500"),
     ])
     def test_unknown_flags_rejected(self, runner, tmp_path, flag, value):
-        command = "check" if flag in ("--tol", "--seed") else "convergence"
+        command = ("check" if flag in ("--tol", "--seed", "--probe-budget")
+                   else "convergence")
         result = runner.invoke(main, [
             command, "--preset", "linear-oracle", flag, value,
             "--out", str(tmp_path / "art"),
@@ -377,9 +376,7 @@ class TestConfigPlumbing:
         out = tmp_path / "art"
         cfg = tmp_path / "flat.cfg"
         cfg.write_text("ns = 5\nout = %s\n" % out)
-        result = runner.invoke(main, [
-            "check", "--config", str(cfg), "--probe-budget", "500",
-        ])
+        result = runner.invoke(main, ["check", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         assert read_json(out / "check_report.json")["passed"] is True
 
@@ -408,8 +405,7 @@ def settings_echo(runner, tmp_path, flags, lines):
     cfg.write_text("".join(line + "\n" for line in lines))
     out = tmp_path / "art"
     result = runner.invoke(main, [
-        "check", "--config", str(cfg), "--probe-budget", "500",
-        "--out", str(out),
+        "check", "--config", str(cfg), "--out", str(out),
     ] + flags)
     assert result.exit_code == 0, result.output
     return read_json(out / "check_report.json")["settings"]
@@ -455,9 +451,7 @@ def test_readme_library_snippet_runs(capsys):
 def test_readme_config_example_runs(runner, tmp_path):
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(readme_block("### Config file"))
-    result = runner.invoke(main, [
-        "check", "--config", str(cfg), "--probe-budget", "500",
-    ])
+    result = runner.invoke(main, ["check", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
 
 

@@ -35,7 +35,7 @@ class TestEulerStep:
         )
         grid = fp.SpatialGrid(x0=1.0, eta=1.5 * 0.75, M=4)
         lat = one_step(m, 0.1875, grid)
-        assert lat.dist.points == (-0.75, 0.0, 0.75)
+        assert fp.increments(lat.time_grid.h) == (-0.75, 0.0, 0.75)
         assert child_state(lat, 2) == 1.0 + 1.5 * 0.75
 
     def test_drift(self):
@@ -59,7 +59,7 @@ class TestEulerStep:
         assert (0.25 + 0.6 * h) + 0.1 * 1.0 < 0.25 + (0.6 * h + 0.1 * 1.0)
         assert float(fp.grid_project(grid, 0.25 + (0.6 * h + 0.1))) == 0.65
         lat = one_step(m, h, grid)
-        assert lat.dist.points[2] == 1.0
+        assert fp.increments(lat.time_grid.h)[2] == 1.0
         assert child_state(lat, 2) == 0.45
 
 
@@ -166,7 +166,7 @@ class TestBuildLattice:
         d = fp.dump_lattice(lat)
         assert d["N"] == 3
         assert len(d["levels"]) == 4
-        assert d["weights"] == list(lat.weights)
+        assert d["weights"] == list(fp.WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,9 @@ class TestBuildLattice:
 # ---------------------------------------------------------------------------
 
 
-def tuple_tree_supports(spec, tg, dist):
+def tuple_tree_supports(spec, tg):
     """Tree supports as tuples of floats, one Python float at a time."""
-    step = dist.points[-1]
+    step = fp.increments(tg.h)[-1]
     out = []
     for i in range(tg.N + 1):
         base = spec.x0 + spec.b_const * (i * tg.h)
@@ -192,7 +192,7 @@ def scalar_project(grid, x):
     return min(max(k, -grid.M), grid.M), abs(k) > grid.M
 
 
-def tuple_grid_lattice(spec, tg, dist, grid):
+def tuple_grid_lattice(spec, tg, grid):
     """Projected supports, child tables and saturation count as tuples:
     one scalar Euler step x + b h + sigma dw per node and branch, then
     the nearest grid index, the reachable set through a set."""
@@ -206,7 +206,7 @@ def tuple_grid_lattice(spec, tg, dist, grid):
         for k in states:
             x = point(k)
             row = []
-            for dw in dist.points:
+            for dw in fp.increments(tg.h):
                 kk, sat = scalar_project(
                     grid, x + spec.b(t, x) * tg.h + spec.sigma(t, x) * dw)
                 saturation += sat
@@ -231,7 +231,7 @@ def tuple_dump(lat, supports, children):
         levels.append(entry)
     return {
         "T": tg.T, "N": tg.N, "h": tg.h,
-        "weights": list(lat.weights), "increments": list(lat.dist.points),
+        "weights": list(fp.WEIGHTS), "increments": list(fp.increments(tg.h)),
         "saturation_count": lat.saturation_count, "levels": levels,
     }
 
@@ -284,17 +284,16 @@ class TestArrayLattice:
                                                  M):
         spec = constant_model(x0, b, sigma)
         tg = fp.TimeGrid(T=1.0, N=N)
-        dist = fp.trinomial(tg.h)
 
         tree = fp.build_lattice(spec, tg)
-        for got, want in zip(tree.supports, tuple_tree_supports(spec, tg, dist),
+        for got, want in zip(tree.supports, tuple_tree_supports(spec, tg),
                              strict=True):
             assert got.dtype == np.float64
             assert bitwise_equal(got, want)
 
         # the shift-add chain law is bincount over the explicit table
         law = fp.chain_law(tree)
-        w = np.asarray(tree.weights)
+        w = np.asarray(fp.WEIGHTS)
         m = np.ones(1)
         for i in range(N):
             idx = np.arange(len(m))[:, None] + np.arange(3)
@@ -304,8 +303,7 @@ class TestArrayLattice:
 
         grid = fp.SpatialGrid(x0=x0, eta=eta, M=M)
         lat = fp.build_lattice(spec, tg, grid)
-        supports, children, saturation = tuple_grid_lattice(spec, tg, dist,
-                                                            grid)
+        supports, children, saturation = tuple_grid_lattice(spec, tg, grid)
         assert lat.saturation_count == saturation
         rng = np.random.default_rng(N)
         for i in range(N + 1):
@@ -328,13 +326,11 @@ class TestArrayLattice:
     def test_dump_json_equals_tuple_dump(self, grid):
         spec = fp.experiment1_model()
         tg = fp.TimeGrid(T=1.0, N=9)
-        dist = fp.trinomial(tg.h)
         lat = fp.build_lattice(spec, tg, grid)
         if grid is None:
-            want = tuple_dump(lat, tuple_tree_supports(spec, tg, dist), None)
+            want = tuple_dump(lat, tuple_tree_supports(spec, tg), None)
         else:
-            want = tuple_dump(lat, *tuple_grid_lattice(spec, tg, dist,
-                                                       grid)[:2])
+            want = tuple_dump(lat, *tuple_grid_lattice(spec, tg, grid)[:2])
         got = fp.dump_lattice(lat)
         assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
             want, indent=2, sort_keys=True)
@@ -352,11 +348,9 @@ class TestArrayLattice:
         # b = -2x, sigma = 1 + 0.1 t is the explicit example
         spec = ou_model(x0, a, s0, s1, s2)
         tg = fp.TimeGrid(T=1.0, N=N)
-        dist = fp.trinomial(tg.h)
         grid = fp.SpatialGrid(x0=0.0, eta=eta, M=M)
         lat = fp.build_lattice(spec, tg, grid)
-        supports, children, saturation = tuple_grid_lattice(spec, tg, dist,
-                                                            grid)
+        supports, children, saturation = tuple_grid_lattice(spec, tg, grid)
         grid_levels_equal(lat, supports, children)
         assert lat.saturation_count == saturation
 
@@ -386,7 +380,6 @@ class TestArrayLattice:
         assert lat.supports[1].tolist() == [-1.0, 0.0, 1.0]
         low, high = lat.supports[2][lat.children[1][[0, 2]]]
         assert low.tolist() == [-5.0] * 3 and high.tolist() == [5.0] * 3
-        supports, children, saturation = tuple_grid_lattice(
-            spec, tg, fp.trinomial(tg.h), grid)
+        supports, children, saturation = tuple_grid_lattice(spec, tg, grid)
         grid_levels_equal(lat, supports, children)
         assert lat.saturation_count == saturation >= 6

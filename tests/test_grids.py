@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
 from fptree.grids import ConfigurationError, check_alpha
 
-from conftest import scalar_truncate
+from conftest import branch_moment, branch_weight_values, scalar_truncate
 
 HARD = fp.TruncationConfig(R0=2.0, alpha=0.249)
 MOLL = fp.TruncationConfig(R0=2.0, alpha=0.249, mode="mollified")
@@ -123,60 +123,87 @@ class TestIncrementWeights:
         )
 
     def test_trinomial_points_and_weights(self):
-        tri = fp.trinomial(0.03)
-        assert tri.points == (-0.3, 0.0, 0.3)
-        assert tri.weights_exact == (
-            Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)
-        )
+        assert fp.increments(0.03) == (-0.3, 0.0, 0.3)
+        assert fp.WEIGHTS == (1 / 6, 2 / 3, 1 / 6)
+        assert math.fsum(fp.WEIGHTS) == 1.0
 
     def test_moments_match_gaussian_exactly(self):
         for h in (0.2, 0.05, 1 / 120):
-            tri = fp.trinomial(h)
             for k in range(6):
-                assert fp.moment_exact(tri, k) == fp.gaussian_moment_exact(h, k)
+                assert fp.moment_exact(h, k) == fp.gaussian_moment_exact(h, k)
 
     def test_sixth_moment_differs(self):
         h = 0.05
-        tri = fp.trinomial(h)
-        got = fp.moment_exact(tri, 6)
+        got = fp.moment_exact(h, 6)
         want = fp.gaussian_moment_exact(h, 6)
         assert got != want
         assert got == 9 * Fraction(h) ** 3
         assert want == 15 * Fraction(h) ** 3
 
     def test_weight_values_example(self):
-        tri = fp.trinomial(0.03)
-        H, lam = fp.weight_values(tri, 0.03)
+        H, lam = fp.weight_values(0.03)
         assert H == (-10.0, 0.0, 10.0)
         assert lam == 1.0
 
     def test_lambda_exactly_one_when_clamp_inactive(self):
         for h in (0.29, 0.1, 1 / 120):
-            tri = fp.trinomial(h)
-            H, lam = fp.weight_values(tri, h)
+            H, lam = fp.weight_values(h)
             assert lam == 1.0
-            assert math.fsum(w * g for w, g in zip(tri.weights, H)) == 0.0
+            assert math.fsum(w * g for w, g in zip(fp.WEIGHTS, H)) == 0.0
 
     def test_raw_equals_truncated_when_inactive(self):
         h = 0.1
-        tri = fp.trinomial(h)
-        H, _ = fp.weight_values(tri, h)
-        assert H == tuple(p / h for p in tri.points)
+        H, _ = fp.weight_values(h)
+        assert H == tuple(p / h for p in fp.increments(h))
 
     def test_raw_fallback_at_large_h(self):
         # the radius sqrt(2h) ln(1/h) is 0 at h = 1 and negative beyond
         for h in (1.0, 2.0):
-            tri = fp.trinomial(h)
-            H, _ = fp.weight_values(tri, h)
-            assert H == tuple(p / h for p in tri.points)
+            H, _ = fp.weight_values(h)
+            assert H == tuple(p / h for p in fp.increments(h))
 
     def test_clamp_active_shrinks_lambda(self):
         # beyond h ~ 0.2929 the increment radius clamps sqrt(3h)
         h = 0.4
-        tri = fp.trinomial(h)
         assert fp.increment_radius(h) < math.sqrt(3 * h)
-        H, lam = fp.weight_values(tri, h)
+        H, lam = fp.weight_values(h)
         assert 0.0 < lam < 1.0
+
+
+def assert_closed_forms_match_branch_sums(h):
+    H, lam = fp.weight_values(h)
+    want_H, want_lam = branch_weight_values(h)
+    # bitwise, so a zero of the wrong sign fails too
+    assert np.array(H).tobytes() == np.array(want_H).tobytes()
+    assert lam == want_lam
+    g = math.sqrt(3.0 * h)
+    assert np.array(fp.increments(h)).tobytes() == np.array(
+        (-g, 0.0, g)).tobytes()
+    for k in range(8):
+        assert fp.moment_exact(h, k) == branch_moment(h, k), k
+
+
+class TestClosedFormsMatchBranchSums:
+    """weight_values, increments and moment_exact against the per-branch
+    Fraction sums of conftest, on both sides of the clamp threshold
+    h ~ 0.2938 where sqrt(3h) = sqrt(2h) ln(1/h)."""
+
+    @given(h=st.floats(0.0, 3.0, exclude_min=True))
+    @example(h=0.29)
+    @example(h=0.2938)
+    @example(h=0.2939)
+    @example(h=0.295)
+    @example(h=1.0)
+    @example(h=2.0)
+    @example(h=5e-324)
+    @settings(max_examples=500, deadline=None)
+    def test_any_h(self, h):
+        assert_closed_forms_match_branch_sums(h)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 10, 15, 25, 120, 320,
+                                   1000, 4999])
+    def test_one_over_n(self, N):
+        assert_closed_forms_match_branch_sums(1.0 / N)
 
 
 class TestSpatialGrid:

@@ -167,7 +167,7 @@ class TestValidateModel:
         [fp.experiment1_model, fp.experiment2_model, fp.linear_model],
     )
     def test_presets_pass(self, maker):
-        report = fp.validate_model(maker(), probe_budget=4000)
+        report = fp.validate_model(maker())
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == []
 
@@ -178,7 +178,7 @@ class TestValidateModel:
         m = fp.make_constant_model(
             T=1.0, x0=0.0, b=0.0, sigma=1.5, g=fp.quadratic_g(), driver=bad
         )
-        report = fp.validate_model(m, probe_budget=4000)
+        report = fp.validate_model(m)
         failing = {c.name for c in report.checks if not c.passed}
         assert "mon" in failing
 
@@ -190,6 +190,6 @@ class TestValidateModel:
         m = fp.make_constant_model(
             T=1.0, x0=0.0, b=0.0, sigma=1.5, g=fp.quadratic_g(), driver=lying
         )
-        report = fp.validate_model(m, probe_budget=4000)
+        report = fp.validate_model(m)
         failing = {c.name for c in report.checks if not c.passed}
         assert "reg_z" in failing

@@ -56,10 +56,6 @@ class TestFdSolve:
         want = 2.25 * math.exp(-1.0)
         assert abs(v - want) / want <= 1e-3
 
-    def test_rejects_oversize_dt(self):
-        with pytest.raises(fp.ConfigurationError):
-            fp.fd_solve(fp.linear_model(), dx=0.02, dt=0.5)
-
     def test_rejects_degenerate_sigma(self):
         m = fp.make_constant_model(
             T=1.0, x0=0.0, b=0.0, sigma=0.0,

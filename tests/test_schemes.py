@@ -23,9 +23,7 @@ NAN = math.nan
 
 
 def H_for(h):
-    tri = fp.trinomial(h)
-    H, _ = fp.weight_values(tri, h)
-    return H
+    return fp.weight_values(h)[0]
 
 
 def T_for(trunc, h):
@@ -219,6 +217,19 @@ class TestClosedFormBracket:
         y, iters = _solve(np.array([m]), np.array([z]), driver, hh)
         assert y[0] == -64.49901683760108 and iters[0] == 17
 
+    def test_nonconvergence_reports_the_node_iteration_count(self):
+        # Newton's second iterate returns itself, where F's rounding
+        # (about one ulp of y) hides the root from both the tolerance
+        # and the adjacent-float sign test: the node stops after 2
+        # iterations, and the message says 2, not the cap of 100
+        driver = fp.poly_driver((-0.8399414484462417, 0.9394493482815327),
+                                z_coeff=-0.49290371466181204)
+        m, z, hh = 0.013991291912618822, 228813039626420.28, 0.2974581888987467
+        with pytest.raises(SolverError) as exc:
+            _solve(np.array([1.0, m]), np.array([0.0, z]), driver, hh)
+        assert str(exc.value) == "newton did not converge in 2 iterations"
+        assert exc.value.node == 1
+
     def test_declared_slope_below_true_slope_raises(self):
         # f = y - y^3 has slope 1 at 0; declared 0, the bracket end
         # falls short of the root and the sign check fails
@@ -411,8 +422,7 @@ class TestRunBackward:
         xs = np.array([-math.inf, -1e200, -2.5, -0.0, 0.0, 0.75, 1e200,
                        math.inf, NAN])
         tg = fp.TimeGrid(T=1.0, N=1)
-        lat = Lattice(time_grid=tg, dist=fp.trinomial(tg.h),
-                      supports=(np.zeros(1), xs),
+        lat = Lattice(time_grid=tg, supports=(np.zeros(1), xs),
                       children=(np.array([[2, 3, 4]]),), saturation_count=0)
         m = fp.experiment2_model()
         run = fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat, m,
@@ -495,7 +505,7 @@ def scalar_reference(cfg, lattice, spec):
     pre = cfg.kind == "full_projection_pre"
     post = cfg.kind == "full_projection_post"
     T = partial(scalar_truncate, cfg.truncation, h)
-    H, _ = fp.weight_values(lattice.dist, h)
+    H, _ = fp.weight_values(h)
 
     vals = [float(spec.g(x)) for x in lattice.supports[-1]]
     ys = [[T(v) for v in vals] if post else vals]
@@ -507,9 +517,9 @@ def scalar_reference(cfg, lattice, spec):
             if pre:
                 v = [T(x) for x in v]
             try:
-                z = math.fsum(w * x * hj for w, x, hj in zip(lattice.weights, v, H))
+                z = math.fsum(w * x * hj for w, x, hj in zip(fp.WEIGHTS, v, H))
                 m = math.fsum(w * (x + f(x, z) * (1.0 - theta) * h)
-                              for w, x in zip(lattice.weights, v))
+                              for w, x in zip(fp.WEIGHTS, v))
             except (ValueError, OverflowError):  # fsum on mixed or huge terms
                 return None
             if not (math.isfinite(m) and math.isfinite(z)):

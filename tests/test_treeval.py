@@ -14,7 +14,7 @@ ZERO = fp.poly_driver((0.0,))
 INF = math.inf
 
 
-H03 = fp.weight_values(fp.trinomial(0.03), 0.03)[0]  # (-10, 0, 10)
+H03 = fp.weight_values(0.03)[0]  # (-10, 0, 10)
 
 
 def expect(kids):
@@ -83,7 +83,7 @@ class TestCondExpect:
     def test_level_expectation(self):
         lat = build(fp.experiment1_model(), 2)
         vals_next = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        y, _, _ = _level(lat.gather(1, vals_next), col(lat.weights),
+        y, _, _ = _level(lat.gather(1, vals_next), col(fp.WEIGHTS),
                          col((0.0,) * 3), ZERO, 0.5, 0.0)
         want = (1 / 6) * 2.0 + (2 / 3) * 3.0 + (1 / 6) * 4.0
         assert y[1] == pytest.approx(want)
