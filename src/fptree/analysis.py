@@ -149,9 +149,9 @@ def convergence_study(
     )
 
 
-def _starts(levels) -> np.ndarray:
-    """Offsets of each level in np.concatenate(levels), for reduceat."""
-    return np.cumsum([0] + [len(a) for a in levels[:-1]])
+def _starts(sizes) -> np.ndarray:
+    """Offsets of consecutive levels of these sizes, for reduceat."""
+    return np.cumsum(sizes) - sizes
 
 
 def _level_extremes(levels):
@@ -160,7 +160,7 @@ def _level_extremes(levels):
     max and min are nan on a level holding a non-finite entry.
     """
     flat = np.concatenate(levels)
-    starts = _starts(levels)
+    starts = _starts(np.array([len(a) for a in levels]))
     finite = np.logical_and.reduceat(np.isfinite(flat), starts)
     hi = np.where(finite, np.maximum.reduceat(flat, starts), math.nan)
     lo = np.where(finite, np.minimum.reduceat(flat, starts), math.nan)
@@ -227,19 +227,17 @@ def _is_violation(residual, rhs, tol_abs: float, tol_rel: float):
     return np.isnan(residual) | (residual > tol)
 
 
-def _ledger(kind, reasons, c_value, residual, rhs, tol_rel=TOL_REL,
+def _ledger(kind, reasons, c_value, res, rhs, sizes, tol_rel=TOL_REL,
             holds="all hypotheses hold") -> StabilityLedger:
-    """Fill a ledger from per-level residual and right-hand-side arrays.
+    """Fill a ledger from flat residual and right-hand-side arrays.
 
-    residual and rhs are sequences of 1-D arrays, one per level, with
-    rhs[i] as long as residual[i].  A check overflows when its rhs is
-    +inf and is non-finite when its residual is nan or +inf (lhs
-    non-finite, or rhs nan); the lhs terms are never negative, so a
-    -inf residual comes from an overflowed rhs.
+    res and rhs hold one check per entry, level after level; sizes is
+    the int64 array of the number of checks of each level.  A check
+    overflows when its rhs is +inf and is non-finite when its residual
+    is nan or +inf (lhs non-finite, or rhs nan); the lhs terms are never
+    negative, so a -inf residual comes from an overflowed rhs.
     """
-    res = np.concatenate(residual)
-    rhs = np.concatenate(rhs)
-    starts = _starts(residual)
+    starts = _starts(sizes)
     bad = _is_violation(res, rhs, TOL_ABS, tol_rel)
     level_violations = np.add.reduceat(bad, starts, dtype=np.int64)
     level_worst = np.maximum.reduceat(res, starts)
@@ -255,7 +253,7 @@ def _ledger(kind, reasons, c_value, residual, rhs, tol_rel=TOL_REL,
         rhs_overflows=int(np.count_nonzero(rhs == math.inf)),
         nonfinite=int(np.count_nonzero(~(res < math.inf))),
         worst_residual=float(level_worst.max()),
-        level_checked=np.array([len(r) for r in residual]),
+        level_checked=sizes,
         level_violations=level_violations,
         level_worst=level_worst,
     )
@@ -312,8 +310,8 @@ def contraction_check(
         np.array([_guarded_exp(c_prime * (spec.T - t)) for t in tg.times]),
         l2[-1],
     )
-    return _ledger("contraction", reasons, c_prime, (l2 - bound)[:, None],
-                   bound[:, None])
+    return _ledger("contraction", reasons, c_prime, l2 - bound, bound,
+                   np.ones(len(bound), dtype=np.int64))
 
 
 def sup_norm_check(run: ValueFunctions) -> StabilityLedger:
@@ -324,8 +322,9 @@ def sup_norm_check(run: ValueFunctions) -> StabilityLedger:
     """
     hi, lo, _ = _level_extremes(run.y)
     sup = np.maximum(np.abs(hi), np.abs(lo))  # nan on non-finite levels
-    return _ledger("sup_norm", [], 0.0, (sup - sup[-1])[:, None],
-                   np.full((len(sup), 1), sup[-1]), tol_rel=0.0,
+    return _ledger("sup_norm", [], 0.0, sup - sup[-1],
+                   np.full(len(sup), sup[-1]),
+                   np.ones(len(sup), dtype=np.int64), tol_rel=0.0,
                    holds="qualitative bound, no hypotheses")
 
 
@@ -381,15 +380,17 @@ def one_step_checks(
     Lattice expectations are exact finite sums, so the inequalities are
     guaranteed for the full-projection scheme within the stated h
     thresholds; violations beyond tolerance indicate bugs.  Outside the
-    thresholds the ledger still runs, flagged not applicable.
+    thresholds the ledger still runs, flagged not applicable.  All
+    levels are evaluated at once, on the concatenated level values and
+    the lattice's flat child index; every operation is elementwise, so
+    each node's residual is the one a level-by-level pass computes.
     """
     if kind not in ("size", "stability"):
         raise ValueError("kind must be 'size' or 'stability'")
     if kind == "stability" and run2 is None:
         raise ValueError("stability check needs a second run")
     drv = spec.driver
-    tg = lattice.time_grid
-    h = tg.h
+    h = lattice.time_grid.h
     W = np.array(WEIGHTS)[:, None]
 
     reasons = []
@@ -410,22 +411,23 @@ def one_step_checks(
         tail = 0.0
     ech = _guarded_exp(c * h)
 
-    residual = []
-    rhs = []
+    sizes = np.array([len(s) for s in lattice.supports[:-1]])
     with np.errstate(all="ignore"):
-        for i in range(tg.N):
-            if kind == "size":
-                y = run.y[i]
-                z = run.z[i]
-                nxt = truncate(trunc, h, run.y[i + 1])
-            else:
-                y = run.y[i] - run2.y[i]
-                z = run.z[i] - run2.z[i]
-                nxt = run.y[i + 1] - run2.y[i + 1]
-            e_sq = level_sum(W * lattice.gather(i, nxt) ** 2)
-            rhs.append(_guarded_product(ech, e_sq) + tail)
-            residual.append(y * y + 0.125 * z * z * h - rhs[-1])
-    return _ledger(kind, reasons, c, residual, rhs)
+        # v is every level of y (or dY) concatenated, root first; the
+        # nodes are its levels 0..N-1 and their children its levels 1..N
+        if kind == "size":
+            v = np.concatenate(run.y)
+            z = np.concatenate(run.z)
+            nxt = truncate(trunc, h, v[sizes[0]:])
+        else:
+            v = np.concatenate(run.y) - np.concatenate(run2.y)
+            z = np.concatenate(run.z) - np.concatenate(run2.z)
+            nxt = v[sizes[0]:]
+        y = v[:len(z)]
+        e_sq = level_sum(W * nxt[lattice.child_index()] ** 2)
+        rhs = _guarded_product(ech, e_sq) + tail
+        residual = y * y + 0.125 * z * z * h - rhs
+    return _ledger(kind, reasons, c, residual, rhs, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,25 @@ class Lattice:
             return block
         return values[self.children[level].T]
 
+    def child_index(self) -> np.ndarray:
+        """Children of every node of levels 0..N-1, (branches, nodes).
+
+        Nodes count through np.concatenate(supports[:-1]) and children
+        through np.concatenate(supports[1:]), so indexing the
+        concatenated values of levels 1..N with it gives the gather
+        blocks of all levels side by side, root level first.
+        """
+        sizes = [len(s) for s in self.supports]
+        if self.children is None:
+            # node p of level i sits at start_i + p of the nodes, and its
+            # child p + j at start_{i+1} - sizes[0] + p + j of the children
+            shift = np.repeat(np.subtract(sizes[:-1], sizes[0]), sizes[:-1])
+            return ((np.arange(len(shift)) + shift)
+                    + np.arange(len(WEIGHTS))[:, None])
+        offsets = np.cumsum([0] + sizes[1:-1])
+        return np.concatenate(
+            [c + o for c, o in zip(self.children, offsets)]).T
+
 
 def build_lattice(
     spec: ModelSpec,

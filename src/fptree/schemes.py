@@ -24,7 +24,13 @@ mollified T is not idempotent.
 Non-finite values are data here: the explicit scheme on stiff problems
 overflows to inf and then nan, and those values are carried through and
 reported, never raised.  Only the implicit root-solve raises, since a
-failed solve has no value to carry.
+failed solve has no value to carry.  A level that is all nan makes
+every level below it all nan, for every kind and driver: the children
+enter m additively and z linearly, truncation keeps nan, and the solve
+returns nan wherever m is not finite.  Every node of such a level runs
+the same arithmetic, so once a level read as one nan bit pattern gives
+back that pattern at every y and z node, the sweep has reached a fixed
+point and fills the levels below without computing them.
 """
 
 from __future__ import annotations
@@ -184,7 +190,9 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     short of the tolerance when it stops, or after _MAX_ITER steps, is
     accepted when F changes sign between its iterate and the adjacent
     float toward the root.  Nodes with non-finite m or z give nan; they
-    and nodes with F(m) = 0 take zero iterations.
+    and nodes with F(m) = 0 take zero iterations.  The level stops
+    iterating in the pass where no live node is still short of the
+    tolerance: the rest of that pass could move no node.
     Returns (y, iterations); a failure raises SolverError carrying the
     first failing node.
     """
@@ -207,10 +215,9 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     b = _bracket_end(m, fa, hh, driver.M_y)
     fb = F(b)
     live = ok & (fa != 0.0)
-    failed = np.zeros(m.shape, dtype=np.int8)  # index into _FAILURES
-    failed[live & np.where(fa > 0.0, fb > 0.0, fb < 0.0)] = 2
-    failed[live & ~np.isfinite(fb)] = 1
-    live &= failed == 0
+    unbracketed = live & (np.where(fa > 0.0, fb > 0.0, fb < 0.0)
+                          | ~np.isfinite(fb))
+    live &= ~unbracketed
     started = live.copy()
 
     # Newton from m, falling back to bisection outside the bracket;
@@ -220,28 +227,34 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     hi = np.maximum(m, b)
     yv = m
     done = ~started
-    for _ in range(_MAX_ITER):
-        if not live.any():
+    for it in range(_MAX_ITER):
+        if not np.count_nonzero(live):
             break
         iters += live
-        fy = F(yv)
+        fy = F(yv) if it else fa
         done = np.abs(fy) <= tol
+        live &= ~done
+        if not np.count_nonzero(live):
+            break
         slope = 1.0 - hh * dfdy(yv, z)
         step = yv - fy / slope
         newton = ((slope > 0.0) & np.isfinite(slope)
                   & (lo <= step) & (step <= hi))
-        live &= ~(done | (newton & (step == yv)))
-        y_new = np.where(newton, step, 0.5 * (lo + hi))
+        live &= ~(newton & (step == yv))
+        # only live nodes take their step, so only they may need the
+        # midpoint
+        if np.count_nonzero(live & ~newton):
+            step = np.where(newton, step, 0.5 * (lo + hi))
         up = fy > 0.0
         hi = np.where(up & (yv < hi), yv, hi)
         lo = np.where(up | (yv <= lo), lo, yv)
         live &= np.nextafter(lo, hi) < hi
-        yv = np.where(live, y_new, yv)
+        yv = np.where(live, step, yv)
     # `done` is |F(yv)| <= tol at every node the loop stopped; a node
     # still live after _MAX_ITER steps has moved since and is evaluated
     # again
     live = started & ~done
-    if live.any():
+    if np.count_nonzero(live):
         # where F's terms dwarf |m| no float may meet the tolerance: accept
         # a root pinned between yv and the next float toward it
         fy = F(yv)
@@ -251,10 +264,11 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
         pinned = live & np.where(fy > 0.0, fn <= 0.0, (fy < 0.0) & (fn >= 0.0))
         yv = np.where(pinned & (np.abs(fn) < np.abs(fy)), nb, yv)
         live &= ~pinned
-    failed[live] = 3
-    if failed.any():
-        first = int(np.argmax(failed != 0))
-        raise SolverError(_FAILURES[failed[first]].format(
+    failed = unbracketed | live
+    if np.count_nonzero(failed):
+        first = int(np.argmax(failed))
+        reason = 3 if live[first] else 2 if np.isfinite(fb[first]) else 1
+        raise SolverError(_FAILURES[reason].format(
             M_y=driver.M_y, iters=iters[first]), node=first)
     return np.where(ok, yv, math.nan), iters
 
@@ -283,6 +297,12 @@ class ValueFunctions:
     @property
     def y0(self) -> float:
         return float(self.y[0][0])
+
+
+def _one_nan(nxt: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
+    """Whether nxt, y and z all hold nxt[0]'s bit pattern at every node."""
+    bits = nxt[:1].view(np.int64)
+    return all(bool((a.view(np.int64) == bits).all()) for a in (nxt, y, z))
 
 
 def run_backward(
@@ -344,10 +364,19 @@ def run_backward(
                     level=i,
                     node=err.node,
                 ) from err
-            iters_total += int(iters.sum())
-            iters_max = max(iters_max, int(iters.max()))
+            if theta != 0.0:
+                iters_total += int(iters.sum())
+                iters_max = max(iters_max, int(iters.max()))
             y_levels.append(y)
             z_levels.append(z)
+            if math.isnan(nxt[0]) and _one_nan(nxt, y, z):
+                # the fixed point of the module docstring: no solve runs
+                # on a nan level, so the skipped levels add no iterations
+                for j in range(i - 1, -1, -1):
+                    n = len(lattice.supports[j])
+                    y_levels.append(np.full(n, nxt[0]))
+                    z_levels.append(np.full(n, nxt[0]))
+                break
 
     y_levels.reverse()
     z_levels.reverse()

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 import fptree as fp
-from fptree.schemes import _level
+from fptree.analysis import (
+    TOL_ABS, TOL_REL, _guarded_exp, _guarded_product, _is_violation,
+    _size_constants, _stability_constants,
+)
+from fptree.schemes import (
+    _FAILURES, _MAX_ITER, _TOL, SolverError, _bracket_end, _level,
+)
+from fptree.treeval import level_sum
 
 W = (1 / 6, 2 / 3, 1 / 6)
 
@@ -111,6 +118,119 @@ def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
             kids = pre(kids)
         y, z, iters = _level(kids, WCOL, col(H), driver, h, theta, post)
     return float(y[0]), float(z[0]), int(iters[0])
+
+
+def reference_solve(m, z, driver, hh):
+    """The implicit root solve with every pass run in full: the reference
+    for schemes._solve, which skips only work that cannot change its
+    result."""
+    iters = np.zeros(m.shape, dtype=np.int64)
+    ok = np.isfinite(m) & np.isfinite(z)
+    if hh * driver.M_y >= 0.5 and ok.any():
+        raise SolverError(
+            "step size violates the implicit contraction guard: "
+            "h*theta*M_y = %g >= 0.5" % (hh * driver.M_y,),
+            node=int(np.argmax(ok)),
+        )
+    f = driver.eval
+    dfdy = driver.dfdy
+
+    def F(yv):
+        return yv - hh * f(yv, z) - m
+
+    tol = _TOL * np.maximum(1.0, np.abs(m))
+    fa = F(m)
+    b = _bracket_end(m, fa, hh, driver.M_y)
+    fb = F(b)
+    live = ok & (fa != 0.0)
+    failed = np.zeros(m.shape, dtype=np.int8)  # index into _FAILURES
+    failed[live & np.where(fa > 0.0, fb > 0.0, fb < 0.0)] = 2
+    failed[live & ~np.isfinite(fb)] = 1
+    live &= failed == 0
+    started = live.copy()
+    lo = np.minimum(m, b)
+    hi = np.maximum(m, b)
+    yv = m
+    done = ~started
+    for _ in range(_MAX_ITER):
+        if not live.any():
+            break
+        iters += live
+        fy = F(yv)
+        done = np.abs(fy) <= tol
+        slope = 1.0 - hh * dfdy(yv, z)
+        step = yv - fy / slope
+        newton = ((slope > 0.0) & np.isfinite(slope)
+                  & (lo <= step) & (step <= hi))
+        live &= ~(done | (newton & (step == yv)))
+        y_new = np.where(newton, step, 0.5 * (lo + hi))
+        up = fy > 0.0
+        hi = np.where(up & (yv < hi), yv, hi)
+        lo = np.where(up | (yv <= lo), lo, yv)
+        live &= np.nextafter(lo, hi) < hi
+        yv = np.where(live, y_new, yv)
+    live = started & ~done
+    if live.any():
+        fy = F(yv)
+        live &= ~(np.abs(fy) <= tol)
+        nb = np.nextafter(yv, np.where(fy > 0.0, -np.inf, np.inf))
+        fn = F(nb)
+        pinned = live & np.where(fy > 0.0, fn <= 0.0, (fy < 0.0) & (fn >= 0.0))
+        yv = np.where(pinned & (np.abs(fn) < np.abs(fy)), nb, yv)
+        live &= ~pinned
+    failed[live] = 3
+    if failed.any():
+        first = int(np.argmax(failed != 0))
+        raise SolverError(_FAILURES[failed[first]].format(
+            M_y=driver.M_y, iters=iters[first]), node=first)
+    return np.where(ok, yv, math.nan), iters
+
+
+def reference_one_step(run, lattice, spec, trunc, kind, run2=None):
+    """The one-step ledger's numbers, level by level: the reference for
+    analysis.one_step_checks, which evaluates all levels at once.
+
+    Returns a dict of the StabilityLedger fields that the residuals
+    determine.
+    """
+    h = lattice.time_grid.h
+    W = col(fp.WEIGHTS)
+    if kind == "size":
+        c, K2 = _size_constants(spec, trunc, h)
+        tail = K2 * h
+    else:
+        c, tail = _stability_constants(spec, trunc, h), 0.0
+    ech = _guarded_exp(c * h)
+    residual, rhs = [], []
+    with np.errstate(all="ignore"):
+        for i in range(lattice.time_grid.N):
+            if kind == "size":
+                y, z = run.y[i], run.z[i]
+                nxt = fp.truncate(trunc, h, run.y[i + 1])
+            else:
+                y = run.y[i] - run2.y[i]
+                z = run.z[i] - run2.z[i]
+                nxt = run.y[i + 1] - run2.y[i + 1]
+            e_sq = level_sum(W * lattice.gather(i, nxt) ** 2)
+            rhs.append(_guarded_product(ech, e_sq) + tail)
+            residual.append(y * y + 0.125 * z * z * h - rhs[-1])
+    res = np.concatenate(residual)
+    rhs = np.concatenate(rhs)
+    starts = np.cumsum([0] + [len(r) for r in residual[:-1]])
+    bad = _is_violation(res, rhs, TOL_ABS, TOL_REL)
+    level_violations = np.add.reduceat(bad, starts, dtype=np.int64)
+    level_worst = np.maximum.reduceat(res, starts)
+    return dict(
+        c_value=c,
+        total_checked=len(res),
+        violations=int(level_violations.sum()),
+        rhs_overflows=int(np.count_nonzero(rhs == math.inf)),
+        nonfinite=int(np.count_nonzero(~(res < math.inf))),
+        worst_residual=float(level_worst.max()),
+        level_checked=np.array([len(r) for r in residual]),
+        level_violations=level_violations,
+        level_worst=level_worst,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 import fptree as fp
 from fptree.analysis import ErrorEntry, _fit_slope, _is_violation
 
-from conftest import build
+from conftest import build, reference_one_step
 
 
 LINEAR_TRUNC = fp.TruncationConfig(R0=20.0, alpha=1.0)
@@ -295,6 +295,33 @@ class TestLedgerArrays:
             False, False, True, True, False, False, False, False
         ]
         assert math.isnan(ledger.worst_residual)
+
+
+class TestOneStepReference:
+    """All levels at once give the level-by-level ledger, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [
+        "full_projection_pre", "implicit_euler", "explicit_euler"])
+    @pytest.mark.parametrize("grid", [
+        None, fp.SpatialGrid(x0=0.0, eta=0.05, M=160),
+    ], ids=["tree", "projected"])
+    def test_matches_level_by_level(self, exp2_model, exp2_trunc, kind, grid):
+        lattice = build(exp2_model, 15, grid)
+        cfg = fp.SchemeConfig(
+            kind=kind, truncation=exp2_trunc if kind.startswith("full_") else None)
+        run = fp.run_backward(cfg, lattice, exp2_model)
+        run2 = fp.run_backward(cfg, lattice, exp2_model,
+                               terminal=_perturbed(exp2_model.g))
+        assert run.finite == (kind != "explicit_euler")
+        for check in ("size", "stability"):
+            got = fp.one_step_checks(run, lattice, exp2_model, exp2_trunc,
+                                     check, run2=run2)
+            want = reference_one_step(run, lattice, exp2_model, exp2_trunc,
+                                      check, run2=run2)
+            for name, value in want.items():
+                a, b = np.asarray(getattr(got, name)), np.asarray(value)
+                assert (a.dtype, a.shape, a.tobytes()) == \
+                    (b.dtype, b.shape, b.tobytes()), (check, name)
 
 
 class TestViolationPredicate:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import fptree
-from fptree import analysis, cli, forward, oracle
+from fptree import analysis, cli, forward, oracle, schemes
 from fptree.cli import main
 
 
@@ -213,28 +213,36 @@ class TestStability:
         assert run["Y0"] == pytest.approx(0.5476816346610569, rel=1e-12)
 
 
-@pytest.mark.parametrize("args, builds", [
-    # ten Ns plus the proxy's one lattice at N=120
-    (["convergence", "--preset", "experiment1"], 11),
-    (["convergence", "--preset", "linear-oracle", "--dump-lattice"], 6),
-    (["stability", "--preset", "experiment2"], 4),
-])
-def test_one_lattice_per_N(runner, tmp_path, monkeypatch, args, builds):
-    # every scheme, ledger and dump of a run reads the same lattice per N
-    orig = forward.build_lattice
-    calls = []
+@pytest.mark.parametrize("args, builds, runs", [
+    # ten Ns plus the proxy's one lattice at N=120; three schemes per N
+    # plus the proxy's implicit and fp runs
+    (["convergence", "--preset", "experiment1"], 11, 32),
+    # fp alone, against the closed form
+    (["convergence", "--preset", "linear-oracle", "--dump-lattice"], 6, 6),
+    # three schemes per N plus the perturbed fp run per N
+    (["stability", "--preset", "experiment2"], 4, 16),
+], ids=["args0-11", "args1-6", "args2-4"])
+def test_one_lattice_per_N(runner, tmp_path, monkeypatch, args, builds, runs):
+    # every scheme, ledger and dump of a run reads the same lattice per
+    # N, and every backward run is its own run_backward call: the
+    # benchmark's trace hooks that function and counts each run's nodes
+    # there, so a sweep that batches runs has to move this test with it
+    calls = {"build_lattice": [], "run_backward": []}
+    for name, home in (("build_lattice", forward), ("run_backward", schemes)):
+        orig = getattr(home, name)
 
-    def counting(*a, **kw):
-        calls.append(a)
-        return orig(*a, **kw)
+        def counting(*a, _orig=orig, _calls=calls[name], **kw):
+            _calls.append(a)
+            return _orig(*a, **kw)
 
-    for mod in (forward, cli, analysis, oracle):
-        if vars(mod).get("build_lattice") is orig:
-            monkeypatch.setattr(mod, "build_lattice", counting)
+        for mod in (forward, cli, analysis, oracle):
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, counting)
     result = runner.invoke(main, args + ["--no-timing",
                                          "--out", str(tmp_path / "art")])
     assert result.exit_code == 0, result.output
-    assert len(calls) == builds
+    assert len(calls["build_lattice"]) == builds
+    assert len(calls["run_backward"]) == runs
 
 
 class TestNsValidation:

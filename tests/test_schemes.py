@@ -14,7 +14,8 @@ from fptree.schemes import (
 )
 
 from conftest import (
-    WCOL, build, child_indices, col, one_node, scalar_truncate,
+    WCOL, build, child_indices, col, one_node, reference_solve,
+    scalar_truncate,
 )
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
@@ -470,6 +471,110 @@ class TestRunBackward:
             assert np.array_equal([scalar_truncate(trunc, h, v) for v in a], b)
         for a, b in zip(pre.z, post.z):
             assert np.array_equal(a, b)
+
+
+def shortcut_free_sweep(cfg, lattice, spec, terminal=None):
+    """Backward induction through _level at every level, none skipped:
+    the reference for run_backward.  Returns the (y, z) levels from the
+    root."""
+    h = lattice.time_grid.h
+    T = partial(fp.truncate, cfg.truncation, h)
+    pre = T if cfg.kind == "full_projection_pre" else None
+    post = T if cfg.kind == "full_projection_post" else None
+    theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(cfg.kind, 0.0)
+    g = spec.g if terminal is None else terminal
+    x = lattice.supports[-1]
+    with np.errstate(all="ignore"):
+        ys = [np.broadcast_to(g(x), x.shape).astype(float)]
+        if post is not None:
+            ys[0] = post(ys[0])
+        zs = []
+        for i in range(lattice.time_grid.N - 1, -1, -1):
+            kids = lattice.gather(i, ys[-1] if pre is None else pre(ys[-1]))
+            y, z, _ = _level(kids, WCOL, col(H_for(h)), spec.driver, h,
+                             theta, post)
+            ys.append(y)
+            zs.append(z)
+    return ys[::-1], zs[::-1]
+
+
+def level_bytes(levels):
+    return [a.tobytes() for a in levels]
+
+
+class TestAllNanLevels:
+    # an extent of 3.0 keeps the explicit run finite at N=40; 6.0 does not
+    @pytest.mark.parametrize("grid", [
+        None, fp.SpatialGrid(x0=0.0, eta=0.05, M=120),
+    ], ids=["tree", "projected"])
+    def test_explicit_blowup_matches_full_sweep(self, exp1_model, grid):
+        lattice = build(exp1_model, 40, grid)
+        cfg = fp.SchemeConfig(kind="explicit_euler")
+        run = fp.run_backward(cfg, lattice, exp1_model)
+        ys, zs = shortcut_free_sweep(cfg, lattice, exp1_model)
+        # an all-nan level above the root, so levels below it were filled
+        assert any(np.isnan(y).all() for y in run.y[1:])
+        assert level_bytes(run.y) == level_bytes(ys)
+        assert level_bytes(run.z) == level_bytes(zs)
+
+    def test_solve_writes_its_own_nan(self, exp1_model):
+        # the solve gives math.nan wherever m is not finite, while z
+        # carries its children's nan: from a terminal of negative nan,
+        # level 9 holds two nan patterns, and only level 8 reads a level
+        # that maps to itself
+        lattice = build(exp1_model, 10)
+        cfg = fp.SchemeConfig(kind="implicit_euler")
+        neg_nan = np.copysign(math.nan, -1.0)
+        run = fp.run_backward(cfg, lattice, exp1_model,
+                              terminal=lambda x: np.full(x.shape, neg_nan))
+        ys, zs = shortcut_free_sweep(cfg, lattice, exp1_model,
+                                     terminal=lambda x: np.full(x.shape, neg_nan))
+        assert run.y[9].tobytes() != run.z[9].tobytes()
+        assert level_bytes(run.y) == level_bytes(ys)
+        assert level_bytes(run.z) == level_bytes(zs)
+        assert run.solver_iterations_total == 0
+
+
+class TestSolveReference:
+    @given(
+        deg=st.sampled_from([1, 3, 5]),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        lead=st.floats(0.05, 1.0),
+        zc=st.floats(-1.0, 1.0),
+        lie=st.one_of(st.none(), st.floats(0.1, 2.0)),
+        hh=st.floats(0.01, 0.3),
+        m=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 8.0)),
+                   min_size=8, max_size=8),
+        z=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 16.0)),
+                   min_size=8, max_size=8),
+        nan_m=st.sets(st.integers(0, 7), max_size=2),
+        inf_z=st.sets(st.integers(0, 7), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solve_matches_full_passes(self, deg, coeffs, lead, zc, lie, hh,
+                                       m, z, nan_m, inf_z):
+        # random polynomial drivers with a negative leading coefficient,
+        # declared M_y at or below the true slope, |m| up to 1e8 and |z|
+        # up to 1e16, a few nan m and inf z: the same bytes, iterations
+        # and failures as the full passes
+        cs = coeffs[:deg] + [-lead]
+        driver = fp.poly_driver(cs, z_coeff=zc)
+        if lie is not None:
+            driver = with_declared_my(driver, driver.M_y - lie)
+        assume(hh * driver.M_y < 0.5)
+        m = np.array([s * 10.0 ** e for s, e in m])
+        z = np.array([s * 10.0 ** e for s, e in z])
+        m[list(nan_m)] = math.nan
+        z[list(inf_z)] = math.inf
+        outcomes = []
+        with np.errstate(all="ignore"):
+            for solve in (_solve, reference_solve):
+                try:
+                    y, iters = solve(m, z, driver, hh)
+                    outcomes.append((y.tobytes(), iters.tolist()))
+                except SolverError as err:
+                    outcomes.append((str(err), err.node))
+        assert outcomes[0] == outcomes[1]
 
 
 def scalar_solve(m, z, hh, f, df):
