@@ -44,7 +44,6 @@ from .model import (
     constant_g,
     experiment1_model,
     experiment2_model,
-    growth_constants,
     linear_model,
     lipschitz_clamp_g,
     make_constant_model,

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import WEIGHTS, TruncationConfig, truncate
+from .grids import WEIGHTS, TruncationConfig, alpha_cap, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
 from .treeval import chain_law, l2_norm, level_sum
@@ -105,7 +105,6 @@ def convergence_study(
     cfg: SchemeConfig,
     lattices: Sequence[Lattice],
     reference: float,
-    timing: bool = True,
 ) -> ErrorReport:
     """Run the scheme on each lattice and fit the error order.
 
@@ -125,7 +124,7 @@ def convergence_study(
     for lattice in lattices:
         t0 = time.perf_counter()
         run = run_backward(cfg, lattice, spec)
-        seconds = time.perf_counter() - t0 if timing else 0.0
+        seconds = time.perf_counter() - t0
         y0 = run.y0
         err = abs(y0 - reference) if math.isfinite(y0) else math.nan
         entries.append(
@@ -283,20 +282,17 @@ def contraction_check(
         reasons.append("M_y=%g is not negative" % drv.M_y)
     if not 8.0 * drv.L_z ** 2 <= -drv.M_y:
         reasons.append("8*L_z^2=%g exceeds -M_y" % (8.0 * drv.L_z ** 2,))
-    mm = 2 * (drv.m - 1)
-    if drv.m > 1 and not trunc.alpha < 1.0 / mm:
+    if drv.m > 1 and not trunc.alpha < alpha_cap(drv.m):
         reasons.append("alpha=%g is not strictly below 1/(2(m-1))" % trunc.alpha)
-    if drv.M_y < 0.0:
-        base = (-drv.M_y / 4.0) / (4.0 * _D_PLUS_1 * drv.L_y ** 2) \
-            if drv.L_y > 0 else math.inf
-        if drv.L_y > 0:
-            scaled = (-drv.M_y / 4.0) / (
-                4.0 * _D_PLUS_1 * drv.L_y ** 2 * trunc.R0 ** mm
-            )
-            expo = 1.0 - mm * trunc.alpha
-            second = scaled ** (1.0 / expo) if expo > 0 else math.inf
-        else:
-            second = math.inf
+    if drv.M_y < 0.0 and drv.L_y > 0:
+        # with L_y = 0 both terms are inf and h meets no threshold
+        mm = 2 * (drv.m - 1)
+        base = (-drv.M_y / 4.0) / (4.0 * _D_PLUS_1 * drv.L_y ** 2)
+        scaled = (-drv.M_y / 4.0) / (
+            4.0 * _D_PLUS_1 * drv.L_y ** 2 * trunc.R0 ** mm
+        )
+        expo = 1.0 - mm * trunc.alpha
+        second = scaled ** (1.0 / expo) if expo > 0 else math.inf
         h_threshold = min(base, second)
         if h > h_threshold:
             reasons.append(
@@ -328,10 +324,19 @@ def sup_norm_check(run: ValueFunctions) -> StabilityLedger:
                    holds="qualitative bound, no hypotheses")
 
 
-def _size_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
+def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
+                        kind: str):
+    """The rate c and the tail (K^2 h for size, 0 for stability) of kind."""
     drv = spec.driver
     mm = 2 * (drv.m - 1)
     radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
+    if kind == "stability":
+        c = (
+            2.0 * drv.M_y
+            + 4.0 * drv.L_z ** 2
+            + 3.0 * _D_PLUS_1 * drv.L_y ** 2 * (1.0 + 2.0 * radius_term) * h
+        )
+        return c, 0.0
     c = (
         2.0 * drv.M_y
         + 8.0 * drv.L_z ** 2
@@ -344,19 +349,7 @@ def _size_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
     else:
         K2 = drv.f00 ** 2 / (4.0 * drv.L_z ** 2) \
             + _D_PLUS_1 * drv.f00 ** 2 * h
-    return c, K2
-
-
-def _stability_constants(spec: ModelSpec, trunc: TruncationConfig, h: float):
-    drv = spec.driver
-    mm = 2 * (drv.m - 1)
-    radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
-    c = (
-        2.0 * drv.M_y
-        + 4.0 * drv.L_z ** 2
-        + 3.0 * _D_PLUS_1 * drv.L_y ** 2 * (1.0 + 2.0 * radius_term) * h
-    )
-    return c
+    return c, K2 * h
 
 
 def one_step_checks(
@@ -396,19 +389,12 @@ def one_step_checks(
     reasons = []
     if drv.L_z > 0:
         h_max = 1.0 / (16.0 * _D_PLUS_1 * drv.L_z ** 2)
-        if kind == "stability":
-            h_max = 0.125 / (2.0 * _D_PLUS_1 * drv.L_z ** 2)
         if h > h_max:
             reasons.append("h=%g exceeds threshold %g" % (h, h_max))
-    if drv.m > 1 and trunc.alpha > 1.0 / (2 * (drv.m - 1)):
+    if trunc.alpha > alpha_cap(drv.m):
         reasons.append("alpha above 1/(2(m-1))")
 
-    if kind == "size":
-        c, K2 = _size_constants(spec, trunc, h)
-        tail = K2 * h
-    else:
-        c = _stability_constants(spec, trunc, h)
-        tail = 0.0
+    c, tail = _one_step_constants(spec, trunc, h, kind)
     ech = _guarded_exp(c * h)
 
     sizes = np.array([len(s) for s in lattice.supports[:-1]])

@@ -740,8 +740,7 @@ def convergence(fd_check, dump_flag, **kw):
         cfg = _scheme_config(name, st)
         try:
             report = convergence_study(
-                st.model, cfg, lattices, oracle_info["value"],
-                timing=not st.no_timing,
+                st.model, cfg, lattices, oracle_info["value"]
             )
         except SolverError as err:
             raise click.ClickException(

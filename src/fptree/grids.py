@@ -41,6 +41,7 @@ __all__ = [
     "weight_values",
     "grid_project",
     "grid_project_index",
+    "alpha_cap",
     "default_alpha",
     "check_alpha",
 ]
@@ -108,10 +109,15 @@ class TruncationConfig:
             raise ConfigurationError("epsilon must be nonnegative")
 
 
+def alpha_cap(m: int) -> float:
+    """1/(2(m-1)), the cap on alpha for a degree-m driver; inf at m = 1."""
+    return 1.0 / (2.0 * (m - 1)) if m > 1 else math.inf
+
+
 def default_alpha(m: int) -> float:
     """Largest clean exponent for a degree-m driver.
 
-    The radius exponent must satisfy alpha <= 1/(2(m-1)); the default
+    The radius exponent must satisfy alpha <= alpha_cap(m); the default
     backs off by 1e-3 so the strict-inequality limits apply.  For m = 1
     the constraint is vacuous and 1.0 is returned (any positive value
     is admissible; a large alpha keeps the radius far from Lipschitz
@@ -119,15 +125,15 @@ def default_alpha(m: int) -> float:
     """
     if m <= 1:
         return 1.0
-    return 1.0 / (2.0 * (m - 1)) - 1e-3
+    return alpha_cap(m) - 1e-3
 
 
 def check_alpha(cfg: TruncationConfig, m: int) -> None:
     """Enforce alpha <= 1/(2(m-1)) for the model's growth degree."""
-    if m > 1 and cfg.alpha > 1.0 / (2.0 * (m - 1)):
+    if cfg.alpha > alpha_cap(m):
         raise ConfigurationError(
             "alpha=%g exceeds 1/(2(m-1))=%g for m=%d"
-            % (cfg.alpha, 1.0 / (2.0 * (m - 1)), m)
+            % (cfg.alpha, alpha_cap(m), m)
         )
 
 

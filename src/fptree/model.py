@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "DriverSpec",
-    "GrowthConstants",
     "ModelSpec",
     "ValidationReport",
     "CheckResult",
     "poly_driver",
-    "growth_constants",
     "validate_model",
     "quadratic_g",
     "lipschitz_clamp_g",
@@ -94,42 +92,6 @@ class DriverSpec:
             raise ModelError("driver degree m must be >= 1, got %r" % (self.m,))
         if self.L_y < 0 or self.L_z < 0:
             raise ModelError("L_y and L_z must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GrowthConstants:
-    """Constants of the derived growth bounds.
-
-    For any nu > 0 the assumptions imply
-
-        |f(y,z)| <= K + K_y |y|^m + K_z |z|
-        y f(y,z) <= M + My_hat |y|^2 + M_z |z|^2
-
-    with K = |f(0,0)| + L_y, K_y = 2 L_y, K_z = L_z, M = |f(0,0)|^2/(2 nu),
-    My_hat = M_y + nu and M_z = L_z^2/(2 nu).
-    """
-
-    K: float
-    K_y: float
-    K_z: float
-    M: float
-    My_hat: float
-    M_z: float
-
-
-def growth_constants(driver: DriverSpec, nu: float) -> GrowthConstants:
-    """Assemble the growth constants for a given free parameter nu > 0."""
-    if not nu > 0:
-        raise ModelError("nu must be positive, got %r" % (nu,))
-    f00 = abs(driver.f00)
-    return GrowthConstants(
-        K=f00 + driver.L_y,
-        K_y=2.0 * driver.L_y,
-        K_z=driver.L_z,
-        M=f00 * f00 / (2.0 * nu),
-        My_hat=driver.M_y + nu,
-        M_z=driver.L_z * driver.L_z / (2.0 * nu),
-    )
 
 
 def _horner(coeffs: Sequence[float]):
@@ -235,7 +197,7 @@ def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
 class QuadraticG:
     """g(x) = x^2.  Not globally Lipschitz; lipschitz is None."""
 
-    lipschitz: Optional[float] = None
+    lipschitz: ClassVar[Optional[float]] = None
 
     def __call__(self, x):
         return x * x
@@ -264,7 +226,7 @@ class ClampG:
 @dataclass(frozen=True)
 class ConstantG:
     c: float
-    lipschitz: float = 0.0
+    lipschitz: ClassVar[float] = 0.0
 
     def __call__(self, x):
         return np.full(np.shape(x), self.c)
@@ -311,8 +273,9 @@ class ModelSpec:
     broadcasts against x, like DriverSpec.eval; the projected lattice
     calls them once per level.  The terminal function g follows the
     same contract: it takes a float64 array of states and returns an
-    array or a float that broadcasts against it.  Both X and Y are
-    scalar.
+    array or a float that broadcasts against it; a Lipschitz constant
+    it declares is its attribute lipschitz, which validate_model
+    probes.  Both X and Y are scalar.
     """
 
     T: float
@@ -321,7 +284,6 @@ class ModelSpec:
     sigma: Callable
     g: Callable
     driver: DriverSpec
-    L_g: Optional[float] = None
 
     def __post_init__(self):
         if not self.T > 0:
@@ -347,9 +309,8 @@ class ModelSpec:
 def make_constant_model(T, x0, b, sigma, g, driver: DriverSpec) -> ModelSpec:
     """Model with constant drift b and diffusion sigma."""
     b_fn, s_fn = constant_b_sigma(b, sigma)
-    L_g = getattr(g, "lipschitz", None)
     return ModelSpec(T=float(T), x0=float(x0), b=b_fn, sigma=s_fn, g=g,
-                     driver=driver, L_g=L_g)
+                     driver=driver)
 
 
 def experiment1_model() -> ModelSpec:
@@ -460,6 +421,13 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
             checks.append(CheckResult(name, False, math.inf))
         return ok
 
+    def worst(name, resid, *points):
+        k = int(np.argmax(resid))
+        checks.append(CheckResult(
+            name, bool(resid[k] <= 0.0), float(resid[k]),
+            witness=tuple(float(p[k]) for p in points),
+        ))
+
     # (Mon)
     y0, y1 = pairs_y
     f0 = ev(y0, pair_z)
@@ -469,21 +437,13 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
         rhs = drv.M_y * (y1 - y0) ** 2
         resid = lhs - rhs - PROBE_TOL * np.maximum(
             1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        k = int(np.argmax(resid))
-        checks.append(CheckResult(
-            "mon", bool(resid[k] <= 0.0), float(resid[k]),
-            witness=(float(y0[k]), float(y1[k]), float(pair_z[k])),
-        ))
+        worst("mon", resid, y0, y1, pair_z)
 
         # (RegY)
         grow = 1.0 + np.abs(y0) ** (drv.m - 1) + np.abs(y1) ** (drv.m - 1)
         bound = drv.L_y * grow * np.abs(y1 - y0)
         resid = np.abs(f1 - f0) - bound - PROBE_TOL * np.maximum(1.0, bound)
-        k = int(np.argmax(resid))
-        checks.append(CheckResult(
-            "reg_y", bool(resid[k] <= 0.0), float(resid[k]),
-            witness=(float(y0[k]), float(y1[k]), float(pair_z[k])),
-        ))
+        worst("reg_y", resid, y0, y1, pair_z)
 
     # (RegZ)
     fz0 = ev(ys, zs)
@@ -491,13 +451,10 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
     if finite_or_fail("reg_z", fz0, fz1):
         bound = drv.L_z * np.abs(zps - zs)
         resid = np.abs(fz1 - fz0) - bound - PROBE_TOL * np.maximum(1.0, bound)
-        k = int(np.argmax(resid))
-        checks.append(CheckResult(
-            "reg_z", bool(resid[k] <= 0.0), float(resid[k]),
-            witness=(float(ys[k]), float(zs[k]), float(zps[k])),
-        ))
+        worst("reg_z", resid, ys, zs, zps)
 
-    # Lipschitz bound for g (informational when no constant is declared)
+    # Lipschitz bound for g (informational when g declares no constant)
+    L_g = getattr(spec.g, "lipschitz", None)
     gx0 = np.asarray(spec.g(ys), dtype=float)
     gx1 = np.asarray(spec.g(yps), dtype=float)
     if finite_or_fail("lipschitz_g", gx0, gx1):
@@ -505,30 +462,26 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes = np.where(dx > 0, np.abs(gx1 - gx0) / dx, 0.0)
         worst_slope = float(np.max(slopes))
-        if spec.L_g is None:
+        if L_g is None:
             checks.append(CheckResult("lipschitz_g", True, worst_slope))
         else:
             k = int(np.argmax(slopes))
-            ok = worst_slope <= spec.L_g * (1.0 + PROBE_TOL) + PROBE_TOL
+            ok = worst_slope <= L_g * (1.0 + PROBE_TOL) + PROBE_TOL
             checks.append(CheckResult(
-                "lipschitz_g", ok, worst_slope - spec.L_g,
+                "lipschitz_g", ok, worst_slope - L_g,
                 witness=(float(ys[k]), float(yps[k])),
             ))
 
-    # growth bounds implied by the assumptions (nu = 1)
-    gc = growth_constants(drv, nu=1.0)
+    # growth bounds the assumptions imply (Young's inequality, weight 1)
     fv = ev(ys, zs)
     if finite_or_fail("growth", fv):
-        bound = gc.K + gc.K_y * np.abs(ys) ** drv.m + gc.K_z * np.abs(zs)
+        bound = ((abs(drv.f00) + drv.L_y) + 2.0 * drv.L_y * np.abs(ys) ** drv.m
+                 + drv.L_z * np.abs(zs))
         r1 = np.abs(fv) - bound - PROBE_TOL * np.maximum(1.0, bound)
-        bound2 = gc.M + gc.My_hat * ys ** 2 + gc.M_z * zs ** 2
+        bound2 = (drv.f00 * drv.f00 / 2.0 + (drv.M_y + 1.0) * ys ** 2
+                  + drv.L_z * drv.L_z / 2.0 * zs ** 2)
         r2 = ys * fv - bound2 - PROBE_TOL * np.maximum(1.0, np.abs(bound2))
-        resid = np.maximum(r1, r2)
-        k = int(np.argmax(resid))
-        checks.append(CheckResult(
-            "growth", bool(resid[k] <= 0.0), float(resid[k]),
-            witness=(float(ys[k]), float(zs[k])),
-        ))
+        worst("growth", np.maximum(r1, r2), ys, zs)
 
     # finite coefficient evaluation on sampled (t, x)
     ts = u[:256, 0] * spec.T

@@ -17,7 +17,6 @@ import pytest
 import fptree as fp
 from fptree.analysis import (
     TOL_ABS, TOL_REL, _guarded_exp, _guarded_product, _is_violation,
-    _size_constants, _stability_constants,
 )
 from fptree.schemes import (
     _FAILURES, _MAX_ITER, _TOL, SolverError, _bracket_end, _level,
@@ -186,6 +185,38 @@ def reference_solve(m, z, driver, hh):
     return np.where(ok, yv, math.nan), iters
 
 
+def size_constants(spec, trunc, h):
+    """The size inequality's c and K^2, written out on their own as the
+    reference for the library's one-step constants (d + 1 = 2)."""
+    drv = spec.driver
+    mm = 2 * (drv.m - 1)
+    radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
+    c = (
+        2.0 * drv.M_y
+        + 8.0 * drv.L_z ** 2
+        + 4.0 * 2 * drv.L_y ** 2 * (1.0 + radius_term) * h
+    )
+    if drv.f00 == 0.0:
+        K2 = 0.0
+    elif drv.L_z == 0.0:
+        K2 = math.inf
+    else:
+        K2 = drv.f00 ** 2 / (4.0 * drv.L_z ** 2) + 2 * drv.f00 ** 2 * h
+    return c, K2
+
+
+def stability_constant(spec, trunc, h):
+    """The stability inequality's c, the reference like size_constants."""
+    drv = spec.driver
+    mm = 2 * (drv.m - 1)
+    radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
+    return (
+        2.0 * drv.M_y
+        + 4.0 * drv.L_z ** 2
+        + 3.0 * 2 * drv.L_y ** 2 * (1.0 + 2.0 * radius_term) * h
+    )
+
+
 def reference_one_step(run, lattice, spec, trunc, kind, run2=None):
     """The one-step ledger's numbers, level by level: the reference for
     analysis.one_step_checks, which evaluates all levels at once.
@@ -196,10 +227,10 @@ def reference_one_step(run, lattice, spec, trunc, kind, run2=None):
     h = lattice.time_grid.h
     W = col(fp.WEIGHTS)
     if kind == "size":
-        c, K2 = _size_constants(spec, trunc, h)
+        c, K2 = size_constants(spec, trunc, h)
         tail = K2 * h
     else:
-        c, tail = _stability_constants(spec, trunc, h), 0.0
+        c, tail = stability_constant(spec, trunc, h), 0.0
     ech = _guarded_exp(c * h)
     residual, rhs = [], []
     with np.errstate(all="ignore"):

@@ -69,7 +69,7 @@ def test_c3_linear_driver_first_order_convergence():
     )
     report = fp.convergence_study(
         spec, cfg, [build(spec, N) for N in (10, 20, 40, 80, 160, 320)],
-        reference=y0, timing=False,
+        reference=y0,
     )
     final_err = report.entries[-1].err
     assert report.slope is not None and report.slope >= 0.8, (

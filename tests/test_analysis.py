@@ -7,7 +7,9 @@ import pytest
 import fptree as fp
 from fptree.analysis import ErrorEntry, _fit_slope, _is_violation
 
-from conftest import build, reference_one_step
+from conftest import (
+    build, reference_one_step, size_constants, stability_constant,
+)
 
 
 LINEAR_TRUNC = fp.TruncationConfig(R0=20.0, alpha=1.0)
@@ -20,13 +22,13 @@ class TestConvergenceStudy:
         cfg = fp.SchemeConfig(kind="implicit_euler")
         report = fp.convergence_study(
             model, cfg, [build(model, N) for N in (10, 20, 40, 80)],
-            reference=y0, timing=False,
+            reference=y0,
         )
         assert report.slope == pytest.approx(1.0, abs=0.15)
         assert [e.N for e in report.entries] == [10, 20, 40, 80]
         errs = [e.err for e in report.entries]
         assert errs == sorted(errs, reverse=True)
-        assert all(e.seconds == 0.0 for e in report.entries)
+        assert all(e.seconds >= 0.0 for e in report.entries)
 
     def test_fp_matches_untruncated_regime(self):
         model = fp.linear_model()
@@ -34,7 +36,7 @@ class TestConvergenceStudy:
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=LINEAR_TRUNC)
         report = fp.convergence_study(
             model, cfg, [build(model, N) for N in (10, 20, 40)],
-            reference=y0, timing=False,
+            reference=y0,
         )
         assert report.slope == pytest.approx(1.0, abs=0.2)
         assert not any(e.exploded for e in report.entries)
@@ -46,14 +48,14 @@ class TestConvergenceStudy:
             with pytest.raises(ValueError):
                 fp.convergence_study(
                     model, cfg, [build(model, N) for N in Ns],
-                    reference=1.0, timing=False,
+                    reference=1.0,
                 )
 
     def test_exploded_entries_excluded_from_fit(self, exp2_model):
         cfg = fp.SchemeConfig(kind="explicit_euler")
         report = fp.convergence_study(
             exp2_model, cfg, [build(exp2_model, N) for N in (10, 15, 25)],
-            reference=0.0, timing=False,
+            reference=0.0,
         )
         assert any(e.exploded for e in report.entries)
         for e in report.entries:
@@ -322,6 +324,95 @@ class TestOneStepReference:
                 a, b = np.asarray(getattr(got, name)), np.asarray(value)
                 assert (a.dtype, a.shape, a.tobytes()) == \
                     (b.dtype, b.shape, b.tobytes()), (check, name)
+
+
+def _with_driver(spec, **constants):
+    return dataclasses.replace(
+        spec, driver=dataclasses.replace(spec.driver, **constants))
+
+
+def _lz_model():
+    return fp.make_constant_model(
+        T=1.0, x0=0.0, b=0.0, sigma=1.5, g=fp.quadratic_g(),
+        driver=fp.poly_driver((0.0, -1.0), z_coeff=1.0))
+
+
+_EXP2_THRESHOLD = "h=0.0666667 exceeds the contraction threshold "
+_EXPO_ZERO = ("alpha=0.25 is not strictly below 1/(2(m-1)); "
+              + _EXP2_THRESHOLD + "0.0138889")
+_HOLDS = "all hypotheses hold"
+
+# model, R0, alpha, N, then (applicability_reason, float.hex(c_value)) of
+# the contraction, size and stability ledgers on an implicit run
+HYPOTHESIS_CASES = {
+    "my_neg_ly_zero": (
+        lambda: _with_driver(fp.linear_model(), L_y=0.0), 20.0, 1.0, 10,
+        [(_HOLDS, "-0x1.0000000000000p-1"),
+         (_HOLDS, "-0x1.0000000000000p+1"),
+         (_HOLDS, "-0x1.0000000000000p+1")]),
+    # M_y < 0 and L_y > 0 with 1 - mm*alpha = 0: only the first
+    # threshold term is finite
+    "my_neg_expo_zero": (
+        fp.experiment2_model, 2.5, 0.25, 15,
+        [(_EXPO_ZERO, "-0x1.0000000000000p-1"),
+         (_HOLDS, "0x1.5f2999999999ap+9"),
+         (_HOLDS, "0x1.076599999999ap+10")]),
+    # 1 - mm*alpha > 0: the second term underflows to 0 here and is
+    # the smaller, finite term at m = 2
+    "my_neg_expo_pos": (
+        fp.experiment2_model, 2.5, 0.249, 15,
+        [(_EXP2_THRESHOLD + "0", "-0x1.0000000000000p-1"),
+         (_HOLDS, "0x1.5b5ff68b15aa7p+9"),
+         (_HOLDS, "0x1.048e5f4eb6a64p+10")]),
+    "my_neg_expo_pos_m2": (
+        lambda: _with_driver(fp.experiment2_model(), m=2), 1.0, 0.25, 15,
+        [(_EXP2_THRESHOLD + "0.000192901", "-0x1.0000000000000p-1"),
+         (_HOLDS, "0x1.ec7d807f8c506p+1"),
+         (_HOLDS, "0x1.77c486c60fa2bp+2")]),
+    "my_nonneg": (
+        fp.experiment1_model, 2.0, 0.249, 10,
+        [("M_y=0 is not negative", "0x0.0p+0"),
+         (_HOLDS, "0x1.1f28db8dd6febp+8"),
+         (_HOLDS, "0x1.ad63afbb28e48p+8")]),
+    "lz_h_above_h_max": (
+        _lz_model, 20.0, 1.0, 10,
+        [("8*L_z^2=8 exceeds -M_y; h=0.1 exceeds the contraction "
+          "threshold 0.03125", "-0x1.0000000000000p-1"),
+         ("h=0.1 exceeds threshold 0.03125", "0x1.e666666666666p+2"),
+         ("h=0.1 exceeds threshold 0.03125", "0x1.e666666666666p+1")]),
+    "lz_h_below_h_max": (
+        _lz_model, 20.0, 1.0, 40,
+        [("8*L_z^2=8 exceeds -M_y", "-0x1.0000000000000p-1"),
+         (_HOLDS, "0x1.999999999999ap+2"),
+         (_HOLDS, "0x1.399999999999ap+1")]),
+    "alpha_above_cap": (
+        fp.experiment2_model, 2.5, 0.3, 15,
+        [("alpha=0.3 is not strictly below 1/(2(m-1)); "
+          + _EXP2_THRESHOLD + "0.0138889", "-0x1.0000000000000p-1"),
+         ("alpha above 1/(2(m-1))", "0x1.2ded8967e3045p+10"),
+         ("alpha above 1/(2(m-1))", "0x1.c4eab4823aecfp+10")]),
+}
+
+
+@pytest.mark.parametrize("case", list(HYPOTHESIS_CASES))
+def test_ledger_hypotheses_pinned(case):
+    make, R0, alpha, N, want = HYPOTHESIS_CASES[case]
+    spec = make()
+    trunc = fp.TruncationConfig(R0=R0, alpha=alpha)
+    lattice = build(spec, N)
+    cfg = fp.SchemeConfig(kind="implicit_euler")
+    run = fp.run_backward(cfg, lattice, spec)
+    run2 = fp.run_backward(cfg, lattice, spec, terminal=_perturbed(spec.g))
+    ledgers = [
+        fp.contraction_check(run, lattice, spec, trunc),
+        fp.one_step_checks(run, lattice, spec, trunc, "size"),
+        fp.one_step_checks(run, lattice, spec, trunc, "stability", run2=run2),
+    ]
+    assert [(lg.applicability_reason, float.hex(lg.c_value))
+            for lg in ledgers] == want
+    h = lattice.time_grid.h
+    assert ledgers[1].c_value == size_constants(spec, trunc, h)[0]
+    assert ledgers[2].c_value == stability_constant(spec, trunc, h)
 
 
 class TestViolationPredicate:

@@ -146,7 +146,6 @@ class TestBuildLattice:
             sigma=sigma,
             g=fp.quadratic_g(),
             driver=fp.poly_driver((0.0,)),
-            L_g=None,
         )
         tg = fp.TimeGrid(T=1.0, N=4)
         with pytest.raises(ConfigurationError):

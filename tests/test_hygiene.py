@@ -1,6 +1,6 @@
 """Source hygiene: every imported name is used by the file importing it,
-and every ``__all__`` entry of the library names a module-level
-definition.
+every ``__all__`` entry of the library names a module-level definition,
+and every private module-level name of the library is read by it.
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -43,23 +43,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def stale_exports(source: str):
-    """The ``__all__`` entries bound by no top-level def, class or
-    assignment of the module."""
-    tree = ast.parse(source)
-    defined, exported = set(), []
+def top_level_names(tree):
+    """(name, node) of each top-level def, class and assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [
                 node.target]
             for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                defined.add(target.id)
-                if target.id == "__all__":
-                    exported = ast.literal_eval(node.value)
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def stale_exports(source: str):
+    """The ``__all__`` entries bound by no top-level def, class or
+    assignment of the module."""
+    defined, exported = set(), []
+    for name, node in top_level_names(ast.parse(source)):
+        defined.add(name)
+        if name == "__all__":
+            exported = ast.literal_eval(node.value)
     return sorted(name for name in exported if name not in defined)
 
 
@@ -71,3 +75,35 @@ def test_scan_flags_a_stale_export():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_defined(path):
     assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources):
+    """The private top-level names (a leading underscore, not a dunder)
+    of these sources that none of them reads as a name, an attribute or
+    an import."""
+    private, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        private.update(
+            name for name, _ in top_level_names(tree)
+            if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(private - read)
+
+
+def test_scan_flags_an_unread_private_name():
+    sources = ["_used = 1\n_left = 2\ndef _helper(): pass\n",
+               "from a import _helper\nprint(_used)\n"]
+    assert unread_private_names(sources) == ["_left"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(
+        [p.read_text(encoding="utf-8") for p in MODULES]) == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,24 +96,6 @@ class TestPolyDriver:
         assert math.isnan(_horner((0.0, 1.0))(math.nan))
 
 
-class TestGrowthConstants:
-    def test_documented_example(self):
-        d = fp.poly_driver((2.0, -1.0), z_coeff=3.0)
-        # f(y, z) = 2 - y + 3z: f00=2, L_y=1, L_z=3, M_y=-1
-        gc = fp.growth_constants(d, nu=0.5)
-        assert gc.K == 3.0
-        assert gc.K_y == 2.0
-        assert gc.K_z == 3.0
-        assert gc.M == 4.0
-        assert gc.My_hat == -0.5
-        assert gc.M_z == 9.0
-
-    def test_nu_must_be_positive(self):
-        d = fp.poly_driver((0.0, -1.0))
-        with pytest.raises(ModelError):
-            fp.growth_constants(d, nu=0.0)
-
-
 class TestTerminalFunctions:
     def test_quadratic(self):
         g = fp.quadratic_g()
@@ -183,8 +166,6 @@ class TestValidateModel:
         assert "mon" in failing
 
     def test_wrong_lz_caught(self):
-        from dataclasses import replace
-
         d = fp.poly_driver((0.0, -1.0), z_coeff=1.0)
         lying = replace(d, L_z=0.1)
         m = fp.make_constant_model(
@@ -193,3 +174,191 @@ class TestValidateModel:
         report = fp.validate_model(m)
         failing = {c.name for c in report.checks if not c.passed}
         assert "reg_z" in failing
+
+
+class WrongLipschitzG:
+    """clamp(x, -7, 7), whose slope 1 its declared constant understates."""
+
+    lipschitz = 0.5
+
+    def __call__(self, x):
+        return np.clip(x, -7.0, 7.0)
+
+
+def _model(g, driver):
+    return fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=1.5, g=g,
+                                  driver=driver)
+
+
+REPORT_MODELS = {
+    "experiment1": fp.experiment1_model,
+    "experiment2": fp.experiment2_model,
+    "linear": fp.linear_model,
+    "lying_my": lambda: _model(fp.quadratic_g(), with_declared_my(
+        fp.poly_driver((0.0, 0.0, 0.0, -1.0)), -2.0)),
+    "lying_lz": lambda: _model(fp.quadratic_g(), replace(
+        fp.poly_driver((0.0, -1.0), z_coeff=1.0), L_z=0.1)),
+    "lying_f00": lambda: _model(fp.quadratic_g(), replace(
+        fp.poly_driver((5.0, -1.0)), f00=0.0)),
+    "wrong_lipschitz_g": lambda: _model(
+        WrongLipschitzG(), fp.poly_driver((0.0, -1.0))),
+    "clamp_deg5": lambda: _model(
+        fp.lipschitz_clamp_g(-1.0, 1.0, 2.0),
+        fp.poly_driver((0.0, -1.0, 0.0, 0.0, 0.0, -1.0))),
+    "const_g": lambda: _model(
+        fp.constant_g(4.0), fp.poly_driver((0.0, 0.0, 0.0, -1.0))),
+    # every constant of the growth bounds nonzero; the worst growth
+    # residual falls on the y f bound here and on the |f| bound next
+    "young_bound": lambda: _model(fp.quadratic_g(), fp.poly_driver(
+        (1.5, -0.5, 0.0, -1.0), z_coeff=0.75)),
+    "abs_bound": lambda: _model(fp.quadratic_g(), fp.poly_driver(
+        (-2.51, -0.77, 0.0, -1.0), z_coeff=1.7)),
+}
+
+# (name, passed, float.hex(worst), witness) of every check; a change to
+# a bound's formula, or to the order of its additions, moves a bit
+PINNED_REPORTS = {
+    "young_bound": [
+        ("mon", True, "-0x1.13a499f3d9351p-30",
+         (0.1576991748152068, 0.1577052825674491, -17.055835313203715)),
+        ("reg_y", True, "-0x1.14fad53921dadp-23",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.0f54be826d695p-30",
+         (40.325750367134106, 20.254740630673496, 20.37521237776332)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", True, "-0x1.40a8dc7e99cc3p-1",
+         (0.4890470994723728, 0.19765411584558024)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "abs_bound": [
+        ("mon", True, "-0x1.13a499f3e77f5p-30",
+         (0.1576991748152068, 0.1577052825674491, -17.055835313203715)),
+        ("reg_y", True, "-0x1.958daa7243b5ap-24",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.0f80be826d695p-30",
+         (42.29788833990824, -27.589482850476088, -27.048874761749175)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", True, "-0x1.50ed63e3f3affp+0",
+         (0.35542434961826075, -15.48934269808342)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "experiment1": [
+        ("mon", True, "-0x1.13a499f3de12cp-30",
+         (0.1576991748152068, 0.1577052825674491, -17.055835313203715)),
+        ("reg_y", True, "-0x1.9e65d53921dadp-23",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", True, "-0x1.ec8b07516fa23p-18",
+         (0.0027089499781141058, -28.035997394181322)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "experiment2": [
+        ("mon", True, "-0x1.13a499f3de02cp-30",
+         (0.1576991748152068, 0.1577052825674491, -17.055835313203715)),
+        ("reg_y", True, "-0x1.171faa7243b5ap-24",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "0x0.0p+0",
+         (-6.855684529787354, -1.0245498192086977)),
+        ("growth", True, "-0x1.ec8b07516fa23p-18",
+         (0.0027089499781141058, -28.035997394181322)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "linear": [
+        ("mon", True, "-0x1.12e0be826d695p-30",
+         (-21.065429951300985, -20.90125382799357, -13.9008855660542)),
+        ("reg_y", True, "-0x1.13e85f3e826d7p-22",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", True, "-0x1.ec8a1a792e299p-18",
+         (0.0027089499781141058, -28.035997394181322)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "lying_my": [
+        ("mon", False, "0x1.5b98f44e57b39p+1",
+         (1.2853656985498674, -0.6055420526536182, -49.60837021210409)),
+        ("reg_y", True, "-0x1.9e65d53921dadp-23",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", False, "0x1.fffee1053ad11p-3",
+         (-0.7081397491901953, 2.942688001985516)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "lying_lz": [
+        ("mon", True, "-0x1.12e0be625da95p-30",
+         (49.265828144598345, 49.26484967850987, -23.18276793039331)),
+        ("reg_y", True, "-0x1.13e85f7e826d7p-22",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", False, "0x1.64902977b2977p+6",
+         (-12.401926936036034, 49.623030914335686, -49.42228374802653)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", False, "0x1.302c96ee976cap+9",
+         (23.845924735678636, 49.87922169339072)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "lying_f00": [
+        ("mon", True, "-0x1.12e0be721de95p-30",
+         (-27.921114481088694, -27.920118955522693, 2.0862310607540735)),
+        ("reg_y", True, "-0x1.13e85f3e826d7p-22",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "0x1.8d09288332d1ep+6", ()),
+        ("growth", False, "0x1.8fffbf8b31783p+2",
+         (2.5039200221726787, 42.93976116882732)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "wrong_lipschitz_g": [
+        ("mon", True, "-0x1.12e0be826d695p-30",
+         (-21.065429951300985, -20.90125382799357, -13.9008855660542)),
+        ("reg_y", True, "-0x1.13e85f3e826d7p-22",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", False, "0x1.0000000000000p-1",
+         (-6.855684529787354, -1.0245498192086977)),
+        ("growth", True, "-0x1.ec8a1a792e299p-18",
+         (0.0027089499781141058, -28.035997394181322)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "clamp_deg5": [
+        ("mon", True, "-0x1.12e0c493fb095p-30",
+         (0.0027089499781141058, 0.0035363219298742477, -28.035997394181322)),
+        ("reg_y", True, "-0x1.9d34627f04dadp-23",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "-0x1.7d52ba31bf230p-3",
+         (-0.5745169993133459, 0.2259107384361414)),
+        ("growth", True, "-0x1.ec8a1a79a0117p-18",
+         (0.0027089499781141058, -28.035997394181322)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+    "const_g": [
+        ("mon", True, "-0x1.13a499f3de12cp-30",
+         (0.1576991748152068, 0.1577052825674491, -17.055835313203715)),
+        ("reg_y", True, "-0x1.9e65d53921dadp-23",
+         (23.581388185994, 23.581388058014465, -9.530769328739552)),
+        ("reg_z", True, "-0x1.12e0be826d695p-30",
+         (-11.87285383664305, -31.556987041465746, -39.683125931427156)),
+        ("lipschitz_g", True, "0x0.0p+0",
+         (-11.87285383664305, -22.336061091023176)),
+        ("growth", True, "-0x1.ec8b07516fa23p-18",
+         (0.0027089499781141058, -28.035997394181322)),
+        ("coefficients_finite", True, "0x0.0p+0", ()),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_MODELS))
+def test_full_report_pinned(name):
+    report = fp.validate_model(REPORT_MODELS[name]())
+    assert [(c.name, c.passed, float.hex(c.worst), c.witness)
+            for c in report.checks] == PINNED_REPORTS[name]
