@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +66,7 @@ _D_PLUS_1 = 2
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorEntry:
+class ErrorEntry(NamedTuple):
     N: int
     h: float
     Y0: float
@@ -77,8 +75,7 @@ class ErrorEntry:
     exploded: bool
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     entries: Tuple[ErrorEntry, ...]
     slope: Optional[float]
     slope_residual: Optional[float]
@@ -178,8 +175,7 @@ def minmax_processes(run: ValueFunctions, lattice: Lattice):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityLedger:
+class StabilityLedger(NamedTuple):
     """Outcome of one inequality monitor over a whole run.
 
     level_checked, level_violations and level_worst are per-level arrays
@@ -211,6 +207,15 @@ def _guarded_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _quotient(num: float, den: float) -> float:
+    """num / den for num >= 0, or its limit inf where den is 0.
+
+    den is a positive multiple of a squared constant, which is 0 when
+    the constant is or when its square underflows (L = 1e-170).
+    """
+    return num / den if den != 0.0 else math.inf
 
 
 def _guarded_product(a, b):
@@ -284,13 +289,12 @@ def contraction_check(
         reasons.append("8*L_z^2=%g exceeds -M_y" % (8.0 * drv.L_z ** 2,))
     if drv.m > 1 and not trunc.alpha < alpha_cap(drv.m):
         reasons.append("alpha=%g is not strictly below 1/(2(m-1))" % trunc.alpha)
-    if drv.M_y < 0.0 and drv.L_y > 0:
+    if drv.M_y < 0.0:
         # with L_y = 0 both terms are inf and h meets no threshold
         mm = 2 * (drv.m - 1)
-        base = (-drv.M_y / 4.0) / (4.0 * _D_PLUS_1 * drv.L_y ** 2)
-        scaled = (-drv.M_y / 4.0) / (
-            4.0 * _D_PLUS_1 * drv.L_y ** 2 * trunc.R0 ** mm
-        )
+        den = 4.0 * _D_PLUS_1 * drv.L_y ** 2
+        base = _quotient(-drv.M_y / 4.0, den)
+        scaled = _quotient(-drv.M_y / 4.0, den * trunc.R0 ** mm)
         expo = 1.0 - mm * trunc.alpha
         second = scaled ** (1.0 / expo) if expo > 0 else math.inf
         h_threshold = min(base, second)
@@ -344,10 +348,8 @@ def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
     )
     if drv.f00 == 0.0:
         K2 = 0.0
-    elif drv.L_z == 0.0:
-        K2 = math.inf
     else:
-        K2 = drv.f00 ** 2 / (4.0 * drv.L_z ** 2) \
+        K2 = _quotient(drv.f00 ** 2, 4.0 * drv.L_z ** 2) \
             + _D_PLUS_1 * drv.f00 ** 2 * h
     return c, K2 * h
 
@@ -387,10 +389,9 @@ def one_step_checks(
     W = np.array(WEIGHTS)[:, None]
 
     reasons = []
-    if drv.L_z > 0:
-        h_max = 1.0 / (16.0 * _D_PLUS_1 * drv.L_z ** 2)
-        if h > h_max:
-            reasons.append("h=%g exceeds threshold %g" % (h, h_max))
+    h_max = _quotient(1.0, 16.0 * _D_PLUS_1 * drv.L_z ** 2)
+    if h > h_max:
+        reasons.append("h=%g exceeds threshold %g" % (h, h_max))
     if trunc.alpha > alpha_cap(drv.m):
         reasons.append("alpha above 1/(2(m-1))")
 

@@ -20,11 +20,9 @@ Exit codes: 0 success, 1 check/run failure, 2 configuration error.
 
 from __future__ import annotations
 
-import configparser
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import click
@@ -141,8 +139,7 @@ _MODEL_KEYS = ("t", "x0", "b", "sigma", "g", "driver", "driver-zcoef",
 _CONFIG_ERRORS = (ConfigurationError, ModelError, SchemeError, OracleError)
 
 
-@dataclass
-class Settings:
+class Settings(NamedTuple):
     """Resolved run settings after merging preset, file, and flags."""
 
     preset: str
@@ -172,6 +169,8 @@ def _parse_ns(text: str) -> Tuple[int, ...]:
 
 def _read_config_file(path: str) -> dict:
     """Flat key=value file with optional [run]/[model] sections."""
+    import configparser  # only --config reads it; keep it out of start-up
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text.lstrip().startswith("["):

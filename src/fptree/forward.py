@@ -16,8 +16,7 @@ accept arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Recombining state tree of the quantized forward chain.
 
     supports[i] is the float64 array of the states of level i, in

@@ -20,9 +20,8 @@ exactly" a testable statement rather than a tolerance game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,19 +50,43 @@ class ConfigurationError(ValueError):
     """Raised when grid/truncation/weight parameters are inconsistent."""
 
 
+class _Checked:
+    """Base of a record whose fields are checked when it is made.
+
+    A checked record is ``class R(_Checked, _RFields)``, where _RFields
+    is the NamedTuple of its fields, and defines ``_check(self)``, which
+    raises on bad fields.  The constructor, _make and hence _replace all
+    run it, so no copy skips the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 # ---------------------------------------------------------------------------
 # Time grid
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform subdivision of [0, T] into N steps of size h = T/N."""
-
+class _TimeGridFields(NamedTuple):
     T: float
     N: int
 
-    def __post_init__(self):
+
+class TimeGrid(_Checked, _TimeGridFields):
+    """Uniform subdivision of [0, T] into N steps of size h = T/N."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.T > 0:
             raise ConfigurationError("T must be positive, got %r" % (self.T,))
         if self.N < 1:
@@ -84,8 +107,14 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
+class _TruncationConfigFields(NamedTuple):
+    R0: float = 10.0
+    alpha: float = 0.25
+    mode: str = "hard"
+    epsilon: Optional[float] = None
+
+
+class TruncationConfig(_Checked, _TruncationConfigFields):
     """Parameters of the value truncation T(y).
 
     R0 and alpha set the radius R = R0 * h^{-alpha}.  mode selects the
@@ -93,12 +122,9 @@ class TruncationConfig:
     width of the mollified mode (None means "use h").
     """
 
-    R0: float = 10.0
-    alpha: float = 0.25
-    mode: str = "hard"
-    epsilon: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.R0 > 0:
             raise ConfigurationError("R0 must be positive")
         if not self.alpha > 0:
@@ -253,15 +279,18 @@ def weight_values(h: float) -> Tuple[Tuple[float, float, float], float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Uniform grid x0 + k*eta for |k| <= M."""
-
+class _SpatialGridFields(NamedTuple):
     x0: float
     eta: float
     M: int
 
-    def __post_init__(self):
+
+class SpatialGrid(_Checked, _SpatialGridFields):
+    """Uniform grid x0 + k*eta for |k| <= M."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not 0 < self.eta < math.inf:
             raise ConfigurationError("eta must be positive and finite")
         if not math.isfinite(self.x0):

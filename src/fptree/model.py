@@ -21,10 +21,11 @@ the stability monitors downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .grids import _Checked
 
 __all__ = [
     "DriverSpec",
@@ -53,8 +54,18 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriverSpec:
+class _DriverSpecFields(NamedTuple):
+    eval: Callable
+    M_y: float
+    L_y: float
+    m: int
+    L_z: float
+    f00: float
+    dfdy: Callable
+    label: str = "custom"
+
+
+class DriverSpec(_Checked, _DriverSpecFields):
     """The driver f(y, z) and its assumption constants.
 
     Attributes
@@ -78,16 +89,9 @@ class DriverSpec:
         steps and the finite-difference reaction bound read it.
     """
 
-    eval: Callable
-    M_y: float
-    L_y: float
-    m: int
-    L_z: float
-    f00: float
-    dfdy: Callable
-    label: str = "custom"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.m < 1:
             raise ModelError("driver degree m must be >= 1, got %r" % (self.m,))
         if self.L_y < 0 or self.L_z < 0:
@@ -193,25 +197,41 @@ def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadraticG:
-    """g(x) = x^2.  Not globally Lipschitz; lipschitz is None."""
+    """g(x) = x^2.  Not globally Lipschitz; lipschitz is None.
 
-    lipschitz: ClassVar[Optional[float]] = None
+    A plain class, since a record without fields would be the empty
+    tuple; every instance is the same function, so all compare equal.
+    """
+
+    __slots__ = ()
+    lipschitz = None
 
     def __call__(self, x):
         return x * x
 
+    def __repr__(self):
+        return "QuadraticG()"
 
-@dataclass(frozen=True)
-class ClampG:
-    """g(x) = clamp(slope * x, lo, hi), Lipschitz with constant |slope|."""
+    def __eq__(self, other):
+        return type(other) is type(self)
 
+    def __hash__(self):
+        return hash(type(self))
+
+
+class _ClampGFields(NamedTuple):
     lo: float
     hi: float
     slope: float = 1.0
 
-    def __post_init__(self):
+
+class ClampG(_Checked, _ClampGFields):
+    """g(x) = clamp(slope * x, lo, hi), Lipschitz with constant |slope|."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.lo <= self.hi:
             raise ModelError("clamp requires lo <= hi")
 
@@ -223,10 +243,9 @@ class ClampG:
         return np.clip(self.slope * x, self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class ConstantG:
+class ConstantG(NamedTuple):
     c: float
-    lipschitz: ClassVar[float] = 0.0
+    lipschitz = 0.0
 
     def __call__(self, x):
         return np.full(np.shape(x), self.c)
@@ -244,8 +263,7 @@ def constant_g(c: float) -> ConstantG:
     return ConstantG(c=float(c))
 
 
-@dataclass(frozen=True)
-class ConstantCoefficient:
+class ConstantCoefficient(NamedTuple):
     """A coefficient (t, x) -> value that does not depend on (t, x)."""
 
     value: float
@@ -264,8 +282,16 @@ def constant_b_sigma(b0: float, sigma0: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _ModelSpecFields(NamedTuple):
+    T: float
+    x0: float
+    b: Callable
+    sigma: Callable
+    g: Callable
+    driver: DriverSpec
+
+
+class ModelSpec(_Checked, _ModelSpecFields):
     """A full problem instance.
 
     The coefficients b(t, x) and sigma(t, x) take a float t and a
@@ -278,14 +304,9 @@ class ModelSpec:
     probes.  Both X and Y are scalar.
     """
 
-    T: float
-    x0: float
-    b: Callable
-    sigma: Callable
-    g: Callable
-    driver: DriverSpec
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.T > 0:
             raise ModelError("horizon T must be positive")
 
@@ -343,16 +364,14 @@ def linear_model(a: float = -1.0) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     worst: float
     witness: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple
 
     @property
@@ -445,7 +464,7 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
         resid = np.abs(f1 - f0) - bound - PROBE_TOL * np.maximum(1.0, bound)
         worst("reg_y", resid, y0, y1, pair_z)
 
-    # (RegZ)
+    # (RegZ); the growth bounds reuse fz0 = f(ys, zs)
     fz0 = ev(ys, zs)
     fz1 = ev(ys, zps)
     if finite_or_fail("reg_z", fz0, fz1):
@@ -473,14 +492,13 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
             ))
 
     # growth bounds the assumptions imply (Young's inequality, weight 1)
-    fv = ev(ys, zs)
-    if finite_or_fail("growth", fv):
+    if finite_or_fail("growth", fz0):
         bound = ((abs(drv.f00) + drv.L_y) + 2.0 * drv.L_y * np.abs(ys) ** drv.m
                  + drv.L_z * np.abs(zs))
-        r1 = np.abs(fv) - bound - PROBE_TOL * np.maximum(1.0, bound)
+        r1 = np.abs(fz0) - bound - PROBE_TOL * np.maximum(1.0, bound)
         bound2 = (drv.f00 * drv.f00 / 2.0 + (drv.M_y + 1.0) * ys ** 2
                   + drv.L_z * drv.L_z / 2.0 * zs ** 2)
-        r2 = ys * fv - bound2 - PROBE_TOL * np.maximum(1.0, np.abs(bound2))
+        r2 = ys * fz0 - bound2 - PROBE_TOL * np.maximum(1.0, np.abs(bound2))
         worst("growth", np.maximum(r1, r2), ys, zs)
 
     # finite coefficient evaluation on sampled (t, x)
@@ -497,4 +515,4 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
 
 def with_declared_my(driver: DriverSpec, M_y: float) -> DriverSpec:
     """Copy of a driver with an overridden declared monotonicity constant."""
-    return replace(driver, M_y=float(M_y))
+    return driver._replace(M_y=float(M_y))

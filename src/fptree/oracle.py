@@ -15,8 +15,7 @@ Three sources, none of which share code with the lattice schemes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -118,8 +117,7 @@ def linear_solution(a: float, spec: ModelSpec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PdeSolution:
+class PdeSolution(NamedTuple):
     """Snapshots of the backward PDE solution on a uniform space grid.
 
     xs is the grid; ts the snapshot times (increasing, containing 0 and
@@ -254,8 +252,7 @@ def fd_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProxyReference:
+class ProxyReference(NamedTuple):
     """Average of the implicit and full-projection values at one N."""
 
     value: float

@@ -36,15 +36,14 @@ point and fills the levels below without computing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .forward import Lattice
 from .grids import (
-    WEIGHTS, TruncationConfig, check_alpha, truncate, weight_values,
+    WEIGHTS, TruncationConfig, _Checked, check_alpha, truncate, weight_values,
 )
 from .model import DriverSpec, ModelSpec
 from .treeval import level_sum
@@ -94,19 +93,22 @@ class SolverError(RuntimeError):
         self.node = node
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class _SchemeConfigFields(NamedTuple):
+    kind: str
+    theta: Optional[float] = None
+    truncation: Optional[TruncationConfig] = None
+
+
+class SchemeConfig(_Checked, _SchemeConfigFields):
     """Which backward operator to run and with what parameters.
 
     theta is required for kind "theta" and truncation for the
     full-projection kinds; every other kind rejects them.
     """
 
-    kind: str
-    theta: Optional[float] = None
-    truncation: Optional[TruncationConfig] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in SCHEME_KINDS:
             raise SchemeError(
                 "unknown scheme kind %r; expected one of %s"
@@ -278,8 +280,7 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueFunctions:
+class ValueFunctions(NamedTuple):
     """Backward-induction output on the lattice.
 
     y[i] is the float64 array of level-i values on the support of the

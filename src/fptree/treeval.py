@@ -33,27 +33,23 @@ class TreeStructureError(ValueError):
 
 
 def level_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Compensated sum of per-branch arrays, outermost pair first.
+    """Compensated sum (t0 + t2) + t1 of the three per-branch arrays.
 
-    Every addition also yields its exact rounding error (Knuth's
-    TwoSum), and the errors are added back at the end, so each node's
-    sum is as accurate as math.fsum in all but rare ties.  Terms are
-    taken outermost pair first ((t0 + t2) + t1 for three branches):
-    mirrored branches meet before anything else, so odd data on a
-    symmetric stencil sums to exactly odd values.  Where the plain sum
-    is not finite it is returned as is.  Callers run it under
-    np.errstate(invalid="ignore"), since that case computes inf - inf.
+    Each of the two additions also yields its exact rounding error
+    (Knuth's TwoSum), and the errors are added back at the end, so each
+    node's sum is as accurate as math.fsum in all but rare ties.  The
+    mirrored branches meet first, so odd data on a symmetric stencil
+    sums to exactly odd values.  Where the plain sum is not finite it is
+    returned as is.  Callers run it under np.errstate(invalid="ignore"),
+    since that case computes inf - inf.
     """
-    n = len(terms)
-    order = [terms[j // 2] if j % 2 == 0 else terms[n - 1 - j // 2]
-             for j in range(n)]
-    total = order[0]
-    err = 0.0
-    for t in order[1:]:
-        s = total + t
-        tp = s - total
-        err = err + ((total - (s - tp)) + (t - tp))
-        total = s
+    t0, t1, t2 = terms
+    s = t0 + t2
+    tp = s - t0
+    err = (t0 - (s - tp)) + (t2 - tp)
+    total = s + t1
+    tp = total - s
+    err = err + ((s - (total - tp)) + (t1 - tp))
     return np.where(np.isfinite(total), total + err, total)
 
 

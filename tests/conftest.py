@@ -91,6 +91,27 @@ def scalar_truncate(cfg, h, y):
     return math.copysign(R + eps * (s - 0.5 * s * s), y)
 
 
+def reference_level_sum(terms):
+    """The n-term compensated sum, outermost pair first: the reference
+    for treeval.level_sum, which writes out the three-branch case.
+
+    Terms are taken t0, t_{n-1}, t1, t_{n-2}, ...; every addition's
+    TwoSum error is added to an error sum started at 0.0, and the error
+    sum is added back where the plain sum is finite.
+    """
+    n = len(terms)
+    order = [terms[j // 2] if j % 2 == 0 else terms[n - 1 - j // 2]
+             for j in range(n)]
+    total = order[0]
+    err = 0.0
+    for t in order[1:]:
+        s = total + t
+        tp = s - total
+        err = err + ((total - (s - tp)) + (t - tp))
+        total = s
+    return np.where(np.isfinite(total), total + err, total)
+
+
 def child_indices(lattice, level, pos):
     """The children of node `pos` of `level`, as Python ints: the per-node
     reference for the lattice's block `gather`."""

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -285,7 +284,7 @@ class TestLedgerArrays:
         )
         y3 = run2.y[3].copy()
         y3[0] = math.nan
-        run2 = dataclasses.replace(run2, y=run2.y[:3] + (y3,) + run2.y[4:])
+        run2 = run2._replace(y=run2.y[:3] + (y3,) + run2.y[4:])
         ledger = fp.one_step_checks(
             run, lattice, exp1_model, exp1_trunc, "stability", run2=run2
         )
@@ -327,8 +326,7 @@ class TestOneStepReference:
 
 
 def _with_driver(spec, **constants):
-    return dataclasses.replace(
-        spec, driver=dataclasses.replace(spec.driver, **constants))
+    return spec._replace(driver=spec.driver._replace(**constants))
 
 
 def _lz_model():
@@ -413,6 +411,31 @@ def test_ledger_hypotheses_pinned(case):
     h = lattice.time_grid.h
     assert ledgers[1].c_value == size_constants(spec, trunc, h)[0]
     assert ledgers[2].c_value == stability_constant(spec, trunc, h)
+
+
+@pytest.mark.parametrize("f00", [0.0, 1.0])
+def test_underflowed_square_acts_as_zero(exp2_trunc, f00):
+    # L_y = L_z = 1e-170 square to 0: the h thresholds and, for
+    # f00 != 0, K^2 take their limit inf, as at L_y = L_z = 0, instead
+    # of dividing by zero
+    ledgers = []
+    for L in (1e-170, 0.0):
+        spec = _with_driver(fp.experiment2_model(), L_y=L, L_z=L, f00=f00)
+        lattice = build(spec, 15)
+        cfg = fp.SchemeConfig(kind="full_projection_pre",
+                              truncation=exp2_trunc)
+        run = fp.run_backward(cfg, lattice, spec)
+        ledgers.append([
+            fp.contraction_check(run, lattice, spec, exp2_trunc),
+            fp.one_step_checks(run, lattice, spec, exp2_trunc, "size")])
+    tiny, zero = ledgers
+    for a, b in zip(tiny, zero):
+        assert [np.asarray(v).tobytes() for v in a] == \
+            [np.asarray(v).tobytes() for v in b]
+    contraction, size = tiny
+    assert "threshold" not in contraction.applicability_reason
+    assert size.applicability_reason == _HOLDS
+    assert size.rhs_overflows == (0 if f00 == 0.0 else size.total_checked)
 
 
 class TestViolationPredicate:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -481,3 +484,41 @@ def test_readme_typical_runs_exit_zero(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--no-timing", "--out",
                                          str(tmp_path / "art")])
     assert result.exit_code == 0, result.output
+
+
+def test_start_up_loads_neither_dataclasses_nor_configparser():
+    # records are named tuples and only --config reads configparser, so
+    # a fresh interpreter importing the CLI pays for neither module
+    code = ("import sys, fptree.cli; print(sorted("
+            "{'dataclasses', 'configparser'} & set(sys.modules)))")
+    src = str(Path(fptree.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_no_record_reaches_the_json_writer(runner, tmp_path, monkeypatch):
+    # _json_safe writes a tuple as a list, so a record (a named tuple)
+    # in a payload would be written without its field names
+    records = []
+    json_safe = cli._json_safe
+
+    def spy(value):
+        if hasattr(value, "_fields"):
+            records.append(type(value).__name__)
+        return json_safe(value)
+
+    monkeypatch.setattr(cli, "_json_safe", spy)
+    for args in (["check", "--preset", "experiment1", "--Ns", "5"],
+                 ["convergence", "--preset", "linear-oracle", "--Ns", "5,10",
+                  "--dump-lattice"],
+                 ["convergence", "--preset", "experiment1", "--Ns", "5,10",
+                  "--proxy-N", "10", "--eta", "0.1", "--grid-extent", "3.0",
+                  "--dump-lattice"],
+                 ["stability", "--preset", "experiment2", "--Ns", "5"]):
+        result = runner.invoke(main, args + ["--no-timing", "--out",
+                                             str(tmp_path / args[0])])
+        assert result.exit_code == 0, result.output
+    assert records == []

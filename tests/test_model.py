@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 import fptree as fp
 from fptree.model import ModelError, with_declared_my
 from fptree.model import _horner
+from fptree.schemes import SchemeError
 
 
 class TestPolyDriver:
@@ -144,6 +144,47 @@ class TestModelSpecs:
         assert m.driver.m == 1
 
 
+class TestRecords:
+    """Records are immutable named tuples, and no copy skips their checks."""
+
+    @pytest.mark.parametrize("copy, error", [
+        (lambda: fp.TimeGrid(T=1.0, N=10)._replace(N=0),
+         fp.ConfigurationError),
+        (lambda: fp.TruncationConfig()._replace(mode="soft"),
+         fp.ConfigurationError),
+        (lambda: fp.SpatialGrid(x0=0.0, eta=0.1, M=4)._replace(eta=math.inf),
+         fp.ConfigurationError),
+        (lambda: fp.poly_driver((0.0, -1.0))._replace(L_z=-1.0), ModelError),
+        (lambda: fp.lipschitz_clamp_g(-1.0, 1.0)._replace(lo=2.0), ModelError),
+        (lambda: fp.linear_model()._replace(T=0.0), ModelError),
+        (lambda: fp.SchemeConfig(kind="implicit_euler")._replace(theta=0.5),
+         SchemeError),
+    ], ids=["TimeGrid", "TruncationConfig", "SpatialGrid", "DriverSpec",
+            "ClampG", "ModelSpec", "SchemeConfig"])
+    def test_replace_runs_the_checks(self, copy, error):
+        with pytest.raises(error):
+            copy()
+
+    def test_fields_are_read_only(self):
+        tg = fp.TimeGrid(T=1.0, N=10)
+        with pytest.raises(AttributeError):
+            tg.N = 5
+        with pytest.raises(AttributeError):
+            tg.extra = 1
+        with pytest.raises(AttributeError):
+            fp.quadratic_g().lipschitz = 1.0
+
+    def test_reprs_and_class_attributes(self):
+        assert repr(fp.TimeGrid(T=1.0, N=10)) == "TimeGrid(T=1.0, N=10)"
+        assert repr(fp.TruncationConfig(R0=2.0)) == (
+            "TruncationConfig(R0=2.0, alpha=0.25, mode='hard', epsilon=None)")
+        assert repr(fp.quadratic_g()) == "QuadraticG()"
+        assert fp.quadratic_g() == fp.quadratic_g()
+        g = fp.constant_g(4.0)
+        assert repr(g) == "ConstantG(c=4.0)"
+        assert g._fields == ("c",) and g.lipschitz == 0.0
+
+
 class TestValidateModel:
     @pytest.mark.parametrize(
         "maker",
@@ -167,7 +208,7 @@ class TestValidateModel:
 
     def test_wrong_lz_caught(self):
         d = fp.poly_driver((0.0, -1.0), z_coeff=1.0)
-        lying = replace(d, L_z=0.1)
+        lying = d._replace(L_z=0.1)
         m = fp.make_constant_model(
             T=1.0, x0=0.0, b=0.0, sigma=1.5, g=fp.quadratic_g(), driver=lying
         )
@@ -196,10 +237,10 @@ REPORT_MODELS = {
     "linear": fp.linear_model,
     "lying_my": lambda: _model(fp.quadratic_g(), with_declared_my(
         fp.poly_driver((0.0, 0.0, 0.0, -1.0)), -2.0)),
-    "lying_lz": lambda: _model(fp.quadratic_g(), replace(
-        fp.poly_driver((0.0, -1.0), z_coeff=1.0), L_z=0.1)),
-    "lying_f00": lambda: _model(fp.quadratic_g(), replace(
-        fp.poly_driver((5.0, -1.0)), f00=0.0)),
+    "lying_lz": lambda: _model(fp.quadratic_g(), fp.poly_driver(
+        (0.0, -1.0), z_coeff=1.0)._replace(L_z=0.1)),
+    "lying_f00": lambda: _model(fp.quadratic_g(), fp.poly_driver(
+        (5.0, -1.0))._replace(f00=0.0)),
     "wrong_lipschitz_g": lambda: _model(
         WrongLipschitzG(), fp.poly_driver((0.0, -1.0))),
     "clamp_deg5": lambda: _model(

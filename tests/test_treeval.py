@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import fptree as fp
 from fptree.schemes import _level
+from fptree.treeval import level_sum
 
-from conftest import W, WCOL, build, col, one_node
+from conftest import W, WCOL, build, col, one_node, reference_level_sum
 
 ZERO = fp.poly_driver((0.0,))
 INF = math.inf
@@ -58,6 +59,36 @@ class TestSafeWeightedSum:
         empty = np.zeros((3, 0))
         y, z, iters = _level(empty, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 1.0)
         assert y.size == z.size == iters.size == 0
+
+
+# finite values of every scale, both zeros, values that overflow in
+# pairs, and the non-finite ones
+SUMMANDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 1e308, -1e308,
+                     5e-324, -5e-324, 1.0, -1.0]),
+)
+
+
+class TestLevelSum:
+    """The three-branch level_sum against the n-term reference."""
+
+    @given(st.lists(st.tuples(SUMMANDS, SUMMANDS, SUMMANDS), min_size=1,
+                    max_size=16))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_bitwise(self, nodes):
+        terms = np.array(nodes, dtype=float).T
+        with np.errstate(all="ignore"):
+            got = level_sum(terms)
+            want = reference_level_sum(terms)
+        assert got.tobytes() == want.tobytes(), nodes
+
+    def test_signed_zeros(self):
+        # all eight sign patterns of three zeros, one per node
+        zeros = np.array([[-0.0 if k >> j & 1 else 0.0 for k in range(8)]
+                          for j in range(3)])
+        got = level_sum(zeros)
+        assert got.tobytes() == reference_level_sum(zeros).tobytes()
 
 
 class TestCondExpect:
