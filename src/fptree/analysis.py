@@ -209,6 +209,14 @@ def _guarded_exp(x: float) -> float:
         return math.inf
 
 
+def _power(base: float, expo: float) -> float:
+    """base ** expo, or inf where the float power overflows."""
+    try:
+        return base ** expo
+    except OverflowError:
+        return math.inf
+
+
 def _quotient(num: float, den: float) -> float:
     """num / den for num >= 0, or its limit inf where den is 0.
 
@@ -285,18 +293,19 @@ def contraction_check(
         reasons.append("f(0,0)=%g is not 0" % drv.f00)
     if not drv.M_y < 0.0:
         reasons.append("M_y=%g is not negative" % drv.M_y)
-    if not 8.0 * drv.L_z ** 2 <= -drv.M_y:
-        reasons.append("8*L_z^2=%g exceeds -M_y" % (8.0 * drv.L_z ** 2,))
+    lz8 = 8.0 * _power(drv.L_z, 2)
+    if not lz8 <= -drv.M_y:
+        reasons.append("8*L_z^2=%g exceeds -M_y" % (lz8,))
     if drv.m > 1 and not trunc.alpha < alpha_cap(drv.m):
         reasons.append("alpha=%g is not strictly below 1/(2(m-1))" % trunc.alpha)
     if drv.M_y < 0.0:
         # with L_y = 0 both terms are inf and h meets no threshold
         mm = 2 * (drv.m - 1)
-        den = 4.0 * _D_PLUS_1 * drv.L_y ** 2
+        den = 4.0 * _D_PLUS_1 * _power(drv.L_y, 2)
         base = _quotient(-drv.M_y / 4.0, den)
-        scaled = _quotient(-drv.M_y / 4.0, den * trunc.R0 ** mm)
+        scaled = _quotient(-drv.M_y / 4.0, den * _power(trunc.R0, mm))
         expo = 1.0 - mm * trunc.alpha
-        second = scaled ** (1.0 / expo) if expo > 0 else math.inf
+        second = _power(scaled, 1.0 / expo) if expo > 0 else math.inf
         h_threshold = min(base, second)
         if h > h_threshold:
             reasons.append(
@@ -333,24 +342,25 @@ def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
     """The rate c and the tail (K^2 h for size, 0 for stability) of kind."""
     drv = spec.driver
     mm = 2 * (drv.m - 1)
-    radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
+    radius_term = _power(trunc.R0, mm) * _power(h, -mm * trunc.alpha)
+    L_y2, L_z2 = _power(drv.L_y, 2), _power(drv.L_z, 2)
     if kind == "stability":
         c = (
             2.0 * drv.M_y
-            + 4.0 * drv.L_z ** 2
-            + 3.0 * _D_PLUS_1 * drv.L_y ** 2 * (1.0 + 2.0 * radius_term) * h
+            + 4.0 * L_z2
+            + 3.0 * _D_PLUS_1 * L_y2 * (1.0 + 2.0 * radius_term) * h
         )
         return c, 0.0
     c = (
         2.0 * drv.M_y
-        + 8.0 * drv.L_z ** 2
-        + 4.0 * _D_PLUS_1 * drv.L_y ** 2 * (1.0 + radius_term) * h
+        + 8.0 * L_z2
+        + 4.0 * _D_PLUS_1 * L_y2 * (1.0 + radius_term) * h
     )
     if drv.f00 == 0.0:
         K2 = 0.0
     else:
-        K2 = _quotient(drv.f00 ** 2, 4.0 * drv.L_z ** 2) \
-            + _D_PLUS_1 * drv.f00 ** 2 * h
+        f00_2 = _power(drv.f00, 2)
+        K2 = _quotient(f00_2, 4.0 * L_z2) + _D_PLUS_1 * f00_2 * h
     return c, K2 * h
 
 
@@ -389,7 +399,7 @@ def one_step_checks(
     W = np.array(WEIGHTS)[:, None]
 
     reasons = []
-    h_max = _quotient(1.0, 16.0 * _D_PLUS_1 * drv.L_z ** 2)
+    h_max = _quotient(1.0, 16.0 * _D_PLUS_1 * _power(drv.L_z, 2))
     if h > h_max:
         reasons.append("h=%g exceeds threshold %g" % (h, h_max))
     if trunc.alpha > alpha_cap(drv.m):

@@ -37,6 +37,7 @@ from .grids import (
     SpatialGrid,
     TimeGrid,
     TruncationConfig,
+    check_alpha,
     default_alpha,
     gaussian_moment_exact,
     grid_project,
@@ -113,9 +114,6 @@ _OPTIONS = (
     _Option("--Ns", click.STRING, "comma-separated list of N values"),
     _Option("--R0", click.FLOAT, "truncation radius coefficient"),
     _Option("--alpha", click.FLOAT, "truncation radius exponent"),
-    _Option("--trunc-mode", click.Choice(["hard", "mollified"]),
-            default="hard"),
-    _Option("--epsilon", click.FLOAT, "mollification width (default h)"),
     _Option("--eta", click.FLOAT,
             "spatial mesh width (default: exact recombining tree; with "
             "--grid-extent alone, h^2)"),
@@ -126,8 +124,6 @@ _OPTIONS = (
     _Option("--no-timing", click.BOOL,
             "omit wall-clock fields from artifacts", default=False,
             is_flag=True),
-    _Option("--proxy-N", click.INT,
-            "resolution of the proxy reference (default 120)", default=120),
 )
 
 # a config file cannot name another config file
@@ -147,13 +143,10 @@ class Settings(NamedTuple):
     ns: Tuple[int, ...]
     r0: float
     alpha: float
-    trunc_mode: str
-    epsilon: Optional[float]
     eta: Optional[float]
     grid_extent: Optional[float]
     out: Optional[str]
     no_timing: bool
-    proxy_n: int
     model: ModelSpec
 
 
@@ -354,6 +347,12 @@ def _settings(kw: dict) -> Settings:
                 "N=%d appears twice in Ns; its artifacts would overwrite "
                 "each other" % N
             )
+    for i, name in enumerate(values["scheme"]):
+        if name in values["scheme"][:i]:
+            raise click.UsageError(
+                "scheme %s appears twice; its artifacts would overwrite "
+                "each other" % name
+            )
     for key in ("eta", "grid_extent"):
         if values[key] is not None and values[key] <= 0.0:
             raise click.UsageError(
@@ -374,9 +373,7 @@ def _settings(kw: dict) -> Settings:
 
 
 def _truncation(st: Settings) -> TruncationConfig:
-    return TruncationConfig(
-        R0=st.r0, alpha=st.alpha, mode=st.trunc_mode, epsilon=st.epsilon
-    )
+    return TruncationConfig(R0=st.r0, alpha=st.alpha)
 
 
 def _lattices(st: Settings) -> tuple:
@@ -431,11 +428,11 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
             "unknown scheme %r; expected one of %s or theta=<v>"
             % (name, ", ".join(_SCHEME_KINDS))
         )
-    kind = _SCHEME_KINDS[name]
-    return SchemeConfig(
-        kind=kind,
-        truncation=_truncation(st) if name.startswith("fp") else None,
-    )
+    if not name.startswith("fp"):
+        return SchemeConfig(kind=_SCHEME_KINDS[name])
+    trunc = _truncation(st)
+    check_alpha(trunc, st.model.driver.m)
+    return SchemeConfig(kind=_SCHEME_KINDS[name], truncation=trunc)
 
 
 def _out_dir(st: Settings) -> str:
@@ -497,8 +494,6 @@ def _settings_echo(st: Settings) -> dict:
         "Ns": list(st.ns),
         "R0": st.r0,
         "alpha": st.alpha,
-        "trunc_mode": st.trunc_mode,
-        "epsilon": st.epsilon,
         "eta": st.eta,
         "grid_extent": st.grid_extent,
         "driver": st.model.driver.label,
@@ -539,7 +534,7 @@ def _reference_for(st: Settings) -> dict:
         a = st.model.driver.eval(1.0, 0.0) - st.model.driver.f00
         _, y0 = linear_solution(a, st.model)
         return {"kind": "linear_oracle", "value": y0, "a": a}
-    proxy = proxy_reference(st.model, _truncation(st), N=st.proxy_n)
+    proxy = proxy_reference(st.model, _truncation(st))
     return {
         "kind": "proxy",
         "value": proxy.value,
@@ -603,17 +598,14 @@ def _suite_truncation(st: Settings):
                    for k in range(400)])
     # every pair of xs[::7] and xs[::13], as one broadcast block
     a, b = xs[::7, None], xs[None, ::13]
-    for mode in ("hard", "mollified"):
-        cfg = TruncationConfig(R0=trunc.R0, alpha=trunc.alpha, mode=mode,
-                               epsilon=trunc.epsilon)
-        gap = np.abs(truncate(cfg, h, a) - truncate(cfg, h, b))
-        if (gap > np.abs(a - b) * (1.0 + 1e-12) + 1e-15).any():
-            return False, "1-Lipschitz violated (%s mode)" % mode
-        tx = truncate(cfg, h, xs)
-        if ((np.abs(xs) <= R) & (tx != xs)).any():
-            return False, "identity inside radius violated (%s mode)" % mode
-        if (truncate(cfg, h, -xs) != -tx).any():
-            return False, "odd symmetry violated (%s mode)" % mode
+    gap = np.abs(truncate(trunc, h, a) - truncate(trunc, h, b))
+    if (gap > np.abs(a - b) * (1.0 + 1e-12) + 1e-15).any():
+        return False, "1-Lipschitz violated"
+    tx = truncate(trunc, h, xs)
+    if ((np.abs(xs) <= R) & (tx != xs)).any():
+        return False, "identity inside radius violated"
+    if (truncate(trunc, h, -xs) != -tx).any():
+        return False, "odd symmetry violated"
     return True, "1-Lipschitz, identity inside radius, odd symmetry"
 
 

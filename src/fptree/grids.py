@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -110,16 +110,12 @@ class TimeGrid(_Checked, _TimeGridFields):
 class _TruncationConfigFields(NamedTuple):
     R0: float = 10.0
     alpha: float = 0.25
-    mode: str = "hard"
-    epsilon: Optional[float] = None
 
 
 class TruncationConfig(_Checked, _TruncationConfigFields):
     """Parameters of the value truncation T(y).
 
-    R0 and alpha set the radius R = R0 * h^{-alpha}.  mode selects the
-    hard radial clamp or a C^1 mollified variant; epsilon is the blend
-    width of the mollified mode (None means "use h").
+    R0 and alpha set the radius R = R0 * h^{-alpha}.
     """
 
     __slots__ = ()
@@ -129,10 +125,6 @@ class TruncationConfig(_Checked, _TruncationConfigFields):
             raise ConfigurationError("R0 must be positive")
         if not self.alpha > 0:
             raise ConfigurationError("alpha must be positive")
-        if self.mode not in ("hard", "mollified"):
-            raise ConfigurationError("mode must be 'hard' or 'mollified'")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ConfigurationError("epsilon must be nonnegative")
 
 
 def alpha_cap(m: int) -> float:
@@ -171,27 +163,14 @@ def truncation_radius(cfg: TruncationConfig, h: float) -> float:
 
 
 def truncate(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:
-    """Radial truncation of y at radius R = R0 * h^{-alpha}, elementwise.
+    """Radial truncation min(1, R/|y|) y at R = R0 * h^{-alpha}, elementwise.
 
-    Hard mode is min(1, R/|y|) y.  Mollified mode maps the radius
-    r = |y| > R to R + eps (s - s^2/2) with s = (r - R)/eps, which
-    reaches R + eps/2 at r = R + eps and stays there beyond; its slope
-    1 - s lies in [0, 1], so the map stays monotone and 1-Lipschitz.
-    Both modes are odd, 1-Lipschitz and total: nan stays nan (an
-    exploded value must remain visible) and +-inf maps to the signed
-    cap.
+    The map is the projection onto [-R, R]: odd, 1-Lipschitz,
+    idempotent and total.  nan stays nan (an exploded value must remain
+    visible) and +-inf maps to the signed cap.
     """
     R = truncation_radius(cfg, h)
-    r = np.abs(y)
-    cap = R
-    if cfg.mode == "mollified":
-        eps = h if cfg.epsilon is None else cfg.epsilon
-        if eps > 0.0:
-            with np.errstate(invalid="ignore", over="ignore"):
-                s = (r - R) / eps
-                cap = np.where(r >= R + eps, R + 0.5 * eps,
-                               R + eps * (s - 0.5 * s * s))
-    return np.where((r <= R) | np.isnan(y), y, np.copysign(cap, y))
+    return np.where((np.abs(y) <= R) | np.isnan(y), y, np.copysign(R, y))
 
 
 # ---------------------------------------------------------------------------

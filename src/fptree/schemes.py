@@ -18,8 +18,7 @@ The two full-projection variants are algebraically conjugate: starting
 the post variant from truncated terminal data yields y_post = T(y_pre)
 and identical z at every node.  Both run the same arithmetic on the
 same truncated children, so the equivalence holds bit-for-bit, not just
-within tolerance.  Post never truncates its children again: the
-mollified T is not idempotent.
+within tolerance.
 
 Non-finite values are data here: the explicit scheme on stiff problems
 overflows to inf and then nan, and those values are carried through and

@@ -72,23 +72,12 @@ def scalar_truncate(cfg, h, y):
     """The truncation T on one Python float: the reference for the
     library's array form.
 
-    Hard mode caps |y| at R; mollified mode maps r = |y| > R to
-    R + eps (s - s^2/2), s = (r - R)/eps, constant R + eps/2 from
-    r = R + eps on.  nan stays nan.
+    T caps |y| at R = R0 h^{-alpha}; nan stays nan.
     """
     R = fp.truncation_radius(cfg, h)
-    if y != y:
+    if y != y or abs(y) <= R:
         return y
-    r = abs(y)
-    if r <= R:
-        return y
-    if cfg.mode == "hard":
-        return math.copysign(R, y)
-    eps = h if cfg.epsilon is None else cfg.epsilon
-    if eps <= 0.0 or r >= R + eps:
-        return math.copysign(R if eps <= 0.0 else R + 0.5 * eps, y)
-    s = (r - R) / eps
-    return math.copysign(R + eps * (s - 0.5 * s * s), y)
+    return math.copysign(R, y)
 
 
 def reference_level_sum(terms):

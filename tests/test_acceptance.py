@@ -196,21 +196,19 @@ def test_c8_truncation_weight_and_projection_properties(exp1_trunc):
     h = 1.0 / 120
     R = fp.truncation_radius(exp1_trunc, h)
     span = 3.0 * R
-    moll = fp.TruncationConfig(
-        R0=exp1_trunc.R0, alpha=exp1_trunc.alpha, mode="mollified"
-    )
 
     def draw(n, lo, hi):
         # n draws in the order of n scalar rng.uniform(lo, hi) calls
         return np.array([rng.uniform(lo, hi) for _ in range(n)])
 
-    for cfg, pairs in ((exp1_trunc, 100_000), (moll, 10_000)):
-        a, b = draw(2 * pairs, -span, span).reshape(-1, 2).T
-        got = np.abs(fp.truncate(cfg, h, a) - fp.truncate(cfg, h, b))
-        assert (got <= np.abs(a - b) * (1.0 + 1e-12) + 1e-15).all(), cfg.mode
+    a, b = draw(200_000, -span, span).reshape(-1, 2).T
+    got = np.abs(fp.truncate(exp1_trunc, h, a) - fp.truncate(exp1_trunc, h, b))
+    assert (got <= np.abs(a - b) * (1.0 + 1e-12) + 1e-15).all()
+    # these 10,000 pairs fed a second truncation map, since removed;
+    # drawing them still keeps every later sample the value it had
+    draw(20_000, -span, span)
     y = draw(10_000, -R, R)
     assert np.array_equal(fp.truncate(exp1_trunc, h, y), y)
-    assert np.array_equal(fp.truncate(moll, h, y), y)
 
     for N in (5, 10, 20, 40, 80, 120, 160, 320):
         hN = 1.0 / N

@@ -438,6 +438,30 @@ def test_underflowed_square_acts_as_zero(exp2_trunc, f00):
     assert size.rhs_overflows == (0 if f00 == 0.0 else size.total_checked)
 
 
+def test_overflowed_power_acts_as_inf(exp2_trunc):
+    # a float power that overflows takes its limit inf instead of
+    # raising OverflowError.  Contraction: with L_y = 1e-3 and R0 = 1
+    # the second threshold is 31250 ** 250, so only the first one binds
+    spec = _with_driver(fp.experiment2_model(), L_y=1e-3)
+    trunc = exp2_trunc._replace(R0=1.0)
+    lattice = build(spec, 15)
+    cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=trunc)
+    run = fp.run_backward(cfg, lattice, spec)
+    ledger = fp.contraction_check(run, lattice, spec, trunc)
+    assert ledger.applicability_reason == _HOLDS
+    assert ledger.violations == 0
+    # size: R0 ** 4 overflows, so c and every rhs are inf and the nodes
+    # whose lhs is not finite are counted as unverifiable
+    spec = fp.experiment2_model()
+    trunc = exp2_trunc._replace(R0=1e100)
+    cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=trunc)
+    run = fp.run_backward(cfg, lattice, spec)
+    ledger = fp.one_step_checks(run, lattice, spec, trunc, "size")
+    assert ledger.c_value == math.inf
+    assert ledger.rhs_overflows == ledger.total_checked == 225
+    assert ledger.nonfinite == ledger.violations > 0
+
+
 class TestViolationPredicate:
     def test_nan_residual_is_violation(self):
         assert _is_violation(math.nan, 1.0, 1e-10, 1e-8)

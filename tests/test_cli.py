@@ -200,6 +200,24 @@ class TestStability:
         assert (out / "minmax_explicit_N15.csv").exists()
         assert_plain_csv_cells(out)
 
+    def test_alpha_above_cap(self, runner, tmp_path):
+        # fp needs alpha <= 1/(2(m-1)) = 0.25 for experiment2's m = 3 and
+        # is refused before the out directory is made; implicit reads
+        # alpha only in the contraction ledger's hypotheses, so it runs
+        out = tmp_path / "art"
+        args = ["stability", "--preset", "experiment2", "--Ns", "15",
+                "--alpha", "0.3", "--no-timing", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "alpha=0.3 exceeds 1/(2(m-1))=0.25" in result.output
+        assert not out.exists()
+        result = runner.invoke(main, args + ["--scheme", "implicit"])
+        assert result.exit_code == 0, result.output
+        runs = read_json(out / "stability_summary.json")["runs"]
+        reason = runs["implicit_N15"]["ledgers"]["contraction"][
+            "applicability_reason"]
+        assert "alpha=0.3 is not strictly below 1/(2(m-1))" in reason
+
     def test_theta_half_implicit_solve_brackets(self, runner, tmp_path):
         # at level 23, node 7 the closed-form bracket end lies within
         # rounding of the root: moving it towards m instead of away
@@ -273,6 +291,22 @@ class TestNsValidation:
         assert result.exit_code == 2, result.output
         assert "N=5" in result.output
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--scheme", "fp", "--scheme", "fp"], ""),
+        ([], "scheme = fp,fp\n"),
+    ], ids=["flag", "file"])
+    def test_duplicate_scheme_rejected(self, runner, tmp_path, flags, text):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "art"
+        result = runner.invoke(main, [
+            "convergence", "--preset", "linear-oracle", "--Ns", "10,20",
+            "--config", str(cfg), "--out", str(out),
+        ] + flags)
+        assert result.exit_code == 2, result.output
+        assert "scheme fp appears twice" in result.output
+        assert not out.exists()
+
     def test_stability_accepts_permuted_ns(self, runner, tmp_path):
         out = tmp_path / "art"
         result = runner.invoke(main, [
@@ -326,7 +360,6 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("text, key", [
         ("[run]\nr0 = abc\n", "r0"),
-        ("[run]\nproxy-n = x\n", "proxy-n"),
         ("[run]\nno-timing = maybe\n", "no-timing"),
         ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = const:abc\n", "g"),
         ("[run]\npreset = custom\n[model]\nsigma = 1.0\ng = quadratic\n"
@@ -374,7 +407,7 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("args", [
         ["stability", "--preset", "experiment2", "--Ns", "15", "--R0", "-1"],
         ["stability", "--preset", "experiment2", "--Ns", "15",
-         "--trunc-mode", "mollified", "--epsilon", "-1"],
+         "--scheme", "fp-post", "--alpha", "0.3"],
         ["convergence", "--preset", "linear-oracle", "--Ns", "10",
          "--scheme", "theta=2"],
     ])
@@ -393,7 +426,7 @@ class TestConfigPlumbing:
 
 
 # rows whose value is not in the settings echo of the artifacts
-_NOT_ECHOED = {"config", "out", "no-timing", "proxy-n"}
+_NOT_ECHOED = {"config", "out", "no-timing"}
 
 # file key: (value A, value B, echo key, A as echoed); A differs from the
 # experiment1 default and B differs from A
@@ -403,11 +436,32 @@ _PRECEDENCE_CASES = {
     "ns": ("5,7", "6,8", "Ns", [5, 7]),
     "r0": ("3.5", "4.5", "R0", 3.5),
     "alpha": ("0.2", "0.1", "alpha", 0.2),
-    "trunc-mode": ("mollified", "hard", "trunc_mode", "mollified"),
-    "epsilon": ("0.01", "0.02", "epsilon", 0.01),
     "eta": ("0.05", "0.1", "eta", 0.05),
     "grid-extent": ("3.0", "4.0", "grid_extent", 3.0),
 }
+
+
+_ECHO_KEYS = {"preset", "schemes", "Ns", "R0", "alpha", "eta", "grid_extent",
+              "driver", "T", "x0", "b", "sigma", "driver_constants"}
+_DRIVER_CONSTANT_KEYS = {"M_y", "L_y", "L_z", "m", "f00"}
+
+
+@pytest.mark.parametrize("args, artifact", [
+    (["check", "--preset", "experiment1", "--Ns", "5"], "check_report.json"),
+    (["convergence", "--preset", "linear-oracle", "--Ns", "10,20"],
+     "convergence_summary.json"),
+    (["stability", "--preset", "experiment2", "--Ns", "5", "--scheme", "fp"],
+     "stability_summary.json"),
+], ids=["check", "convergence", "stability"])
+def test_settings_echo_keys(runner, tmp_path, args, artifact):
+    # the echo is part of the artifact format: a key added or removed
+    # here is a format change and must be recorded as one
+    out = tmp_path / "art"
+    result = runner.invoke(main, args + ["--no-timing", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    echo = read_json(out / artifact)["settings"]
+    assert set(echo) == _ECHO_KEYS
+    assert set(echo["driver_constants"]) == _DRIVER_CONSTANT_KEYS
 
 
 def settings_echo(runner, tmp_path, flags, lines):
@@ -515,7 +569,7 @@ def test_no_record_reaches_the_json_writer(runner, tmp_path, monkeypatch):
                  ["convergence", "--preset", "linear-oracle", "--Ns", "5,10",
                   "--dump-lattice"],
                  ["convergence", "--preset", "experiment1", "--Ns", "5,10",
-                  "--proxy-N", "10", "--eta", "0.1", "--grid-extent", "3.0",
+                  "--eta", "0.1", "--grid-extent", "3.0",
                   "--dump-lattice"],
                  ["stability", "--preset", "experiment2", "--Ns", "5"]):
         result = runner.invoke(main, args + ["--no-timing", "--out",

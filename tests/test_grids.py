@@ -12,7 +12,6 @@ from fptree.grids import ConfigurationError, check_alpha
 from conftest import branch_moment, branch_weight_values, scalar_truncate
 
 HARD = fp.TruncationConfig(R0=2.0, alpha=0.249)
-MOLL = fp.TruncationConfig(R0=2.0, alpha=0.249, mode="mollified")
 
 
 class TestTimeGrid:
@@ -56,29 +55,29 @@ class TestTruncate:
         y=st.floats(-1e6, 1e6, allow_nan=False),
         yp=st.floats(-1e6, 1e6, allow_nan=False),
         h=st.sampled_from([0.2, 0.05, 1 / 120]),
-        mode=st.sampled_from([HARD, MOLL]),
     )
     @settings(max_examples=400, deadline=None)
-    def test_one_lipschitz_and_bounded(self, y, yp, h, mode):
-        ty, typ = T(mode, h, y, yp)
+    def test_one_lipschitz_and_bounded(self, y, yp, h):
+        ty, typ = T(HARD, h, y, yp)
         assert abs(ty - typ) <= abs(y - yp) + 1e-12 * max(abs(y), abs(yp), 1)
         assert abs(ty) <= abs(y)
         # the array form is the scalar reference, bit for bit
-        assert [ty, typ] == [scalar_truncate(mode, h, y),
-                             scalar_truncate(mode, h, yp)]
+        assert [ty, typ] == [scalar_truncate(HARD, h, y),
+                             scalar_truncate(HARD, h, yp)]
 
     @given(
         h=st.sampled_from([0.2, 0.05, 1 / 120]),
-        mode=st.sampled_from([HARD, MOLL]),
         u=st.floats(0, 1, allow_nan=False),
     )
     @settings(max_examples=200, deadline=None)
-    def test_identity_inside_and_odd(self, h, mode, u):
-        R = fp.truncation_radius(mode, h)
+    def test_identity_inside_and_odd(self, h, u):
+        R = fp.truncation_radius(HARD, h)
         y = u * R
-        assert T(mode, h, y)[0] == y
+        assert T(HARD, h, y)[0] == y
         far = R * (1.0 + 3.0 * u)
-        assert T(mode, h, -far)[0] == -T(mode, h, far)[0]
+        t_far = T(HARD, h, far)[0]
+        assert T(HARD, h, -far)[0] == -t_far
+        assert T(HARD, h, t_far)[0] == t_far
 
     def test_hard_clamps_to_radius(self):
         R = fp.truncation_radius(HARD, 0.05)
@@ -88,31 +87,10 @@ class TestTruncate:
         R = fp.truncation_radius(HARD, 0.05)
         got = T(HARD, 0.05, math.nan, math.inf, -math.inf)
         assert math.isnan(got[0]) and got[1:].tolist() == [R, -R]
-        for mode in (HARD, MOLL):
-            ys = [math.nan, math.inf, -math.inf]
-            assert np.array_equal(
-                T(mode, 0.05, *ys),
-                [scalar_truncate(mode, 0.05, y) for y in ys], equal_nan=True)
-
-    def test_mollified_blend_endpoint(self):
-        # radius transfer reaches R + eps/2 at the end of the blend and
-        # stays constant beyond it
-        cfg = fp.TruncationConfig(
-            R0=1.0, alpha=0.25, mode="mollified", epsilon=0.5
-        )
-        R = fp.truncation_radius(cfg, 1.0)
-        assert R == 1.0
-        end, at_end, mid = T(cfg, 1.0, 100.0, 1.5, 1.25)
-        assert end == pytest.approx(1.25, abs=1e-14)
-        assert at_end == pytest.approx(1.25, abs=1e-14)
-        assert 1.0 < mid < 1.25
-
-    def test_mollified_monotone_in_radius(self):
-        cfg = fp.TruncationConfig(
-            R0=1.0, alpha=0.25, mode="mollified", epsilon=0.5
-        )
-        vals = T(cfg, 1.0, *(1.0 + 0.05 * k for k in range(14)))
-        assert (np.diff(vals) >= 0).all()
+        ys = [math.nan, math.inf, -math.inf]
+        assert np.array_equal(
+            T(HARD, 0.05, *ys),
+            [scalar_truncate(HARD, 0.05, y) for y in ys], equal_nan=True)
 
 
 class TestIncrementWeights:

@@ -453,10 +453,9 @@ class TestRunBackward:
             if run.finite:
                 assert run.y0 == 0.0, cfg.kind
 
-    @pytest.mark.parametrize("mode", ["hard", "mollified"])
     @pytest.mark.parametrize("grid", [None, fp.SpatialGrid(x0=0.0, eta=0.05, M=80)])
-    def test_pre_post_conjugate_bitwise(self, mode, grid, exp1_model):
-        trunc = fp.TruncationConfig(R0=2.0, alpha=0.249, mode=mode)
+    def test_pre_post_conjugate_bitwise(self, grid, exp1_model):
+        trunc = fp.TruncationConfig(R0=2.0, alpha=0.249)
         lat = build(exp1_model, 20, grid)
         h = lat.time_grid.h
         pre = fp.run_backward(
@@ -643,7 +642,6 @@ class TestScalarReference:
         c3=st.floats(-1.0, 0.0), zc=st.floats(-1.0, 1.0),
         sigma=st.floats(0.5, 2.0), N=st.integers(2, 12),
         R0=st.floats(0.5, 5.0), alpha_frac=st.floats(0.05, 1.0),
-        mode=st.sampled_from(["hard", "mollified"]),
         kind=st.sampled_from([
             ("explicit_euler", 0.0), ("theta", 0.5), ("implicit_euler", 1.0),
             ("full_projection_pre", 0.0), ("full_projection_post", 0.0),
@@ -652,14 +650,14 @@ class TestScalarReference:
     )
     @settings(max_examples=120, deadline=None)
     def test_operator_matches_scalar_reference(
-        self, c0, c1, c3, zc, sigma, N, R0, alpha_frac, mode, kind, projected
+        self, c0, c1, c3, zc, sigma, N, R0, alpha_frac, kind, projected
     ):
         driver = fp.poly_driver((c0, c1, 0.0, c3), z_coeff=zc)
         assume(kind[1] * driver.M_y / N < 0.5)
         spec = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=sigma,
                                       g=fp.quadratic_g(), driver=driver)
         top = 1.0 if driver.m == 1 else 1.0 / (2 * (driver.m - 1))
-        trunc = fp.TruncationConfig(R0=R0, alpha=alpha_frac * top, mode=mode)
+        trunc = fp.TruncationConfig(R0=R0, alpha=alpha_frac * top)
         cfg = fp.SchemeConfig(
             kind=kind[0], theta=kind[1] if kind[0] == "theta" else None,
             truncation=trunc if kind[0].startswith("full_") else None)
