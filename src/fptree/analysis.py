@@ -34,7 +34,7 @@ from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, alpha_cap, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
-from .treeval import chain_law, l2_norm, level_sum
+from .treeval import chain_law, level_sum
 
 __all__ = [
     "ErrorEntry",
@@ -314,7 +314,11 @@ def contraction_check(
     c_prime = drv.M_y / 2.0
 
     law = chain_law(lattice)
-    l2 = np.array([l2_norm(y, law, i) for i, y in enumerate(run.y)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # l2_norm's arithmetic under one errstate for all levels; the
+        # np.sum of a 1-d array is np.add.reduce, without its dispatch
+        l2 = np.array([math.sqrt(float(np.add.reduce(masses * y * y)))
+                       for masses, y in zip(law, run.y)])
     bound = _guarded_product(
         np.array([_guarded_exp(c_prime * (spec.T - t)) for t in tg.times]),
         l2[-1],
@@ -339,23 +343,23 @@ def sup_norm_check(run: ValueFunctions) -> StabilityLedger:
 
 def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
                         kind: str):
-    """The rate c and the tail (K^2 h for size, 0 for stability) of kind."""
+    """The rate c and the tail (K^2 h for size, 0 for stability) of kind.
+
+    L_y^2 = 0 drops the L_y^2 term, also where the radius term
+    overflows to inf and IEEE 0 * inf would make c nan.
+    """
     drv = spec.driver
     mm = 2 * (drv.m - 1)
     radius_term = _power(trunc.R0, mm) * _power(h, -mm * trunc.alpha)
     L_y2, L_z2 = _power(drv.L_y, 2), _power(drv.L_z, 2)
     if kind == "stability":
-        c = (
-            2.0 * drv.M_y
-            + 4.0 * L_z2
-            + 3.0 * _D_PLUS_1 * L_y2 * (1.0 + 2.0 * radius_term) * h
-        )
+        c = 2.0 * drv.M_y + 4.0 * L_z2
+        if L_y2:
+            c += 3.0 * _D_PLUS_1 * L_y2 * (1.0 + 2.0 * radius_term) * h
         return c, 0.0
-    c = (
-        2.0 * drv.M_y
-        + 8.0 * L_z2
-        + 4.0 * _D_PLUS_1 * L_y2 * (1.0 + radius_term) * h
-    )
+    c = 2.0 * drv.M_y + 8.0 * L_z2
+    if L_y2:
+        c += 4.0 * _D_PLUS_1 * L_y2 * (1.0 + radius_term) * h
     if drv.f00 == 0.0:
         K2 = 0.0
     else:

@@ -167,10 +167,13 @@ def truncate(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:
 
     The map is the projection onto [-R, R]: odd, 1-Lipschitz,
     idempotent and total.  nan stays nan (an exploded value must remain
-    visible) and +-inf maps to the signed cap.
+    visible) and +-inf maps to the signed cap.  The clamp below is
+    bitwise the selection np.where(|y| <= R or y is nan, y,
+    copysign(R, y)): np.maximum and np.minimum pass a nan operand
+    through unchanged, keep -0.0 and, at |y| = R, give y.
     """
     R = truncation_radius(cfg, h)
-    return np.where((np.abs(y) <= R) | np.isnan(y), y, np.copysign(R, y))
+    return np.minimum(np.maximum(y, -R), R)
 
 
 # ---------------------------------------------------------------------------

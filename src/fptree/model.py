@@ -106,14 +106,27 @@ def _horner(coeffs: Sequence[float]):
     raising; y**k would raise OverflowError instead.  Floats and arrays
     go through the same operations, so they agree elementwise, also at
     +-inf.  A constant polynomial returns its float for any input.
+
+    The adds of zero coefficients are skipped, except the constant
+    term's, and the result is still bitwise the plain Horner's: x + 0.0
+    is x but for turning -0.0 into +0.0 (x + -0.0 is always x), so a
+    skip can only leave a zero accumulator's sign unchanged.  A multiply
+    passes that sign on to a zero or drops it into a nan that does not
+    depend on it, the add of a nonzero coefficient drops it, and the
+    constant term's add drops it last, since zero + c0 is c0 for every
+    c0 but -0.0.  With c0 = -0.0 nothing is skipped.
     """
     cs = tuple(float(c) for c in coeffs)
     lead, rest = cs[-1], cs[-2::-1]
+    if rest and math.copysign(1.0, rest[-1]) > 0.0:
+        rest = tuple(None if c == 0.0 else c for c in rest[:-1]) + rest[-1:]
 
     def p(y):
         acc = lead
         for c in rest:
-            acc = acc * y + c
+            acc = acc * y
+            if c is not None:
+                acc = acc + c
         return acc
 
     return p

@@ -8,8 +8,10 @@ block of child values of each level:
 
 with theta = 0 for explicit_euler and the full-projection kinds, 1 for
 implicit_euler and the configured value for theta.  At theta = 0 the
-map is explicit and needs no solve.  The full-projection kinds add the
-radial truncation T:
+map is explicit and needs no solve.  At theta = 1, m = E[v] does not
+depend on z, so m and z are one compensated sum of the two stacked
+blocks; the sum is elementwise, so each gets the bits it gets alone.
+The full-projection kinds add the radial truncation T:
 
 * full_projection_pre   truncates the children before the step
 * full_projection_post  truncates the terminal values and each output
@@ -138,32 +140,37 @@ def _level(
     h: float,
     theta: float,
     truncate_output: Optional[Callable] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One backward step at every node of a level.
 
     kids is the (branches, nodes) block of child values, already
     truncated for full_projection_pre; W and H are the (branches, 1)
     columns of branch weights and Z weights.  Returns y, z and the
-    per-node root-solve iteration counts (zero where no solve ran).
-    Callers run it under np.errstate(all="ignore"): overflow is data.
+    level's root-solve iteration total and per-node maximum (zero where
+    no solve runs).  Callers run it under np.errstate(all="ignore"):
+    overflow is data.
     """
     wk = W * kids
-    z = level_sum(wk * H)
     if theta == 1.0:
-        m = level_sum(wk)
+        m, z = level_sum(np.stack((wk, wk * H), axis=1))
+        # z outlives the level: a copy, so it does not keep m's row alive
+        z = z.copy()
     else:
+        z = level_sum(wk * H)
         m = level_sum(W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h)))
     if theta == 0.0:
-        y, iters = m, np.zeros(m.shape, dtype=np.int64)
+        y, total, most = m, 0, 0
     else:
-        y, iters = _solve(m, z, driver, theta * h)
+        y, _, total, most = _solve(m, z, driver, theta * h)
     if truncate_output is not None:
         y = truncate_output(y)
-    return y, z, iters
+    return y, z, total, most
 
 
-def _bracket_end(m: np.ndarray, fa: np.ndarray, hh: float, M_y: float):
-    """End point b of a bracket [m, b] of the root of F, given fa = F(m).
+def _bracket_end(m: np.ndarray, fa: np.ndarray, hh: float, M_y: float,
+                 scale: np.ndarray):
+    """End point b of a bracket [m, b] of the root of F, given fa = F(m)
+    and scale = max(1, |m|).
 
     F' >= c = 1 - hh max(M_y, 0) puts the root within |F(m)|/c of m.
     b = m - F(m)/c is pushed out by 2 _TOL max(1, |b|, |m|), so the
@@ -173,8 +180,7 @@ def _bracket_end(m: np.ndarray, fa: np.ndarray, hh: float, M_y: float):
     hh f are large.
     """
     b = m - fa / (1.0 - hh * max(M_y, 0.0))
-    scale = np.maximum(1.0, np.maximum(np.abs(b), np.abs(m)))
-    return b - np.copysign(2.0 * _TOL * scale, fa)
+    return b - np.copysign(2.0 * _TOL * np.maximum(scale, np.abs(b)), fa)
 
 
 def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
@@ -194,7 +200,9 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     and nodes with F(m) = 0 take zero iterations.  The level stops
     iterating in the pass where no live node is still short of the
     tolerance: the rest of that pass could move no node.
-    Returns (y, iterations); a failure raises SolverError carrying the
+    Returns y, the per-node iteration counts, their total and their
+    maximum, which is the number of passes since a node once out of
+    `live` never returns; a failure raises SolverError carrying the
     first failing node.
     """
     iters = np.zeros(m.shape, dtype=np.int64)
@@ -211,14 +219,15 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     def F(yv):
         return yv - hh * f(yv, z) - m
 
-    tol = _TOL * np.maximum(1.0, np.abs(m))
+    scale = np.maximum(1.0, np.abs(m))
+    tol = _TOL * scale
     fa = F(m)
-    b = _bracket_end(m, fa, hh, driver.M_y)
+    b = _bracket_end(m, fa, hh, driver.M_y, scale)
     fb = F(b)
     live = ok & (fa != 0.0)
-    unbracketed = live & (np.where(fa > 0.0, fb > 0.0, fb < 0.0)
-                          | ~np.isfinite(fb))
-    live &= ~unbracketed
+    # F(b) of F(m)'s strict sign; on booleans a > b is a & ~b
+    unbracketed = live & ((np.sign(fa) == np.sign(fb)) | ~np.isfinite(fb))
+    np.greater(live, unbracketed, out=live)
     started = live.copy()
 
     # Newton from m, falling back to bisection outside the bracket;
@@ -228,23 +237,27 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     hi = np.maximum(m, b)
     yv = m
     done = ~started
+    total = passes = 0
     for it in range(_MAX_ITER):
-        if not np.count_nonzero(live):
+        count = np.count_nonzero(live)
+        if not count:
             break
+        total += count
+        passes += 1
         iters += live
         fy = F(yv) if it else fa
         done = np.abs(fy) <= tol
-        live &= ~done
+        np.greater(live, done, out=live)
         if not np.count_nonzero(live):
             break
         slope = 1.0 - hh * dfdy(yv, z)
         step = yv - fy / slope
         newton = ((slope > 0.0) & np.isfinite(slope)
                   & (lo <= step) & (step <= hi))
-        live &= ~(newton & (step == yv))
+        np.greater(live, newton & (step == yv), out=live)
         # only live nodes take their step, so only they may need the
         # midpoint
-        if np.count_nonzero(live & ~newton):
+        if np.count_nonzero(np.greater(live, newton)):
             step = np.where(newton, step, 0.5 * (lo + hi))
         up = fy > 0.0
         hi = np.where(up & (yv < hi), yv, hi)
@@ -254,24 +267,24 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     # `done` is |F(yv)| <= tol at every node the loop stopped; a node
     # still live after _MAX_ITER steps has moved since and is evaluated
     # again
-    live = started & ~done
+    live = np.greater(started, done)
     if np.count_nonzero(live):
         # where F's terms dwarf |m| no float may meet the tolerance: accept
         # a root pinned between yv and the next float toward it
         fy = F(yv)
-        live &= ~(np.abs(fy) <= tol)
+        np.greater(live, np.abs(fy) <= tol, out=live)
         nb = np.nextafter(yv, np.where(fy > 0.0, -np.inf, np.inf))
         fn = F(nb)
         pinned = live & np.where(fy > 0.0, fn <= 0.0, (fy < 0.0) & (fn >= 0.0))
         yv = np.where(pinned & (np.abs(fn) < np.abs(fy)), nb, yv)
-        live &= ~pinned
+        np.greater(live, pinned, out=live)
     failed = unbracketed | live
     if np.count_nonzero(failed):
         first = int(np.argmax(failed))
         reason = 3 if live[first] else 2 if np.isfinite(fb[first]) else 1
         raise SolverError(_FAILURES[reason].format(
             M_y=driver.M_y, iters=iters[first]), node=first)
-    return np.where(ok, yv, math.nan), iters
+    return np.where(ok, yv, math.nan), iters, int(total), passes
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +369,8 @@ def run_backward(
             # truncating each node's children
             kids = lattice.gather(i, nxt if pre is None else pre(nxt))
             try:
-                y, z, iters = _level(kids, W, H, driver, h, theta, post)
+                y, z, total, most = _level(kids, W, H, driver, h, theta,
+                                           post)
             except SolverError as err:
                 raise SolverError(
                     "implicit solve failed at level %d node %d: %s"
@@ -364,9 +378,8 @@ def run_backward(
                     level=i,
                     node=err.node,
                 ) from err
-            if theta != 0.0:
-                iters_total += int(iters.sum())
-                iters_max = max(iters_max, int(iters.max()))
+            iters_total += total
+            iters_max = max(iters_max, most)
             y_levels.append(y)
             z_levels.append(z)
             if math.isnan(nxt[0]) and _one_nan(nxt, y, z):

@@ -50,7 +50,7 @@ def level_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
     total = s + t1
     tp = total - s
     err = err + ((s - (total - tp)) + (t1 - tp))
-    return np.where(np.isfinite(total), total + err, total)
+    return np.add(total, err, out=total, where=np.isfinite(total))
 
 
 def chain_law(lattice: Lattice) -> Tuple[np.ndarray, ...]:

@@ -125,8 +125,8 @@ def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
     with np.errstate(all="ignore"):
         if pre is not None:
             kids = pre(kids)
-        y, z, iters = _level(kids, WCOL, col(H), driver, h, theta, post)
-    return float(y[0]), float(z[0]), int(iters[0])
+        y, z, iters, _ = _level(kids, WCOL, col(H), driver, h, theta, post)
+    return float(y[0]), float(z[0]), iters
 
 
 def reference_solve(m, z, driver, hh):
@@ -147,9 +147,10 @@ def reference_solve(m, z, driver, hh):
     def F(yv):
         return yv - hh * f(yv, z) - m
 
-    tol = _TOL * np.maximum(1.0, np.abs(m))
+    scale = np.maximum(1.0, np.abs(m))
+    tol = _TOL * scale
     fa = F(m)
-    b = _bracket_end(m, fa, hh, driver.M_y)
+    b = _bracket_end(m, fa, hh, driver.M_y, scale)
     fb = F(b)
     live = ok & (fa != 0.0)
     failed = np.zeros(m.shape, dtype=np.int8)  # index into _FAILURES
@@ -192,7 +193,8 @@ def reference_solve(m, z, driver, hh):
         first = int(np.argmax(failed != 0))
         raise SolverError(_FAILURES[failed[first]].format(
             M_y=driver.M_y, iters=iters[first]), node=first)
-    return np.where(ok, yv, math.nan), iters
+    return (np.where(ok, yv, math.nan), iters, int(iters.sum()),
+            int(iters.max()))
 
 
 def size_constants(spec, trunc, h):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import fptree as fp
-from fptree.analysis import ErrorEntry, _fit_slope, _is_violation
+from fptree.analysis import (
+    ErrorEntry, _fit_slope, _guarded_exp, _guarded_product, _is_violation,
+)
 
 from conftest import (
     build, reference_one_step, size_constants, stability_constant,
@@ -149,6 +151,28 @@ class TestContraction:
         run = fp.run_backward(cfg, lattice, exp2_model)
         ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
         assert ledger.violations == 0
+
+    @pytest.mark.parametrize("kind", [
+        "explicit_euler", "implicit_euler", "full_projection_pre"])
+    def test_level_norms_are_l2_norm(self, exp2_model, exp2_trunc, kind):
+        # the norms of all levels, taken under one errstate, are
+        # l2_norm's bit for bit, also on the explicit run's inf and nan
+        # levels
+        lattice = build(exp2_model, 15)
+        cfg = fp.SchemeConfig(
+            kind=kind, truncation=exp2_trunc if kind.startswith("full_") else None)
+        run = fp.run_backward(cfg, lattice, exp2_model)
+        ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
+        law = fp.chain_law(lattice)
+        l2 = np.array([fp.l2_norm(y, law, i) for i, y in enumerate(run.y)])
+        c = exp2_model.driver.M_y / 2.0
+        bound = _guarded_product(
+            np.array([_guarded_exp(c * (exp2_model.T - t))
+                      for t in lattice.time_grid.times]), l2[-1])
+        with np.errstate(invalid="ignore"):
+            want = l2 - bound
+        assert ledger.level_worst.tobytes() == want.tobytes()
+        assert run.finite == (kind != "explicit_euler")
 
     def test_nonzero_f00_flagged(self, exp1_trunc):
         m = fp.make_constant_model(
@@ -460,6 +484,26 @@ def test_overflowed_power_acts_as_inf(exp2_trunc):
     assert ledger.c_value == math.inf
     assert ledger.rhs_overflows == ledger.total_checked == 225
     assert ledger.nonfinite == ledger.violations > 0
+
+
+def test_zero_ly_drops_an_overflowed_radius_term(exp2_trunc):
+    # L_y = 0 drops the L_y^2 term of c, also where R0 ** 4 overflows:
+    # c is 2 M_y + 8 L_z^2 = -2 (size) or 2 M_y + 4 L_z^2 = -2
+    # (stability), not the nan of 0 * inf, and the size ledger of the
+    # finite fp run holds at every node
+    spec = _with_driver(fp.experiment2_model(), L_y=0.0)
+    lattice = build(spec, 15)
+    cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc)
+    run = fp.run_backward(cfg, lattice, spec)
+    run2 = fp.run_backward(cfg, lattice, spec, terminal=_perturbed(spec.g))
+    assert run.finite
+    for R0 in (2.5, 1e100):
+        trunc = exp2_trunc._replace(R0=R0)
+        size = fp.one_step_checks(run, lattice, spec, trunc, "size")
+        stability = fp.one_step_checks(run, lattice, spec, trunc,
+                                       "stability", run2=run2)
+        assert size.c_value == stability.c_value == -2.0
+        assert (size.total_checked, size.violations) == (225, 0)
 
 
 class TestViolationPredicate:

@@ -1,0 +1,92 @@
+"""Every backward run of the benchmark's three commands, pinned bitwise.
+
+The commands are ``convergence --preset experiment1``, ``convergence
+--preset linear-oracle`` and ``stability --preset experiment2``, with
+their schemes in a fixed order.  Each ``run_backward`` call they make
+(the proxy reference's implicit and fp runs and the stability study's
+perturbed fp runs included) is recorded in call order: its scheme kind,
+N, Newton iteration total and maximum, and the bytes of every y and z
+level, which go into one sha256 per command.  A change to the kernels
+that moves a single bit of any level, or a single Newton step, fails
+here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from fptree import analysis, cli, oracle, schemes
+
+EXP1_NS = (5, 10, 15, 20, 30, 40, 50, 60, 70, 80)
+LINEAR_NS = (10, 20, 40, 80, 160, 320)
+EXP2_NS = (15, 17, 19, 25)
+
+COMMANDS = {
+    "conv-exp1": (["convergence", "--preset", "experiment1", "--scheme",
+                   "explicit", "--scheme", "implicit", "--scheme", "fp"],
+                  "eaae0e7fd281f63f89a3591c6c4f32b1"
+                  "5461da6d5b7163d8499414a341007f08"),
+    "conv-linear": (["convergence", "--preset", "linear-oracle", "--scheme",
+                     "fp"],
+                    "0472325edce583b89dc18b4db80fc8fb"
+                    "60571ec2de9258bc3836c88eaa5ce77b"),
+    "stab-exp2": (["stability", "--preset", "experiment2", "--Ns",
+                   "15,17,19,25", "--scheme", "explicit", "--scheme",
+                   "implicit", "--scheme", "fp"],
+                  "0331f12cba660e3cb3e1ab02b6d27300"
+                  "97e496cbc02eb646d540c1d79935b6c3"),
+}
+
+# (kind, N, Newton total, Newton maximum) of each run, in call order:
+# the proxy reference runs first, and stability runs fp twice per N
+RUNS = {
+    "conv-exp1": (
+        [("implicit_euler", 120, 54598, 13), ("full_projection_pre", 120, 0, 0)]
+        + [("explicit_euler", n, 0, 0) for n in EXP1_NS]
+        + [("implicit_euler", n, total, most) for n, total, most in zip(
+            EXP1_NS,
+            (145, 539, 1159, 1977, 4190, 7129, 10809, 15214, 20237, 25925),
+            (9, 10, 11, 11, 11, 12, 12, 12, 12, 12))]
+        + [("full_projection_pre", n, 0, 0) for n in EXP1_NS]),
+    "conv-linear": [("full_projection_pre", n, 0, 0) for n in LINEAR_NS],
+    "stab-exp2": (
+        [("explicit_euler", n, 0, 0) for n in EXP2_NS]
+        + [("implicit_euler", n, total, most) for n, total, most in zip(
+            EXP2_NS, (1016, 1284, 1592, 2664), (7, 7, 7, 6))]
+        + [("full_projection_pre", n, 0, 0) for n in EXP2_NS for _ in "ab"]),
+}
+
+
+def record_runs(monkeypatch, args, out):
+    """Run one CLI command in-process; its runs and their level digest."""
+    runs = []
+    digest = hashlib.sha256()
+    orig = schemes.run_backward
+
+    def recording(cfg, lattice, spec, terminal=None):
+        run = orig(cfg, lattice, spec, terminal)
+        runs.append((cfg.kind, lattice.time_grid.N,
+                     run.solver_iterations_total, run.solver_iterations_max))
+        digest.update(("%s %d\n" % (cfg.kind, lattice.time_grid.N)).encode())
+        for level in run.y + run.z:
+            digest.update(level.tobytes())
+        return run
+
+    for mod in (analysis, cli, oracle):
+        monkeypatch.setattr(mod, "run_backward", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main.main(args=args + ["--no-timing", "--out", str(out)],
+                      prog_name="fptree", standalone_mode=False)
+    return runs, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_backward_runs_bitwise(monkeypatch, tmp_path, name):
+    args, want = COMMANDS[name]
+    runs, got = record_runs(monkeypatch, args, tmp_path)
+    assert runs == RUNS[name]
+    assert got == want

@@ -93,6 +93,42 @@ class TestTruncate:
             [scalar_truncate(HARD, 0.05, y) for y in ys], equal_nan=True)
 
 
+# nan payloads of both signs, quiet and signalling, by their bits
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000123,
+                         0x7FF0000000000456, 0xFFF4000000000789],
+                        dtype=np.uint64).view(np.float64)
+
+
+def where_truncate(cfg, h, y):
+    """The selection form of T: the reference for the library's clamp."""
+    R = fp.truncation_radius(cfg, h)
+    return np.where((np.abs(y) <= R) | np.isnan(y), y, np.copysign(R, y))
+
+
+class TestTruncateBitwise:
+    @given(
+        R0=st.floats(1e-3, 1e3),
+        alpha=st.floats(0.01, 1.0),
+        h=st.sampled_from([1.0, 0.2, 0.05, 1 / 120]),
+        ys=st.lists(st.floats(allow_nan=True, allow_subnormal=True),
+                    max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_clamp_is_the_selection(self, R0, alpha, h, ys):
+        # every float, +-inf, +-0.0, the nan payloads and the floats at
+        # and next to +-R, at array lengths across the SIMD widths
+        cfg = fp.TruncationConfig(R0=R0, alpha=alpha)
+        R = fp.truncation_radius(cfg, h)
+        edge = [R, -R, math.nextafter(R, math.inf),
+                math.nextafter(R, 0.0), -math.nextafter(R, math.inf),
+                math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
+        y = np.concatenate((np.array(ys + edge, dtype=np.float64),
+                            NAN_PAYLOADS))
+        for part in (y, y[:1], y[-3:], y[-7:], y[-8:], y[-9:], y[-17:]):
+            got = fp.truncate(cfg, h, part)
+            assert got.tobytes() == where_truncate(cfg, h, part).tobytes()
+
+
 class TestIncrementWeights:
     def test_increment_radius_formula(self):
         h = 0.03

@@ -11,6 +11,29 @@ from fptree.model import _horner
 from fptree.schemes import SchemeError
 
 
+# zeros, infinities, nan and the extreme subnormals and normals
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1.0, -1.0, 1e308]
+
+
+def plain_horner(cs, y):
+    """sum_k cs[k] y^k with every multiply and add: the reference for
+    model._horner, which skips the adds of zero coefficients."""
+    acc = cs[-1]
+    for c in cs[-2::-1]:
+        acc = acc * y + c
+    return acc
+
+
+def float_bits(v):
+    return np.float64(v).tobytes()
+
+
+def float_key(v):
+    """The bits of v, or "nan" for any nan."""
+    return "nan" if v != v else float_bits(v)
+
+
 class TestPolyDriver:
     def test_cubic_decay_constants(self):
         d = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
@@ -94,6 +117,35 @@ class TestPolyDriver:
         # -y^3 at y=inf must give -inf, not nan
         assert _horner((0.0, 0.0, 0.0, -1.0))(math.inf) == -math.inf
         assert math.isnan(_horner((0.0, 1.0))(math.nan))
+
+    @given(
+        coeffs=st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                        min_size=1, max_size=7),
+        c0=st.sampled_from([0.0, -0.0, 1.0, math.nan]),
+        ys=st.lists(st.floats(), max_size=8),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_horner_is_bitwise_plain_horner(self, coeffs, c0, ys):
+        # skipping the add of a zero coefficient changes no bit: at +-0,
+        # +-inf, nan and subnormal y and coefficients, with a +-0.0
+        # constant term, on arrays and on Python floats
+        cs = [c0] + coeffs
+        p = _horner(cs)
+        y = np.array(ys + SPECIAL)
+        with np.errstate(all="ignore"):
+            assert p(y).tobytes() == plain_horner(cs, y).tobytes()
+        # Python floats: CPython's adds pick either nan of nan + nan
+        for v in ys + SPECIAL:
+            assert float_key(p(v)) == float_key(plain_horner(cs, v))
+
+    def test_horner_keeps_its_adds_before_a_negative_zero_constant(self):
+        # -y^2 + c0 at y = 0.0: the plain Horner's + 0.0 turns -1 * 0.0
+        # into +0.0, so with c0 = -0.0 the result is +0.0, and a skipped
+        # add would give -0.0; with c0 = +0.0 the add is skipped
+        for c0 in (-0.0, 0.0):
+            p = _horner((c0, 0.0, -1.0))
+            assert float_bits(p(0.0)) == float_bits(0.0)
+            assert p(np.array([0.0])).tobytes() == float_bits(0.0)
 
 
 class TestTerminalFunctions:

@@ -175,10 +175,11 @@ class TestClosedFormBracket:
 
         fa = F(m)
         if fa != 0.0:
-            b = float(_bracket_end(np.array(m), np.array(fa), hh, driver.M_y))
+            b = float(_bracket_end(np.array(m), np.array(fa), hh, driver.M_y,
+                                   np.array(max(1.0, abs(m)))))
             lo, hi = min(m, b), max(m, b)
             assert F(lo) <= 0.0 <= F(hi)
-        y, _ = _solve(np.array([m]), np.array([z]), driver, hh)
+        y = _solve(np.array([m]), np.array([z]), driver, hh)[0]
         want = scalar_solve(m, z, hh, f, df)
         # both stop at |F| <= 1e-12 max(1, |m|), and F' > 1/2
         assert abs(y[0] - want) <= 4e-12 * max(1.0, abs(m))
@@ -196,8 +197,8 @@ class TestClosedFormBracket:
         up = math.nextafter(m, math.inf)
         assert F(m) == -0.1875 and F(up) == pytest.approx(0.375)
         with np.errstate(all="ignore"):
-            y, iters = _solve(np.array([m, 1.0]), np.array([z, 0.0]),
-                              driver, hh)
+            y, iters, _, _ = _solve(np.array([m, 1.0]), np.array([z, 0.0]),
+                                    driver, hh)
         # the end with the smaller |F| is kept; the other node is as
         # it was
         assert y[0] == m and iters[0] == 1
@@ -215,7 +216,7 @@ class TestClosedFormBracket:
              0.5988462126346276, 0.03972210748165899, -0.2924567509650886),
             z_coeff=-0.7819084623568421)
         m, z, hh = -559.4933527097415, 418182960.77212954, 0.269690207037431
-        y, iters = _solve(np.array([m]), np.array([z]), driver, hh)
+        y, iters, _, _ = _solve(np.array([m]), np.array([z]), driver, hh)
         assert y[0] == -64.49901683760108 and iters[0] == 17
 
     def test_nonconvergence_reports_the_node_iteration_count(self):
@@ -396,6 +397,9 @@ class TestRunBackward:
         run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lat, m)
         assert run.solver_iterations_total > 0
         assert run.solver_iterations_max >= 1
+        # Python ints, as the JSON writers of callers need
+        assert type(run.solver_iterations_total) is int
+        assert type(run.solver_iterations_max) is int
 
     def test_terminal_override(self):
         m = fp.experiment1_model()
@@ -490,8 +494,8 @@ def shortcut_free_sweep(cfg, lattice, spec, terminal=None):
         zs = []
         for i in range(lattice.time_grid.N - 1, -1, -1):
             kids = lattice.gather(i, ys[-1] if pre is None else pre(ys[-1]))
-            y, z, _ = _level(kids, WCOL, col(H_for(h)), spec.driver, h,
-                             theta, post)
+            y, z, _, _ = _level(kids, WCOL, col(H_for(h)), spec.driver, h,
+                                theta, post)
             ys.append(y)
             zs.append(z)
     return ys[::-1], zs[::-1]
@@ -554,8 +558,8 @@ class TestSolveReference:
                                        m, z, nan_m, inf_z):
         # random polynomial drivers with a negative leading coefficient,
         # declared M_y at or below the true slope, |m| up to 1e8 and |z|
-        # up to 1e16, a few nan m and inf z: the same bytes, iterations
-        # and failures as the full passes
+        # up to 1e16, a few nan m and inf z: the same bytes, iterations,
+        # iteration total and maximum, and failures as the full passes
         cs = coeffs[:deg] + [-lead]
         driver = fp.poly_driver(cs, z_coeff=zc)
         if lie is not None:
@@ -569,8 +573,9 @@ class TestSolveReference:
         with np.errstate(all="ignore"):
             for solve in (_solve, reference_solve):
                 try:
-                    y, iters = solve(m, z, driver, hh)
-                    outcomes.append((y.tobytes(), iters.tolist()))
+                    y, iters, total, most = solve(m, z, driver, hh)
+                    outcomes.append((y.tobytes(), iters.tolist(), total,
+                                     most))
                 except SolverError as err:
                     outcomes.append((str(err), err.node))
         assert outcomes[0] == outcomes[1]

@@ -35,7 +35,7 @@ class TestSafeWeightedSum:
         rng = np.random.default_rng(20240607)
         kids = rng.standard_normal((3, 2000)) * 10.0 ** rng.integers(-8, 9, (3, 2000))
         with np.errstate(all="ignore"):
-            y, _, _ = _level(kids, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 0.0)
+            y = _level(kids, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 0.0)[0]
         want = [math.fsum(w * v for w, v in zip(W, node)) for node in kids.T]
         assert y.tolist() == want
 
@@ -57,8 +57,9 @@ class TestSafeWeightedSum:
 
     def test_empty(self):
         empty = np.zeros((3, 0))
-        y, z, iters = _level(empty, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 1.0)
-        assert y.size == z.size == iters.size == 0
+        y, z, total, most = _level(empty, WCOL, col((0.0, 0.0, 0.0)), ZERO,
+                                   0.1, 1.0)
+        assert y.size == z.size == total == most == 0
 
 
 # finite values of every scale, both zeros, values that overflow in
@@ -114,8 +115,8 @@ class TestCondExpect:
     def test_level_expectation(self):
         lat = build(fp.experiment1_model(), 2)
         vals_next = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        y, _, _ = _level(lat.gather(1, vals_next), col(fp.WEIGHTS),
-                         col((0.0,) * 3), ZERO, 0.5, 0.0)
+        y = _level(lat.gather(1, vals_next), col(fp.WEIGHTS),
+                   col((0.0,) * 3), ZERO, 0.5, 0.0)[0]
         want = (1 / 6) * 2.0 + (2 / 3) * 3.0 + (1 / 6) * 4.0
         assert y[1] == pytest.approx(want)
 
