@@ -25,6 +25,7 @@ remains visible.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -34,7 +35,7 @@ from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, alpha_cap, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, run_backward
-from .treeval import chain_law, level_sum
+from .treeval import chain_law
 
 __all__ = [
     "ErrorEntry",
@@ -217,6 +218,19 @@ def _power(base: float, expo: float) -> float:
         return math.inf
 
 
+def _log(x: float) -> float:
+    """math.log of x >= 0 (or nan), with log 0 = -inf."""
+    return math.log(x) if x != 0.0 else -math.inf
+
+
+def _show_exp(log_x: float) -> str:
+    """e**log_x as %g, or as a power of ten where it is a positive number
+    below the smallest normal float."""
+    if -math.inf < log_x < math.log(sys.float_info.min):
+        return "10^%.1f" % (log_x / math.log(10.0))
+    return "%g" % _guarded_exp(log_x)
+
+
 def _quotient(num: float, den: float) -> float:
     """num / den for num >= 0, or its limit inf where den is 0.
 
@@ -305,12 +319,13 @@ def contraction_check(
         base = _quotient(-drv.M_y / 4.0, den)
         scaled = _quotient(-drv.M_y / 4.0, den * _power(trunc.R0, mm))
         expo = 1.0 - mm * trunc.alpha
-        second = _power(scaled, 1.0 / expo) if expo > 0 else math.inf
-        h_threshold = min(base, second)
-        if h > h_threshold:
-            reasons.append(
-                "h=%g exceeds the contraction threshold %g" % (h, h_threshold)
-            )
+        # in logs: near the alpha cap scaled ** (1/expo) underflows to 0
+        log_threshold = _log(base)
+        if expo > 0:
+            log_threshold = min(log_threshold, _log(scaled) / expo)
+        if math.log(h) > log_threshold:
+            reasons.append("h=%g exceeds the contraction threshold %s"
+                           % (h, _show_exp(log_threshold)))
     c_prime = drv.M_y / 2.0
 
     law = chain_law(lattice)
@@ -425,7 +440,9 @@ def one_step_checks(
             z = np.concatenate(run.z) - np.concatenate(run2.z)
             nxt = v[sizes[0]:]
         y = v[:len(z)]
-        e_sq = level_sum(W * nxt[lattice.child_index()] ** 2)
+        # summed in the level operator's order
+        sq = W * nxt[lattice.child_index()] ** 2
+        e_sq = (sq[0] + sq[2]) + sq[1]
         rhs = _guarded_product(ech, e_sq) + tail
         residual = y * y + 0.125 * z * z * h - rhs
     return _ledger(kind, reasons, c, residual, rhs, sizes)

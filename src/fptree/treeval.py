@@ -1,13 +1,10 @@
-"""Conditional expectations and chain-law norms on the lattice.
+"""The chain law and L2 norms on the lattice.
 
-On the lattice every conditional expectation is a finite weighted sum
-over child nodes.  Values live in one float64 array per level, and a
-level's expectations are one compensated sum of per-branch arrays
-(:func:`level_sum`), as accurate as math.fsum, so the
-stability-inequality monitors can run at tolerances near roundoff.
-Non-finite data stays data: nan dominates, infinities of one sign give
-that infinity, mixed infinities give nan and finite overflow gives a
-signed infinity.
+The marginal law of the chain is one float64 mass array per level,
+pushed forward from the root through the stencils; the L2 norm of a
+level's values is their mass-weighted sum of squares, rooted.  The
+conditional expectations themselves are the level operator's plain
+sums (schemes).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from .grids import WEIGHTS
 
 __all__ = [
     "TreeStructureError",
-    "level_sum",
     "chain_law",
     "l2_norm",
 ]
@@ -30,27 +26,6 @@ __all__ = [
 
 class TreeStructureError(ValueError):
     """Raised when values do not line up with the lattice structure."""
-
-
-def level_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Compensated sum (t0 + t2) + t1 of the three per-branch arrays.
-
-    Each of the two additions also yields its exact rounding error
-    (Knuth's TwoSum), and the errors are added back at the end, so each
-    node's sum is as accurate as math.fsum in all but rare ties.  The
-    mirrored branches meet first, so odd data on a symmetric stencil
-    sums to exactly odd values.  Where the plain sum is not finite it is
-    returned as is.  Callers run it under np.errstate(invalid="ignore"),
-    since that case computes inf - inf.
-    """
-    t0, t1, t2 = terms
-    s = t0 + t2
-    tp = s - t0
-    err = (t0 - (s - tp)) + (t2 - tp)
-    total = s + t1
-    tp = total - s
-    err = err + ((s - (total - tp)) + (t1 - tp))
-    return np.add(total, err, out=total, where=np.isfinite(total))
 
 
 def chain_law(lattice: Lattice) -> Tuple[np.ndarray, ...]:

@@ -21,7 +21,6 @@ from fptree.analysis import (
 from fptree.schemes import (
     _FAILURES, _MAX_ITER, _TOL, SolverError, _bracket_end, _level,
 )
-from fptree.treeval import level_sum
 
 W = (1 / 6, 2 / 3, 1 / 6)
 
@@ -78,27 +77,6 @@ def scalar_truncate(cfg, h, y):
     if y != y or abs(y) <= R:
         return y
     return math.copysign(R, y)
-
-
-def reference_level_sum(terms):
-    """The n-term compensated sum, outermost pair first: the reference
-    for treeval.level_sum, which writes out the three-branch case.
-
-    Terms are taken t0, t_{n-1}, t1, t_{n-2}, ...; every addition's
-    TwoSum error is added to an error sum started at 0.0, and the error
-    sum is added back where the plain sum is finite.
-    """
-    n = len(terms)
-    order = [terms[j // 2] if j % 2 == 0 else terms[n - 1 - j // 2]
-             for j in range(n)]
-    total = order[0]
-    err = 0.0
-    for t in order[1:]:
-        s = total + t
-        tp = s - total
-        err = err + ((total - (s - tp)) + (t - tp))
-        total = s
-    return np.where(np.isfinite(total), total + err, total)
 
 
 def child_indices(lattice, level, pos):
@@ -254,7 +232,8 @@ def reference_one_step(run, lattice, spec, trunc, kind, run2=None):
                 y = run.y[i] - run2.y[i]
                 z = run.z[i] - run2.z[i]
                 nxt = run.y[i + 1] - run2.y[i + 1]
-            e_sq = level_sum(W * lattice.gather(i, nxt) ** 2)
+            sq = W * lattice.gather(i, nxt) ** 2
+            e_sq = (sq[0] + sq[2]) + sq[1]
             rhs.append(_guarded_product(ech, e_sq) + tail)
             residual.append(y * y + 0.125 * z * z * h - rhs[-1])
     res = np.concatenate(residual)

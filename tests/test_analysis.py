@@ -379,11 +379,12 @@ HYPOTHESIS_CASES = {
         [(_EXPO_ZERO, "-0x1.0000000000000p-1"),
          (_HOLDS, "0x1.5f2999999999ap+9"),
          (_HOLDS, "0x1.076599999999ap+10")]),
-    # 1 - mm*alpha > 0: the second term underflows to 0 here and is
-    # the smaller, finite term at m = 2
+    # 1 - mm*alpha > 0: the second term is below the smallest float
+    # here, shown as a power of ten, and is the smaller, normal term at
+    # m = 2
     "my_neg_expo_pos": (
         fp.experiment2_model, 2.5, 0.249, 15,
-        [(_EXP2_THRESHOLD + "0", "-0x1.0000000000000p-1"),
+        [(_EXP2_THRESHOLD + "10^-862.3", "-0x1.0000000000000p-1"),
          (_HOLDS, "0x1.5b5ff68b15aa7p+9"),
          (_HOLDS, "0x1.048e5f4eb6a64p+10")]),
     "my_neg_expo_pos_m2": (

@@ -200,6 +200,34 @@ class TestStability:
         assert (out / "minmax_explicit_N15.csv").exists()
         assert_plain_csv_cells(out)
 
+    def test_experiment2_verdicts(self, runner, tmp_path):
+        # the ledgers' verdicts, not their bits: a kernel change that
+        # moves the last bits of the values must leave every
+        # (applicable, total_checked, violations) as pinned here
+        out = tmp_path / "art"
+        result = runner.invoke(main, [
+            "stability", "--preset", "experiment2", "--no-timing",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs = read_json(out / "stability_summary.json")["runs"]
+        got = {name: {kind: (lg["applicable"], lg["total_checked"],
+                             lg["violations"])
+                      for kind, lg in run["ledgers"].items()}
+               for name, run in runs.items()}
+        want = {}
+        for n, explicit_violations in zip((15, 17, 19, 25), (15, 17, 19, 0)):
+            sup = (True, n + 1, 0)
+            contraction = (False, n + 1, 0)
+            want["explicit_N%d" % n] = {
+                "sup_norm": (True, n + 1, explicit_violations)}
+            want["implicit_N%d" % n] = {"contraction": contraction,
+                                        "sup_norm": sup}
+            want["fp_N%d" % n] = {"contraction": contraction,
+                                  "size": (True, n * n, 0),
+                                  "stability": (True, n * n, 0),
+                                  "sup_norm": sup}
+        assert got == want
+
     def test_alpha_above_cap(self, runner, tmp_path):
         # fp needs alpha <= 1/(2(m-1)) = 0.25 for experiment2's m = 3 and
         # is refused before the out directory is made; implicit reads

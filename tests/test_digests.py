@@ -28,17 +28,17 @@ EXP2_NS = (15, 17, 19, 25)
 COMMANDS = {
     "conv-exp1": (["convergence", "--preset", "experiment1", "--scheme",
                    "explicit", "--scheme", "implicit", "--scheme", "fp"],
-                  "eaae0e7fd281f63f89a3591c6c4f32b1"
-                  "5461da6d5b7163d8499414a341007f08"),
+                  "b9deac686f3231b8b758284394bf4299"
+                  "a76addaf8cefb98064fc82e902576bcb"),
     "conv-linear": (["convergence", "--preset", "linear-oracle", "--scheme",
                      "fp"],
-                    "0472325edce583b89dc18b4db80fc8fb"
-                    "60571ec2de9258bc3836c88eaa5ce77b"),
+                    "4dbfdf21f1b2c91cd57ac4ed3c645298"
+                    "3e48aa64fe9b158dc5b9df584427222c"),
     "stab-exp2": (["stability", "--preset", "experiment2", "--Ns",
                    "15,17,19,25", "--scheme", "explicit", "--scheme",
                    "implicit", "--scheme", "fp"],
-                  "0331f12cba660e3cb3e1ab02b6d27300"
-                  "97e496cbc02eb646d540c1d79935b6c3"),
+                  "9b8f6dfa5d8730051a3fac46134d3631"
+                  "5dc422173776eccf7ab319c95fd7b182"),
 }
 
 # (kind, N, Newton total, Newton maximum) of each run, in call order:

@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 
 import fptree as fp
 from fptree.schemes import _level
-from fptree.treeval import level_sum
 
-from conftest import W, WCOL, build, col, one_node, reference_level_sum
+from conftest import W, WCOL, build, col, one_node
 
 ZERO = fp.poly_driver((0.0,))
 INF = math.inf
 
 
 H03 = fp.weight_values(0.03)[0]  # (-10, 0, 10)
+
+# the recursive-summation bound of a three-term sum: gamma_2 = 2u/(1-2u)
+U = 2.0 ** -53
+GAMMA2 = 2 * U / (1 - 2 * U)
+
+
+def plain(terms):
+    """(t0 + t2) + t1 of each node's three Python floats, as float64 bytes."""
+    return np.array([(t0 + t2) + t1 for t0, t1, t2 in terms]).tobytes()
 
 
 def expect(kids):
@@ -29,15 +37,18 @@ def z_of(kids):
 
 
 class TestSafeWeightedSum:
-    """Sums inside the level operator: compensated, total on non-finite data."""
+    """Sums inside the level operator: plain, total on non-finite data."""
 
     def test_matches_fsum_on_finite(self):
+        # the plain sum bitwise, and within gamma_2 of the rounded exact sum
         rng = np.random.default_rng(20240607)
         kids = rng.standard_normal((3, 2000)) * 10.0 ** rng.integers(-8, 9, (3, 2000))
         with np.errstate(all="ignore"):
             y = _level(kids, WCOL, col((0.0, 0.0, 0.0)), ZERO, 0.1, 0.0)[0]
-        want = [math.fsum(w * v for w, v in zip(W, node)) for node in kids.T]
-        assert y.tolist() == want
+        terms = [[w * v for w, v in zip(W, node)] for node in kids.T]
+        assert y.tobytes() == plain(terms)
+        for got, t in zip(y.tolist(), terms):
+            assert abs(got - math.fsum(t)) <= GAMMA2 * sum(map(abs, t))
 
     def test_nan_dominates(self):
         assert math.isnan(expect((1.0, math.nan, 2.0)))
@@ -71,25 +82,40 @@ SUMMANDS = st.one_of(
 )
 
 
+# f = -0.0 everywhere: v + f h is v bitwise, so y's weighted children
+# are W v exactly like z's are W v H
+NEG_ZERO = ZERO._replace(eval=lambda y, z: -0.0)
+ONES = (1.0, 1.0, 1.0)
+
+
 class TestLevelSum:
-    """The three-branch level_sum against the n-term reference."""
+    """The level operator's expectations are the plain (t0 + t2) + t1."""
 
     @given(st.lists(st.tuples(SUMMANDS, SUMMANDS, SUMMANDS), min_size=1,
                     max_size=16))
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_bitwise(self, nodes):
-        terms = np.array(nodes, dtype=float).T
-        with np.errstate(all="ignore"):
-            got = level_sum(terms)
-            want = reference_level_sum(terms)
-        assert got.tobytes() == want.tobytes(), nodes
+        # unit weights sum the summands themselves; the trinomial's
+        # weights with H = (-10, 0, 10) make pairs of 1e308 overflow
+        kids = np.array(nodes, dtype=float).T
+        for w, hw in ((ONES, ONES), (W, H03)):
+            with np.errstate(all="ignore"):
+                y, z = _level(kids, col(w), col(hw), NEG_ZERO, 0.03, 0.0)[:2]
+            assert y.tobytes() == plain(
+                [[a * v for a, v in zip(w, node)] for node in nodes]), nodes
+            assert z.tobytes() == plain(
+                [[a * v * b for a, v, b in zip(w, node, hw)]
+                 for node in nodes]), nodes
 
     def test_signed_zeros(self):
-        # all eight sign patterns of three zeros, one per node
-        zeros = np.array([[-0.0 if k >> j & 1 else 0.0 for k in range(8)]
-                          for j in range(3)])
-        got = level_sum(zeros)
-        assert got.tobytes() == reference_level_sum(zeros).tobytes()
+        # all eight sign patterns of three zeros, one per node: the sum
+        # is -0.0 only where all three are
+        nodes = [tuple(-0.0 if k >> j & 1 else 0.0 for j in range(3))
+                 for k in range(8)]
+        y, z = _level(np.array(nodes).T, col(ONES), col(ONES), NEG_ZERO,
+                      0.03, 0.0)[:2]
+        want = np.array([0.0] * 7 + [-0.0]).tobytes()
+        assert y.tobytes() == z.tobytes() == plain(nodes) == want
 
 
 class TestCondExpect:
