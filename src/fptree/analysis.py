@@ -34,7 +34,7 @@ import numpy as np
 from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, alpha_cap, truncate
 from .model import ModelSpec
-from .schemes import SchemeConfig, ValueFunctions, run_backward
+from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
 from .treeval import chain_law
 
 __all__ = [
@@ -313,16 +313,18 @@ def contraction_check(
     if drv.m > 1 and not trunc.alpha < alpha_cap(drv.m):
         reasons.append("alpha=%g is not strictly below 1/(2(m-1))" % trunc.alpha)
     if drv.M_y < 0.0:
-        # with L_y = 0 both terms are inf and h meets no threshold
+        # h <= min(base, (base / R0^mm)^(1/expo)) with
+        # base = (-M_y/4) / (4(d+1) L_y^2), taken in logs, where no
+        # square or power of a constant can overflow or underflow; with
+        # L_y = 0 both terms are inf and h meets no threshold
         mm = 2 * (drv.m - 1)
-        den = 4.0 * _D_PLUS_1 * _power(drv.L_y, 2)
-        base = _quotient(-drv.M_y / 4.0, den)
-        scaled = _quotient(-drv.M_y / 4.0, den * _power(trunc.R0, mm))
+        log_base = (_log(-drv.M_y / 4.0) - math.log(4.0 * _D_PLUS_1)
+                    - 2.0 * _log(drv.L_y))
         expo = 1.0 - mm * trunc.alpha
-        # in logs: near the alpha cap scaled ** (1/expo) underflows to 0
-        log_threshold = _log(base)
+        log_threshold = log_base
         if expo > 0:
-            log_threshold = min(log_threshold, _log(scaled) / expo)
+            log_threshold = min(log_base,
+                                (log_base - mm * _log(trunc.R0)) / expo)
         if math.log(h) > log_threshold:
             reasons.append("h=%g exceeds the contraction threshold %s"
                            % (h, _show_exp(log_threshold)))
@@ -440,9 +442,7 @@ def one_step_checks(
             z = np.concatenate(run.z) - np.concatenate(run2.z)
             nxt = v[sizes[0]:]
         y = v[:len(z)]
-        # summed in the level operator's order
-        sq = W * nxt[lattice.child_index()] ** 2
-        e_sq = (sq[0] + sq[2]) + sq[1]
+        e_sq = _branch_sum(W * nxt[lattice.child_index()] ** 2)
         rhs = _guarded_product(ech, e_sq) + tail
         residual = y * y + 0.125 * z * z * h - rhs
     return _ledger(kind, reasons, c, residual, rhs, sizes)

@@ -59,7 +59,6 @@ from .model import (
     poly_driver,
     quadratic_g,
     validate_model,
-    with_declared_my,
 )
 from .oracle import (
     FdSolverError,
@@ -141,8 +140,7 @@ class Settings(NamedTuple):
     preset: str
     scheme: Tuple[str, ...]
     ns: Tuple[int, ...]
-    r0: float
-    alpha: float
+    truncation: TruncationConfig
     eta: Optional[float]
     grid_extent: Optional[float]
     out: Optional[str]
@@ -252,7 +250,7 @@ def _build_custom_model(keys: dict) -> ModelSpec:
         value("driver", "poly:0", _parse_poly), value("driver-zcoef", "0.0")
     )
     if "driver-my" in keys:
-        driver = with_declared_my(driver, value("driver-my"))
+        driver = driver._replace(M_y=value("driver-my"))
     return make_constant_model(
         T=value("t", "1.0"),
         x0=value("x0", "0.0"),
@@ -354,26 +352,23 @@ def _settings(kw: dict) -> Settings:
                 "each other" % name
             )
     for key in ("eta", "grid_extent"):
-        if values[key] is not None and values[key] <= 0.0:
+        if values[key] is not None and not 0.0 < values[key] < math.inf:
             raise click.UsageError(
-                "%s must be positive, got %g"
+                "%s must be positive and finite, got %g"
                 % (key.replace("_", "-"), values[key])
             )
     try:
         values["model"] = base["model"](sections.get("model", {}))
         if values["alpha"] is None:
             values["alpha"] = default_alpha(values["model"].driver.m)
+        values["truncation"] = TruncationConfig(
+            R0=values.pop("r0"), alpha=values.pop("alpha"))
         st = Settings(**values)
         for name in st.scheme:
             _scheme_config(name, st)
-        _truncation(st)
     except _CONFIG_ERRORS as err:
         raise click.UsageError(str(err))
     return st
-
-
-def _truncation(st: Settings) -> TruncationConfig:
-    return TruncationConfig(R0=st.r0, alpha=st.alpha)
 
 
 def _lattices(st: Settings) -> tuple:
@@ -403,6 +398,10 @@ def _grid_for(st: Settings, tg: TimeGrid) -> Optional[SpatialGrid]:
     extent = st.grid_extent
     if extent is None:
         extent = 6.0 * abs(st.model.sigma_const) * math.sqrt(st.model.T)
+    if not math.isfinite(extent / eta):
+        raise ConfigurationError(
+            "grid extent %g over eta %g gives no finite number of mesh "
+            "points" % (extent, eta))
     return SpatialGrid(
         x0=st.model.x0, eta=eta, M=max(1, int(math.ceil(extent / eta)))
     )
@@ -430,9 +429,8 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
         )
     if not name.startswith("fp"):
         return SchemeConfig(kind=_SCHEME_KINDS[name])
-    trunc = _truncation(st)
-    check_alpha(trunc, st.model.driver.m)
-    return SchemeConfig(kind=_SCHEME_KINDS[name], truncation=trunc)
+    check_alpha(st.truncation, st.model.driver.m)
+    return SchemeConfig(kind=_SCHEME_KINDS[name], truncation=st.truncation)
 
 
 def _out_dir(st: Settings) -> str:
@@ -492,8 +490,8 @@ def _settings_echo(st: Settings) -> dict:
         "preset": st.preset,
         "schemes": list(st.scheme),
         "Ns": list(st.ns),
-        "R0": st.r0,
-        "alpha": st.alpha,
+        "R0": st.truncation.R0,
+        "alpha": st.truncation.alpha,
         "eta": st.eta,
         "grid_extent": st.grid_extent,
         "driver": st.model.driver.label,
@@ -512,19 +510,9 @@ def _settings_echo(st: Settings) -> dict:
 
 
 def _ledger_digest(ledger: analysis.StabilityLedger) -> dict:
-    return {
-        "kind": ledger.kind,
-        "applicable": ledger.applicable,
-        "applicability_reason": ledger.applicability_reason,
-        "c_value": ledger.c_value,
-        "tol_abs": ledger.tol_abs,
-        "tol_rel": ledger.tol_rel,
-        "total_checked": ledger.total_checked,
-        "violations": ledger.violations,
-        "rhs_overflows": ledger.rhs_overflows,
-        "nonfinite": ledger.nonfinite,
-        "worst_residual": ledger.worst_residual,
-    }
+    """The ledger's fields without its per-level arrays."""
+    return {k: v for k, v in ledger._asdict().items()
+            if not k.startswith("level_")}
 
 
 def _reference_for(st: Settings) -> dict:
@@ -534,7 +522,7 @@ def _reference_for(st: Settings) -> dict:
         a = st.model.driver.eval(1.0, 0.0) - st.model.driver.f00
         _, y0 = linear_solution(a, st.model)
         return {"kind": "linear_oracle", "value": y0, "a": a}
-    proxy = proxy_reference(st.model, _truncation(st))
+    proxy = proxy_reference(st.model, st.truncation)
     return {
         "kind": "proxy",
         "value": proxy.value,
@@ -591,7 +579,7 @@ def _suite_weights(st: Settings):
 
 
 def _suite_truncation(st: Settings):
-    trunc = _truncation(st)
+    trunc = st.truncation
     h = st.model.T / max(st.ns)
     R = truncation_radius(trunc, h)
     xs = np.array([(-1.0) ** k * (0.37 * k * k % (3.0 * R))
@@ -638,12 +626,12 @@ def _suite_pre_post(st: Settings):
     N = min(min(st.ns), 12)
     tg = TimeGrid(T=st.model.T, N=N)
     lattice = build_lattice(st.model, tg)
-    trunc = _truncation(st)
     pre = run_backward(_scheme_config("fp", st), lattice, st.model)
     post = run_backward(_scheme_config("fp-post", st), lattice, st.model)
     h = tg.h
     for i in range(N + 1):
-        if not np.array_equal(truncate(trunc, h, pre.y[i]), post.y[i]):
+        if not np.array_equal(truncate(st.truncation, h, pre.y[i]),
+                              post.y[i]):
             return False, "post y != T(pre y) at level %d" % i
     for i in range(N):
         if not np.array_equal(pre.z[i], post.z[i]):
@@ -737,14 +725,12 @@ def convergence(fd_check, dump_flag, **kw):
             raise click.ClickException(
                 "scheme %s failed: %s" % (name, err)
             )
-        rows = [
-            (e.N, e.h, e.Y0, e.err,
-             None if st.no_timing else e.seconds, e.exploded)
-            for e in report.entries
-        ]
+        rows = report.entries
+        if st.no_timing:
+            rows = [e._replace(seconds=None) for e in rows]
         _write_csv(
             os.path.join(out, "convergence_%s.csv" % name.replace("=", "_")),
-            ("N", "h", "Y0", "err", "seconds", "exploded"),
+            analysis.ErrorEntry._fields,
             rows,
         )
         digest = {
@@ -784,7 +770,7 @@ def stability(**kw):
     """Per-level max/min curves and stability ledgers."""
     st = _settings(kw)
     out = _out_dir(st)
-    trunc = _truncation(st)
+    trunc = st.truncation
     try:
         lattices = _lattices(st)
     except _CONFIG_ERRORS as err:

@@ -11,7 +11,8 @@ each step is projected onto a uniform spatial grid; saturation at the
 grid hull is tolerated but counted.  The projected lattice is built a
 level at a time: b(t, x) and sigma(t, x) are called once per level with
 a float t and the float64 array x of the level's states, so they must
-accept arrays.
+accept arrays.  Lattice owns the layout: only its gather, push and
+child_index read the child tables.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ class Lattice(NamedTuple):
             block.flags.writeable = False
             return block
         return values[self.children[level].T]
+
+    def push(self, level: int, masses: np.ndarray) -> np.ndarray:
+        """Masses of level + 1, each child summing masses[p] * WEIGHTS[j]
+        over its parents p in node-major order: the adjoint of gather."""
+        if self.children is None:
+            # node p feeds p + j along branch j; adding the shifted
+            # branches last-first gives each child the sum of a
+            # node-major per-node push, (m[k-2] w2 + m[k-1] w1) + m[k] w0
+            # for m = masses
+            nxt = np.zeros(len(masses) + len(WEIGHTS) - 1)
+            for j in reversed(range(len(WEIGHTS))):
+                nxt[j:j + len(masses)] += masses * WEIGHTS[j]
+            return nxt
+        # bincount adds in node-major order too
+        return np.bincount(self.children[level].ravel(),
+                           weights=(masses[:, None]
+                                    * np.asarray(WEIGHTS)).ravel(),
+                           minlength=len(self.supports[level + 1]))
 
     def child_index(self) -> np.ndarray:
         """Children of every node of levels 0..N-1, (branches, nodes).

@@ -268,7 +268,7 @@ class _SpatialGridFields(NamedTuple):
 
 
 class SpatialGrid(_Checked, _SpatialGridFields):
-    """Uniform grid x0 + k*eta for |k| <= M."""
+    """Uniform grid x0 + k*eta for |k| <= M, with M at most 2**52."""
 
     __slots__ = ()
 
@@ -279,6 +279,10 @@ class SpatialGrid(_Checked, _SpatialGridFields):
             raise ConfigurationError("x0 must be finite")
         if self.M < 0:
             raise ConfigurationError("M must be nonnegative")
+        if self.M > 2 ** 52:
+            raise ConfigurationError(
+                "M must be at most 2**52, beyond which float grid indices "
+                "are not exact")
 
     def point(self, k: np.ndarray) -> np.ndarray:
         return self.x0 + k * self.eta

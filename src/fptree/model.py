@@ -524,8 +524,3 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
                               0.0 if ok else math.inf))
 
     return ValidationReport(checks=tuple(checks))
-
-
-def with_declared_my(driver: DriverSpec, M_y: float) -> DriverSpec:
-    """Copy of a driver with an overridden declared monotonicity constant."""
-    return driver._replace(M_y=float(M_y))

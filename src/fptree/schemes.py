@@ -8,12 +8,9 @@ block of child values of each level:
 
 with theta = 0 for explicit_euler and the full-projection kinds, 1 for
 implicit_euler and the configured value for theta.  At theta = 0 the
-map is explicit and needs no solve.  Each expectation is the plain sum
-(t0 + t2) + t1 of the level's three weighted branch arrays, two adds
-per node; its rounding error, at most about 2u (|t0| + |t1| + |t2|), is
-far below the scheme's O(h) error.  The mirrored branches meet first, so odd data on a symmetric
-stencil sums to exactly odd values.  The full-projection kinds add the
-radial truncation T:
+map is explicit and needs no solve.  Each expectation is the plain
+branch sum of :func:`_branch_sum` over the level's three weighted branch
+arrays.  The full-projection kinds add the radial truncation T:
 
 * full_projection_pre   truncates the children before the step
 * full_projection_post  truncates the terminal values and each output
@@ -135,6 +132,16 @@ class SchemeConfig(_Checked, _SchemeConfigFields):
 # ---------------------------------------------------------------------------
 
 
+def _branch_sum(t: np.ndarray) -> np.ndarray:
+    """The plain sum (t0 + t2) + t1 of a (branches, nodes) block.
+
+    Its rounding error, at most about 2u (|t0| + |t1| + |t2|), is far
+    below the scheme's O(h) error.  The mirrored branches meet first, so
+    odd data on a symmetric stencil sums to exactly odd values.
+    """
+    return (t[0] + t[2]) + t[1]
+
+
 def _level(
     kids: np.ndarray,
     W: np.ndarray,
@@ -154,11 +161,10 @@ def _level(
     overflow is data.
     """
     wk = W * kids
-    wz = wk * H
-    z = (wz[0] + wz[2]) + wz[1]
+    z = _branch_sum(wk * H)
     if theta != 1.0:
         wk = W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h))
-    m = (wk[0] + wk[2]) + wk[1]
+    m = _branch_sum(wk)
     if theta == 0.0:
         y, total, most = m, 0, 0
     else:

@@ -1,10 +1,10 @@
 """The chain law and L2 norms on the lattice.
 
 The marginal law of the chain is one float64 mass array per level,
-pushed forward from the root through the stencils; the L2 norm of a
-level's values is their mass-weighted sum of squares, rooted.  The
-conditional expectations themselves are the level operator's plain
-sums (schemes).
+pushed forward from the root by Lattice.push, which owns the lattice
+layout; the L2 norm of a level's values is their mass-weighted sum of
+squares, rooted.  The conditional expectations themselves are the
+level operator's plain sums (schemes).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import WEIGHTS
 
 __all__ = [
     "TreeStructureError",
@@ -31,25 +30,11 @@ class TreeStructureError(ValueError):
 def chain_law(lattice: Lattice) -> Tuple[np.ndarray, ...]:
     """Marginal law of the chain: one float64 mass array per level.
 
-    The root point mass is pushed forward through the stencils.
+    The root point mass is pushed forward level by level.
     """
-    w = WEIGHTS
     out = [np.ones(1)]
     for i in range(lattice.time_grid.N):
-        m = out[-1]
-        if lattice.children is None:
-            # node p feeds p + j along branch j; adding the shifted
-            # branches last-first gives each child the sum of a
-            # node-major per-node push: (m[k-2] w2 + m[k-1] w1) + m[k] w0
-            nxt = np.zeros(len(m) + len(w) - 1)
-            for j in reversed(range(len(w))):
-                nxt[j:j + len(m)] += m * w[j]
-        else:
-            # bincount adds in node-major order too
-            nxt = np.bincount(lattice.children[i].ravel(),
-                              weights=(m[:, None] * np.asarray(w)).ravel(),
-                              minlength=len(lattice.supports[i + 1]))
-        out.append(nxt)
+        out.append(lattice.push(i, out[-1]))
     return tuple(out)
 
 

@@ -487,6 +487,29 @@ def test_overflowed_power_acts_as_inf(exp2_trunc):
     assert ledger.nonfinite == ledger.violations > 0
 
 
+@pytest.mark.parametrize("N, R0, alpha, constants, reason", [
+    # 8 L_y^2 R0^4 overflows: the threshold is a power of ten, not 0
+    (80, 1.87e96, 0.2499998, dict(L_y=9419.5, M_y=-79.4, m=3),
+     "h=0.0125 exceeds the contraction threshold 10^-490800939.5"),
+    # L_y^2 underflows to 0 and R0^6 overflows: the threshold is tiny,
+    # where the product of the two is 0 * inf = nan
+    (15, 1e100, 0.01, dict(L_y=1e-170, m=4),
+     _EXP2_THRESHOLD + "6.35378e-279"),
+])
+def test_contraction_threshold_in_logs(N, R0, alpha, constants, reason):
+    # the threshold min(base, (base / R0^mm)^(1/expo)), with
+    # base = (-M_y/4) / (8 L_y^2), is taken in logs, so no square or
+    # power of a constant overflows or underflows on the way
+    spec = _with_driver(fp.experiment2_model(), **constants)
+    lattice = build(spec, N)
+    run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lattice,
+                          spec)
+    trunc = fp.TruncationConfig(R0=R0, alpha=alpha)
+    ledger = fp.contraction_check(run, lattice, spec, trunc)
+    assert not ledger.applicable
+    assert ledger.applicability_reason == reason
+
+
 def test_zero_ly_drops_an_overflowed_radius_term(exp2_trunc):
     # L_y = 0 drops the L_y^2 term of c, also where R0 ** 4 overflows:
     # c is 2 M_y + 8 L_z^2 = -2 (size) or 2 M_y + 4 L_z^2 = -2

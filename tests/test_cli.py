@@ -172,11 +172,21 @@ class TestConvergence:
         assert digest["err"]["20"] <= 0.5
 
     def test_eta_must_be_positive(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "convergence", "--preset", "linear-oracle", "--Ns", "10",
-            "--eta", "-0.1", "--out", str(tmp_path / "art"),
-        ])
-        assert result.exit_code == 2
+        # eta and the grid extent must be positive and finite, and the
+        # mesh they give must have finitely many points, with indices
+        # exact in floats: each case is a configuration error, with no
+        # traceback (at eta = 1e-300 an unchecked int64 cast wraps and
+        # gives a silent Y0 of 0.0)
+        for flags in (["--eta", "-0.1"], ["--eta", "nan"], ["--eta", "inf"],
+                      ["--grid-extent", "0"], ["--grid-extent", "nan"],
+                      ["--grid-extent", "inf"], ["--eta", "1e-320"],
+                      ["--eta", "1e-300", "--grid-extent", "1"]):
+            result = runner.invoke(main, [
+                "convergence", "--preset", "linear-oracle", "--Ns", "10",
+                *flags, "--out", str(tmp_path / "art"),
+            ])
+            assert result.exit_code == 2, (flags, result.output)
+            assert isinstance(result.exception, SystemExit), flags
 
 
 class TestStability:

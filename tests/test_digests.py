@@ -8,7 +8,9 @@ perturbed fp runs included) is recorded in call order: its scheme kind,
 N, Newton iteration total and maximum, and the bytes of every y and z
 level, which go into one sha256 per command.  A change to the kernels
 that moves a single bit of any level, or a single Newton step, fails
-here.
+here.  Every artifact each command writes under ``--no-timing`` is
+pinned too, by one sha256 over the names, sizes and bytes of its files,
+so a change to the writers that moves a single byte fails here as well.
 """
 
 from __future__ import annotations
@@ -60,6 +62,27 @@ RUNS = {
         + [("full_projection_pre", n, 0, 0) for n in EXP2_NS for _ in "ab"]),
 }
 
+# sha256 of every --no-timing artifact of each command, by artifact_digest
+ARTIFACTS = {
+    "conv-exp1": ("3393101c9233c3ad43c09d94011b2280"
+                  "3def147cff5aea69dccf8fc75cbfd6e6"),
+    "conv-linear": ("ff6ff8f9557647a6de6f9c593ecec3f9"
+                    "0988c74022af65b09d7e7be8c48cac80"),
+    "stab-exp2": ("569d91da69bf7c4a1e43f970cd393116"
+                  "91000ed4642515237aecc8d726256177"),
+}
+
+
+def artifact_digest(out):
+    """One sha256 over the name, size and bytes of each file in out, in
+    name order."""
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        digest.update(("%s %d\n" % (path.name, len(data))).encode())
+        digest.update(data)
+    return digest.hexdigest()
+
 
 def record_runs(monkeypatch, args, out):
     """Run one CLI command in-process; its runs and their level digest."""
@@ -90,3 +113,4 @@ def test_backward_runs_bitwise(monkeypatch, tmp_path, name):
     runs, got = record_runs(monkeypatch, args, tmp_path)
     assert runs == RUNS[name]
     assert got == want
+    assert artifact_digest(tmp_path) == ARTIFACTS[name]

@@ -285,3 +285,10 @@ class TestSpatialGrid:
     def test_degenerate_grid_rejected(self, kw):
         with pytest.raises(ConfigurationError):
             fp.SpatialGrid(**{"x0": 0.0, "eta": 0.1, "M": 10, **kw})
+
+    def test_mesh_beyond_exact_float_indices_rejected(self):
+        # above 2**52 the float indices are not all integers, and at
+        # M = 10**300 the int64 cast of a clipped index wraps
+        fp.SpatialGrid(x0=0.0, eta=1e-3, M=2 ** 52)
+        with pytest.raises(ConfigurationError, match="2\\*\\*52"):
+            fp.SpatialGrid(x0=0.0, eta=1e-300, M=10 ** 300)

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used by the file importing it,
 every ``__all__`` entry of the library names a module-level definition,
-and every private module-level name of the library is read by it.
+every private module-level name of the library is read by it, and no
+library module but ``forward`` reads a lattice's child tables.
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -107,3 +108,24 @@ def test_scan_flags_an_unread_private_name():
 def test_every_private_name_is_read():
     assert unread_private_names(
         [p.read_text(encoding="utf-8") for p in MODULES]) == []
+
+
+def attribute_reads(source: str, attr: str):
+    """Line numbers where the source reads the attribute `attr`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_scan_flags_an_attribute_read():
+    source = "n = lat.children[0]\nchildren = 1\nlat.supports\n"
+    assert attribute_reads(source, "children") == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "forward.py"],
+    ids=lambda p: p.name)
+def test_only_forward_reads_child_tables(path):
+    # forward.Lattice owns the lattice layout: the other modules go
+    # through gather, push and child_index
+    assert attribute_reads(path.read_text(encoding="utf-8"),
+                           "children") == []

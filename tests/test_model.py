@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.model import ModelError, with_declared_my
+from fptree.model import ModelError
 from fptree.model import _horner
 from fptree.schemes import SchemeError
 
@@ -83,7 +83,7 @@ class TestPolyDriver:
                           L_z=0.0, f00=0.0)
 
     def test_declared_my_override(self):
-        d = with_declared_my(fp.poly_driver((0.0, -1.0)), -0.5)
+        d = fp.poly_driver((0.0, -1.0))._replace(M_y=-0.5)
         assert d.M_y == -0.5
         assert d.eval(1.0, 0.0) == -1.0
 
@@ -250,7 +250,7 @@ class TestValidateModel:
     def test_wrong_declared_my_caught(self):
         # true M_y for -y^3 is 0; declaring -2 must fail the
         # monotonicity probe near the origin
-        bad = with_declared_my(fp.poly_driver((0.0, 0.0, 0.0, -1.0)), -2.0)
+        bad = fp.poly_driver((0.0, 0.0, 0.0, -1.0))._replace(M_y=-2.0)
         m = fp.make_constant_model(
             T=1.0, x0=0.0, b=0.0, sigma=1.5, g=fp.quadratic_g(), driver=bad
         )
@@ -287,8 +287,8 @@ REPORT_MODELS = {
     "experiment1": fp.experiment1_model,
     "experiment2": fp.experiment2_model,
     "linear": fp.linear_model,
-    "lying_my": lambda: _model(fp.quadratic_g(), with_declared_my(
-        fp.poly_driver((0.0, 0.0, 0.0, -1.0)), -2.0)),
+    "lying_my": lambda: _model(fp.quadratic_g(), fp.poly_driver(
+        (0.0, 0.0, 0.0, -1.0))._replace(M_y=-2.0)),
     "lying_lz": lambda: _model(fp.quadratic_g(), fp.poly_driver(
         (0.0, -1.0), z_coeff=1.0)._replace(L_z=0.1)),
     "lying_f00": lambda: _model(fp.quadratic_g(), fp.poly_driver(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import fptree as fp
 from fptree.forward import Lattice
-from fptree.model import with_declared_my
 from fptree.schemes import (
     SchemeError, SolverError, _bracket_end, _level, _solve,
 )
@@ -235,7 +234,7 @@ class TestClosedFormBracket:
     def test_declared_slope_below_true_slope_raises(self):
         # f = y - y^3 has slope 1 at 0; declared 0, the bracket end
         # falls short of the root and the sign check fails
-        lying = with_declared_my(fp.poly_driver((0, 1, 0, -1)), 0.0)
+        lying = fp.poly_driver((0, 1, 0, -1))._replace(M_y=0.0)
         m = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=1.0,
                                    g=fp.quadratic_g(), driver=lying)
         with pytest.raises(SolverError, match="declared M_y = 0") as exc:
@@ -563,7 +562,7 @@ class TestSolveReference:
         cs = coeffs[:deg] + [-lead]
         driver = fp.poly_driver(cs, z_coeff=zc)
         if lie is not None:
-            driver = with_declared_my(driver, driver.M_y - lie)
+            driver = driver._replace(M_y=driver.M_y - lie)
         assume(hh * driver.M_y < 0.5)
         m = np.array([s * 10.0 ** e for s, e in m])
         z = np.array([s * 10.0 ** e for s, e in z])
