@@ -4,7 +4,8 @@ The continuous-time error functionals (time-integrated squared Y/Z
 errors) need the exact solution and are not computed.  The convergence
 study reports |Y0^N - reference| per run on one lattice per N, with the
 fitted order.  fd_comparison gives the per-level sup difference to the
-finite-difference oracle at matching time slices; it is a library
+finite-difference oracle at matching time slices, interpolating the FD
+snapshot at all of a level's in-domain states at once; it is a library
 function only, and no CLI artifact carries it.
 
 The stability side evaluates three families of inequalities whose
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import WEIGHTS, TruncationConfig, alpha_cap, truncate
+from .grids import WEIGHTS, TruncationConfig, _power, alpha_cap, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
 from .treeval import chain_law
@@ -206,14 +207,6 @@ class StabilityLedger(NamedTuple):
 def _guarded_exp(x: float) -> float:
     try:
         return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _power(base: float, expo: float) -> float:
-    """base ** expo, or inf where the float power overflows."""
-    try:
-        return base ** expo
     except OverflowError:
         return math.inf
 
@@ -457,25 +450,19 @@ def fd_comparison(run: ValueFunctions, lattice: Lattice, pde) -> list:
     """Per-level sup |y_run - y_FD| at matching (t_i, x) points.
 
     Levels whose time is not an FD snapshot are skipped; nodes outside
-    the FD domain are skipped.  Returns rows (level, t, nodes_compared,
-    sup_diff).
+    the FD domain are skipped.  A nan difference makes its level's sup
+    nan.  Returns rows (level, t, nodes_compared, sup_diff).
     """
     rows = []
     snap = {round(t, 12): t for t in pde.ts}
-    lo, hi = float(pde.xs[0]), float(pde.xs[-1])
     for i, t in enumerate(lattice.time_grid.times):
         key = round(t, 12)
         if key not in snap:
             continue
-        sup = 0.0
-        count = 0
-        for x, y in zip(lattice.supports[i].tolist(), run.y[i].tolist()):
-            if not lo <= x <= hi:
-                continue
-            diff = abs(y - pde.value_at(snap[key], x))
-            count += 1
-            if diff > sup or diff != diff:
-                sup = diff
+        x = lattice.supports[i]
+        inside = (pde.xs[0] <= x) & (x <= pde.xs[-1])
+        count = int(np.count_nonzero(inside))
         if count:
-            rows.append((i, t, count, sup))
+            diff = np.abs(run.y[i][inside] - pde._interp(snap[key], x[inside]))
+            rows.append((i, t, count, float(np.max(diff))))
     return rows

@@ -35,7 +35,6 @@ from .grids import (
     WEIGHTS,
     ConfigurationError,
     SpatialGrid,
-    TimeGrid,
     TruncationConfig,
     check_alpha,
     default_alpha,
@@ -377,14 +376,11 @@ def _lattices(st: Settings) -> tuple:
     Every scheme, ledger and --dump-lattice of a run reads these, so
     each N's lattice is built once.
     """
-    lattices = []
-    for N in st.ns:
-        tg = TimeGrid(T=st.model.T, N=N)
-        lattices.append(build_lattice(st.model, tg, _grid_for(st, tg)))
-    return tuple(lattices)
+    return tuple(build_lattice(st.model, N, _grid_for(st, st.model.T / N))
+                 for N in st.ns)
 
 
-def _grid_for(st: Settings, tg: TimeGrid) -> Optional[SpatialGrid]:
+def _grid_for(st: Settings, h: float) -> Optional[SpatialGrid]:
     """Spatial mesh for one run, or None for the exact recombining tree.
 
     A grid is opt-in (--eta / --grid-extent); without one the lattice
@@ -394,7 +390,7 @@ def _grid_for(st: Settings, tg: TimeGrid) -> Optional[SpatialGrid]:
     """
     if st.eta is None and st.grid_extent is None:
         return None
-    eta = st.eta if st.eta is not None else tg.h * tg.h
+    eta = st.eta if st.eta is not None else h * h
     extent = st.grid_extent
     if extent is None:
         extent = 6.0 * abs(st.model.sigma_const) * math.sqrt(st.model.T)
@@ -624,11 +620,10 @@ def _suite_projection(st: Settings):
 
 def _suite_pre_post(st: Settings):
     N = min(min(st.ns), 12)
-    tg = TimeGrid(T=st.model.T, N=N)
-    lattice = build_lattice(st.model, tg)
+    lattice = build_lattice(st.model, N)
     pre = run_backward(_scheme_config("fp", st), lattice, st.model)
     post = run_backward(_scheme_config("fp-post", st), lattice, st.model)
-    h = tg.h
+    h = lattice.time_grid.h
     for i in range(N + 1):
         if not np.array_equal(truncate(st.truncation, h, pre.y[i]),
                               post.y[i]):

@@ -11,8 +11,10 @@ each step is projected onto a uniform spatial grid; saturation at the
 grid hull is tolerated but counted.  The projected lattice is built a
 level at a time: b(t, x) and sigma(t, x) are called once per level with
 a float t and the float64 array x of the level's states, so they must
-accept arrays.  Lattice owns the layout: only its gather, push and
-child_index read the child tables.
+accept arrays.  A lattice spans its model's horizon [0, spec.T] in N
+steps.  Lattice owns the layout: only its gather, push and child_index
+read the child tables, and child_index reads the tree's and the
+projected lattice's through one helper.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ class Lattice(NamedTuple):
             return block
         return values[self.children[level].T]
 
+    def _table(self, level: int) -> np.ndarray:
+        """The (n_level, 3) int64 child table of a level; on the tree,
+        row p is (p, p+1, p+2)."""
+        if self.children is None:
+            return (np.arange(len(self.supports[level]))[:, None]
+                    + np.arange(len(WEIGHTS)))
+        return self.children[level]
+
     def push(self, level: int, masses: np.ndarray) -> np.ndarray:
         """Masses of level + 1, each child summing masses[p] * WEIGHTS[j]
         over its parents p in node-major order: the adjoint of gather."""
@@ -83,7 +93,8 @@ class Lattice(NamedTuple):
             # node p feeds p + j along branch j; adding the shifted
             # branches last-first gives each child the sum of a
             # node-major per-node push, (m[k-2] w2 + m[k-1] w1) + m[k] w0
-            # for m = masses
+            # for m = masses.  The bincount below gives the same sums
+            # but takes about 1.6 times as long on a 120-step tree.
             nxt = np.zeros(len(masses) + len(WEIGHTS) - 1)
             for j in reversed(range(len(WEIGHTS))):
                 nxt[j:j + len(masses)] += masses * WEIGHTS[j]
@@ -102,26 +113,20 @@ class Lattice(NamedTuple):
         concatenated values of levels 1..N with it gives the gather
         blocks of all levels side by side, root level first.
         """
-        sizes = [len(s) for s in self.supports]
-        if self.children is None:
-            # node p of level i sits at start_i + p of the nodes, and its
-            # child p + j at start_{i+1} - sizes[0] + p + j of the children
-            shift = np.repeat(np.subtract(sizes[:-1], sizes[0]), sizes[:-1])
-            return ((np.arange(len(shift)) + shift)
-                    + np.arange(len(WEIGHTS))[:, None])
-        offsets = np.cumsum([0] + sizes[1:-1])
+        offsets = np.cumsum([0] + [len(s) for s in self.supports[1:-1]])
         return np.concatenate(
-            [c + o for c, o in zip(self.children, offsets)]).T
+            [self._table(i) + o for i, o in enumerate(offsets)]).T
 
 
 def build_lattice(
     spec: ModelSpec,
-    tg: TimeGrid,
+    N: int,
     grid: Optional[SpatialGrid] = None,
 ) -> Lattice:
-    """Build the forward lattice of the time grid's trinomial increments.
+    """Build the forward lattice of N trinomial steps over [0, spec.T].
 
-    The increments are increments(tg.h), the same law for every lattice.
+    The time grid is TimeGrid(spec.T, N) and the increments are
+    increments(h), the same law for every lattice.
     Without a spatial grid the coefficients must be constant, which is
     what guarantees recombination; level i then holds
     x0 + b t_i + sigma k sqrt(3h) for k in {-i..i}.  With a grid, every
@@ -129,6 +134,7 @@ def build_lattice(
     reachable set is tracked level by level; a non-finite step raises
     ConfigurationError naming its level and node.
     """
+    tg = TimeGrid(spec.T, N)
     h = tg.h
     if grid is None:
         if not spec.has_constant_coefficients:
@@ -137,7 +143,6 @@ def build_lattice(
                 "recombination is not guaranteed without projection"
             )
         b0 = spec.b_const
-        N = tg.N
         # sigma * k * step for k in -N..N, taken in the order of the
         # scalar formula x0 + b t_i + sigma (k step); level i adds its
         # base to the middle 2i+1 entries

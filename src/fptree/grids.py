@@ -115,16 +115,17 @@ class _TruncationConfigFields(NamedTuple):
 class TruncationConfig(_Checked, _TruncationConfigFields):
     """Parameters of the value truncation T(y).
 
-    R0 and alpha set the radius R = R0 * h^{-alpha}.
+    R0 and alpha set the radius R = R0 * h^{-alpha}; both must be
+    positive and finite.
     """
 
     __slots__ = ()
 
     def _check(self):
-        if not self.R0 > 0:
-            raise ConfigurationError("R0 must be positive")
-        if not self.alpha > 0:
-            raise ConfigurationError("alpha must be positive")
+        if not 0 < self.R0 < math.inf:
+            raise ConfigurationError("R0 must be positive and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigurationError("alpha must be positive and finite")
 
 
 def alpha_cap(m: int) -> float:
@@ -155,11 +156,20 @@ def check_alpha(cfg: TruncationConfig, m: int) -> None:
         )
 
 
+def _power(base: float, expo: float) -> float:
+    """base ** expo, or inf where the float power overflows."""
+    try:
+        return base ** expo
+    except OverflowError:
+        return math.inf
+
+
 def truncation_radius(cfg: TruncationConfig, h: float) -> float:
-    """R = R0 * h^{-alpha}; positive and nonincreasing in h."""
+    """R = R0 * h^{-alpha}; nonincreasing in h, and inf where the power
+    overflows, which makes the truncation the identity."""
     if not h > 0:
         raise ConfigurationError("h must be positive, got %r" % (h,))
-    return cfg.R0 * h ** (-cfg.alpha)
+    return cfg.R0 * _power(h, -cfg.alpha)
 
 
 def truncate(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .forward import build_lattice
-from .grids import ConfigurationError, TimeGrid, TruncationConfig
+from .grids import ConfigurationError, TruncationConfig
 from .model import ClampG, ConstantG, ModelSpec, QuadraticG
 from .schemes import SchemeConfig, run_backward
 
@@ -136,16 +136,21 @@ class PdeSolution(NamedTuple):
             "time %r is not one of the stored snapshots %r" % (t, self.ts)
         )
 
-    def value_at(self, t: float, x: float) -> float:
+    def _interp(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The snapshot at t linearly interpolated at the states x, which
+        lie in the domain [xs[0], xs[-1]]."""
         vals = self._slice(t)
         xs = self.xs
-        if not xs[0] <= x <= xs[-1]:
-            raise OracleError("x=%r outside the PDE domain" % (x,))
-        j = int(np.searchsorted(xs, x))
-        j = min(max(j, 1), len(xs) - 1)
+        j = np.clip(np.searchsorted(xs, x), 1, len(xs) - 1)
         x0, x1 = xs[j - 1], xs[j]
-        w = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
-        return float((1.0 - w) * vals[j - 1] + w * vals[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(x1 == x0, 0.0, (x - x0) / (x1 - x0))
+        return (1.0 - w) * vals[j - 1] + w * vals[j]
+
+    def value_at(self, t: float, x: float) -> float:
+        if not self.xs[0] <= x <= self.xs[-1]:
+            raise OracleError("x=%r outside the PDE domain" % (x,))
+        return float(self._interp(t, x))
 
 
 def _reaction_bound(spec: ModelSpec, y_range: float) -> float:
@@ -272,8 +277,7 @@ def proxy_reference(
     when either run produces non-finite values, since an average of
     garbage is not a reference.
     """
-    tg = TimeGrid(T=spec.T, N=N)
-    lattice = build_lattice(spec, tg)
+    lattice = build_lattice(spec, N)
     impl = run_backward(SchemeConfig(kind="implicit_euler"), lattice, spec)
     fp = run_backward(
         SchemeConfig(kind="full_projection_pre", truncation=trunc),

@@ -13,13 +13,13 @@ branch sum of :func:`_branch_sum` over the level's three weighted branch
 arrays.  The full-projection kinds add the radial truncation T:
 
 * full_projection_pre   truncates the children before the step
-* full_projection_post  truncates the terminal values and each output
+* full_projection_post  reports the truncated values T(y) of that sweep
 
-The two full-projection variants are algebraically conjugate: starting
-the post variant from truncated terminal data yields y_post = T(y_pre)
-and identical z at every node.  Both run the same arithmetic on the
-same truncated children, so the equivalence holds bit-for-bit, not just
-within tolerance.
+The two full-projection variants are conjugate by construction: both
+kinds run the one sweep that truncates the children, and the post
+variant truncates each finished y level once, so y_post = T(y_pre) and
+z is the same at every node, bit-for-bit.  T is idempotent, so the
+children a post level would read are the ones the sweep truncated.
 
 Non-finite values are data here: the explicit scheme on stiff problems
 overflows to inf and then nan, and those values are carried through and
@@ -149,12 +149,11 @@ def _level(
     driver: DriverSpec,
     h: float,
     theta: float,
-    truncate_output: Optional[Callable] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One backward step at every node of a level.
 
     kids is the (branches, nodes) block of child values, already
-    truncated for full_projection_pre; W and H are the (branches, 1)
+    truncated for the full-projection kinds; W and H are the (branches, 1)
     columns of branch weights and Z weights.  Returns y, z and the
     level's root-solve iteration total and per-node maximum (zero where
     no solve runs).  Callers run it under np.errstate(all="ignore"):
@@ -169,8 +168,6 @@ def _level(
         y, total, most = m, 0, 0
     else:
         y, _, total, most = _solve(m, z, driver, theta * h)
-    if truncate_output is not None:
-        y = truncate_output(y)
     return y, z, total, most
 
 
@@ -339,7 +336,8 @@ def run_backward(
     broadcasts against it.  The run is deterministic: identical inputs
     give bit-identical outputs.  Implicit solver failures raise
     SolverError tagged with the level and node; explicit explosions are
-    recorded in the values and the finite flag instead.
+    recorded in the values and the finite flag instead.  For
+    full_projection_post the flag is taken on the truncated values.
     """
     tg = lattice.time_grid
     h = tg.h
@@ -351,8 +349,6 @@ def run_backward(
     if kind in _FP_KINDS:
         check_alpha(cfg.truncation, driver.m)
         trunc = partial(truncate, cfg.truncation, h)
-    pre = trunc if kind == "full_projection_pre" else None
-    post = trunc if kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
     H, lam = weight_values(h)
     W = np.array(WEIGHTS)[:, None]
@@ -362,8 +358,6 @@ def run_backward(
     with np.errstate(all="ignore"):
         # g overflowing is data, as in the level operator
         vals = np.broadcast_to(g(x), x.shape).astype(float)
-    if post is not None:
-        vals = post(vals)
     y_levels = [vals]
     z_levels = []
     iters_total = 0
@@ -374,10 +368,9 @@ def run_backward(
             nxt = y_levels[-1]
             # truncation is elementwise: truncating the level once equals
             # truncating each node's children
-            kids = lattice.gather(i, nxt if pre is None else pre(nxt))
+            kids = lattice.gather(i, nxt if trunc is None else trunc(nxt))
             try:
-                y, z, total, most = _level(kids, W, H, driver, h, theta,
-                                           post)
+                y, z, total, most = _level(kids, W, H, driver, h, theta)
             except SolverError as err:
                 raise SolverError(
                     "implicit solve failed at level %d node %d: %s"
@@ -398,6 +391,8 @@ def run_backward(
                     z_levels.append(np.full(n, nxt[0]))
                 break
 
+    if kind == "full_projection_post":
+        y_levels = [trunc(y) for y in y_levels]
     y_levels.reverse()
     z_levels.reverse()
     return ValueFunctions(

@@ -18,6 +18,7 @@ import fptree as fp
 from fptree.analysis import (
     TOL_ABS, TOL_REL, _guarded_exp, _guarded_product, _is_violation,
 )
+from fptree.grids import _power
 from fptree.schemes import (
     _FAILURES, _MAX_ITER, _TOL, SolverError, _bracket_end, _level,
 )
@@ -88,8 +89,7 @@ def child_indices(lattice, level, pos):
 
 
 def build(model, N, grid=None):
-    tg = fp.TimeGrid(T=model.T, N=N)
-    return fp.build_lattice(model, tg, grid)
+    return fp.build_lattice(model, N, grid)
 
 
 def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
@@ -97,13 +97,15 @@ def one_node(kids, driver, h, theta=0.0, H=(0.0, 0.0, 0.0), pre=None,
     """The level operator on a one-node level with children `kids`.
 
     Returns (y, z, iterations) as Python numbers; pre and post are the
-    optional child and output truncations.
+    optional child and output truncations, applied around _level.
     """
     kids = col(kids)
     with np.errstate(all="ignore"):
         if pre is not None:
             kids = pre(kids)
-        y, z, iters, _ = _level(kids, WCOL, col(H), driver, h, theta, post)
+        y, z, iters, _ = _level(kids, WCOL, col(H), driver, h, theta)
+        if post is not None:
+            y = post(y)
     return float(y[0]), float(z[0]), iters
 
 
@@ -177,10 +179,12 @@ def reference_solve(m, z, driver, hh):
 
 def size_constants(spec, trunc, h):
     """The size inequality's c and K^2, written out on their own as the
-    reference for the library's one-step constants (d + 1 = 2)."""
+    reference for the library's one-step constants (d + 1 = 2).  A power
+    that overflows takes its limit inf, as in the library."""
     drv = spec.driver
     mm = 2 * (drv.m - 1)
-    radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
+    radius_term = (_power(trunc.R0, mm) * _power(h, -mm * trunc.alpha)
+                   if mm else 1.0)
     c = (
         2.0 * drv.M_y
         + 8.0 * drv.L_z ** 2
@@ -199,7 +203,8 @@ def stability_constant(spec, trunc, h):
     """The stability inequality's c, the reference like size_constants."""
     drv = spec.driver
     mm = 2 * (drv.m - 1)
-    radius_term = trunc.R0 ** mm * h ** (-mm * trunc.alpha) if mm else 1.0
+    radius_term = (_power(trunc.R0, mm) * _power(h, -mm * trunc.alpha)
+                   if mm else 1.0)
     return (
         2.0 * drv.M_y
         + 4.0 * drv.L_z ** 2

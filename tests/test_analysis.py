@@ -408,6 +408,13 @@ HYPOTHESIS_CASES = {
         [("8*L_z^2=8 exceeds -M_y", "-0x1.0000000000000p-1"),
          (_HOLDS, "0x1.999999999999ap+2"),
          (_HOLDS, "0x1.399999999999ap+1")]),
+    # R0^6 overflows: the one-step c takes its limit inf, and the
+    # contraction threshold, taken in logs, is a power of ten
+    "r0_power_overflows": (
+        lambda: _with_driver(fp.experiment2_model(), m=4), 1e100, 0.01, 15,
+        [(_EXP2_THRESHOLD + "10^-640.3", "-0x1.0000000000000p-1"),
+         (_HOLDS, "inf"),
+         (_HOLDS, "inf")]),
     "alpha_above_cap": (
         fp.experiment2_model, 2.5, 0.3, 15,
         [("alpha=0.3 is not strictly below 1/(2(m-1)); "
@@ -580,3 +587,35 @@ class TestFdComparison:
         # both sides carry the same terminal data; the gap is only the
         # FD solver's linear x-interpolation between its mesh points
         assert supN <= 1e-3
+
+    @pytest.mark.parametrize("nan_node", [False, True])
+    def test_matches_node_by_node(self, nan_node):
+        # the reference is the per-node loop: the sup of |y - value_at|
+        # over a level's in-domain nodes, nan once any difference is nan
+        model = fp.linear_model()
+        lattice = build(model, 40)
+        run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"),
+                              lattice, model)
+        if nan_node:
+            y = list(run.y)
+            y[20] = np.where(np.arange(len(y[20])) == 25, math.nan, y[20])
+            run = run._replace(y=tuple(y))
+        pde = fp.fd_solve(model, dx=0.05, snapshots=4)
+        snap = {round(t, 12): t for t in pde.ts}
+        want = []
+        for i, t in enumerate(lattice.time_grid.times):
+            if round(t, 12) not in snap:
+                continue
+            diffs = [abs(y - pde.value_at(snap[round(t, 12)], x))
+                     for x, y in zip(lattice.supports[i].tolist(),
+                                     run.y[i].tolist())
+                     if pde.xs[0] <= x <= pde.xs[-1]]
+            if diffs:
+                sup = math.nan if any(map(math.isnan, diffs)) else max(diffs)
+                want.append((i, t, len(diffs), sup))
+        got = fp.fd_comparison(run, lattice, pde)
+        assert repr(got) == repr(want)
+        # some nodes of the deeper levels lie outside the FD domain
+        assert [row[2] for row in got] == [1, 21, 41, 43, 43]
+        assert [math.isnan(row[3]) for row in got] == [
+            False, False, nan_node, False, False]

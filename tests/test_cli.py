@@ -188,6 +188,16 @@ class TestConvergence:
             assert result.exit_code == 2, (flags, result.output)
             assert isinstance(result.exception, SystemExit), flags
 
+    @pytest.mark.parametrize("command", ["check", "convergence"])
+    def test_huge_alpha_runs_untruncated(self, runner, tmp_path, command):
+        # h ** -400 overflows at every h < 1: the radius is inf and the
+        # truncation the identity, not an OverflowError traceback
+        result = runner.invoke(main, [
+            command, "--preset", "linear-oracle", "--alpha", "400",
+            "--no-timing", "--out", str(tmp_path / "art"),
+        ])
+        assert result.exit_code == 0, result.output
+
 
 class TestStability:
     def test_experiment2_single_n(self, runner, tmp_path):
@@ -448,11 +458,17 @@ class TestConfigPlumbing:
          "--scheme", "fp-post", "--alpha", "0.3"],
         ["convergence", "--preset", "linear-oracle", "--Ns", "10",
          "--scheme", "theta=2"],
+        # an infinite R0 or alpha would silently make fp the explicit
+        # scheme, with ledgers that read "all hypotheses hold"
+        ["stability", "--preset", "experiment2", "--Ns", "15", "--R0", "inf"],
+        ["convergence", "--preset", "linear-oracle", "--Ns", "10",
+         "--alpha", "inf"],
     ])
     def test_invalid_scheme_settings_are_usage_errors(self, runner, tmp_path,
                                                       args):
         result = runner.invoke(main, args + ["--out", str(tmp_path / "art")])
         assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_check_writes_report_to_out_from_file(self, runner, tmp_path):
         out = tmp_path / "art"

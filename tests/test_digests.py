@@ -1,8 +1,11 @@
-"""Every backward run of the benchmark's three commands, pinned bitwise.
+"""Every backward run of five commands, pinned bitwise.
 
-The commands are ``convergence --preset experiment1``, ``convergence
---preset linear-oracle`` and ``stability --preset experiment2``, with
-their schemes in a fixed order.  Each ``run_backward`` call they make
+Three are the benchmark's commands, ``convergence --preset
+experiment1``, ``convergence --preset linear-oracle`` and ``stability
+--preset experiment2``, with their schemes in a fixed order.  Two pin
+paths those miss: the fp-post and theta schemes on experiment2, and
+projected (grid) lattices with their --dump-lattice files on
+experiment1.  Each ``run_backward`` call they make
 (the proxy reference's implicit and fp runs and the stability study's
 perturbed fp runs included) is recorded in call order: its scheme kind,
 N, Newton iteration total and maximum, and the bytes of every y and z
@@ -41,6 +44,17 @@ COMMANDS = {
                    "implicit", "--scheme", "fp"],
                   "9b8f6dfa5d8730051a3fac46134d3631"
                   "5dc422173776eccf7ab319c95fd7b182"),
+    "stab-exp2-post-theta": (["stability", "--preset", "experiment2",
+                              "--Ns", "15,25", "--scheme", "fp-post",
+                              "--scheme", "theta=0.5"],
+                             "b2c8515e4c5151a04b9e704592622e76"
+                             "dd8676c5edb055314066749747ebdfab"),
+    "conv-exp1-grid": (["convergence", "--preset", "experiment1", "--Ns",
+                        "5,10", "--eta", "0.05", "--grid-extent", "6",
+                        "--scheme", "fp", "--scheme", "implicit",
+                        "--dump-lattice"],
+                       "84d2e0ffad20d14072f51b96413540b4"
+                       "5af8f6b65588707fc0e675bfca9b20c2"),
 }
 
 # (kind, N, Newton total, Newton maximum) of each run, in call order:
@@ -60,6 +74,13 @@ RUNS = {
         + [("implicit_euler", n, total, most) for n, total, most in zip(
             EXP2_NS, (1016, 1284, 1592, 2664), (7, 7, 7, 6))]
         + [("full_projection_pre", n, 0, 0) for n in EXP2_NS for _ in "ab"]),
+    "stab-exp2-post-theta": (
+        [("full_projection_post", n, 0, 0) for n in (15, 25) for _ in "ab"]
+        + [("theta", 15, 834, 6), ("theta", 25, 1528, 5)]),
+    "conv-exp1-grid": [
+        ("implicit_euler", 120, 54598, 13), ("full_projection_pre", 120, 0, 0),
+        ("full_projection_pre", 5, 0, 0), ("full_projection_pre", 10, 0, 0),
+        ("implicit_euler", 5, 142, 9), ("implicit_euler", 10, 537, 10)],
 }
 
 # sha256 of every --no-timing artifact of each command, by artifact_digest
@@ -70,6 +91,10 @@ ARTIFACTS = {
                     "0988c74022af65b09d7e7be8c48cac80"),
     "stab-exp2": ("569d91da69bf7c4a1e43f970cd393116"
                   "91000ed4642515237aecc8d726256177"),
+    "stab-exp2-post-theta": ("6fd2144202556fee3e9318669e76e991"
+                             "890e2bb905f28780a6b7f67a8307ac07"),
+    "conv-exp1-grid": ("9165840a11a091ae5e8f1bd7d25057b2"
+                       "d8450325fc2c4aa583da74e1face2ba5"),
 }
 
 

@@ -14,9 +14,9 @@ from conftest import build, child_indices
 
 
 def one_step(spec, h, grid):
-    """build_lattice over one step of size h, increments
-    (-sqrt(3h), 0, sqrt(3h))."""
-    return fp.build_lattice(spec, fp.TimeGrid(T=h, N=1), grid)
+    """build_lattice over one step of size h, the horizon of spec set to
+    h: increments (-sqrt(3h), 0, sqrt(3h))."""
+    return fp.build_lattice(spec._replace(T=h), 1, grid)
 
 
 def child_state(lat, branch):
@@ -147,26 +147,23 @@ class TestBuildLattice:
             g=fp.quadratic_g(),
             driver=fp.poly_driver((0.0,)),
         )
-        tg = fp.TimeGrid(T=1.0, N=4)
         with pytest.raises(ConfigurationError):
-            fp.build_lattice(m, tg)
+            fp.build_lattice(m, 4)
 
     def test_grid_aligned_to_tree_is_identity(self):
         m = fp.experiment1_model()
-        tg = fp.TimeGrid(T=1.0, N=4)
-        step = 1.5 * math.sqrt(3 * tg.h)
+        step = 1.5 * math.sqrt(3 * 0.25)
         grid = fp.SpatialGrid(x0=0.0, eta=step, M=8)
-        free = fp.build_lattice(m, tg)
-        gridded = fp.build_lattice(m, tg, grid)
+        free = fp.build_lattice(m, 4)
+        gridded = fp.build_lattice(m, 4, grid)
         for a, b in zip(free.supports, gridded.supports):
             assert tuple(a) == pytest.approx(tuple(b))
         assert gridded.saturation_count == 0
 
     def test_tight_grid_saturates(self):
         m = fp.experiment1_model()
-        tg = fp.TimeGrid(T=1.0, N=6)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=3)
-        lat = fp.build_lattice(m, tg, grid)
+        lat = fp.build_lattice(m, 6, grid)
         assert lat.saturation_count > 0
         hull = 0.5 * 3
         for s in lat.supports:
@@ -296,7 +293,7 @@ class TestArrayLattice:
         spec = constant_model(x0, b, sigma)
         tg = fp.TimeGrid(T=1.0, N=N)
 
-        tree = fp.build_lattice(spec, tg)
+        tree = fp.build_lattice(spec, tg.N)
         for got, want in zip(tree.supports, tuple_tree_supports(spec, tg),
                              strict=True):
             assert got.dtype == np.float64
@@ -313,7 +310,7 @@ class TestArrayLattice:
             assert bitwise_equal(law[i + 1], m)
 
         grid = fp.SpatialGrid(x0=x0, eta=eta, M=M)
-        lat = fp.build_lattice(spec, tg, grid)
+        lat = fp.build_lattice(spec, tg.N, grid)
         supports, children, saturation = tuple_grid_lattice(spec, tg, grid)
         assert lat.saturation_count == saturation
         rng = np.random.default_rng(N)
@@ -337,7 +334,7 @@ class TestArrayLattice:
     def test_dump_json_equals_tuple_dump(self, grid):
         spec = fp.experiment1_model()
         tg = fp.TimeGrid(T=1.0, N=9)
-        lat = fp.build_lattice(spec, tg, grid)
+        lat = fp.build_lattice(spec, tg.N, grid)
         if grid is None:
             want = tuple_dump(lat, tuple_tree_supports(spec, tg), None)
         else:
@@ -360,7 +357,7 @@ class TestArrayLattice:
         spec = ou_model(x0, a, s0, s1, s2)
         tg = fp.TimeGrid(T=1.0, N=N)
         grid = fp.SpatialGrid(x0=0.0, eta=eta, M=M)
-        lat = fp.build_lattice(spec, tg, grid)
+        lat = fp.build_lattice(spec, tg.N, grid)
         supports, children, saturation = tuple_grid_lattice(spec, tg, grid)
         grid_levels_equal(lat, supports, children)
         assert lat.saturation_count == saturation
@@ -371,13 +368,12 @@ class TestArrayLattice:
         where = (lambda x: x >= 1.0) if node == 2 else (lambda x: x <= -1.0)
         spec = state_model(0.0, lambda t, x: np.where(where(x), value, -x),
                            lambda t, x: 1.0)
-        tg = fp.TimeGrid(T=1.0, N=4)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
         with np.errstate(invalid="ignore"), pytest.raises(
                 ConfigurationError,
                 match=r"level 1 node %d \(branch 0\).* non-finite state %s"
                 % (node, value)):
-            fp.build_lattice(spec, tg, grid)
+            fp.build_lattice(spec, 4, grid)
 
     def test_huge_finite_step_saturates_on_its_side(self):
         # from level 1 (-1, 0, 1) the outer nodes step to -+2.5e299,
@@ -387,7 +383,7 @@ class TestArrayLattice:
             lambda t, x: 1.0)
         tg = fp.TimeGrid(T=1.0, N=4)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
-        lat = fp.build_lattice(spec, tg, grid)
+        lat = fp.build_lattice(spec, tg.N, grid)
         assert lat.supports[1].tolist() == [-1.0, 0.0, 1.0]
         low, high = lat.supports[2][lat.children[1][[0, 2]]]
         assert low.tolist() == [-5.0] * 3 and high.tolist() == [5.0] * 3

@@ -34,6 +34,13 @@ class TestTruncationRadius:
             fp.TruncationConfig(R0=5.0, alpha=0.1), 0.1
         ) == pytest.approx(6.294627058970836, abs=1e-12)
 
+    def test_overflowing_power_gives_inf(self):
+        # 0.1 ** -400 overflows: R is inf and the truncation the identity
+        cfg = fp.TruncationConfig(R0=10.0, alpha=400.0)
+        assert fp.truncation_radius(cfg, 0.1) == math.inf
+        ys = np.array([-math.inf, -1e300, -0.0, 2.5, math.inf, math.nan])
+        assert fp.truncate(cfg, 0.1, ys).tobytes() == ys.tobytes()
+
     def test_default_alpha(self):
         assert fp.default_alpha(3) == pytest.approx(0.249)
         assert fp.default_alpha(2) == pytest.approx(0.499)

@@ -474,11 +474,42 @@ class TestRunBackward:
         for a, b in zip(pre.z, post.z):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("model, R0, alpha, N", [
+        (fp.experiment1_model, 2.0, 0.249, 5),
+        (fp.experiment1_model, 2.0, 0.249, 40),
+        (fp.experiment2_model, 2.5, 0.249, 19),
+        (fp.linear_model, 10.0, 1.0, 10),
+        # fp's outputs overflow to inf, which only the post variant's
+        # truncation caps: fp is not finite and fp-post is
+        (fp.experiment1_model, 1e120, 0.1, 10),
+    ])
+    def test_post_is_truncated_pre(self, model, R0, alpha, N):
+        # against the reference sweep, which truncates each post level as
+        # it goes and steps from it: y_post = T(y_pre) and the same z,
+        # bitwise, with finite taken on the truncated values
+        spec = model()
+        trunc = fp.TruncationConfig(R0=R0, alpha=alpha)
+        lat = build(spec, N)
+        pre, post = (fp.run_backward(
+            fp.SchemeConfig(kind=kind, truncation=trunc), lat, spec)
+            for kind in ("full_projection_pre", "full_projection_post"))
+        ys, zs = shortcut_free_sweep(
+            fp.SchemeConfig(kind="full_projection_post", truncation=trunc),
+            lat, spec)
+        T = partial(fp.truncate, trunc, lat.time_grid.h)
+        assert level_bytes(post.y) == level_bytes(map(T, pre.y)) \
+            == level_bytes(ys)
+        assert level_bytes(post.z) == level_bytes(pre.z) == level_bytes(zs)
+        assert post.finite == all(np.isfinite(y).all() for y in ys)
+        if R0 == 1e120:
+            assert post.finite and not pre.finite
+
 
 def shortcut_free_sweep(cfg, lattice, spec, terminal=None):
     """Backward induction through _level at every level, none skipped:
-    the reference for run_backward.  Returns the (y, z) levels from the
-    root."""
+    the reference for run_backward.  The post variant truncates each
+    level as it is made and steps from the truncated values.  Returns
+    the (y, z) levels from the root."""
     h = lattice.time_grid.h
     T = partial(fp.truncate, cfg.truncation, h)
     pre = T if cfg.kind == "full_projection_pre" else None
@@ -494,8 +525,8 @@ def shortcut_free_sweep(cfg, lattice, spec, terminal=None):
         for i in range(lattice.time_grid.N - 1, -1, -1):
             kids = lattice.gather(i, ys[-1] if pre is None else pre(ys[-1]))
             y, z, _, _ = _level(kids, WCOL, col(H_for(h)), spec.driver, h,
-                                theta, post)
-            ys.append(y)
+                                theta)
+            ys.append(y if post is None else post(y))
             zs.append(z)
     return ys[::-1], zs[::-1]
 
