@@ -53,6 +53,6 @@ from .model import (
 )
 from .oracle import fd_solve, linear_solution, proxy_reference
 from .schemes import SchemeConfig, SolverError, run_backward
-from .treeval import chain_law, l2_norm
+from .treeval import chain_law, l2_norms
 
 __version__ = "0.1.0"

@@ -16,11 +16,11 @@ violation beyond roundoff tolerance indicates a bug, not noise:
 * per-node stability bound   |dY_i|^2 + h/8 |dZ_i|^2 <= e^{ch} E_i[|dY_{i+1}|^2]
 * per-level contraction      ||Y_i||_2 <= e^{(M_y/2)(T - t_i)} ||Y_N||_2
 
-Each monitor reports whether its hypotheses hold for the supplied
-configuration (threshold on h, sign conditions); when they do not, the
-ledger is still computed and marked "not applicable" rather than
-skipped, so the empirical behaviour outside the guaranteed regime
-remains visible.
+Each monitor reads the lattice from the run (run.lattice) and reports
+whether its hypotheses (the model and truncation arguments) hold: a
+threshold on h, sign conditions.  When they do not, the ledger is still
+computed and marked "not applicable" rather than skipped, so the
+empirical behaviour outside the guaranteed regime remains visible.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, _power, alpha_cap, truncate
 from .model import ModelSpec
 from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
-from .treeval import chain_law
+from .treeval import chain_law, l2_norms
 
 __all__ = [
     "ErrorEntry",
@@ -165,11 +165,11 @@ def _level_extremes(levels):
     return hi, lo, finite
 
 
-def minmax_processes(run: ValueFunctions, lattice: Lattice):
+def minmax_processes(run: ValueFunctions):
     """Per-level (level, t, max, min, finite) rows, terminal last."""
     hi, lo, finite = _level_extremes(run.y)
-    return list(zip(range(len(run.y)), lattice.time_grid.times, hi.tolist(),
-                    lo.tolist(), finite.tolist()))
+    return list(zip(range(len(run.y)), run.lattice.time_grid.times,
+                    hi.tolist(), lo.tolist(), finite.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,6 @@ def _ledger(kind, reasons, c_value, res, rhs, sizes, tol_rel=TOL_REL,
 
 def contraction_check(
     run: ValueFunctions,
-    lattice: Lattice,
     spec: ModelSpec,
     trunc: TruncationConfig,
 ) -> StabilityLedger:
@@ -290,10 +289,10 @@ def contraction_check(
     radius exponent alpha < 1/(2(m-1)), and h below an explicit
     threshold; when any of these fails the ledger is computed anyway
     and marked not applicable.  L2 norms are taken under the chain law
-    of the lattice the run was made on, computed here once.
+    of run.lattice, computed here once, and T - t_i on its time grid.
     """
     drv = spec.driver
-    tg = lattice.time_grid
+    tg = run.lattice.time_grid
     h = tg.h
     reasons = []
     if drv.f00 != 0.0:
@@ -323,14 +322,9 @@ def contraction_check(
                            % (h, _show_exp(log_threshold)))
     c_prime = drv.M_y / 2.0
 
-    law = chain_law(lattice)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # l2_norm's arithmetic under one errstate for all levels; the
-        # np.sum of a 1-d array is np.add.reduce, without its dispatch
-        l2 = np.array([math.sqrt(float(np.add.reduce(masses * y * y)))
-                       for masses, y in zip(law, run.y)])
+    l2 = l2_norms(run.y, chain_law(run.lattice))
     bound = _guarded_product(
-        np.array([_guarded_exp(c_prime * (spec.T - t)) for t in tg.times]),
+        np.array([_guarded_exp(c_prime * (tg.T - t)) for t in tg.times]),
         l2[-1],
     )
     return _ledger("contraction", reasons, c_prime, l2 - bound, bound,
@@ -380,7 +374,6 @@ def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
 
 def one_step_checks(
     run: ValueFunctions,
-    lattice: Lattice,
     spec: ModelSpec,
     trunc: TruncationConfig,
     kind: str,
@@ -393,8 +386,8 @@ def one_step_checks(
     and truncation parameters.
 
     kind='stability': same shape for the difference of two runs (run2
-    required, same lattice and scheme, perturbed terminal data), with
-    its own c and no K term.
+    required, on the same lattice object, else ValueError; same scheme,
+    perturbed terminal data), with its own c and no K term.
 
     Lattice expectations are exact finite sums, so the inequalities are
     guaranteed for the full-projection scheme within the stated h
@@ -404,10 +397,16 @@ def one_step_checks(
     the lattice's flat child index; every operation is elementwise, so
     each node's residual is the one a level-by-level pass computes.
     """
+    lattice = run.lattice
     if kind not in ("size", "stability"):
         raise ValueError("kind must be 'size' or 'stability'")
-    if kind == "stability" and run2 is None:
-        raise ValueError("stability check needs a second run")
+    if kind == "stability":
+        if run2 is None:
+            raise ValueError("stability check needs a second run")
+        if run2.lattice is not lattice:
+            raise ValueError("stability check needs both runs on one lattice, "
+                             "got an N=%d lattice and another of N=%d"
+                             % (lattice.time_grid.N, run2.lattice.time_grid.N))
     drv = spec.driver
     h = lattice.time_grid.h
     W = np.array(WEIGHTS)[:, None]
@@ -446,8 +445,8 @@ def one_step_checks(
 # ---------------------------------------------------------------------------
 
 
-def fd_comparison(run: ValueFunctions, lattice: Lattice, pde) -> list:
-    """Per-level sup |y_run - y_FD| at matching (t_i, x) points.
+def fd_comparison(run: ValueFunctions, pde) -> list:
+    """Per-level sup |y_run - y_FD| at matching (t_i, x) of run.lattice.
 
     Levels whose time is not an FD snapshot are skipped; nodes outside
     the FD domain are skipped.  A nan difference makes its level's sup
@@ -455,11 +454,11 @@ def fd_comparison(run: ValueFunctions, lattice: Lattice, pde) -> list:
     """
     rows = []
     snap = {round(t, 12): t for t in pde.ts}
-    for i, t in enumerate(lattice.time_grid.times):
+    lattice = run.lattice
+    for i, (t, x) in enumerate(zip(lattice.time_grid.times, lattice.supports)):
         key = round(t, 12)
         if key not in snap:
             continue
-        x = lattice.supports[i]
         inside = (pde.xs[0] <= x) & (x <= pde.xs[-1])
         count = int(np.count_nonzero(inside))
         if count:

@@ -791,7 +791,7 @@ def stability(**kw):
             _write_csv(
                 os.path.join(out, "minmax_%s.csv" % key),
                 ("level", "t", "y_max", "y_min", "finite"),
-                minmax_processes(run, lattice),
+                minmax_processes(run),
             )
             digest = {
                 "finite": run.finite,
@@ -802,14 +802,11 @@ def stability(**kw):
             sup = analysis.sup_norm_check(run)
             digest["ledgers"]["sup_norm"] = _ledger_digest(sup)
             if name in ("fp", "fp-post", "implicit"):
-                contr = analysis.contraction_check(
-                    run, lattice, st.model, trunc
-                )
+                contr = analysis.contraction_check(run, st.model, trunc)
                 digest["ledgers"]["contraction"] = _ledger_digest(contr)
             if name in ("fp", "fp-post"):
-                size = analysis.one_step_checks(
-                    run, lattice, st.model, trunc, kind="size"
-                )
+                size = analysis.one_step_checks(run, st.model, trunc,
+                                                kind="size")
                 digest["ledgers"]["size"] = _ledger_digest(size)
 
                 def perturbed(x):
@@ -817,7 +814,7 @@ def stability(**kw):
 
                 run2 = run_backward(cfg, lattice, st.model, terminal=perturbed)
                 stab = analysis.one_step_checks(
-                    run, lattice, st.model, trunc, kind="stability", run2=run2
+                    run, st.model, trunc, kind="stability", run2=run2
                 )
                 digest["ledgers"]["stability"] = _ledger_digest(stab)
             summary["runs"][key] = digest

@@ -13,8 +13,7 @@ level at a time: b(t, x) and sigma(t, x) are called once per level with
 a float t and the float64 array x of the level's states, so they must
 accept arrays.  A lattice spans its model's horizon [0, spec.T] in N
 steps.  Lattice owns the layout: only its gather, push and child_index
-read the child tables, and child_index reads the tree's and the
-projected lattice's through one helper.
+read the child tables.
 """
 
 from __future__ import annotations
@@ -78,14 +77,6 @@ class Lattice(NamedTuple):
             return block
         return values[self.children[level].T]
 
-    def _table(self, level: int) -> np.ndarray:
-        """The (n_level, 3) int64 child table of a level; on the tree,
-        row p is (p, p+1, p+2)."""
-        if self.children is None:
-            return (np.arange(len(self.supports[level]))[:, None]
-                    + np.arange(len(WEIGHTS)))
-        return self.children[level]
-
     def push(self, level: int, masses: np.ndarray) -> np.ndarray:
         """Masses of level + 1, each child summing masses[p] * WEIGHTS[j]
         over its parents p in node-major order: the adjoint of gather."""
@@ -113,9 +104,15 @@ class Lattice(NamedTuple):
         concatenated values of levels 1..N with it gives the gather
         blocks of all levels side by side, root level first.
         """
-        offsets = np.cumsum([0] + [len(s) for s in self.supports[1:-1]])
-        return np.concatenate(
-            [self._table(i) + o for i, o in enumerate(offsets)]).T
+        if self.children is None:
+            # level i's 2i+1 nodes start at i^2 and their children at
+            # i^2 + 2i among levels 1..N: node k's children are k + 2i + j
+            n = np.arange(self.time_grid.N)
+            return (np.arange(len(n) * len(n)) + np.repeat(2 * n, 2 * n + 1)
+                    + np.arange(len(WEIGHTS))[:, None])
+        sizes = [len(s) for s in self.supports]
+        offsets = np.repeat(np.cumsum([0] + sizes[1:-1]), sizes[:-1])
+        return (np.concatenate(self.children) + offsets[:, None]).T
 
 
 def build_lattice(

@@ -297,23 +297,28 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
 
 
 class ValueFunctions(NamedTuple):
-    """Backward-induction output on the lattice.
+    """Backward-induction output: functions on the lattice they were run on.
 
-    y[i] is the float64 array of level-i values on the support of the
-    lattice; z[i] exists for i < N.  finite is False as soon as any
-    level contains a non-finite entry.
+    y[i] is the float64 array of level-i values on lattice.supports[i];
+    z[i] exists for i < N.  finite is False as soon as any level
+    contains a non-finite entry.  Lambda is the Z-weight normalization
+    of weight_values at the lattice's step size.
     """
 
+    lattice: Lattice
     y: Tuple[np.ndarray, ...]
     z: Tuple[np.ndarray, ...]
     finite: bool
-    Lambda: float
     solver_iterations_total: int
     solver_iterations_max: int
 
     @property
     def y0(self) -> float:
         return float(self.y[0][0])
+
+    @property
+    def Lambda(self) -> float:
+        return weight_values(self.lattice.time_grid.h)[1]
 
 
 def _one_nan(nxt: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
@@ -350,9 +355,8 @@ def run_backward(
         check_alpha(cfg.truncation, driver.m)
         trunc = partial(truncate, cfg.truncation, h)
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
-    H, lam = weight_values(h)
     W = np.array(WEIGHTS)[:, None]
-    H = np.array(H)[:, None]
+    H = np.array(weight_values(h)[0])[:, None]
 
     x = lattice.supports[tg.N]
     with np.errstate(all="ignore"):
@@ -396,10 +400,10 @@ def run_backward(
     y_levels.reverse()
     z_levels.reverse()
     return ValueFunctions(
+        lattice=lattice,
         y=tuple(y_levels),
         z=tuple(z_levels),
         finite=all(bool(np.isfinite(y).all()) for y in y_levels),
-        Lambda=lam,
         solver_iterations_total=iters_total,
         solver_iterations_max=iters_max,
     )

@@ -2,9 +2,9 @@
 
 The marginal law of the chain is one float64 mass array per level,
 pushed forward from the root by Lattice.push, which owns the lattice
-layout; the L2 norm of a level's values is their mass-weighted sum of
-squares, rooted.  The conditional expectations themselves are the
-level operator's plain sums (schemes).
+layout; l2_norms roots each level's mass-weighted sum of squares, for
+all levels of a run at once.  The conditional expectations themselves
+are the level operator's plain sums (schemes).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .forward import Lattice
 __all__ = [
     "TreeStructureError",
     "chain_law",
-    "l2_norm",
+    "l2_norms",
 ]
 
 
@@ -38,15 +38,16 @@ def chain_law(lattice: Lattice) -> Tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def l2_norm(vals: Sequence[float], law: Sequence[np.ndarray],
-            level: int) -> float:
-    """Discrete L2 norm sqrt(sum_nodes mass * v^2) under the chain law."""
-    masses = law[level]
-    vals = np.asarray(vals, dtype=float)
-    if len(vals) != len(masses):
+def l2_norms(levels: Sequence[np.ndarray],
+             law: Sequence[np.ndarray]) -> np.ndarray:
+    """Discrete L2 norms sqrt(sum_nodes mass * v^2) of the levels under
+    the chain law, root first; a level holding inf or nan gives inf or nan.
+    """
+    sizes, want = [len(v) for v in levels], [len(m) for m in law]
+    if sizes != want:
         raise TreeStructureError(
-            "level %d has %d nodes but %d values supplied"
-            % (level, len(masses), len(vals))
-        )
+            "level sizes %s do not fit the chain law's %s" % (sizes, want))
     with np.errstate(over="ignore", invalid="ignore"):
-        return math.sqrt(float(np.sum(masses * vals * vals)))
+        # the np.sum of a 1-d array is np.add.reduce, without its dispatch
+        return np.array([math.sqrt(float(np.add.reduce(masses * v * v)))
+                         for masses, v in zip(law, levels)])

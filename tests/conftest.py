@@ -212,13 +212,14 @@ def stability_constant(spec, trunc, h):
     )
 
 
-def reference_one_step(run, lattice, spec, trunc, kind, run2=None):
+def reference_one_step(run, spec, trunc, kind, run2=None):
     """The one-step ledger's numbers, level by level: the reference for
     analysis.one_step_checks, which evaluates all levels at once.
 
     Returns a dict of the StabilityLedger fields that the residuals
     determine.
     """
+    lattice = run.lattice
     h = lattice.time_grid.h
     W = col(fp.WEIGHTS)
     if kind == "size":

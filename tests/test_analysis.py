@@ -128,7 +128,7 @@ class TestContraction:
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc)
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
+        ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
         assert ledger.kind == "contraction"
         assert ledger.c_value == pytest.approx(-0.5)
         assert ledger.violations == 0
@@ -140,7 +140,7 @@ class TestContraction:
         lattice = build(spec, 40)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=LINEAR_TRUNC)
         run = fp.run_backward(cfg, lattice, spec)
-        ledger = fp.contraction_check(run, lattice, spec, LINEAR_TRUNC)
+        ledger = fp.contraction_check(run, spec, LINEAR_TRUNC)
         assert ledger.applicable
         assert ledger.applicability_reason == "all hypotheses hold"
         assert ledger.violations == 0
@@ -149,22 +149,25 @@ class TestContraction:
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
+        ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
         assert ledger.violations == 0
 
     @pytest.mark.parametrize("kind", [
         "explicit_euler", "implicit_euler", "full_projection_pre"])
     def test_level_norms_are_l2_norm(self, exp2_model, exp2_trunc, kind):
-        # the norms of all levels, taken under one errstate, are
-        # l2_norm's bit for bit, also on the explicit run's inf and nan
-        # levels
+        # the norms of all levels, taken under one errstate, are the
+        # level-by-level L2 norms bit for bit, also on the explicit run's
+        # inf and nan levels
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(
             kind=kind, truncation=exp2_trunc if kind.startswith("full_") else None)
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, lattice, exp2_model, exp2_trunc)
+        ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
         law = fp.chain_law(lattice)
-        l2 = np.array([fp.l2_norm(y, law, i) for i, y in enumerate(run.y)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2 = np.array([math.sqrt(float(np.sum(m * y * y)))
+                           for m, y in zip(law, run.y)])
+        assert fp.l2_norms(run.y, law).tobytes() == l2.tobytes()
         c = exp2_model.driver.M_y / 2.0
         bound = _guarded_product(
             np.array([_guarded_exp(c * (exp2_model.T - t))
@@ -182,7 +185,7 @@ class TestContraction:
         lattice = build(m, 10)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, m)
-        ledger = fp.contraction_check(run, lattice, m, exp1_trunc)
+        ledger = fp.contraction_check(run, m, exp1_trunc)
         assert not ledger.applicable
         assert "f(0,0)" in ledger.applicability_reason
 
@@ -192,7 +195,7 @@ class TestOneStep:
         lattice = build(exp1_model, 20)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        ledger = fp.one_step_checks(run, lattice, exp1_model, exp1_trunc, kind="size")
+        ledger = fp.one_step_checks(run, exp1_model, exp1_trunc, kind="size")
         assert ledger.kind == "size"
         assert ledger.applicable
         assert ledger.total_checked == 400
@@ -204,7 +207,17 @@ class TestOneStep:
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
         with pytest.raises(ValueError):
-            fp.one_step_checks(run, lattice, exp1_model, exp1_trunc, kind="stability")
+            fp.one_step_checks(run, exp1_model, exp1_trunc, kind="stability")
+
+    def test_stability_runs_on_one_lattice(self, exp2_model, exp2_trunc):
+        # the runs' lattices must be one object; N=15 and N=20 would
+        # not even broadcast
+        cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc)
+        run = fp.run_backward(cfg, build(exp2_model, 15), exp2_model)
+        run2 = fp.run_backward(cfg, build(exp2_model, 20), exp2_model)
+        with pytest.raises(ValueError, match="N=15 lattice.*N=20"):
+            fp.one_step_checks(run, exp2_model, exp2_trunc,
+                               kind="stability", run2=run2)
 
     def test_stability_clean(self, exp1_model, exp1_trunc):
         lattice = build(exp1_model, 20)
@@ -216,7 +229,7 @@ class TestOneStep:
             terminal=lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0),
         )
         ledger = fp.one_step_checks(
-            run, lattice, exp1_model, exp1_trunc, kind="stability", run2=run2,
+            run, exp1_model, exp1_trunc, kind="stability", run2=run2,
         )
         assert ledger.kind == "stability"
         assert ledger.violations == 0
@@ -227,13 +240,13 @@ class TestOneStep:
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
         with pytest.raises(ValueError):
-            fp.one_step_checks(run, lattice, exp1_model, exp1_trunc, kind="bogus")
+            fp.one_step_checks(run, exp1_model, exp1_trunc, kind="bogus")
 
     def test_per_level_entries_cover_all_nodes(self, exp1_model, exp1_trunc):
         lattice = build(exp1_model, 8)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        ledger = fp.one_step_checks(run, lattice, exp1_model, exp1_trunc, kind="size")
+        ledger = fp.one_step_checks(run, exp1_model, exp1_trunc, kind="size")
         assert ledger.level_checked.tolist() == [2 * i + 1 for i in range(8)]
         assert ledger.level_checked.sum() == ledger.total_checked
 
@@ -250,9 +263,9 @@ def _all_ledgers(model, trunc, N, kind):
     run2 = fp.run_backward(cfg, lattice, model, terminal=_perturbed(model.g))
     return run, [
         fp.sup_norm_check(run),
-        fp.contraction_check(run, lattice, model, trunc),
-        fp.one_step_checks(run, lattice, model, trunc, "size"),
-        fp.one_step_checks(run, lattice, model, trunc, "stability", run2=run2),
+        fp.contraction_check(run, model, trunc),
+        fp.one_step_checks(run, model, trunc, "size"),
+        fp.one_step_checks(run, model, trunc, "stability", run2=run2),
     ]
 
 
@@ -310,7 +323,7 @@ class TestLedgerArrays:
         y3[0] = math.nan
         run2 = run2._replace(y=run2.y[:3] + (y3,) + run2.y[4:])
         ledger = fp.one_step_checks(
-            run, lattice, exp1_model, exp1_trunc, "stability", run2=run2
+            run, exp1_model, exp1_trunc, "stability", run2=run2
         )
         self.check_sums(ledger)
         assert ledger.level_checked[3] == 7
@@ -339,10 +352,10 @@ class TestOneStepReference:
                                terminal=_perturbed(exp2_model.g))
         assert run.finite == (kind != "explicit_euler")
         for check in ("size", "stability"):
-            got = fp.one_step_checks(run, lattice, exp2_model, exp2_trunc,
+            got = fp.one_step_checks(run, exp2_model, exp2_trunc,
                                      check, run2=run2)
-            want = reference_one_step(run, lattice, exp2_model, exp2_trunc,
-                                      check, run2=run2)
+            want = reference_one_step(run, exp2_model, exp2_trunc, check,
+                                      run2=run2)
             for name, value in want.items():
                 a, b = np.asarray(getattr(got, name)), np.asarray(value)
                 assert (a.dtype, a.shape, a.tobytes()) == \
@@ -434,9 +447,9 @@ def test_ledger_hypotheses_pinned(case):
     run = fp.run_backward(cfg, lattice, spec)
     run2 = fp.run_backward(cfg, lattice, spec, terminal=_perturbed(spec.g))
     ledgers = [
-        fp.contraction_check(run, lattice, spec, trunc),
-        fp.one_step_checks(run, lattice, spec, trunc, "size"),
-        fp.one_step_checks(run, lattice, spec, trunc, "stability", run2=run2),
+        fp.contraction_check(run, spec, trunc),
+        fp.one_step_checks(run, spec, trunc, "size"),
+        fp.one_step_checks(run, spec, trunc, "stability", run2=run2),
     ]
     assert [(lg.applicability_reason, float.hex(lg.c_value))
             for lg in ledgers] == want
@@ -458,8 +471,8 @@ def test_underflowed_square_acts_as_zero(exp2_trunc, f00):
                               truncation=exp2_trunc)
         run = fp.run_backward(cfg, lattice, spec)
         ledgers.append([
-            fp.contraction_check(run, lattice, spec, exp2_trunc),
-            fp.one_step_checks(run, lattice, spec, exp2_trunc, "size")])
+            fp.contraction_check(run, spec, exp2_trunc),
+            fp.one_step_checks(run, spec, exp2_trunc, "size")])
     tiny, zero = ledgers
     for a, b in zip(tiny, zero):
         assert [np.asarray(v).tobytes() for v in a] == \
@@ -479,7 +492,7 @@ def test_overflowed_power_acts_as_inf(exp2_trunc):
     lattice = build(spec, 15)
     cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=trunc)
     run = fp.run_backward(cfg, lattice, spec)
-    ledger = fp.contraction_check(run, lattice, spec, trunc)
+    ledger = fp.contraction_check(run, spec, trunc)
     assert ledger.applicability_reason == _HOLDS
     assert ledger.violations == 0
     # size: R0 ** 4 overflows, so c and every rhs are inf and the nodes
@@ -488,7 +501,7 @@ def test_overflowed_power_acts_as_inf(exp2_trunc):
     trunc = exp2_trunc._replace(R0=1e100)
     cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=trunc)
     run = fp.run_backward(cfg, lattice, spec)
-    ledger = fp.one_step_checks(run, lattice, spec, trunc, "size")
+    ledger = fp.one_step_checks(run, spec, trunc, "size")
     assert ledger.c_value == math.inf
     assert ledger.rhs_overflows == ledger.total_checked == 225
     assert ledger.nonfinite == ledger.violations > 0
@@ -512,7 +525,7 @@ def test_contraction_threshold_in_logs(N, R0, alpha, constants, reason):
     run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lattice,
                           spec)
     trunc = fp.TruncationConfig(R0=R0, alpha=alpha)
-    ledger = fp.contraction_check(run, lattice, spec, trunc)
+    ledger = fp.contraction_check(run, spec, trunc)
     assert not ledger.applicable
     assert ledger.applicability_reason == reason
 
@@ -530,8 +543,8 @@ def test_zero_ly_drops_an_overflowed_radius_term(exp2_trunc):
     assert run.finite
     for R0 in (2.5, 1e100):
         trunc = exp2_trunc._replace(R0=R0)
-        size = fp.one_step_checks(run, lattice, spec, trunc, "size")
-        stability = fp.one_step_checks(run, lattice, spec, trunc,
+        size = fp.one_step_checks(run, spec, trunc, "size")
+        stability = fp.one_step_checks(run, spec, trunc,
                                        "stability", run2=run2)
         assert size.c_value == stability.c_value == -2.0
         assert (size.total_checked, size.violations) == (225, 0)
@@ -554,7 +567,7 @@ class TestMinMax:
         lattice = build(exp1_model, 10)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        rows = fp.minmax_processes(run, lattice)
+        rows = fp.minmax_processes(run)
         assert len(rows) == 11
         for level, t, y_max, y_min, finite in rows:
             assert y_min <= y_max
@@ -564,7 +577,7 @@ class TestMinMax:
         lattice = build(exp1_model, 10)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, exp1_model)
-        _, t, y_max, y_min, _ = fp.minmax_processes(run, lattice)[-1]
+        _, t, y_max, y_min, _ = fp.minmax_processes(run)[-1]
         assert t == pytest.approx(1.0)
         xs = lattice.supports[-1]
         g = exp1_model.g
@@ -577,7 +590,7 @@ class TestFdComparison:
         lattice = build(exp1_model, 40)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        rows = fp.fd_comparison(run, lattice, fd_exp1)
+        rows = fp.fd_comparison(run, fd_exp1)
         assert len(rows) == 2
         level0, t0, count0, sup0 = rows[0]
         assert (level0, t0, count0) == (0, 0.0, 1)
@@ -613,7 +626,7 @@ class TestFdComparison:
             if diffs:
                 sup = math.nan if any(map(math.isnan, diffs)) else max(diffs)
                 want.append((i, t, len(diffs), sup))
-        got = fp.fd_comparison(run, lattice, pde)
+        got = fp.fd_comparison(run, pde)
         assert repr(got) == repr(want)
         # some nodes of the deeper levels lie outside the FD domain
         assert [row[2] for row in got] == [1, 21, 41, 43, 43]

@@ -121,13 +121,16 @@ class TestBuildLattice:
         None, fp.SpatialGrid(x0=0.0, eta=0.05, M=60),
     ], ids=["tree", "projected"])
     def test_child_index_is_every_gather_side_by_side(self, grid):
-        lat = build(fp.experiment1_model(), 9, grid)
         rng = np.random.default_rng(9)
-        vals = [rng.standard_normal(len(s)) for s in lat.supports]
-        flat = np.concatenate(vals[1:])[lat.child_index()]
-        assert flat.shape == (3, sum(len(s) for s in lat.supports[:-1]))
-        assert bitwise_equal(flat, np.hstack(
-            [lat.gather(i, vals[i + 1]) for i in range(9)]))
+        for N in (1, 2, 9, 25):
+            lat = build(fp.experiment1_model(), N, grid)
+            vals = [rng.standard_normal(len(s)) for s in lat.supports]
+            index = lat.child_index()
+            assert index.dtype == np.int64
+            flat = np.concatenate(vals[1:])[index]
+            assert flat.shape == (3, sum(len(s) for s in lat.supports[:-1]))
+            assert bitwise_equal(flat, np.hstack(
+                [lat.gather(i, vals[i + 1]) for i in range(N)])), N
 
     def test_supports_shift_with_drift(self):
         m = fp.make_constant_model(

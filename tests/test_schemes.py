@@ -383,12 +383,21 @@ class TestRunBackward:
             lat, m,
         )
         assert len(run.y) == 9
-        for _, _, y_max, y_min, finite in fp.minmax_processes(run, lat):
+        for _, _, y_max, y_min, finite in fp.minmax_processes(run):
             assert finite and y_min <= y_max
-        ledger = fp.contraction_check(run, lat, m, trunc)
+        ledger = fp.contraction_check(run, m, trunc)
         assert ledger.level_checked.tolist() == [1] * 9
         assert run.finite
         assert run.Lambda == 1.0
+
+    def test_run_carries_its_lattice(self):
+        # Lambda is read off the run's lattice: at N=2 (h=0.5) the
+        # increments are clamped and Lambda drops below 1
+        m = fp.experiment1_model()
+        lat = build(m, 2)
+        run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lat, m)
+        assert run.lattice is lat
+        assert run.Lambda == fp.weight_values(0.5)[1] < 1.0
 
     def test_implicit_counts_solver_iterations(self):
         m = fp.experiment1_model()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fptree as fp
 from fptree.schemes import _level
+from fptree.treeval import TreeStructureError
 
 from conftest import W, WCOL, build, col, one_node
 
@@ -166,13 +167,20 @@ class TestChainLaw:
     def test_l2_norm(self):
         lat = build(fp.experiment1_model(), 2)
         law = fp.chain_law(lat)
-        vals = (1.0, -2.0, 3.0)
-        want = math.sqrt((1 / 6) * 1 + (2 / 3) * 4 + (1 / 6) * 9)
-        assert fp.l2_norm(vals, law, 1) == pytest.approx(want)
+        levels = (np.array([2.0]), np.array([1.0, -2.0, 3.0]), np.zeros(5))
+        want = [2.0, math.sqrt((1 / 6) * 1 + (2 / 3) * 4 + (1 / 6) * 9), 0.0]
+        assert fp.l2_norms(levels, law) == pytest.approx(want)
 
     def test_l2_norm_constant(self):
         lat = build(fp.experiment1_model(), 4)
         law = fp.chain_law(lat)
-        for level in range(5):
-            vals = [5.0] * (2 * level + 1)
-            assert fp.l2_norm(vals, law, level) == pytest.approx(5.0)
+        levels = [np.full(2 * level + 1, 5.0) for level in range(5)]
+        assert fp.l2_norms(levels, law) == pytest.approx([5.0] * 5)
+
+    def test_l2_norms_reject_mismatched_levels(self):
+        law = fp.chain_law(build(fp.experiment1_model(), 2))
+        for levels in ((np.ones(1), np.ones(3)),
+                       (np.ones(1), np.ones(3), np.ones(4))):
+            with pytest.raises(TreeStructureError,
+                               match=r"\[1, 3, 5\]$"):
+                fp.l2_norms(levels, law)
