@@ -35,6 +35,7 @@ import numpy as np
 from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, _power, alpha_cap, truncate
 from .model import ModelSpec
+from .oracle import OracleError
 from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
 from .treeval import chain_law, l2_norms
 
@@ -448,20 +449,22 @@ def one_step_checks(
 def fd_comparison(run: ValueFunctions, pde) -> list:
     """Per-level sup |y_run - y_FD| at matching (t_i, x) of run.lattice.
 
-    Levels whose time is not an FD snapshot are skipped; nodes outside
-    the FD domain are skipped.  A nan difference makes its level's sup
-    nan.  Returns rows (level, t, nodes_compared, sup_diff).
+    Levels whose time is not a snapshot time of pde.value_at are
+    skipped; nodes outside the FD domain are skipped.  A nan difference
+    makes its level's sup nan.  Returns rows (level, t, nodes_compared,
+    sup_diff).
     """
     rows = []
-    snap = {round(t, 12): t for t in pde.ts}
     lattice = run.lattice
     for i, (t, x) in enumerate(zip(lattice.time_grid.times, lattice.supports)):
-        key = round(t, 12)
-        if key not in snap:
-            continue
         inside = (pde.xs[0] <= x) & (x <= pde.xs[-1])
         count = int(np.count_nonzero(inside))
-        if count:
-            diff = np.abs(run.y[i][inside] - pde._interp(snap[key], x[inside]))
-            rows.append((i, t, count, float(np.max(diff))))
+        if not count:
+            continue
+        try:
+            ref = pde.value_at(t, x[inside])
+        except OracleError:  # t is not a snapshot time
+            continue
+        diff = np.abs(run.y[i][inside] - ref)
+        rows.append((i, t, count, float(np.max(diff))))
     return rows

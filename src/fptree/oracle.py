@@ -136,21 +136,25 @@ class PdeSolution(NamedTuple):
             "time %r is not one of the stored snapshots %r" % (t, self.ts)
         )
 
-    def _interp(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The snapshot at t linearly interpolated at the states x, which
-        lie in the domain [xs[0], xs[-1]]."""
-        vals = self._slice(t)
+    def value_at(self, t: float, x: np.ndarray):
+        """The snapshot at t linearly interpolated at x, elementwise.
+
+        x is a float, which gives a float, or a float64 array of states.
+        Raises OracleError when t is not a snapshot time or any x lies
+        outside the domain [xs[0], xs[-1]].
+        """
         xs = self.xs
+        outside = np.asarray(x)[~((xs[0] <= x) & (x <= xs[-1]))]
+        if outside.size:
+            raise OracleError(
+                "x=%r outside the PDE domain" % (float(outside[0]),))
+        vals = self._slice(t)
         j = np.clip(np.searchsorted(xs, x), 1, len(xs) - 1)
         x0, x1 = xs[j - 1], xs[j]
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(x1 == x0, 0.0, (x - x0) / (x1 - x0))
-        return (1.0 - w) * vals[j - 1] + w * vals[j]
-
-    def value_at(self, t: float, x: float) -> float:
-        if not self.xs[0] <= x <= self.xs[-1]:
-            raise OracleError("x=%r outside the PDE domain" % (x,))
-        return float(self._interp(t, x))
+        v = (1.0 - w) * vals[j - 1] + w * vals[j]
+        return v if isinstance(x, np.ndarray) else float(v)
 
 
 def _reaction_bound(spec: ModelSpec, y_range: float) -> float:

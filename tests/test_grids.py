@@ -168,6 +168,7 @@ class TestIncrementWeights:
 
     def test_lambda_exactly_one_when_clamp_inactive(self):
         for h in (0.29, 0.1, 1 / 120):
+            assert math.sqrt(3 * h) <= fp.increment_radius(h)
             H, lam = fp.weight_values(h)
             assert lam == 1.0
             assert math.fsum(w * g for w, g in zip(fp.WEIGHTS, H)) == 0.0

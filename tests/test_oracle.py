@@ -70,6 +70,19 @@ class TestFdSolve:
         want = math.exp(-0.5) * 2.25 * 0.5
         assert v_mid == pytest.approx(want, rel=5e-3)
 
+    def test_value_at_takes_a_float_or_an_array(self):
+        pde = fp.fd_solve(fp.linear_model(), dx=0.05, snapshots=4)
+        xs = np.array([pde.xs[0], -0.33, 0.0, 0.071, pde.xs[-1]])
+        got = pde.value_at(0.25, xs)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [pde.value_at(0.25, x) for x in xs.tolist()]
+        assert isinstance(pde.value_at(0.25, 0.0), float)
+        for bad in (np.append(xs, pde.xs[-1] + 0.01), np.array([math.nan])):
+            with pytest.raises(OracleError, match="outside the PDE domain"):
+                pde.value_at(0.25, bad)
+        with pytest.raises(OracleError, match="not one of the stored"):
+            pde.value_at(0.3, xs)
+
 
 class TestProxyReference:
     def test_fields_and_average(self):
