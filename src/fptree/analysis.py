@@ -16,11 +16,12 @@ violation beyond roundoff tolerance indicates a bug, not noise:
 * per-node stability bound   |dY_i|^2 + h/8 |dZ_i|^2 <= e^{ch} E_i[|dY_{i+1}|^2]
 * per-level contraction      ||Y_i||_2 <= e^{(M_y/2)(T - t_i)} ||Y_N||_2
 
-Each monitor reads the lattice from the run (run.lattice) and reports
-whether its hypotheses (the model and truncation arguments) hold: a
-threshold on h, sign conditions.  When they do not, the ledger is still
-computed and marked "not applicable" rather than skipped, so the
-empirical behaviour outside the guaranteed regime remains visible.
+Each monitor reads the lattice and the model from the run (run.lattice
+and run.model) and reports whether its hypotheses on the driver and the
+truncation argument hold: a threshold on h, sign conditions.  When they
+do not, the ledger is still computed and marked "not applicable" rather
+than skipped, so the empirical behaviour outside the guaranteed regime
+remains visible.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, _power, alpha_cap, truncate
-from .model import ModelSpec
+from .model import DriverSpec, ModelSpec
 from .oracle import OracleError
 from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
 from .treeval import chain_law, l2_norms
@@ -281,7 +282,6 @@ def _ledger(kind, reasons, c_value, res, rhs, sizes, tol_rel=TOL_REL,
 
 def contraction_check(
     run: ValueFunctions,
-    spec: ModelSpec,
     trunc: TruncationConfig,
 ) -> StabilityLedger:
     """Per-level norm decay ||Y_i||_2 <= e^{(M_y/2)(T-t_i)} ||Y_N||_2.
@@ -292,7 +292,7 @@ def contraction_check(
     and marked not applicable.  L2 norms are taken under the chain law
     of run.lattice, computed here once, and T - t_i on its time grid.
     """
-    drv = spec.driver
+    drv = run.model.driver
     tg = run.lattice.time_grid
     h = tg.h
     reasons = []
@@ -346,14 +346,13 @@ def sup_norm_check(run: ValueFunctions) -> StabilityLedger:
                    holds="qualitative bound, no hypotheses")
 
 
-def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
+def _one_step_constants(drv: DriverSpec, trunc: TruncationConfig, h: float,
                         kind: str):
     """The rate c and the tail (K^2 h for size, 0 for stability) of kind.
 
     L_y^2 = 0 drops the L_y^2 term, also where the radius term
     overflows to inf and IEEE 0 * inf would make c nan.
     """
-    drv = spec.driver
     mm = 2 * (drv.m - 1)
     radius_term = _power(trunc.R0, mm) * _power(h, -mm * trunc.alpha)
     L_y2, L_z2 = _power(drv.L_y, 2), _power(drv.L_z, 2)
@@ -375,7 +374,6 @@ def _one_step_constants(spec: ModelSpec, trunc: TruncationConfig, h: float,
 
 def one_step_checks(
     run: ValueFunctions,
-    spec: ModelSpec,
     trunc: TruncationConfig,
     kind: str,
     run2: Optional[ValueFunctions] = None,
@@ -383,12 +381,12 @@ def one_step_checks(
     """Exact per-node evaluation of the one-step inequalities.
 
     kind='size': |Y_i|^2 + h/8 |Z_i|^2 <= e^{ch} E_i[|T(Y_{i+1})|^2] + K^2 h
-    at every node, with c and K^2 assembled from the driver constants
-    and truncation parameters.
+    at every node, with c and K^2 assembled from the constants of
+    run.model.driver and the truncation parameters.
 
     kind='stability': same shape for the difference of two runs (run2
-    required, on the same lattice object, else ValueError; same scheme,
-    perturbed terminal data), with its own c and no K term.
+    required, with run's lattice and driver objects, else ValueError;
+    same scheme, perturbed terminal data), with its own c and no K term.
 
     Lattice expectations are exact finite sums, so the inequalities are
     guaranteed for the full-projection scheme within the stated h
@@ -399,6 +397,7 @@ def one_step_checks(
     each node's residual is the one a level-by-level pass computes.
     """
     lattice = run.lattice
+    drv = run.model.driver
     if kind not in ("size", "stability"):
         raise ValueError("kind must be 'size' or 'stability'")
     if kind == "stability":
@@ -408,7 +407,10 @@ def one_step_checks(
             raise ValueError("stability check needs both runs on one lattice, "
                              "got an N=%d lattice and another of N=%d"
                              % (lattice.time_grid.N, run2.lattice.time_grid.N))
-    drv = spec.driver
+        if run2.model.driver is not drv:
+            raise ValueError("stability check needs both runs of one driver "
+                             "object, got %s and %s"
+                             % (drv.label, run2.model.driver.label))
     h = lattice.time_grid.h
     W = np.array(WEIGHTS)[:, None]
 
@@ -419,7 +421,7 @@ def one_step_checks(
     if trunc.alpha > alpha_cap(drv.m):
         reasons.append("alpha above 1/(2(m-1))")
 
-    c, tail = _one_step_constants(spec, trunc, h, kind)
+    c, tail = _one_step_constants(drv, trunc, h, kind)
     ech = _guarded_exp(c * h)
 
     sizes = np.array([len(s) for s in lattice.supports[:-1]])

@@ -422,7 +422,10 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
 
 def _out_dir(st: Settings) -> str:
     out = st.out or "fptree-out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise click.UsageError("bad --out %s: %s" % (out, err.strerror))
     return out
 
 
@@ -573,6 +576,8 @@ def convergence(fd_check, dump_flag, **kw):
         lattices = _lattices(st)
     except _CONFIG_ERRORS as err:
         raise click.UsageError(str(err))
+    except SolverError as err:
+        raise click.ClickException("proxy reference failed: %s" % err)
 
     if fd_check:
         try:
@@ -652,8 +657,8 @@ def stability(**kw):
         "settings": _settings_echo(st),
         "runs": {},
     }
-    perturb_g = st.model.g
-    clamp7 = lipschitz_clamp_g(-7.0, 7.0)
+    g, clamp7 = st.model.g, lipschitz_clamp_g(-7.0, 7.0)
+    perturbed = st.model._replace(g=lambda x: g(x) + 0.1 * clamp7(x))
 
     for name in st.scheme:
         cfg = _scheme_config(name, st)
@@ -679,20 +684,14 @@ def stability(**kw):
             sup = analysis.sup_norm_check(run)
             digest["ledgers"]["sup_norm"] = _ledger_digest(sup)
             if name in ("fp", "fp-post", "implicit"):
-                contr = analysis.contraction_check(run, st.model, trunc)
+                contr = analysis.contraction_check(run, trunc)
                 digest["ledgers"]["contraction"] = _ledger_digest(contr)
             if name in ("fp", "fp-post"):
-                size = analysis.one_step_checks(run, st.model, trunc,
-                                                kind="size")
+                size = analysis.one_step_checks(run, trunc, kind="size")
                 digest["ledgers"]["size"] = _ledger_digest(size)
-
-                def perturbed(x):
-                    return perturb_g(x) + 0.1 * clamp7(x)
-
-                run2 = run_backward(cfg, lattice, st.model, terminal=perturbed)
-                stab = analysis.one_step_checks(
-                    run, st.model, trunc, kind="stability", run2=run2
-                )
+                run2 = run_backward(cfg, lattice, perturbed)
+                stab = analysis.one_step_checks(run, trunc, kind="stability",
+                                                run2=run2)
                 digest["ledgers"]["stability"] = _ledger_digest(stab)
             summary["runs"][key] = digest
             click.echo(

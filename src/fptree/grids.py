@@ -108,8 +108,8 @@ class TimeGrid(_Checked, _TimeGridFields):
 
 
 class _TruncationConfigFields(NamedTuple):
-    R0: float = 10.0
-    alpha: float = 0.25
+    R0: float
+    alpha: float
 
 
 class TruncationConfig(_Checked, _TruncationConfigFields):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -299,13 +299,15 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
 class ValueFunctions(NamedTuple):
     """Backward-induction output: functions on the lattice they were run on.
 
-    y[i] is the float64 array of level-i values on lattice.supports[i];
-    z[i] exists for i < N.  finite is False as soon as any level
-    contains a non-finite entry.  Lambda is the Z-weight normalization
-    of weight_values at the lattice's step size.
+    model is the ModelSpec the run solved; its g gave the terminal
+    level.  y[i] is the float64 array of level-i values on
+    lattice.supports[i]; z[i] exists for i < N.  finite is False as soon
+    as any level contains a non-finite entry.  Lambda is the Z-weight
+    normalization of weight_values at the lattice's step size.
     """
 
     lattice: Lattice
+    model: ModelSpec
     y: Tuple[np.ndarray, ...]
     z: Tuple[np.ndarray, ...]
     finite: bool
@@ -331,15 +333,14 @@ def run_backward(
     cfg: SchemeConfig,
     lattice: Lattice,
     spec: ModelSpec,
-    terminal: Optional[Callable] = None,
 ) -> ValueFunctions:
     """Backward induction of the configured scheme over the lattice.
 
-    terminal overrides spec.g when supplied (perturbed-terminal
-    stability studies).  Like spec.g it is called once, with the
-    float64 array of the terminal states, and may return a float that
-    broadcasts against it.  The run is deterministic: identical inputs
-    give bit-identical outputs.  Implicit solver failures raise
+    spec.g is called once, with the float64 array of the terminal
+    states, and may return a float that broadcasts against it; a run
+    from other terminal data is a run of spec._replace(g=...), and the
+    run carries spec as its model.  The run is deterministic: identical
+    inputs give bit-identical outputs.  Implicit solver failures raise
     SolverError tagged with the level and node; explicit explosions are
     recorded in the values and the finite flag instead.  For
     full_projection_post the flag is taken on the truncated values.
@@ -347,7 +348,6 @@ def run_backward(
     tg = lattice.time_grid
     h = tg.h
     driver = spec.driver
-    g = spec.g if terminal is None else terminal
 
     kind = cfg.kind
     trunc = None
@@ -361,7 +361,7 @@ def run_backward(
     x = lattice.supports[tg.N]
     with np.errstate(all="ignore"):
         # g overflowing is data, as in the level operator
-        vals = np.broadcast_to(g(x), x.shape).astype(float)
+        vals = np.broadcast_to(spec.g(x), x.shape).astype(float)
     y_levels = [vals]
     z_levels = []
     iters_total = 0
@@ -401,6 +401,7 @@ def run_backward(
     z_levels.reverse()
     return ValueFunctions(
         lattice=lattice,
+        model=spec,
         y=tuple(y_levels),
         z=tuple(z_levels),
         finite=all(bool(np.isfinite(y).all()) for y in y_levels),

@@ -212,9 +212,10 @@ def stability_constant(spec, trunc, h):
     )
 
 
-def reference_one_step(run, spec, trunc, kind, run2=None):
+def reference_one_step(run, trunc, kind, run2=None):
     """The one-step ledger's numbers, level by level: the reference for
-    analysis.one_step_checks, which evaluates all levels at once.
+    analysis.one_step_checks, which evaluates all levels at once, with
+    the constants of run.model.
 
     Returns a dict of the StabilityLedger fields that the residuals
     determine.
@@ -223,10 +224,10 @@ def reference_one_step(run, spec, trunc, kind, run2=None):
     h = lattice.time_grid.h
     W = col(fp.WEIGHTS)
     if kind == "size":
-        c, K2 = size_constants(spec, trunc, h)
+        c, K2 = size_constants(run.model, trunc, h)
         tail = K2 * h
     else:
-        c, tail = stability_constant(spec, trunc, h), 0.0
+        c, tail = stability_constant(run.model, trunc, h), 0.0
     ech = _guarded_exp(c * h)
     residual, rhs = [], []
     with np.errstate(all="ignore"):

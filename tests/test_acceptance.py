@@ -137,7 +137,7 @@ def test_c5_stability_contrast_on_steep_model(exp2_model, exp2_trunc):
         lattice = build(exp2_model, N)
         for label, cfg in (("fp", fp_cfg), ("implicit", impl_cfg)):
             run = fp.run_backward(cfg, lattice, exp2_model)
-            ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
+            ledger = fp.contraction_check(run, exp2_trunc)
             assert ledger.violations == 0, (
                 "%s contraction ledger has %d violations at N=%d"
                 % (label, ledger.violations, N)
@@ -147,21 +147,18 @@ def test_c5_stability_contrast_on_steep_model(exp2_model, exp2_trunc):
 def test_c6_per_node_inequality_ledgers(exp1_model, exp1_trunc):
     cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
     g = exp1_model.g
+    perturbed = exp1_model._replace(
+        g=lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0))
     for N in (20, 80):
         lattice = build(exp1_model, N)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        size = fp.one_step_checks(run, exp1_model, exp1_trunc, kind="size")
+        size = fp.one_step_checks(run, exp1_trunc, kind="size")
         assert size.violations == 0, (
             "size ledger: %d violations at N=%d" % (size.violations, N)
         )
-        run2 = fp.run_backward(
-            cfg, lattice, exp1_model,
-            terminal=lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0),
-        )
-        stab = fp.one_step_checks(
-            run, exp1_model, exp1_trunc,
-            kind="stability", run2=run2,
-        )
+        run2 = fp.run_backward(cfg, lattice, perturbed)
+        stab = fp.one_step_checks(run, exp1_trunc, kind="stability",
+                                  run2=run2)
         assert stab.violations == 0, (
             "stability ledger: %d violations at N=%d" % (stab.violations, N)
         )

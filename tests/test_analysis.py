@@ -128,7 +128,7 @@ class TestContraction:
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc)
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
+        ledger = fp.contraction_check(run, exp2_trunc)
         assert ledger.kind == "contraction"
         assert ledger.c_value == pytest.approx(-0.5)
         assert ledger.violations == 0
@@ -140,7 +140,7 @@ class TestContraction:
         lattice = build(spec, 40)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=LINEAR_TRUNC)
         run = fp.run_backward(cfg, lattice, spec)
-        ledger = fp.contraction_check(run, spec, LINEAR_TRUNC)
+        ledger = fp.contraction_check(run, LINEAR_TRUNC)
         assert ledger.applicable
         assert ledger.applicability_reason == "all hypotheses hold"
         assert ledger.violations == 0
@@ -149,7 +149,7 @@ class TestContraction:
         lattice = build(exp2_model, 15)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
+        ledger = fp.contraction_check(run, exp2_trunc)
         assert ledger.violations == 0
 
     @pytest.mark.parametrize("kind", [
@@ -162,7 +162,7 @@ class TestContraction:
         cfg = fp.SchemeConfig(
             kind=kind, truncation=exp2_trunc if kind.startswith("full_") else None)
         run = fp.run_backward(cfg, lattice, exp2_model)
-        ledger = fp.contraction_check(run, exp2_model, exp2_trunc)
+        ledger = fp.contraction_check(run, exp2_trunc)
         law = fp.chain_law(lattice)
         with np.errstate(over="ignore", invalid="ignore"):
             l2 = np.array([math.sqrt(float(np.sum(m * y * y)))
@@ -185,7 +185,7 @@ class TestContraction:
         lattice = build(m, 10)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         run = fp.run_backward(cfg, lattice, m)
-        ledger = fp.contraction_check(run, m, exp1_trunc)
+        ledger = fp.contraction_check(run, exp1_trunc)
         assert not ledger.applicable
         assert "f(0,0)" in ledger.applicability_reason
 
@@ -195,7 +195,7 @@ class TestOneStep:
         lattice = build(exp1_model, 20)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        ledger = fp.one_step_checks(run, exp1_model, exp1_trunc, kind="size")
+        ledger = fp.one_step_checks(run, exp1_trunc, kind="size")
         assert ledger.kind == "size"
         assert ledger.applicable
         assert ledger.total_checked == 400
@@ -207,7 +207,7 @@ class TestOneStep:
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
         with pytest.raises(ValueError):
-            fp.one_step_checks(run, exp1_model, exp1_trunc, kind="stability")
+            fp.one_step_checks(run, exp1_trunc, kind="stability")
 
     def test_stability_runs_on_one_lattice(self, exp2_model, exp2_trunc):
         # the runs' lattices must be one object; N=15 and N=20 would
@@ -216,21 +216,32 @@ class TestOneStep:
         run = fp.run_backward(cfg, build(exp2_model, 15), exp2_model)
         run2 = fp.run_backward(cfg, build(exp2_model, 20), exp2_model)
         with pytest.raises(ValueError, match="N=15 lattice.*N=20"):
-            fp.one_step_checks(run, exp2_model, exp2_trunc,
-                               kind="stability", run2=run2)
+            fp.one_step_checks(run, exp2_trunc, kind="stability", run2=run2)
+
+    @pytest.mark.parametrize("other", [
+        lambda: fp.linear_model(-1.0), fp.experiment1_model,
+    ], ids=["linear", "fresh-experiment1"])
+    def test_stability_runs_of_one_driver(self, exp1_model, exp1_trunc,
+                                          other):
+        # the stability bound compares two terminal data under one
+        # driver: beside the fp run of the linear model on the same
+        # lattice, experiment1's constants would fail 29 of the 225
+        # checks of a correct pair of runs; a driver that is another
+        # object, even of the same coefficients, is not the run's
+        lattice = build(exp1_model, 15)
+        cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
+        run = fp.run_backward(cfg, lattice, exp1_model)
+        run2 = fp.run_backward(cfg, lattice, other())
+        with pytest.raises(ValueError, match="one driver object"):
+            fp.one_step_checks(run, exp1_trunc, kind="stability", run2=run2)
 
     def test_stability_clean(self, exp1_model, exp1_trunc):
         lattice = build(exp1_model, 20)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        g = exp1_model.g
-        run2 = fp.run_backward(
-            cfg, lattice, exp1_model,
-            terminal=lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0),
-        )
-        ledger = fp.one_step_checks(
-            run, exp1_model, exp1_trunc, kind="stability", run2=run2,
-        )
+        run2 = fp.run_backward(cfg, lattice, _perturbed(exp1_model))
+        ledger = fp.one_step_checks(run, exp1_trunc, kind="stability",
+                                    run2=run2)
         assert ledger.kind == "stability"
         assert ledger.violations == 0
         assert ledger.rhs_overflows == 0
@@ -240,19 +251,20 @@ class TestOneStep:
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
         with pytest.raises(ValueError):
-            fp.one_step_checks(run, exp1_model, exp1_trunc, kind="bogus")
+            fp.one_step_checks(run, exp1_trunc, kind="bogus")
 
     def test_per_level_entries_cover_all_nodes(self, exp1_model, exp1_trunc):
         lattice = build(exp1_model, 8)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        ledger = fp.one_step_checks(run, exp1_model, exp1_trunc, kind="size")
+        ledger = fp.one_step_checks(run, exp1_trunc, kind="size")
         assert ledger.level_checked.tolist() == [2 * i + 1 for i in range(8)]
         assert ledger.level_checked.sum() == ledger.total_checked
 
 
-def _perturbed(g):
-    return lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0)
+def _perturbed(model):
+    g = model.g
+    return model._replace(g=lambda x: g(x) + 0.1 * np.clip(x, -7.0, 7.0))
 
 
 def _all_ledgers(model, trunc, N, kind):
@@ -260,12 +272,12 @@ def _all_ledgers(model, trunc, N, kind):
     cfg = fp.SchemeConfig(
         kind=kind, truncation=trunc if kind.startswith("full_") else None)
     run = fp.run_backward(cfg, lattice, model)
-    run2 = fp.run_backward(cfg, lattice, model, terminal=_perturbed(model.g))
+    run2 = fp.run_backward(cfg, lattice, _perturbed(model))
     return run, [
         fp.sup_norm_check(run),
-        fp.contraction_check(run, model, trunc),
-        fp.one_step_checks(run, model, trunc, "size"),
-        fp.one_step_checks(run, model, trunc, "stability", run2=run2),
+        fp.contraction_check(run, trunc),
+        fp.one_step_checks(run, trunc, "size"),
+        fp.one_step_checks(run, trunc, "stability", run2=run2),
     ]
 
 
@@ -316,15 +328,11 @@ class TestLedgerArrays:
         lattice = build(exp1_model, 8)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp1_trunc)
         run = fp.run_backward(cfg, lattice, exp1_model)
-        run2 = fp.run_backward(
-            cfg, lattice, exp1_model, terminal=_perturbed(exp1_model.g)
-        )
+        run2 = fp.run_backward(cfg, lattice, _perturbed(exp1_model))
         y3 = run2.y[3].copy()
         y3[0] = math.nan
         run2 = run2._replace(y=run2.y[:3] + (y3,) + run2.y[4:])
-        ledger = fp.one_step_checks(
-            run, exp1_model, exp1_trunc, "stability", run2=run2
-        )
+        ledger = fp.one_step_checks(run, exp1_trunc, "stability", run2=run2)
         self.check_sums(ledger)
         assert ledger.level_checked[3] == 7
         assert ledger.level_violations.tolist() == [0, 0, 1, 1, 0, 0, 0, 0]
@@ -348,14 +356,11 @@ class TestOneStepReference:
         cfg = fp.SchemeConfig(
             kind=kind, truncation=exp2_trunc if kind.startswith("full_") else None)
         run = fp.run_backward(cfg, lattice, exp2_model)
-        run2 = fp.run_backward(cfg, lattice, exp2_model,
-                               terminal=_perturbed(exp2_model.g))
+        run2 = fp.run_backward(cfg, lattice, _perturbed(exp2_model))
         assert run.finite == (kind != "explicit_euler")
         for check in ("size", "stability"):
-            got = fp.one_step_checks(run, exp2_model, exp2_trunc,
-                                     check, run2=run2)
-            want = reference_one_step(run, exp2_model, exp2_trunc, check,
-                                      run2=run2)
+            got = fp.one_step_checks(run, exp2_trunc, check, run2=run2)
+            want = reference_one_step(run, exp2_trunc, check, run2=run2)
             for name, value in want.items():
                 a, b = np.asarray(getattr(got, name)), np.asarray(value)
                 assert (a.dtype, a.shape, a.tobytes()) == \
@@ -445,11 +450,11 @@ def test_ledger_hypotheses_pinned(case):
     lattice = build(spec, N)
     cfg = fp.SchemeConfig(kind="implicit_euler")
     run = fp.run_backward(cfg, lattice, spec)
-    run2 = fp.run_backward(cfg, lattice, spec, terminal=_perturbed(spec.g))
+    run2 = fp.run_backward(cfg, lattice, _perturbed(spec))
     ledgers = [
-        fp.contraction_check(run, spec, trunc),
-        fp.one_step_checks(run, spec, trunc, "size"),
-        fp.one_step_checks(run, spec, trunc, "stability", run2=run2),
+        fp.contraction_check(run, trunc),
+        fp.one_step_checks(run, trunc, "size"),
+        fp.one_step_checks(run, trunc, "stability", run2=run2),
     ]
     assert [(lg.applicability_reason, float.hex(lg.c_value))
             for lg in ledgers] == want
@@ -471,8 +476,8 @@ def test_underflowed_square_acts_as_zero(exp2_trunc, f00):
                               truncation=exp2_trunc)
         run = fp.run_backward(cfg, lattice, spec)
         ledgers.append([
-            fp.contraction_check(run, spec, exp2_trunc),
-            fp.one_step_checks(run, spec, exp2_trunc, "size")])
+            fp.contraction_check(run, exp2_trunc),
+            fp.one_step_checks(run, exp2_trunc, "size")])
     tiny, zero = ledgers
     for a, b in zip(tiny, zero):
         assert [np.asarray(v).tobytes() for v in a] == \
@@ -492,7 +497,7 @@ def test_overflowed_power_acts_as_inf(exp2_trunc):
     lattice = build(spec, 15)
     cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=trunc)
     run = fp.run_backward(cfg, lattice, spec)
-    ledger = fp.contraction_check(run, spec, trunc)
+    ledger = fp.contraction_check(run, trunc)
     assert ledger.applicability_reason == _HOLDS
     assert ledger.violations == 0
     # size: R0 ** 4 overflows, so c and every rhs are inf and the nodes
@@ -501,7 +506,7 @@ def test_overflowed_power_acts_as_inf(exp2_trunc):
     trunc = exp2_trunc._replace(R0=1e100)
     cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=trunc)
     run = fp.run_backward(cfg, lattice, spec)
-    ledger = fp.one_step_checks(run, spec, trunc, "size")
+    ledger = fp.one_step_checks(run, trunc, "size")
     assert ledger.c_value == math.inf
     assert ledger.rhs_overflows == ledger.total_checked == 225
     assert ledger.nonfinite == ledger.violations > 0
@@ -525,7 +530,7 @@ def test_contraction_threshold_in_logs(N, R0, alpha, constants, reason):
     run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lattice,
                           spec)
     trunc = fp.TruncationConfig(R0=R0, alpha=alpha)
-    ledger = fp.contraction_check(run, spec, trunc)
+    ledger = fp.contraction_check(run, trunc)
     assert not ledger.applicable
     assert ledger.applicability_reason == reason
 
@@ -539,13 +544,12 @@ def test_zero_ly_drops_an_overflowed_radius_term(exp2_trunc):
     lattice = build(spec, 15)
     cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=exp2_trunc)
     run = fp.run_backward(cfg, lattice, spec)
-    run2 = fp.run_backward(cfg, lattice, spec, terminal=_perturbed(spec.g))
+    run2 = fp.run_backward(cfg, lattice, _perturbed(spec))
     assert run.finite
     for R0 in (2.5, 1e100):
         trunc = exp2_trunc._replace(R0=R0)
-        size = fp.one_step_checks(run, spec, trunc, "size")
-        stability = fp.one_step_checks(run, spec, trunc,
-                                       "stability", run2=run2)
+        size = fp.one_step_checks(run, trunc, "size")
+        stability = fp.one_step_checks(run, trunc, "stability", run2=run2)
         assert size.c_value == stability.c_value == -2.0
         assert (size.total_checked, size.violations) == (225, 0)
 

@@ -206,6 +206,24 @@ class TestConvergence:
             assert result.exit_code == 2, (flags, result.output)
             assert isinstance(result.exception, SystemExit), flags
 
+    def test_failing_proxy_is_an_error_line(self, runner, tmp_path):
+        # the proxy's implicit run at N=120 has h*M_y = 100/120 >= 0.5:
+        # the command fails with one Error: line, not a traceback
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(
+            "[run]\npreset = custom\nns = 5\n"
+            "[model]\nt = 100\nsigma = 1.0\ng = quadratic\n"
+            "driver = poly:0,1\n"
+        )
+        result = runner.invoke(main, [
+            "convergence", "--config", str(cfg), "--out", str(tmp_path / "art"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        [line] = result.output.splitlines()
+        assert line.startswith("Error: proxy reference failed: ")
+        assert "h*theta*M_y = 0.833333 >= 0.5" in line
+
     @pytest.mark.parametrize("command", ["check", "convergence"])
     def test_huge_alpha_runs_untruncated(self, runner, tmp_path, command):
         # h ** -400 overflows at every h < 1: the radius is inf and the
@@ -330,6 +348,39 @@ def test_one_lattice_per_N(runner, tmp_path, monkeypatch, args, builds, runs):
     assert result.exit_code == 0, result.output
     assert len(calls["build_lattice"]) == builds
     assert len(calls["run_backward"]) == runs
+
+
+@pytest.mark.parametrize("command", ["check", "convergence", "stability"])
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+def test_out_that_cannot_be_a_directory(runner, tmp_path, command, below):
+    # an --out that is a file, or lies below one, is a configuration
+    # error naming the path
+    (tmp_path / "afile").write_text("")
+    out = tmp_path.joinpath("afile", *below)
+    result = runner.invoke(main, [command, "--preset", "experiment2",
+                                  "--Ns", "5", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "bad --out %s: " % out in result.output
+
+
+def test_one_step_kind_passed_by_keyword(runner, tmp_path, monkeypatch):
+    # the benchmark's trace names a one-step span by the kind keyword,
+    # or else by the fifth positional argument, which one_step_checks
+    # no longer has: kind is its third
+    calls = []
+    orig = analysis.one_step_checks
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs.get("kind")))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, "one_step_checks", spy)
+    result = runner.invoke(main, ["stability", "--preset", "experiment2",
+                                  "--Ns", "15", "--no-timing",
+                                  "--out", str(tmp_path / "art")])
+    assert result.exit_code == 0, result.output
+    assert calls == [(2, "size"), (2, "stability")]
 
 
 class TestNsValidation:

@@ -115,8 +115,8 @@ def record_runs(monkeypatch, args, out):
     digest = hashlib.sha256()
     orig = schemes.run_backward
 
-    def recording(cfg, lattice, spec, terminal=None):
-        run = orig(cfg, lattice, spec, terminal)
+    def recording(cfg, lattice, spec):
+        run = orig(cfg, lattice, spec)
         runs.append((cfg.kind, lattice.time_grid.N,
                      run.solver_iterations_total, run.solver_iterations_max))
         digest.update(("%s %d\n" % (cfg.kind, lattice.time_grid.N)).encode())

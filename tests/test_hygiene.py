@@ -2,7 +2,8 @@
 every ``__all__`` entry of the library names a module-level definition,
 every private module-level name of the library is read by it, no
 library module but ``forward`` reads a lattice's child tables, and no
-library function takes a run beside a lattice (a run carries its own).
+library function takes a run beside a lattice or a model (a run carries
+its own).
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -132,28 +133,30 @@ def test_only_forward_reads_child_tables(path):
                            "children") == []
 
 
-def run_and_lattice_functions(source: str):
-    """Names of the functions with both a ``run`` and a ``lattice``
-    parameter."""
+def run_beside_its_parts(source: str):
+    """Names of the functions with a ``run`` parameter beside a
+    ``lattice``, ``spec`` or ``model`` one."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef):
             a = node.args
             params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-            if {"run", "lattice"} <= params:
+            if "run" in params and params & {"lattice", "spec", "model"}:
                 found.append(node.name)
-    return found
+    return sorted(found)
 
 
 def test_scan_flags_a_run_beside_a_lattice():
     source = ("def f(run, spec): pass\n"
               "def g(cfg, run, lattice): pass\n"
-              "class C:\n    def h(self, lattice, *, run=None): pass\n")
-    assert run_and_lattice_functions(source) == ["g", "h"]
+              "class C:\n    def h(self, lattice, *, run=None): pass\n"
+              "def k(run, trunc, model=None): pass\n"
+              "def ok(run, trunc, kind, run2=None): pass\n")
+    assert run_beside_its_parts(source) == ["f", "g", "h", "k"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_a_run_and_its_lattice(path):
-    # run.lattice is the lattice a run was made on; a second argument
-    # could name another
-    assert run_and_lattice_functions(path.read_text(encoding="utf-8")) == []
+    # run.lattice and run.model are the lattice a run was made on and
+    # the model it solved; a second argument could name another
+    assert run_beside_its_parts(path.read_text(encoding="utf-8")) == []

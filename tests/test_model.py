@@ -202,7 +202,7 @@ class TestRecords:
     @pytest.mark.parametrize("copy, error", [
         (lambda: fp.TimeGrid(T=1.0, N=10)._replace(N=0),
          fp.ConfigurationError),
-        (lambda: fp.TruncationConfig()._replace(alpha=0.0),
+        (lambda: fp.TruncationConfig(R0=10.0, alpha=0.25)._replace(alpha=0.0),
          fp.ConfigurationError),
         (lambda: fp.SpatialGrid(x0=0.0, eta=0.1, M=4)._replace(eta=math.inf),
          fp.ConfigurationError),
@@ -228,7 +228,7 @@ class TestRecords:
 
     def test_reprs_and_class_attributes(self):
         assert repr(fp.TimeGrid(T=1.0, N=10)) == "TimeGrid(T=1.0, N=10)"
-        assert repr(fp.TruncationConfig(R0=2.0)) == (
+        assert repr(fp.TruncationConfig(R0=2.0, alpha=0.25)) == (
             "TruncationConfig(R0=2.0, alpha=0.25)")
         assert repr(fp.quadratic_g()) == "QuadraticG()"
         assert fp.quadratic_g() == fp.quadratic_g()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fptree as fp
 from fptree.forward import Lattice
 from fptree.schemes import (
-    SchemeError, SolverError, _bracket_end, _level, _solve,
+    SCHEME_KINDS, SchemeError, SolverError, _bracket_end, _level, _solve,
 )
 
 from conftest import (
@@ -319,7 +319,8 @@ class TestRunBackward:
                                       "full_projection_pre",
                                       "full_projection_post"])
     def test_theta_rejected_outside_theta_kind(self, kind):
-        trunc = fp.TruncationConfig() if kind.startswith("full_") else None
+        trunc = (fp.TruncationConfig(R0=10.0, alpha=0.25)
+                 if kind.startswith("full_") else None)
         with pytest.raises(SchemeError, match="takes no theta"):
             fp.SchemeConfig(kind=kind, theta=0.5, truncation=trunc)
 
@@ -327,9 +328,9 @@ class TestRunBackward:
         ("explicit_euler", None), ("implicit_euler", None), ("theta", 0.5),
     ])
     def test_truncation_rejected_outside_fp_kinds(self, kind, theta):
+        trunc = fp.TruncationConfig(R0=10.0, alpha=0.25)
         with pytest.raises(SchemeError, match="takes no truncation"):
-            fp.SchemeConfig(kind=kind, theta=theta,
-                            truncation=fp.TruncationConfig())
+            fp.SchemeConfig(kind=kind, theta=theta, truncation=trunc)
 
     def test_theta_kind_requires_theta(self):
         with pytest.raises(SchemeError, match=r"theta must lie in \[0, 1\]"):
@@ -385,7 +386,7 @@ class TestRunBackward:
         assert len(run.y) == 9
         for _, _, y_max, y_min, finite in fp.minmax_processes(run):
             assert finite and y_min <= y_max
-        ledger = fp.contraction_check(run, m, trunc)
+        ledger = fp.contraction_check(run, trunc)
         assert ledger.level_checked.tolist() == [1] * 9
         assert run.finite
         assert run.Lambda == 1.0
@@ -398,6 +399,15 @@ class TestRunBackward:
         run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"), lat, m)
         assert run.lattice is lat
         assert run.Lambda == fp.weight_values(0.5)[1] < 1.0
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_run_carries_its_model(self, kind, exp1_model, exp1_trunc):
+        # the monitors read the driver's constants off run.model
+        cfg = fp.SchemeConfig(
+            kind=kind, theta=0.5 if kind == "theta" else None,
+            truncation=exp1_trunc if kind.startswith("full_") else None)
+        run = fp.run_backward(cfg, build(exp1_model, 4), exp1_model)
+        assert run.model is exp1_model
 
     def test_implicit_counts_solver_iterations(self):
         m = fp.experiment1_model()
@@ -413,8 +423,8 @@ class TestRunBackward:
         m = fp.experiment1_model()
         lat = build(m, 6)
         run = fp.run_backward(
-            fp.SchemeConfig(kind="explicit_euler"), lat, m,
-            terminal=lambda x: 0.0,
+            fp.SchemeConfig(kind="explicit_euler"), lat,
+            m._replace(g=lambda x: 0.0),
         )
         assert run.y0 == 0.0
 
@@ -438,8 +448,8 @@ class TestRunBackward:
         lat = Lattice(time_grid=tg, supports=(np.zeros(1), xs),
                       children=(np.array([[2, 3, 4]]),), saturation_count=0)
         m = fp.experiment2_model()
-        run = fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat, m,
-                              terminal=g)
+        run = fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat,
+                              m._replace(g=g))
         for want in ([float(g(x)) for x in xs.tolist()],
                      [scalar_g(x) for x in xs.tolist()]):
             assert run.y[1].tobytes() == np.array(want).tobytes()
@@ -514,7 +524,7 @@ class TestRunBackward:
             assert post.finite and not pre.finite
 
 
-def shortcut_free_sweep(cfg, lattice, spec, terminal=None):
+def shortcut_free_sweep(cfg, lattice, spec):
     """Backward induction through _level at every level, none skipped:
     the reference for run_backward.  The post variant truncates each
     level as it is made and steps from the truncated values.  Returns
@@ -524,10 +534,9 @@ def shortcut_free_sweep(cfg, lattice, spec, terminal=None):
     pre = T if cfg.kind == "full_projection_pre" else None
     post = T if cfg.kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(cfg.kind, 0.0)
-    g = spec.g if terminal is None else terminal
     x = lattice.supports[-1]
     with np.errstate(all="ignore"):
-        ys = [np.broadcast_to(g(x), x.shape).astype(float)]
+        ys = [np.broadcast_to(spec.g(x), x.shape).astype(float)]
         if post is not None:
             ys[0] = post(ys[0])
         zs = []
@@ -567,10 +576,9 @@ class TestAllNanLevels:
         lattice = build(exp1_model, 10)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         neg_nan = np.copysign(math.nan, -1.0)
-        run = fp.run_backward(cfg, lattice, exp1_model,
-                              terminal=lambda x: np.full(x.shape, neg_nan))
-        ys, zs = shortcut_free_sweep(cfg, lattice, exp1_model,
-                                     terminal=lambda x: np.full(x.shape, neg_nan))
+        spec = exp1_model._replace(g=lambda x: np.full(x.shape, neg_nan))
+        run = fp.run_backward(cfg, lattice, spec)
+        ys, zs = shortcut_free_sweep(cfg, lattice, spec)
         assert run.y[9].tobytes() != run.z[9].tobytes()
         assert level_bytes(run.y) == level_bytes(ys)
         assert level_bytes(run.z) == level_bytes(zs)
