@@ -537,6 +537,8 @@ def main():
 def check(**kw):
     """Validate the settings and the model's declared constants."""
     st = _settings(kw)
+    # a bad --out is a usage error, reported before any verdict
+    out = _out_dir(st) if st.out else None
     report = validate_model(st.model)
     detail = "; ".join(
         "%s worst=%.3g witness=%s" % (c.name, c.worst, c.witness)
@@ -544,11 +546,11 @@ def check(**kw):
     ) or "all %d assumption checks passed" % len(report.checks)
     click.echo("%s model_assumptions: %s"
                % ("PASS" if report.passed else "FAIL", detail))
-    if st.out:
+    if out:
         suite = {"name": "model_assumptions", "passed": report.passed,
                  "detail": detail}
         _write_json(
-            os.path.join(_out_dir(st), "check_report.json"),
+            os.path.join(out, "check_report.json"),
             {"passed": report.passed, "suites": [suite],
              "settings": _settings_echo(st)},
         )

@@ -63,6 +63,7 @@ class _DriverSpecFields(NamedTuple):
     f00: float
     dfdy: Callable
     label: str = "custom"
+    root: Optional[Callable] = None
 
 
 class DriverSpec(_Checked, _DriverSpecFields):
@@ -87,6 +88,13 @@ class DriverSpec(_Checked, _DriverSpecFields):
         Partial derivative in y, dfdy(y, z), with the array contract of
         eval.  Every driver supplies it: the implicit solver's Newton
         steps and the finite-difference reaction bound read it.
+    root : callable or None
+        root(m, z, hh), the array of real roots of y - hh f(y, z) = m
+        with the array contract of eval, or None.  It is only the
+        implicit solver's start: a wrong root costs Newton iterations,
+        never accuracy, and a non-finite one, or one outside the
+        solver's bracket, leaves that node's start at m.
+        :func:`poly_driver` supplies it up to degree 3.
     """
 
     __slots__ = ()
@@ -130,6 +138,41 @@ def _horner(coeffs: Sequence[float]):
         return acc
 
     return p
+
+
+def _implicit_root(cs: Sequence[float], zc: float):
+    """The closed-form real root of y - hh f(y, z) = m for the driver
+    f = sum_k cs[k] y^k + zc z of degree <= 3, or None above degree 3.
+
+    The y-free terms fold into the right side M = m + hh (c0 + zc z).
+    Degree <= 1 gives the quotient M / (1 - hh c1).  A cubic, whose
+    c3 < 0, is divided by a = -hh c3 > 0 and depressed by y = t - B/3,
+    B = c2/c3, to t^3 + P t + Q = 0.  An increasing F has P > 0 and one
+    real root, Cardano's u - v with s = sqrt(Q^2/4 + P^3/27),
+    u = cbrt(|Q|/2 + s) and v = P/(3u), which is written as
+    -Q/(u^2 + uv + v^2) to avoid the cancellation of u - v; s is a
+    hypot, so Q^2 cannot overflow.
+    """
+    if len(cs) > 4:
+        return None
+    c0, c1, c2, c3 = (list(cs) + [0.0] * 3)[:4]
+    if not c3:  # degree <= 1: poly_driver admits no degree 2
+        return lambda m, z, hh: (m + hh * (c0 + zc * z)) / (1.0 - hh * c1)
+    B = c2 / c3
+
+    def root(m, z, hh):
+        a = -hh * c3
+        C = (1.0 - hh * c1) / a
+        P = C - B * B / 3.0
+        # -Q = M/a - B (2B^2 - 9C)/27
+        nq = (m + hh * (c0 + zc * z)) / a - B * (2.0 * B * B - 9.0 * C) / 27.0
+        # P <= 0 (F not increasing) gives no start
+        k = P * math.sqrt(P / 27.0) if P > 0.0 else math.nan
+        s = np.hypot(0.5 * nq, k)
+        u = np.cbrt(0.5 * np.abs(nq) + s)
+        v = P / 3.0 / u
+        return nq / (u * (u + v) + v * v) - B / 3.0
+    return root
 
 
 def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
@@ -202,6 +245,7 @@ def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
         dfdy=dfdy,
         label="poly(%s)%s" % (",".join(repr(c) for c in cs),
                               "" if zc == 0.0 else "+%r*z" % zc),
+        root=_implicit_root(cs, zc),
     )
 
 

@@ -194,16 +194,22 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     under the guard hh * M_y < 0.5, so F is strictly increasing and
     :func:`_bracket_end` brackets the root; F(b) of the wrong sign
     means the driver's slope exceeds the declared M_y.  Every node runs
-    its own Newton iteration from m, masked over the level, bisecting
-    whenever a step leaves the bracket.  A Newton step that returns its
-    iterate would repeat forever, so the node stops there; so does a
-    node whose bracket holds no float strictly inside.  A node
-    short of the tolerance when it stops, or after _MAX_ITER steps, is
-    accepted when F changes sign between its iterate and the adjacent
-    float toward the root.  Nodes with non-finite m or z give nan; they
-    and nodes with F(m) = 0 take zero iterations.  The level stops
-    iterating in the pass where no live node is still short of the
-    tolerance: the rest of that pass could move no node.
+    its own Newton iteration, masked over the level, bisecting whenever
+    a step leaves the bracket.  It starts at the driver's closed-form
+    root (DriverSpec.root) where the driver has one and the root is
+    finite and inside the bracket, and at m everywhere else.  The start
+    moves no node's tolerance, so a wrong root costs iterations and
+    never accuracy; but where F's rounding exceeds the tolerance, which
+    nodes end at the adjacent-float test, and so fail, depends on the
+    path, hence on the start.  A Newton step that returns its iterate
+    would repeat forever, so the node stops there; so does a node whose
+    bracket holds no float strictly inside.  A node short of the
+    tolerance when it stops, or after _MAX_ITER steps, is accepted when
+    F changes sign between its iterate and the adjacent float toward
+    the root.  Nodes with non-finite m or z give nan; they and nodes
+    with F(m) = 0 take zero iterations.  The level stops iterating in
+    the pass where no live node is still short of the tolerance: the
+    rest of that pass could move no node.
     Returns y, the per-node iteration counts, their total and their
     maximum, which is the number of passes since a node once out of
     `live` never returns; a failure raises SolverError carrying the
@@ -234,12 +240,17 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     np.greater(live, unbracketed, out=live)
     started = live.copy()
 
-    # Newton from m, falling back to bisection outside the bracket;
-    # converged and stalled nodes, and nodes whose bracket is two
-    # adjacent floats, freeze and drop out of `live`
+    # Newton from the driver's root where it lies in the bracket, else
+    # from m, falling back to bisection outside the bracket; converged
+    # and stalled nodes, and nodes whose bracket is two adjacent floats,
+    # freeze and drop out of `live`
     lo = np.minimum(m, b)
     hi = np.maximum(m, b)
-    yv = m
+    yv, fy = m, fa
+    if driver.root is not None:
+        y0 = driver.root(m, z, hh)
+        yv = np.where(live & (lo <= y0) & (y0 <= hi), y0, m)
+        fy = F(yv)
     done = ~started
     total = passes = 0
     for it in range(_MAX_ITER):
@@ -249,7 +260,8 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
         total += count
         passes += 1
         iters += live
-        fy = F(yv) if it else fa
+        if it:
+            fy = F(yv)
         done = np.abs(fy) <= tol
         np.greater(live, done, out=live)
         if not np.count_nonzero(live):

@@ -141,6 +141,10 @@ def reference_solve(m, z, driver, hh):
     lo = np.minimum(m, b)
     hi = np.maximum(m, b)
     yv = m
+    if driver.root is not None:
+        # each live node starts at the driver's root inside the bracket
+        y0 = driver.root(m, z, hh)
+        yv = np.where(live & (lo <= y0) & (y0 <= hi), y0, m)
     done = ~started
     for _ in range(_MAX_ITER):
         if not live.any():

@@ -354,7 +354,7 @@ def test_one_lattice_per_N(runner, tmp_path, monkeypatch, args, builds, runs):
 @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
 def test_out_that_cannot_be_a_directory(runner, tmp_path, command, below):
     # an --out that is a file, or lies below one, is a configuration
-    # error naming the path
+    # error naming the path, reported before any verdict
     (tmp_path / "afile").write_text("")
     out = tmp_path.joinpath("afile", *below)
     result = runner.invoke(main, [command, "--preset", "experiment2",
@@ -362,6 +362,7 @@ def test_out_that_cannot_be_a_directory(runner, tmp_path, command, below):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "bad --out %s: " % out in result.output
+    assert "PASS" not in result.output and "FAIL" not in result.output
 
 
 def test_one_step_kind_passed_by_keyword(runner, tmp_path, monkeypatch):

@@ -33,8 +33,8 @@ EXP2_NS = (15, 17, 19, 25)
 COMMANDS = {
     "conv-exp1": (["convergence", "--preset", "experiment1", "--scheme",
                    "explicit", "--scheme", "implicit", "--scheme", "fp"],
-                  "b9deac686f3231b8b758284394bf4299"
-                  "a76addaf8cefb98064fc82e902576bcb"),
+                  "56a806552439c42c6a06aee3bb791ee5"
+                  "76bbeebf16e168a613eaade4a18b3108"),
     "conv-linear": (["convergence", "--preset", "linear-oracle", "--scheme",
                      "fp"],
                     "4dbfdf21f1b2c91cd57ac4ed3c645298"
@@ -42,59 +42,59 @@ COMMANDS = {
     "stab-exp2": (["stability", "--preset", "experiment2", "--Ns",
                    "15,17,19,25", "--scheme", "explicit", "--scheme",
                    "implicit", "--scheme", "fp"],
-                  "9b8f6dfa5d8730051a3fac46134d3631"
-                  "5dc422173776eccf7ab319c95fd7b182"),
+                  "dfd7dcc837df6392998d0f77e2b304e1"
+                  "5043858c54a8f2e1f63e98332684961e"),
     "stab-exp2-post-theta": (["stability", "--preset", "experiment2",
                               "--Ns", "15,25", "--scheme", "fp-post",
                               "--scheme", "theta=0.5"],
-                             "b2c8515e4c5151a04b9e704592622e76"
-                             "dd8676c5edb055314066749747ebdfab"),
+                             "2077903c8f7ec2005d922eef4f367c52"
+                             "5e02766b418fe90c2caeed4e2104642b"),
     "conv-exp1-grid": (["convergence", "--preset", "experiment1", "--Ns",
                         "5,10", "--eta", "0.05", "--grid-extent", "6",
                         "--scheme", "fp", "--scheme", "implicit",
                         "--dump-lattice"],
-                       "84d2e0ffad20d14072f51b96413540b4"
-                       "5af8f6b65588707fc0e675bfca9b20c2"),
+                       "fb8ae2cae3a8e79fdd11a6aa025fd263"
+                       "1507ed20b854f3da611ed33f23eec688"),
 }
 
 # (kind, N, Newton total, Newton maximum) of each run, in call order:
-# the proxy reference runs first, and stability runs fp twice per N
+# the proxy reference runs first, and stability runs fp twice per N.
+# Every live implicit node meets the tolerance at the cubic's
+# closed-form root, in one iteration; an experiment1 level i has 2i + 1
+# nodes, so a run of N levels takes N^2
 RUNS = {
     "conv-exp1": (
-        [("implicit_euler", 120, 54598, 13), ("full_projection_pre", 120, 0, 0)]
+        [("implicit_euler", 120, 14400, 1), ("full_projection_pre", 120, 0, 0)]
         + [("explicit_euler", n, 0, 0) for n in EXP1_NS]
-        + [("implicit_euler", n, total, most) for n, total, most in zip(
-            EXP1_NS,
-            (145, 539, 1159, 1977, 4190, 7129, 10809, 15214, 20237, 25925),
-            (9, 10, 11, 11, 11, 12, 12, 12, 12, 12))]
+        + [("implicit_euler", n, n * n, 1) for n in EXP1_NS]
         + [("full_projection_pre", n, 0, 0) for n in EXP1_NS]),
     "conv-linear": [("full_projection_pre", n, 0, 0) for n in LINEAR_NS],
     "stab-exp2": (
         [("explicit_euler", n, 0, 0) for n in EXP2_NS]
-        + [("implicit_euler", n, total, most) for n, total, most in zip(
-            EXP2_NS, (1016, 1284, 1592, 2664), (7, 7, 7, 6))]
+        + [("implicit_euler", n, total, 1) for n, total in zip(
+            EXP2_NS, (210, 272, 342, 600))]
         + [("full_projection_pre", n, 0, 0) for n in EXP2_NS for _ in "ab"]),
     "stab-exp2-post-theta": (
         [("full_projection_post", n, 0, 0) for n in (15, 25) for _ in "ab"]
-        + [("theta", 15, 834, 6), ("theta", 25, 1528, 5)]),
+        + [("theta", 15, 210, 1), ("theta", 25, 472, 1)]),
     "conv-exp1-grid": [
-        ("implicit_euler", 120, 54598, 13), ("full_projection_pre", 120, 0, 0),
+        ("implicit_euler", 120, 14400, 1), ("full_projection_pre", 120, 0, 0),
         ("full_projection_pre", 5, 0, 0), ("full_projection_pre", 10, 0, 0),
-        ("implicit_euler", 5, 142, 9), ("implicit_euler", 10, 537, 10)],
+        ("implicit_euler", 5, 25, 1), ("implicit_euler", 10, 100, 1)],
 }
 
 # sha256 of every --no-timing artifact of each command, by artifact_digest
 ARTIFACTS = {
-    "conv-exp1": ("3393101c9233c3ad43c09d94011b2280"
-                  "3def147cff5aea69dccf8fc75cbfd6e6"),
+    "conv-exp1": ("b6230bf79560d582e4636d515638ab58"
+                  "52a778fefabda0eb6255652386624675"),
     "conv-linear": ("ff6ff8f9557647a6de6f9c593ecec3f9"
                     "0988c74022af65b09d7e7be8c48cac80"),
-    "stab-exp2": ("569d91da69bf7c4a1e43f970cd393116"
-                  "91000ed4642515237aecc8d726256177"),
-    "stab-exp2-post-theta": ("6fd2144202556fee3e9318669e76e991"
-                             "890e2bb905f28780a6b7f67a8307ac07"),
-    "conv-exp1-grid": ("9165840a11a091ae5e8f1bd7d25057b2"
-                       "d8450325fc2c4aa583da74e1face2ba5"),
+    "stab-exp2": ("e727da96f4f261e333e25c85e19729df"
+                  "5c0a8cbecc4889dde503efe330812bfd"),
+    "stab-exp2-post-theta": ("f3d1c9d7d65dea3ba7292a78246a3eb2"
+                             "0d9c9b1fd5fdfd411d3bb39f6680cc4e"),
+    "conv-exp1-grid": ("7c8c194c8ee9d50140407a78c2d6d284"
+                       "efd918c442e521ce0454a77d0cdb305e"),
 }
 
 

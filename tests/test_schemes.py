@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import partial
 
@@ -19,6 +20,11 @@ from conftest import (
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
 ZERO = fp.poly_driver((0.0,))
+# drivers without a closed-form root: -y - y^3 built by hand, and a quintic
+HAND_CUBIC = fp.DriverSpec(eval=lambda y, z: -y - y * y * y, M_y=-1.0,
+                           L_y=3.0, m=3, L_z=0.0, f00=0.0,
+                           dfdy=lambda y, z: -1.0 - 3.0 * y * y)
+QUINTIC = fp.poly_driver((0.0, -1.0, 0.0, 0.5, 0.0, -0.25), z_coeff=0.3)
 NAN = math.nan
 
 
@@ -186,8 +192,10 @@ class TestClosedFormBracket:
     def test_root_pinned_to_one_ulp(self):
         # z puts the root within an ulp above m = 114503, where F moves
         # by about 0.56 per ulp against the tolerance 1.1e-7: no float
-        # meets the tolerance, but F changes sign across the ulp
-        driver = fp.poly_driver((0.0, 0.0, 1.0, -2.0), z_coeff=1.0)
+        # meets the tolerance, but F changes sign across the ulp; the
+        # start is m, as it is for drivers without a closed-form root
+        driver = fp.poly_driver((0.0, 0.0, 1.0, -2.0),
+                                z_coeff=1.0)._replace(root=None)
         m, hh, z = 114503.0, 0.375, 3002470129746045.5
 
         def F(y):
@@ -209,11 +217,11 @@ class TestClosedFormBracket:
         # (F = -6.3e-8) and -64.49901683760108 (F = 5.0e-8), each step
         # returning the other, against the tolerance 5.6e-10; once the
         # bracket is those two floats the node stops instead of running
-        # out its 100 iterations
+        # out its 100 iterations (a quintic: the start is m)
         driver = fp.poly_driver(
             (-0.7364540870016669, -0.16290994799305278, -0.48211931267997826,
              0.5988462126346276, 0.03972210748165899, -0.2924567509650886),
-            z_coeff=-0.7819084623568421)
+            z_coeff=-0.7819084623568421)._replace(root=None)
         m, z, hh = -559.4933527097415, 418182960.77212954, 0.269690207037431
         y, iters, _, _ = _solve(np.array([m]), np.array([z]), driver, hh)
         assert y[0] == -64.49901683760108 and iters[0] == 17
@@ -222,9 +230,12 @@ class TestClosedFormBracket:
         # Newton's second iterate returns itself, where F's rounding
         # (about one ulp of y) hides the root from both the tolerance
         # and the adjacent-float sign test: the node stops after 2
-        # iterations, and the message says 2, not the cap of 100
+        # iterations, and the message says 2, not the cap of 100.  The
+        # start is m: the closed-form root of this linear driver meets
+        # the tolerance
         driver = fp.poly_driver((-0.8399414484462417, 0.9394493482815327),
-                                z_coeff=-0.49290371466181204)
+                                z_coeff=-0.49290371466181204)._replace(
+                                    root=None)
         m, z, hh = 0.013991291912618822, 228813039626420.28, 0.2974581888987467
         with pytest.raises(SolverError) as exc:
             _solve(np.array([1.0, m]), np.array([0.0, z]), driver, hh)
@@ -241,6 +252,142 @@ class TestClosedFormBracket:
             fp.run_backward(fp.SchemeConfig(kind="implicit_euler"),
                             build(m, 4), m)
         assert exc.value.level is not None and exc.value.node is not None
+
+
+class TestClosedFormStart:
+    """Newton starts at DriverSpec.root: a start, never an answer."""
+
+    # the preset cubics, two cubics with c0, c2 and z terms (the second
+    # with M_y > 0), and linear and constant drivers with and without a
+    # z term
+    DRIVERS = [
+        fp.poly_driver((0.0, 0.0, 0.0, -1.0)),
+        fp.poly_driver((0.0, -1.0, 0.0, -1.0)),
+        fp.poly_driver((0.3, -0.5, 0.7, -1.2), z_coeff=0.4),
+        fp.poly_driver((0.5, 1.0, -2.0, -0.5), z_coeff=-1.0),
+        fp.poly_driver((0.2, -1.0), z_coeff=-0.5),
+        fp.poly_driver((0.0, -1.0)),
+        fp.poly_driver((0.1,), z_coeff=0.7),
+    ]
+
+    def test_supplied_up_to_degree_three(self):
+        assert all(d.root is not None for d in self.DRIVERS)
+        assert HAND_CUBIC.root is None and QUINTIC.root is None
+
+    @pytest.mark.parametrize("preset, N", [("experiment1", 120),
+                                           ("experiment2", 15)])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("driver", DRIVERS, ids=lambda d: d.label)
+    def test_one_pass_at_every_node(self, preset, N, theta, driver):
+        # every node of every level meets the tolerance at its start, at
+        # hh = h and at theta = 0.5's hh = h/2
+        base = getattr(fp, preset + "_model")()
+        cfg = (fp.SchemeConfig(kind="implicit_euler") if theta == 1.0
+               else fp.SchemeConfig(kind="theta", theta=theta))
+        run = fp.run_backward(cfg, build(base, N),
+                              base._replace(driver=driver))
+        assert run.finite
+        assert run.solver_iterations_max == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e3,
+                                     -1e3])
+    def test_unusable_root_starts_at_m(self, bad):
+        # a non-finite root, or one outside the bracket, leaves the node's
+        # start at m: the same y and count as without a root; the other
+        # nodes take their good roots
+        driver = fp.poly_driver((0.3, -0.5, 0.7, -1.2), z_coeff=0.4)
+        m = np.array([0.7, -2.5, 1.9, 0.05])
+        z = np.array([0.3, -1.0, 4.0, 0.0])
+        hh = 0.1
+
+        def root(m, z, hh):
+            y0 = driver.root(m, z, hh)
+            y0[1:3] = bad
+            return y0
+
+        y, iters, _, _ = _solve(m, z, driver._replace(root=root), hh)
+        y_m, iters_m, _, _ = _solve(m, z, driver._replace(root=None), hh)
+        assert y[1:3].tobytes() == y_m[1:3].tobytes()
+        assert iters[1:3].tolist() == iters_m[1:3].tolist()
+        assert iters_m[1:3].min() > 1
+        assert iters[[0, 3]].tolist() == [1, 1]
+
+    @pytest.mark.parametrize("driver, kind, total, most, digest", [
+        (HAND_CUBIC, "implicit_euler", 7166, 12,
+         "5ad8b22a96f9389b2ddd757a5686dd42379498b1b3a23ead59d7172b18fb22eb"),
+        (HAND_CUBIC, "theta", 13788, 22,
+         "e8c30632da59f086b6b27ca29fa9ea9ee73847d250442b5ecfb82a48fec013a1"),
+        (QUINTIC, "implicit_euler", 7575, 21,
+         "bf0282cafa488896f88fac6066cc7e1bb2be39569724a72e25e412965fb433e1"),
+        (QUINTIC, "theta", 61763, 79,
+         "662c39e1d1fed450ef4410000425048b0a3e44df3b670c0ad5e330c0e7f7aeaa"),
+    ], ids=["hand-built-implicit", "hand-built-theta", "quintic-implicit",
+            "quintic-theta"])
+    def test_drivers_without_root_keep_their_bits(self, driver, kind, total,
+                                                  most, digest):
+        # drivers without a closed-form root start at m: their Newton
+        # counts and the sha256 of every y and z level on experiment1 at
+        # N=40 are those of the solver that always started at m
+        base = fp.experiment1_model()
+        cfg = fp.SchemeConfig(kind=kind,
+                              theta=0.5 if kind == "theta" else None)
+        run = fp.run_backward(cfg, build(base, 40),
+                              base._replace(driver=driver))
+        got = hashlib.sha256(b"".join(a.tobytes() for a in run.y + run.z))
+        assert (run.solver_iterations_total, run.solver_iterations_max,
+                got.hexdigest()) == (total, most, digest)
+
+    @given(
+        deg=st.sampled_from([0, 1, 3]),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        lead=st.floats(0.05, 1.0),
+        zc=st.floats(0.1, 1.0).flatmap(lambda a: st.sampled_from([a, -a])),
+        lie=st.one_of(st.none(), st.floats(0.1, 2.0)),
+        hh=st.floats(0.01, 0.3),
+        nodes=st.lists(st.tuples(
+            st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e).flatmap(
+                lambda a: st.sampled_from([a, -a])),
+            st.floats(-2.0, 2.0)), min_size=6, max_size=6),
+        nan_m=st.sets(st.integers(0, 5), max_size=1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_failures_and_roots_as_from_m(self, deg, coeffs, lead, zc,
+                                               lie, hh, nodes, nan_m):
+        # each node's z, of the size of m, puts its root r in [-2, 2],
+        # where F's rounding, about eps times the size of F's terms,
+        # stays below the tolerance 1e-12 max(1, |m|): Newton converges
+        # from either start.  Where it cannot (|z| up to 1e16), which
+        # nodes fail depends on the path, hence on the start.  A declared
+        # M_y below the true slope fails the bracket, whatever the start
+        cs = (coeffs[:deg] + [-lead]) if deg else coeffs[:1]
+        driver = fp.poly_driver(cs, z_coeff=zc)
+        if lie is not None:
+            driver = driver._replace(M_y=driver.M_y - lie)
+        assume(hh * driver.M_y < 0.5)
+        f = driver.eval
+        m = np.array([mv for mv, _ in nodes])
+        r = np.array([rv for _, rv in nodes])
+        with np.errstate(all="ignore"):
+            z = (r - hh * f(r, 0.0) - m) / (hh * zc)
+            terms = (np.abs(r) + np.abs(m) + np.abs(hh * zc * z) + hh * sum(
+                abs(c) * np.abs(r) ** k for k, c in enumerate(cs)))
+        assume(np.all(terms <= 1e2 * np.maximum(1.0, np.abs(m))))
+        m[list(nan_m)] = math.nan
+        outcomes = []
+        with np.errstate(all="ignore"):
+            for drv in (driver, driver._replace(root=None)):
+                try:
+                    outcomes.append(_solve(m, z, drv, hh)[0])
+                except SolverError as err:
+                    outcomes.append((str(err), err.node))
+        got, want = outcomes
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+        else:
+            ok = np.isfinite(m)
+            assert np.array_equal(np.isnan(got), ~ok)
+            assert np.all(np.abs(got[ok] - want[ok])
+                          <= 4e-12 * np.maximum(1.0, np.abs(m[ok])))
 
 
 class TestThetaStep:
@@ -337,12 +484,14 @@ class TestRunBackward:
             fp.SchemeConfig(kind="theta")
 
     @pytest.mark.parametrize("preset, N, iterations, y0", [
-        ("experiment1", 120, 54598, 0.5785999412151437),
-        ("experiment2", 15, 1016, 0.0),
-    ])
+        ("experiment1", 120, 14400, 0.5785999412143815),
+        ("experiment2", 15, 210, 0.0),
+    ], ids=["experiment1", "experiment2"])
     def test_implicit_preset_counts_pinned(self, preset, N, iterations, y0):
         # the Newton stopping rules may only drop iterations that cannot
-        # move y: the preset totals and the bits of Y0 stay put
+        # move y: the preset totals and the bits of Y0 stay put.  Every
+        # node starts at the cubic's closed-form root and meets the
+        # tolerance there, in one iteration
         m = getattr(fp, preset + "_model")()
         run = fp.run_backward(fp.SchemeConfig(kind="implicit_euler"),
                               build(m, N), m)
