@@ -144,7 +144,8 @@ def _implicit_root(cs: Sequence[float], zc: float):
     """The closed-form real root of y - hh f(y, z) = m for the driver
     f = sum_k cs[k] y^k + zc z of degree <= 3, or None above degree 3.
 
-    The y-free terms fold into the right side M = m + hh (c0 + zc z).
+    The y-free terms fold into the right side M = m + hh (c0 + zc z),
+    or m + hh c0 when zc = 0.
     Degree <= 1 gives the quotient M / (1 - hh c1).  A cubic, whose
     c3 < 0, is divided by a = -hh c3 > 0 and depressed by y = t - B/3,
     B = c2/c3, to t^3 + P t + Q = 0.  An increasing F has P > 0 and one
@@ -156,16 +157,22 @@ def _implicit_root(cs: Sequence[float], zc: float):
     if len(cs) > 4:
         return None
     c0, c1, c2, c3 = (list(cs) + [0.0] * 3)[:4]
+
+    def fold(m, z, hh):
+        return m + hh * (c0 + zc * z if zc else c0)
+
     if not c3:  # degree <= 1: poly_driver admits no degree 2
-        return lambda m, z, hh: (m + hh * (c0 + zc * z)) / (1.0 - hh * c1)
+        return lambda m, z, hh: fold(m, z, hh) / (1.0 - hh * c1)
     B = c2 / c3
 
     def root(m, z, hh):
         a = -hh * c3
-        C = (1.0 - hh * c1) / a
+        # a underflows to 0 where hh |c3| is below the least subnormal:
+        # numpy's division makes C inf there, and the root nan, no start
+        C = np.float64(1.0 - hh * c1) / a
         P = C - B * B / 3.0
         # -Q = M/a - B (2B^2 - 9C)/27
-        nq = (m + hh * (c0 + zc * z)) / a - B * (2.0 * B * B - 9.0 * C) / 27.0
+        nq = fold(m, z, hh) / a - B * (2.0 * B * B - 9.0 * C) / 27.0
         # P <= 0 (F not increasing) gives no start
         k = P * math.sqrt(P / 27.0) if P > 0.0 else math.nan
         s = np.hypot(0.5 * nq, k)
@@ -177,6 +184,9 @@ def _implicit_root(cs: Sequence[float], zc: float):
 
 def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
     """Driver f(y, z) = sum_k coeffs[k] y^k + z_coeff * z.
+
+    With z_coeff = 0 (every preset) f is p(y) and ignores z, a
+    non-finite z included.
 
     The assumption constants are derived from the coefficients:
 
@@ -230,7 +240,7 @@ def poly_driver(coeffs: Sequence[float], z_coeff: float = 0.0) -> DriverSpec:
     zc = float(z_coeff)
 
     def f(y, z):
-        return p(y) + zc * z
+        return p(y) + zc * z if zc else p(y)
 
     def dfdy(y, z):
         return dp(y)

@@ -416,7 +416,7 @@ def run_backward(
         model=spec,
         y=tuple(y_levels),
         z=tuple(z_levels),
-        finite=all(bool(np.isfinite(y).all()) for y in y_levels),
+        finite=bool(np.isfinite(np.concatenate(y_levels)).all()),
         solver_iterations_total=iters_total,
         solver_iterations_max=iters_max,
     )

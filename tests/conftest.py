@@ -33,6 +33,17 @@ def col(values):
 
 WCOL = col(W)
 
+
+def float_bits(v):
+    return np.float64(v).tobytes()
+
+
+def float_key(v):
+    """The bits of v, or "nan" for any nan: IEEE 754 leaves the sign and
+    payload of a nan made from two nans open."""
+    return "nan" if v != v else float_bits(v)
+
+
 # the trinomial's branch weights as exact Fractions
 W_EXACT = (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
 

@@ -1,17 +1,18 @@
-"""Every backward run of five commands, pinned bitwise.
+"""Every backward run of six commands, pinned bitwise.
 
 Three are the benchmark's commands, ``convergence --preset
 experiment1``, ``convergence --preset linear-oracle`` and ``stability
---preset experiment2``, with their schemes in a fixed order.  Two pin
-paths those miss: the fp-post and theta schemes on experiment2, and
+--preset experiment2``, with their schemes in a fixed order.  Three pin
+paths those miss: the fp-post and theta schemes on experiment2,
 projected (grid) lattices with their --dump-lattice files on
-experiment1.  Each ``run_backward`` call they make
-(the proxy reference's implicit and fp runs and the stability study's
-perturbed fp runs included) is recorded in call order: its scheme kind,
-N, Newton iteration total and maximum, and the bytes of every y and z
-level, which go into one sha256 per command.  A change to the kernels
-that moves a single bit of any level, or a single Newton step, fails
-here.  Every artifact each command writes under ``--no-timing`` is
+experiment1, and a custom driver with a z term, -y - y^3 + z/2, whose
+explicit runs explode into inf and nan.  Each ``run_backward`` call
+they make (the proxy reference's implicit and fp runs and the stability
+study's perturbed fp runs included) is recorded in call order: its
+scheme kind, N, Newton iteration total and maximum, and the bytes of
+every y and z level, which go into one sha256 per command.  A change to
+the kernels that moves a single bit of any level, or a single Newton
+step, fails here.  Every artifact each command writes under ``--no-timing`` is
 pinned too, by one sha256 over the names, sizes and bytes of its files,
 so a change to the writers that moves a single byte fails here as well.
 """
@@ -55,6 +56,17 @@ COMMANDS = {
                         "--dump-lattice"],
                        "fb8ae2cae3a8e79fdd11a6aa025fd263"
                        "1507ed20b854f3da611ed33f23eec688"),
+    "conv-custom-z": (["convergence", "--scheme", "fp", "--scheme",
+                       "implicit", "--scheme", "explicit"],
+                      "847389d04a5c482808a6e7c15c5d4817"
+                      "08b78550063654081919178bae5d6e4c"),
+}
+
+# the --config file of the commands that take one
+CONFIGS = {
+    "conv-custom-z": ("[run]\npreset = custom\nns = 10,20\n"
+                      "[model]\nsigma = 1.5\ng = quadratic\n"
+                      "driver = poly:0,-1,0,-1\ndriver-zcoef = 0.5\n"),
 }
 
 # (kind, N, Newton total, Newton maximum) of each run, in call order:
@@ -81,6 +93,11 @@ RUNS = {
         ("implicit_euler", 120, 14400, 1), ("full_projection_pre", 120, 0, 0),
         ("full_projection_pre", 5, 0, 0), ("full_projection_pre", 10, 0, 0),
         ("implicit_euler", 5, 25, 1), ("implicit_euler", 10, 100, 1)],
+    "conv-custom-z": [
+        ("implicit_euler", 120, 14400, 1), ("full_projection_pre", 120, 0, 0),
+        ("full_projection_pre", 10, 0, 0), ("full_projection_pre", 20, 0, 0),
+        ("implicit_euler", 10, 100, 1), ("implicit_euler", 20, 400, 1),
+        ("explicit_euler", 10, 0, 0), ("explicit_euler", 20, 0, 0)],
 }
 
 # sha256 of every --no-timing artifact of each command, by artifact_digest
@@ -95,6 +112,8 @@ ARTIFACTS = {
                              "0d9c9b1fd5fdfd411d3bb39f6680cc4e"),
     "conv-exp1-grid": ("7c8c194c8ee9d50140407a78c2d6d284"
                        "efd918c442e521ce0454a77d0cdb305e"),
+    "conv-custom-z": ("fe5503ace86df95bbadc503eef702077"
+                      "bc48d47ea717c7eec2e0fda37fcd7850"),
 }
 
 
@@ -135,7 +154,12 @@ def record_runs(monkeypatch, args, out):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_backward_runs_bitwise(monkeypatch, tmp_path, name):
     args, want = COMMANDS[name]
-    runs, got = record_runs(monkeypatch, args, tmp_path)
+    if name in CONFIGS:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIGS[name])
+        args = args + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    runs, got = record_runs(monkeypatch, args, out)
     assert runs == RUNS[name]
     assert got == want
-    assert artifact_digest(tmp_path) == ARTIFACTS[name]
+    assert artifact_digest(out) == ARTIFACTS[name]

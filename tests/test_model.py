@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.model import ModelError
-from fptree.model import _horner
+from fptree.model import ModelError, _horner, _implicit_root
 from fptree.schemes import SchemeError
+
+from conftest import float_bits, float_key
 
 
 # zeros, infinities, nan and the extreme subnormals and normals
@@ -23,15 +24,6 @@ def plain_horner(cs, y):
     for c in cs[-2::-1]:
         acc = acc * y + c
     return acc
-
-
-def float_bits(v):
-    return np.float64(v).tobytes()
-
-
-def float_key(v):
-    """The bits of v, or "nan" for any nan."""
-    return "nan" if v != v else float_bits(v)
 
 
 class TestPolyDriver:
@@ -66,6 +58,64 @@ class TestPolyDriver:
         d = fp.poly_driver((0.0, -1.0), z_coeff=0.75)
         assert d.L_z == 0.75
         assert d.eval(1.0, 2.0) == -1.0 + 1.5
+
+    @pytest.mark.parametrize("coeffs", [(0.0, -1.0), (0.0, -1.0, 0.0, -1.0),
+                                        (2.5,), (-0.0, 1e308, 0.0, -1.0)])
+    def test_zero_z_coefficient_ignores_z(self, coeffs):
+        # f is p(y) bitwise, at every special y and at z = 0, +-inf and
+        # nan, where p(y) + 0 * z would give nan for the non-finite z
+        d, p = fp.poly_driver(coeffs), _horner(coeffs)
+        y = np.array(SPECIAL)
+        with np.errstate(all="ignore"):
+            for z in (0.0, math.inf, -math.inf, math.nan):
+                # a constant p returns a float for an array y
+                assert np.asarray(d.eval(y, z)).tobytes() == \
+                    np.asarray(p(y)).tobytes()
+                for v in SPECIAL:
+                    assert float_bits(d.eval(v, z)) == float_bits(p(v))
+
+    @pytest.mark.parametrize("zc", [0.5, -1e-300, math.inf])
+    def test_nonzero_z_coefficient_adds_zc_z(self, zc):
+        # f is p(y) + zc * z bitwise, at every pair of special values
+        coeffs = (0.0, -1.0, 0.0, -1.0)
+        d, p = fp.poly_driver(coeffs, z_coeff=zc), _horner(coeffs)
+        y, z = np.meshgrid(SPECIAL, SPECIAL)
+        with np.errstate(all="ignore"):
+            assert d.eval(y, z).tobytes() == (p(y) + zc * z).tobytes()
+
+    @pytest.mark.parametrize("rest", [(-1.0,), (2.0,), (0.0, 0.0, -1.0),
+                                      (-1.0, 0.0, -1.0), (-1.0, -0.0, -1.0)])
+    @pytest.mark.parametrize("c0", [0.0, -0.0, 0.5, -1.25])
+    def test_zero_z_coefficient_root_keeps_the_fold(self, c0, rest):
+        # with zc = 0 the root folds c0 where it folded c0 + 0 * z, so the
+        # old root at z is the root of the driver whose constant is
+        # c0 + 0 * z.  That constant differs from c0 only in the sign of
+        # a zero: the bits agree at every finite z and m but one,
+        # c0 = m = -0.0 at a z of positive sign, where the root is now
+        # -0.0 and was +0.0
+        root = _implicit_root((c0,) + rest, 0.0)
+        finite = [v for v in SPECIAL if math.isfinite(v)] + [-1e308, 3.5]
+        m = np.array(finite)
+        for z in finite:
+            old = _implicit_root((c0 + 0.0 * z,) + rest, 0.0)
+            for hh in (0.1, 1e-3):
+                with np.errstate(all="ignore"):
+                    got, want = root(m, z, hh), old(m, z, hh)
+                moved = (float_bits(c0) == float_bits(-0.0)
+                         and math.copysign(1.0, z) > 0.0)
+                if moved:
+                    keep = m.view(np.int64) != np.float64(-0.0).view(np.int64)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    got, want = got[keep], want[keep]
+                assert [float_key(v) for v in got] == \
+                    [float_key(v) for v in want]
+
+    def test_root_of_an_underflowing_cubic_is_nan(self):
+        # hh c3 = 0.25 * -5e-324 underflows to 0: no start, no error
+        root = fp.poly_driver((0.0, 0.0, 0.0, -5e-324)).root
+        with np.errstate(all="ignore"):
+            y0 = root(np.array([2.0, 0.5]), np.array([0.0, 1.0]), 0.25)
+        assert np.isnan(y0).all()
 
     def test_rejects_unbounded_above(self):
         # p(y) = y^2 has p' unbounded above: no finite M_y exists

@@ -513,6 +513,23 @@ class TestRunBackward:
             not all(map(math.isfinite, level)) for level in run.y
         )
 
+    def test_finite_reads_the_terminal_level(self):
+        # g is inf at the top terminal node.  fp truncates the children
+        # it steps from, so that inf is its only non-finite entry, and
+        # the run is not finite; explicit carries it up; fp-post
+        # truncates the terminal level too and is finite
+        m = fp.experiment1_model()
+        m = m._replace(g=lambda x: np.where(x == x.max(), math.inf, x * x))
+        lat = build(m, 5)
+        trunc = fp.TruncationConfig(R0=2.0, alpha=0.249)
+        pre, post, explicit = (fp.run_backward(cfg, lat, m) for cfg in (
+            fp.SchemeConfig(kind="full_projection_pre", truncation=trunc),
+            fp.SchemeConfig(kind="full_projection_post", truncation=trunc),
+            fp.SchemeConfig(kind="explicit_euler")))
+        assert all(np.isfinite(y).all() for y in pre.y[:-1])
+        assert np.isinf(pre.y[-1]).sum() == 1
+        assert not pre.finite and not explicit.finite and post.finite
+
     def test_solver_failure_carries_location(self):
         expanding = fp.poly_driver((0.0, 1.0))
         m = fp.make_constant_model(
@@ -859,6 +876,9 @@ class TestScalarReference:
     # rounding reaches 5.2e-12 relative at the root against exact sums
     @example(c0=0.0, c1=0.0, c3=-1.0, zc=0.0078125, sigma=2.0, N=3, R0=1.0,
              alpha_frac=1.0, kind=("explicit_euler", 0.0), projected=False)
+    # hh c3 underflows to 0, where the closed-form root divided by zero
+    @example(c0=0.0, c1=0.0, c3=-5e-324, zc=0.0, sigma=1.0, N=2, R0=1.0,
+             alpha_frac=1.0, kind=("theta", 0.5), projected=False)
     @settings(max_examples=120, deadline=None)
     def test_operator_matches_scalar_reference(
         self, c0, c1, c3, zc, sigma, N, R0, alpha_frac, kind, projected
