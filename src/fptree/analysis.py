@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,7 +74,6 @@ class ErrorEntry(NamedTuple):
     h: float
     Y0: float
     err: float
-    seconds: float
     exploded: bool
 
 
@@ -123,15 +121,13 @@ def convergence_study(
         raise ValueError("lattice Ns must be strictly increasing")
     entries = []
     for lattice in lattices:
-        t0 = time.perf_counter()
         run = run_backward(cfg, lattice, spec)
-        seconds = time.perf_counter() - t0
         y0 = run.y0
         err = abs(y0 - reference) if math.isfinite(y0) else math.nan
         entries.append(
             ErrorEntry(
                 N=lattice.time_grid.N, h=lattice.time_grid.h, Y0=y0,
-                err=err, seconds=seconds, exploded=not run.finite,
+                err=err, exploded=not run.finite,
             )
         )
     slope, resid = _fit_slope(entries)

@@ -13,7 +13,8 @@ Three commands:
 
 Configuration comes from a preset, an optional key=value config file,
 and flags; flags win over file keys, file keys over preset defaults.
-Artifacts are deterministic: no timestamps, no host details; with --no-timing the outputs are byte-identical across runs.
+Artifacts are deterministic: no timestamps, no host details, no wall
+times (those go to the console); they are byte-identical across runs.
 
 Exit codes: 0 success, 1 check/run failure, 2 configuration error.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import click
@@ -111,8 +113,7 @@ _OPTIONS = (
     # no default: check writes no report, the other commands fptree-out
     _Option("--out", click.STRING, "output directory (default fptree-out)"),
     _Option("--no-timing", click.BOOL,
-            "omit wall-clock fields from artifacts", default=False,
-            is_flag=True),
+            "print no wall-clock times", default=False, is_flag=True),
 )
 
 # a config file cannot name another config file
@@ -408,7 +409,10 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
             theta = float(name.split("=", 1)[1])
         except ValueError:
             raise click.UsageError("bad theta value in %r" % (name,))
-        return SchemeConfig(kind="theta", theta=theta)
+        if theta not in (0.0, 1.0):
+            return SchemeConfig(kind="theta", theta=theta)
+        # the two ends are the implicit and explicit schemes, bit for bit
+        name = "implicit" if theta else "explicit"
     if name not in _SCHEME_KINDS:
         raise click.UsageError(
             "unknown scheme %r; expected one of %s or theta=<v>"
@@ -436,13 +440,8 @@ def _out_dir(st: Settings) -> str:
 
 def _json_safe(value):
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == math.inf:
-            return "inf"
-        if value == -math.inf:
-            return "-inf"
-        return value
+        # str, not repr: a numpy float's repr names its type
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -464,8 +463,6 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -489,13 +486,8 @@ def _settings_echo(st: Settings) -> dict:
         "x0": st.model.x0,
         "b": st.model.b_const,
         "sigma": st.model.sigma_const,
-        "driver_constants": {
-            "M_y": st.model.driver.M_y,
-            "L_y": st.model.driver.L_y,
-            "L_z": st.model.driver.L_z,
-            "m": st.model.driver.m,
-            "f00": st.model.driver.f00,
-        },
+        "driver_constants": {k: getattr(st.model.driver, k)
+                             for k in ("M_y", "L_y", "L_z", "m", "f00")},
     }
 
 
@@ -596,6 +588,7 @@ def convergence(fd_check, dump_flag, **kw):
     }
     for name in st.scheme:
         cfg = _scheme_config(name, st)
+        t0 = time.perf_counter()
         try:
             report = convergence_study(
                 st.model, cfg, lattices, oracle_info["value"]
@@ -604,13 +597,11 @@ def convergence(fd_check, dump_flag, **kw):
             raise click.ClickException(
                 "scheme %s failed: %s" % (name, err)
             )
-        rows = report.entries
-        if st.no_timing:
-            rows = [e._replace(seconds=None) for e in rows]
+        seconds = time.perf_counter() - t0
         _write_csv(
             os.path.join(out, "convergence_%s.csv" % name.replace("=", "_")),
             analysis.ErrorEntry._fields,
-            rows,
+            report.entries,
         )
         digest = {
             "slope": report.slope,
@@ -622,14 +613,13 @@ def convergence(fd_check, dump_flag, **kw):
             "Y0": {str(e.N): e.Y0 for e in report.entries},
             "err": {str(e.N): e.err for e in report.entries},
         }
-        if not st.no_timing:
-            digest["seconds"] = {str(e.N): e.seconds for e in report.entries}
         summary["schemes"][name] = digest
         click.echo(
-            "%s: slope=%s exploded=%s"
+            "%s: slope=%s exploded=%s%s"
             % (name,
                "n/a" if report.slope is None else "%.3f" % report.slope,
-               digest["exploded_Ns"] or "none")
+               digest["exploded_Ns"] or "none",
+               "" if st.no_timing else " seconds=%.4f" % seconds)
         )
 
     if dump_flag:
@@ -685,10 +675,10 @@ def stability(**kw):
             }
             sup = analysis.sup_norm_check(run)
             digest["ledgers"]["sup_norm"] = _ledger_digest(sup)
-            if name in ("fp", "fp-post", "implicit"):
+            if cfg.kind not in ("explicit_euler", "theta"):
                 contr = analysis.contraction_check(run, trunc)
                 digest["ledgers"]["contraction"] = _ledger_digest(contr)
-            if name in ("fp", "fp-post"):
+            if cfg.truncation is not None:
                 size = analysis.one_step_checks(run, trunc, kind="size")
                 digest["ledgers"]["size"] = _ledger_digest(size)
                 run2 = run_backward(cfg, lattice, perturbed)

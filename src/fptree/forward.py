@@ -56,6 +56,7 @@ class Lattice(NamedTuple):
     supports: Tuple[np.ndarray, ...]
     children: Optional[Tuple[np.ndarray, ...]]
     saturation_count: int
+    model: ModelSpec  # the model the lattice was built from
 
     @property
     def n_levels(self) -> int:
@@ -153,6 +154,7 @@ def build_lattice(
             ),
             children=None,
             saturation_count=0,
+            model=spec,
         )
 
     k, sat = grid_project_index(grid, spec.x0)
@@ -180,6 +182,7 @@ def build_lattice(
         supports=tuple(supports),
         children=tuple(children),
         saturation_count=saturation,
+        model=spec,
     )
 
 

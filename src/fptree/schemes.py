@@ -45,7 +45,8 @@ import numpy as np
 
 from .forward import Lattice
 from .grids import (
-    WEIGHTS, TruncationConfig, _Checked, check_alpha, truncate, weight_values,
+    WEIGHTS, ConfigurationError, TruncationConfig, _Checked, check_alpha,
+    truncate, weight_values,
 )
 from .model import DriverSpec, ModelSpec
 
@@ -351,12 +352,18 @@ def run_backward(
     spec.g is called once, with the float64 array of the terminal
     states, and may return a float that broadcasts against it; a run
     from other terminal data is a run of spec._replace(g=...), and the
-    run carries spec as its model.  The run is deterministic: identical
-    inputs give bit-identical outputs.  Implicit solver failures raise
-    SolverError tagged with the level and node; explicit explosions are
-    recorded in the values and the finite flag instead.  For
-    full_projection_post the flag is taken on the truncated values.
+    run carries spec as its model.  spec differs from lattice.model, the
+    lattice's own, in g and the driver alone, else ConfigurationError.
+    The run is deterministic: identical inputs give bit-identical
+    outputs.  Implicit solver failures raise SolverError tagged with the
+    level and node; explicit explosions are recorded in the values and
+    the finite flag instead.  For full_projection_post the flag is taken
+    on the truncated values.
     """
+    base = lattice.model
+    if spec._replace(g=base.g, driver=base.driver) != base:
+        raise ConfigurationError("the model differs from the lattice's "
+                                 "in more than g and the driver")
     tg = lattice.time_grid
     h = tg.h
     driver = spec.driver

@@ -25,13 +25,13 @@ def read_json(path):
 
 
 def assert_plain_csv_cells(out):
-    """Every CSV cell is a float, an int, true/false, or empty."""
+    """Every CSV cell is a float, an int, or true/false."""
     paths = sorted(out.glob("*.csv"))
     assert paths
     for path in paths:
         for line in path.read_text().splitlines()[1:]:
             for cell in line.split(","):
-                if cell not in ("", "true", "false"):
+                if cell not in ("true", "false"):
                     float(cell)  # raises on e.g. "np.float64(0.5)"
 
 
@@ -95,12 +95,11 @@ class TestConvergence:
             "--Ns", "10,20,40", "--no-timing", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
+        assert "seconds" not in result.output
         csv_text = (out / "convergence_fp.csv").read_text()
         lines = csv_text.strip().splitlines()
-        assert lines[0] == "N,h,Y0,err,seconds,exploded"
+        assert lines[0] == "N,h,Y0,err,exploded"
         assert len(lines) == 4
-        # --no-timing leaves the seconds cell empty
-        assert lines[1].split(",")[4] == ""
         summary = read_json(out / "convergence_summary.json")
         assert summary["oracle"]["kind"] == "linear_oracle"
         fp_digest = summary["schemes"]["fp"]
@@ -108,6 +107,27 @@ class TestConvergence:
         assert fp_digest["exploded_Ns"] == []
         assert "seconds" not in fp_digest
         assert_plain_csv_cells(out)
+
+    def test_artifacts_do_not_depend_on_timing(self, runner, tmp_path):
+        # wall time goes to the console alone: each scheme's line
+        # carries it unless --no-timing is set, and no artifact does
+        args = ["convergence", "--preset", "experiment1", "--Ns", "5,10",
+                "--scheme", "explicit", "--scheme", "fp"]
+        files, outputs = [], []
+        for extra in ([], ["--no-timing"]):
+            out = tmp_path / ("art%d" % len(extra))
+            result = runner.invoke(main, args + extra + ["--out", str(out)])
+            assert result.exit_code == 0, result.output
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+            outputs.append(result.output)
+        assert files[0] == files[1]
+        assert b"seconds" not in b"".join(files[0].values())
+        timed = [line for line in outputs[0].splitlines()
+                 if line.startswith(("explicit:", "fp:"))]
+        assert len(timed) == 2
+        assert all(re.search(r" seconds=\d+\.\d{4}$", line)
+                   for line in timed)
+        assert "seconds" not in outputs[1]
 
     def test_custom_model_exact_value(self, runner, tmp_path):
         cfg = tmp_path / "flat.cfg"
@@ -301,6 +321,24 @@ class TestStability:
         reason = runs["implicit_N15"]["ledgers"]["contraction"][
             "applicability_reason"]
         assert "alpha=0.3 is not strictly below 1/(2(m-1))" in reason
+
+    def test_theta_ends_are_explicit_and_implicit(self, runner, tmp_path):
+        # theta=0 and theta=1 run the explicit and implicit schemes'
+        # bits, so they get those schemes' ledgers too
+        out = tmp_path / "art"
+        result = runner.invoke(main, [
+            "stability", "--preset", "experiment2", "--Ns", "15",
+            "--scheme", "implicit", "--scheme", "theta=1",
+            "--scheme", "explicit", "--scheme", "theta=0",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs = read_json(out / "stability_summary.json")["runs"]
+        for name, theta in (("implicit", "theta=1"), ("explicit", "theta=0")):
+            assert runs["%s_N15" % theta] == runs["%s_N15" % name]
+            assert ((out / ("minmax_%s_N15.csv" % theta)).read_bytes()
+                    == (out / ("minmax_%s_N15.csv" % name)).read_bytes())
+        assert sorted(runs["theta=1_N15"]["ledgers"]) == [
+            "contraction", "sup_norm"]
 
     def test_theta_half_implicit_solve_brackets(self, runner, tmp_path):
         # at level 23, node 7 the closed-form bracket end lies within

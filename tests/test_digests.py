@@ -12,9 +12,11 @@ study's perturbed fp runs included) is recorded in call order: its
 scheme kind, N, Newton iteration total and maximum, and the bytes of
 every y and z level, which go into one sha256 per command.  A change to
 the kernels that moves a single bit of any level, or a single Newton
-step, fails here.  Every artifact each command writes under ``--no-timing`` is
-pinned too, by one sha256 over the names, sizes and bytes of its files,
-so a change to the writers that moves a single byte fails here as well.
+step, fails here.  Every artifact each command writes is pinned too, by
+one sha256 over the names, sizes and bytes of its files, so a change to
+the writers that moves a single byte fails here as well.  The commands
+run without ``--no-timing``, as a user runs them: no artifact holds a
+wall time, so the flag changes no byte.
 """
 
 from __future__ import annotations
@@ -100,20 +102,20 @@ RUNS = {
         ("explicit_euler", 10, 0, 0), ("explicit_euler", 20, 0, 0)],
 }
 
-# sha256 of every --no-timing artifact of each command, by artifact_digest
+# sha256 of every artifact of each command, by artifact_digest
 ARTIFACTS = {
-    "conv-exp1": ("b6230bf79560d582e4636d515638ab58"
-                  "52a778fefabda0eb6255652386624675"),
-    "conv-linear": ("ff6ff8f9557647a6de6f9c593ecec3f9"
-                    "0988c74022af65b09d7e7be8c48cac80"),
+    "conv-exp1": ("5e4913b7ca4fde271ee139f44bc8f277"
+                  "c4e0fabbb5e35ddfacabcca8b0283490"),
+    "conv-linear": ("92028cad07f91e11831010b48c999924"
+                    "0ed407f0c063e5ff3706b52cc898c391"),
     "stab-exp2": ("e727da96f4f261e333e25c85e19729df"
                   "5c0a8cbecc4889dde503efe330812bfd"),
     "stab-exp2-post-theta": ("f3d1c9d7d65dea3ba7292a78246a3eb2"
                              "0d9c9b1fd5fdfd411d3bb39f6680cc4e"),
-    "conv-exp1-grid": ("7c8c194c8ee9d50140407a78c2d6d284"
-                       "efd918c442e521ce0454a77d0cdb305e"),
-    "conv-custom-z": ("fe5503ace86df95bbadc503eef702077"
-                      "bc48d47ea717c7eec2e0fda37fcd7850"),
+    "conv-exp1-grid": ("4d21e8661ecad42c5bc18cf91242a077"
+                       "fd778b45b9ff8f45e1acecbfd43a3645"),
+    "conv-custom-z": ("2d747afd224dd15dd98d3514fd5eeec9"
+                      "25a146172558e61b8dacc3ca45fb50e5"),
 }
 
 
@@ -146,7 +148,7 @@ def record_runs(monkeypatch, args, out):
     for mod in (analysis, cli, oracle):
         monkeypatch.setattr(mod, "run_backward", recording)
     with contextlib.redirect_stdout(io.StringIO()):
-        cli.main.main(args=args + ["--no-timing", "--out", str(out)],
+        cli.main.main(args=args + ["--out", str(out)],
                       prog_name="fptree", standalone_mode=False)
     return runs, digest.hexdigest()
 

@@ -1,9 +1,10 @@
 """Source hygiene: every imported name is used by the file importing it,
 every ``__all__`` entry of the library names a module-level definition,
 every private module-level name of the library is read by it, no
-library module but ``forward`` reads a lattice's child tables, and no
+library module but ``forward`` reads a lattice's child tables, no
 library function takes a run beside a lattice or a model (a run carries
-its own).
+its own), and no library module but ``cli`` imports ``time`` (the
+library reports counts, not wall times).
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -160,3 +161,33 @@ def test_no_function_takes_a_run_and_its_lattice(path):
     # run.lattice and run.model are the lattice a run was made on and
     # the model it solved; a second argument could name another
     assert run_beside_its_parts(path.read_text(encoding="utf-8")) == []
+
+
+def imports_of(source: str, module: str):
+    """Line numbers where the source imports `module` or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n == module or n.startswith(module + ".") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_flags_an_import_of_time():
+    source = ("import timeit\nimport os, time\nfrom time import sleep\n"
+              "from .time import x\nimport datetime\n")
+    assert imports_of(source, "time") == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cli.py"],
+    ids=lambda p: p.name)
+def test_only_cli_imports_time(path):
+    # wall time is console output of the CLI; an artifact holds none, so
+    # byte-stability needs no flag
+    assert imports_of(path.read_text(encoding="utf-8"), "time") == []

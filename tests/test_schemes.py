@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import fptree as fp
 from fptree.forward import Lattice
 from fptree.schemes import (
-    SCHEME_KINDS, SchemeError, SolverError, _bracket_end, _level, _solve,
+    _TOL, SCHEME_KINDS, SchemeError, SolverError, _bracket_end, _level,
+    _solve,
 )
 
 from conftest import (
-    WCOL, build, child_indices, col, one_node, reference_solve,
+    WCOL, build, child_indices, col, float_key, one_node, reference_solve,
     scalar_truncate,
 )
 
@@ -26,6 +27,7 @@ HAND_CUBIC = fp.DriverSpec(eval=lambda y, z: -y - y * y * y, M_y=-1.0,
                            dfdy=lambda y, z: -1.0 - 3.0 * y * y)
 QUINTIC = fp.poly_driver((0.0, -1.0, 0.0, 0.5, 0.0, -0.25), z_coeff=0.3)
 NAN = math.nan
+U = 2.0 ** -53  # unit roundoff
 
 
 def H_for(h):
@@ -575,6 +577,46 @@ class TestRunBackward:
         run = fp.run_backward(cfg, build(exp1_model, 4), exp1_model)
         assert run.model is exp1_model
 
+    def test_lattice_records_its_model(self, exp1_model):
+        grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=80)
+        assert build(exp1_model, 4).model is exp1_model
+        assert build(exp1_model, 4, grid).model is exp1_model
+
+    @pytest.mark.parametrize("kind", ["full_projection_pre", "implicit_euler"])
+    def test_rejects_a_model_of_another_lattice(self, kind, exp1_trunc):
+        # experiment1's model on experiment2's lattice (sigma 2.5, not
+        # 1.5) gave fp a Y0 of 0.268 on states that are not its own
+        cfg = fp.SchemeConfig(
+            kind=kind,
+            truncation=exp1_trunc if kind.startswith("full_") else None)
+        lat = build(fp.experiment2_model(), 15)
+        with pytest.raises(fp.ConfigurationError, match="from the lattice's"):
+            fp.run_backward(cfg, lat, fp.experiment1_model())
+
+    @pytest.mark.parametrize("change", [
+        dict(T=2.0), dict(x0=0.5), dict(b=fp.constant_b_sigma(0.1, 1.5)[0]),
+        dict(sigma=fp.constant_b_sigma(0.0, 1.6)[1]),
+    ])
+    def test_rejects_each_field_but_g_and_driver(self, change, exp1_model):
+        lat = build(exp1_model, 4)
+        with pytest.raises(fp.ConfigurationError, match="from the lattice's"):
+            fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat,
+                            exp1_model._replace(**change))
+
+    def test_accepts_another_g_and_driver_and_an_equal_model(self,
+                                                             exp1_model):
+        # the perturbed-terminal run is model._replace(g=...); a model
+        # built again from the same settings equals the lattice's
+        lat = build(exp1_model, 4)
+        cfg = fp.SchemeConfig(kind="implicit_euler")
+        other = exp1_model._replace(g=lambda x: 0.5 * x,
+                                    driver=fp.poly_driver((0.0, -1.0)))
+        assert fp.run_backward(cfg, lat, other).model is other
+        again = fp.experiment1_model()
+        assert again is not exp1_model
+        assert fp.run_backward(cfg, lat, again).y0 == fp.run_backward(
+            cfg, lat, exp1_model).y0
+
     def test_implicit_counts_solver_iterations(self):
         m = fp.experiment1_model()
         lat = build(m, 8)
@@ -611,9 +653,10 @@ class TestRunBackward:
         xs = np.array([-math.inf, -1e200, -2.5, -0.0, 0.0, 0.75, 1e200,
                        math.inf, NAN])
         tg = fp.TimeGrid(T=1.0, N=1)
-        lat = Lattice(time_grid=tg, supports=(np.zeros(1), xs),
-                      children=(np.array([[2, 3, 4]]),), saturation_count=0)
         m = fp.experiment2_model()
+        lat = Lattice(time_grid=tg, supports=(np.zeros(1), xs),
+                      children=(np.array([[2, 3, 4]]),), saturation_count=0,
+                      model=m)
         run = fp.run_backward(fp.SchemeConfig(kind="explicit_euler"), lat,
                               m._replace(g=g))
         for want in ([float(g(x)) for x in xs.tolist()],
@@ -822,42 +865,84 @@ def plain_sum(t):
     return (t[0] + t[2]) + t[1]
 
 
-def scalar_reference(cfg, lattice, spec):
-    """The scheme node by node in Python floats, each expectation the
-    plain sum in the operator's order.
-
-    Returns the (y, z) levels from the root, or None as soon as a value
-    is not finite.
-    """
-    tg = lattice.time_grid
-    h, f, df = tg.h, spec.driver.eval, spec.driver.dfdy
+def scalar_level(cfg, lattice, spec, i, nxt):
+    """The m and z of every node of level i in Python floats, from the
+    level i + 1 values nxt, each expectation the plain sum in the
+    operator's order."""
+    h, f = lattice.time_grid.h, spec.driver.eval
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(cfg.kind, 0.0)
-    pre = cfg.kind == "full_projection_pre"
-    post = cfg.kind == "full_projection_post"
     T = partial(scalar_truncate, cfg.truncation, h)
     H, _ = fp.weight_values(h)
+    ms, zs = [], []
+    for pos in range(len(lattice.supports[i])):
+        v = [nxt[c] for c in child_indices(lattice, i, pos)]
+        if cfg.kind == "full_projection_pre":
+            v = [T(x) for x in v]
+        z = plain_sum([w * x * hj for w, x, hj in zip(fp.WEIGHTS, v, H)])
+        if theta != 1.0:
+            v = [x + f(x, z) * ((1.0 - theta) * h) for x in v]
+        ms.append(plain_sum([w * x for w, x in zip(fp.WEIGHTS, v)]))
+        zs.append(z)
+    return ms, zs
+
+
+def scalar_reference(cfg, lattice, spec):
+    """A theta = 0 kind node by node in Python floats, level after level
+    of scalar_level; no solve runs, so y is m.
+
+    Returns the (y, z) levels from the root, or None as soon as a level
+    holds a value that is not finite.
+    """
+    tg = lattice.time_grid
+    post = cfg.kind == "full_projection_post"
+    T = partial(scalar_truncate, cfg.truncation, tg.h)
 
     vals = [float(spec.g(x)) for x in lattice.supports[-1]]
     ys = [[T(v) for v in vals] if post else vals]
     zs = []
     for i in range(tg.N - 1, -1, -1):
-        y_level, z_level = [], []
-        for pos in range(len(lattice.supports[i])):
-            v = [ys[-1][c] for c in child_indices(lattice, i, pos)]
-            if pre:
-                v = [T(x) for x in v]
-            z = plain_sum([w * x * hj for w, x, hj in zip(fp.WEIGHTS, v, H)])
-            if theta != 1.0:
-                v = [x + f(x, z) * ((1.0 - theta) * h) for x in v]
-            m = plain_sum([w * x for w, x in zip(fp.WEIGHTS, v)])
-            if not (math.isfinite(m) and math.isfinite(z)):
-                return None
-            y = scalar_solve(m, z, theta * h, f, df) if theta else m
-            y_level.append(T(y) if post else y)
-            z_level.append(z)
-        ys.append(y_level)
+        ms, z_level = scalar_level(cfg, lattice, spec, i, ys[-1])
+        if not all(math.isfinite(v) for v in ms + z_level):
+            return None
+        ys.append([T(m) for m in ms] if post else ms)
         zs.append(z_level)
     return ys[::-1], zs[::-1]
+
+
+def assert_solve_accepts(y, m, z, hh, driver, coeffs, zc):
+    """y meets _solve's acceptance at m and z, and lies as close to the
+    scalar solve's root as the two stopping rules allow.
+
+    _solve accepts |F(y)| <= _TOL max(1, |m|), or else F changing sign
+    between y and the adjacent float toward the root.  The bound: the
+    exact F(v) = v - hh f(v, z) - m, for the floats m, z and hh, has
+    slope 1 - hh f_y >= c = 1 - hh max(M_y, 0) > 0, since f_y = c1 +
+    3 c3 y^2 <= c1 = M_y for c3 <= 0.  So any v lies within
+    |F_exact(v)| / c of the one root, and |F_exact(v)| <= |F(v)| + d(v),
+    where d(v) bounds the rounding of the computed F: the degree-3
+    Horner and the z term err by at most gamma_8 times A(v) = sum
+    |c_k| |v|^k + |zc z|, and the product with hh and the two
+    subtractions bring it to gamma_11 (|v| + |m| + hh A(v)), with
+    gamma_11 < 12u.  Two points that each meet some stopping rule lie
+    within the sum of their two distances to the root.
+    """
+    def F(v):
+        return v - hh * driver.eval(v, z) - m
+
+    def rounding(v):
+        terms = 0.0
+        for c in reversed(coeffs):
+            terms = terms * abs(v) + abs(c)
+        return 12.0 * U * (abs(v) + abs(m) + hh * (terms + abs(zc * z)))
+
+    fy = F(y)
+    if abs(fy) > _TOL * max(1.0, abs(m)):
+        fn = F(math.nextafter(y, -math.inf if fy > 0.0 else math.inf))
+        assert fn <= 0.0 if fy > 0.0 else fn >= 0.0
+    want = scalar_solve(m, z, hh, driver.eval, driver.dfdy)
+    c = 1.0 - hh * max(driver.M_y, 0.0)
+    bound = (abs(fy) + rounding(y) + abs(F(want)) + rounding(want)) / c
+    assert abs(y - want) <= bound
 
 
 class TestScalarReference:
@@ -879,6 +964,10 @@ class TestScalarReference:
     # hh c3 underflows to 0, where the closed-form root divided by zero
     @example(c0=0.0, c1=0.0, c3=-5e-324, zc=0.0, sigma=1.0, N=2, R0=1.0,
              alpha_frac=1.0, kind=("theta", 0.5), projected=False)
+    # two solves that each meet the tolerance differ by up to 7.6e-13
+    # relative at a level, and over 12 levels by 6.0e-12
+    @example(c0=0.4375, c1=0.3125, c3=-0.0625, zc=0.0, sigma=0.5, N=12,
+             R0=1.0, alpha_frac=1.0, kind=("theta", 0.5), projected=False)
     @settings(max_examples=120, deadline=None)
     def test_operator_matches_scalar_reference(
         self, c0, c1, c3, zc, sigma, N, R0, alpha_frac, kind, projected
@@ -896,21 +985,30 @@ class TestScalarReference:
         lattice = build(spec, N, grid)
 
         run = fp.run_backward(cfg, lattice, spec)
-        ref = scalar_reference(cfg, lattice, spec)
-        assert run.finite == (ref is not None)
-        if ref is None:
-            return
         if kind[1] == 0.0:
-            # no root-solve: the reference is the operator's arithmetic
+            # no root-solve: the reference is the operator's arithmetic,
+            # over the whole run
+            ref = scalar_reference(cfg, lattice, spec)
+            assert run.finite == (ref is not None)
+            if ref is None:
+                return
             for levels, ref_levels in ((run.y, ref[0]), (run.z, ref[1])):
                 for got, want in zip(levels, ref_levels):
                     assert np.array_equal(got, want)
             return
-        # the Newton kinds' scalar solve is not _solve's: relative to each
-        # quantity's largest value over the run, since cancellation leaves
-        # centre values near zero
-        for levels, ref_levels in ((run.y, ref[0]), (run.z, ref[1])):
-            scale = max(np.max(np.abs(v)) for v in ref_levels)
-            for got, want in zip(levels, ref_levels):
-                np.testing.assert_allclose(got, want, rtol=1e-12,
-                                           atol=1e-12 * scale)
+        # the Newton kinds: two solves that each meet their tolerance
+        # differ, and over a run the difference compounds, so each level
+        # is fed the operator's own level i + 1.  Then z is the
+        # operator's arithmetic, bitwise, and y the root of that level's
+        # m and z to within the stopping rules
+        hh = kind[1] * lattice.time_grid.h
+        for i in range(N - 1, -1, -1):
+            ms, zs = scalar_level(cfg, lattice, spec, i, run.y[i + 1].tolist())
+            assert ([float_key(v) for v in zs]
+                    == [float_key(v) for v in run.z[i].tolist()])
+            for m, z, y in zip(ms, zs, run.y[i].tolist()):
+                if not (math.isfinite(m) and math.isfinite(z)):
+                    assert math.isnan(y)
+                    continue
+                assert_solve_accepts(y, m, z, hh, driver, (c0, c1, 0.0, c3),
+                                     zc)
