@@ -34,7 +34,7 @@ import numpy as np
 
 from .forward import Lattice
 from .grids import WEIGHTS, TruncationConfig, _power, alpha_cap, truncate
-from .model import DriverSpec, ModelSpec
+from .model import DriverSpec
 from .oracle import OracleError
 from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
 from .treeval import chain_law, l2_norms
@@ -100,12 +100,11 @@ def _fit_slope(entries: Sequence[ErrorEntry]):
 
 
 def convergence_study(
-    spec: ModelSpec,
     cfg: SchemeConfig,
     lattices: Sequence[Lattice],
     reference: float,
 ) -> ErrorReport:
-    """Run the scheme on each lattice and fit the error order.
+    """Run the scheme on each lattice's model and fit the error order.
 
     The lattices are built by the caller, one per N in strictly
     increasing order, so every scheme of a study reads the same ones.
@@ -121,7 +120,7 @@ def convergence_study(
         raise ValueError("lattice Ns must be strictly increasing")
     entries = []
     for lattice in lattices:
-        run = run_backward(cfg, lattice, spec)
+        run = run_backward(cfg, lattice, lattice.model)
         y0 = run.y0
         err = abs(y0 - reference) if math.isfinite(y0) else math.nan
         entries.append(

@@ -17,10 +17,13 @@ Artifacts are deterministic: no timestamps, no host details, no wall
 times (those go to the console); they are byte-identical across runs.
 
 Exit codes: 0 success, 1 check/run failure, 2 configuration error.
+_settings raises every configuration error, before any file is written
+or any run starts; _run_failure reports every failed run in one line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -31,7 +34,7 @@ import click
 
 from . import analysis
 from .analysis import convergence_study, minmax_processes
-from .forward import build_lattice, dump_lattice
+from .forward import Lattice, build_lattice, dump_lattice
 from .grids import (
     ConfigurationError,
     SpatialGrid,
@@ -122,7 +125,7 @@ _FILE_OPTIONS = {o.key: o for o in _OPTIONS if o.key != "config"}
 _MODEL_KEYS = ("t", "x0", "b", "sigma", "g", "driver", "driver-zcoef",
                "driver-my")
 
-_CONFIG_ERRORS = (ConfigurationError, ModelError, SchemeError, OracleError)
+_CONFIG_ERRORS = (ConfigurationError, ModelError, SchemeError)
 
 
 class Settings(NamedTuple):
@@ -137,6 +140,8 @@ class Settings(NamedTuple):
     out: Optional[str]
     no_timing: bool
     model: ModelSpec
+    configs: Tuple[SchemeConfig, ...]  # one per scheme
+    lattices: Tuple[Lattice, ...]  # one per N; check builds none
 
 
 def _parse_ns(text: str) -> Tuple[int, ...]:
@@ -297,8 +302,10 @@ def _shared_options(fn):
     return fn
 
 
-def _settings(kw: dict) -> Settings:
-    """Merge flags over config-file keys over preset defaults."""
+def _settings(kw: dict, command: str) -> Settings:
+    """Merge flags over config-file keys over preset defaults and
+    resolve what the command reads: each scheme's config, each N's mesh
+    and, unless the command is check, each N's lattice."""
     sections = _read_config_file(kw["config"]) if kw["config"] else {}
     run_keys = sections.get("run", {})
     _check_keys("run", run_keys, _FILE_OPTIONS)
@@ -336,6 +343,11 @@ def _settings(kw: dict) -> Settings:
                 "N=%d appears twice in Ns; its artifacts would overwrite "
                 "each other" % N
             )
+    if command == "convergence" and list(values["ns"]) != sorted(values["ns"]):
+        raise click.UsageError(
+            "convergence needs increasing Ns, got %s"
+            % ",".join(str(N) for N in values["ns"])
+        )
     for i, name in enumerate(values["scheme"]):
         if name in values["scheme"][:i]:
             raise click.UsageError(
@@ -349,49 +361,51 @@ def _settings(kw: dict) -> Settings:
                 % (key.replace("_", "-"), values[key])
             )
     try:
-        values["model"] = base["model"](sections.get("model", {}))
+        model = values["model"] = base["model"](sections.get("model", {}))
+        m = model.driver.m
         if values["alpha"] is None:
-            values["alpha"] = default_alpha(values["model"].driver.m)
-        values["truncation"] = TruncationConfig(
+            values["alpha"] = default_alpha(m)
+        trunc = values["truncation"] = TruncationConfig(
             R0=values.pop("r0"), alpha=values.pop("alpha"))
-        st = Settings(**values)
-        for name in st.scheme:
-            _scheme_config(name, st)
+        values["configs"] = tuple(
+            _scheme_config(name, trunc, m) for name in values["scheme"])
+        if command == "convergence" and base["reference"] == "proxy":
+            check_alpha(trunc, m)  # the proxy reference runs fp
+        # every scheme, ledger and --dump-lattice of a run reads these,
+        # so each N's lattice is built once
+        grids = [_grid_for(model, values["eta"], values["grid_extent"], N)
+                 for N in values["ns"]]
+        values["lattices"] = () if command == "check" else tuple(
+            build_lattice(model, N, grid)
+            for N, grid in zip(values["ns"], grids))
     except _CONFIG_ERRORS as err:
         raise click.UsageError(str(err))
-    return st
+    return Settings(**values)
 
 
-def _lattices(st: Settings) -> tuple:
-    """One lattice per N of st.ns, in that order.
-
-    Every scheme, ledger and --dump-lattice of a run reads these, so
-    each N's lattice is built once.
-    """
-    return tuple(build_lattice(st.model, N, _grid_for(st, st.model.T / N))
-                 for N in st.ns)
-
-
-def _grid_for(st: Settings, h: float) -> Optional[SpatialGrid]:
-    """Spatial mesh for one run, or None for the exact recombining tree.
+def _grid_for(model: ModelSpec, eta: Optional[float],
+              extent: Optional[float], N: int) -> Optional[SpatialGrid]:
+    """Spatial mesh for the run of N steps, or None for the exact
+    recombining tree.
 
     A grid is opt-in (--eta / --grid-extent); without one the lattice
     recombines exactly, which dominates any eta > 0.  When only the
     extent is given the mesh defaults to eta = h^2 so the projection
     error O(eta/h) stays one order below the scheme's O(h).
     """
-    if st.eta is None and st.grid_extent is None:
+    if eta is None and extent is None:
         return None
-    eta = st.eta if st.eta is not None else h * h
-    extent = st.grid_extent
+    if eta is None:
+        h = model.T / N
+        eta = h * h
     if extent is None:
-        extent = 6.0 * abs(st.model.sigma_const) * math.sqrt(st.model.T)
+        extent = 6.0 * abs(model.sigma_const) * math.sqrt(model.T)
     if not math.isfinite(extent / eta):
         raise ConfigurationError(
             "grid extent %g over eta %g gives no finite number of mesh "
             "points" % (extent, eta))
     return SpatialGrid(
-        x0=st.model.x0, eta=eta, M=max(1, int(math.ceil(extent / eta)))
+        x0=model.x0, eta=eta, M=max(1, int(math.ceil(extent / eta)))
     )
 
 
@@ -403,7 +417,7 @@ _SCHEME_KINDS = {
 }
 
 
-def _scheme_config(name: str, st: Settings) -> SchemeConfig:
+def _scheme_config(name: str, trunc: TruncationConfig, m: int) -> SchemeConfig:
     if name.startswith("theta="):
         try:
             theta = float(name.split("=", 1)[1])
@@ -420,8 +434,18 @@ def _scheme_config(name: str, st: Settings) -> SchemeConfig:
         )
     if not name.startswith("fp"):
         return SchemeConfig(kind=_SCHEME_KINDS[name])
-    check_alpha(st.truncation, st.model.driver.m)
-    return SchemeConfig(kind=_SCHEME_KINDS[name], truncation=st.truncation)
+    check_alpha(trunc, m)
+    return SchemeConfig(kind=_SCHEME_KINDS[name], truncation=trunc)
+
+
+@contextlib.contextmanager
+def _run_failure(what: str):
+    """End the command with 'Error: <what> failed: <why>' and exit 1
+    when a run in the block fails."""
+    try:
+        yield
+    except (SolverError, OracleError, FdSolverError) as err:
+        raise click.ClickException("%s failed: %s" % (what, err))
 
 
 def _out_dir(st: Settings) -> str:
@@ -499,19 +523,13 @@ def _ledger_digest(ledger: analysis.StabilityLedger) -> dict:
 
 def _reference_for(st: Settings) -> dict:
     """The summary's oracle block; errors are taken against its value."""
-    base = _PRESETS[st.preset]
-    if base["reference"] == "linear_oracle":
+    if _PRESETS[st.preset]["reference"] == "linear_oracle":
         a = st.model.driver.eval(1.0, 0.0) - st.model.driver.f00
         _, y0 = linear_solution(a, st.model)
         return {"kind": "linear_oracle", "value": y0, "a": a}
-    proxy = proxy_reference(st.model, st.truncation)
-    return {
-        "kind": "proxy",
-        "value": proxy.value,
-        "implicit_y0": proxy.implicit_y0,
-        "fp_y0": proxy.fp_y0,
-        "N": proxy.N,
-    }
+    with _run_failure("proxy reference"):
+        proxy = proxy_reference(st.model, st.truncation)
+    return {"kind": "proxy", **proxy._asdict()}
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +546,7 @@ def main():
 @_shared_options
 def check(**kw):
     """Validate the settings and the model's declared constants."""
-    st = _settings(kw)
+    st = _settings(kw, "check")
     # a bad --out is a usage error, reported before any verdict
     out = _out_dir(st) if st.out else None
     report = validate_model(st.model)
@@ -558,27 +576,13 @@ def check(**kw):
               help="write lattice structure JSON per N")
 def convergence(fd_check, dump_flag, **kw):
     """Y0 versus N for each scheme against the configured reference."""
-    st = _settings(kw)
-    if list(st.ns) != sorted(st.ns):
-        raise click.UsageError(
-            "convergence needs increasing Ns, got %s"
-            % ",".join(str(N) for N in st.ns)
-        )
+    st = _settings(kw, "convergence")
     out = _out_dir(st)
-    try:
-        oracle_info = _reference_for(st)
-        lattices = _lattices(st)
-    except _CONFIG_ERRORS as err:
-        raise click.UsageError(str(err))
-    except SolverError as err:
-        raise click.ClickException("proxy reference failed: %s" % err)
-
+    oracle_info = _reference_for(st)
     if fd_check:
-        try:
+        with _run_failure("FD oracle"):
             pde = fd_solve(st.model, dx=0.02)
             oracle_info["fd_value_at_origin"] = pde.value_at(0.0, st.model.x0)
-        except (FdSolverError, OracleError) as err:
-            raise click.ClickException("FD oracle failed: %s" % err)
 
     summary = {
         "command": "convergence",
@@ -586,17 +590,10 @@ def convergence(fd_check, dump_flag, **kw):
         "oracle": oracle_info,
         "schemes": {},
     }
-    for name in st.scheme:
-        cfg = _scheme_config(name, st)
+    for name, cfg in zip(st.scheme, st.configs):
         t0 = time.perf_counter()
-        try:
-            report = convergence_study(
-                st.model, cfg, lattices, oracle_info["value"]
-            )
-        except SolverError as err:
-            raise click.ClickException(
-                "scheme %s failed: %s" % (name, err)
-            )
+        with _run_failure("scheme %s" % name):
+            report = convergence_study(cfg, st.lattices, oracle_info["value"])
         seconds = time.perf_counter() - t0
         _write_csv(
             os.path.join(out, "convergence_%s.csv" % name.replace("=", "_")),
@@ -623,7 +620,7 @@ def convergence(fd_check, dump_flag, **kw):
         )
 
     if dump_flag:
-        for N, lattice in zip(st.ns, lattices):
+        for N, lattice in zip(st.ns, st.lattices):
             _write_json(
                 os.path.join(out, "lattice_N%d.json" % N),
                 dump_lattice(lattice),
@@ -637,13 +634,9 @@ def convergence(fd_check, dump_flag, **kw):
 @_shared_options
 def stability(**kw):
     """Per-level max/min curves and stability ledgers."""
-    st = _settings(kw)
+    st = _settings(kw, "stability")
     out = _out_dir(st)
     trunc = st.truncation
-    try:
-        lattices = _lattices(st)
-    except _CONFIG_ERRORS as err:
-        raise click.UsageError(str(err))
     summary = {
         "command": "stability",
         "settings": _settings_echo(st),
@@ -652,15 +645,10 @@ def stability(**kw):
     g, clamp7 = st.model.g, lipschitz_clamp_g(-7.0, 7.0)
     perturbed = st.model._replace(g=lambda x: g(x) + 0.1 * clamp7(x))
 
-    for name in st.scheme:
-        cfg = _scheme_config(name, st)
-        for N, lattice in zip(st.ns, lattices):
-            try:
+    for name, cfg in zip(st.scheme, st.configs):
+        for N, lattice in zip(st.ns, st.lattices):
+            with _run_failure("scheme %s" % name):
                 run = run_backward(cfg, lattice, st.model)
-            except SolverError as err:
-                raise click.ClickException(
-                    "scheme %s at N=%d failed: %s" % (name, N, err)
-                )
             key = "%s_N%d" % (name, N)
             _write_csv(
                 os.path.join(out, "minmax_%s.csv" % key),

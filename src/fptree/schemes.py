@@ -356,9 +356,9 @@ def run_backward(
     lattice's own, in g and the driver alone, else ConfigurationError.
     The run is deterministic: identical inputs give bit-identical
     outputs.  Implicit solver failures raise SolverError tagged with the
-    level and node; explicit explosions are recorded in the values and
-    the finite flag instead.  For full_projection_post the flag is taken
-    on the truncated values.
+    level and node, whose message names N too; explicit explosions are
+    recorded in the values and the finite flag instead.  For
+    full_projection_post the flag is taken on the truncated values.
     """
     base = lattice.model
     if spec._replace(g=base.g, driver=base.driver) != base:
@@ -396,8 +396,8 @@ def run_backward(
                 y, z, total, most = _level(kids, W, H, driver, h, theta)
             except SolverError as err:
                 raise SolverError(
-                    "implicit solve failed at level %d node %d: %s"
-                    % (i, err.node, err),
+                    "implicit solve failed at N=%d level %d node %d: %s"
+                    % (tg.N, i, err.node, err),
                     level=i,
                     node=err.node,
                 ) from err

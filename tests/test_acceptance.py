@@ -68,7 +68,7 @@ def test_c3_linear_driver_first_order_convergence():
         truncation=fp.TruncationConfig(R0=10.0, alpha=1.0),
     )
     report = fp.convergence_study(
-        spec, cfg, [build(spec, N) for N in (10, 20, 40, 80, 160, 320)],
+        cfg, [build(spec, N) for N in (10, 20, 40, 80, 160, 320)],
         reference=y0,
     )
     final_err = report.entries[-1].err

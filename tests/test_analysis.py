@@ -22,7 +22,7 @@ class TestConvergenceStudy:
         _, y0 = fp.linear_solution(-1.0, model)
         cfg = fp.SchemeConfig(kind="implicit_euler")
         report = fp.convergence_study(
-            model, cfg, [build(model, N) for N in (10, 20, 40, 80)],
+            cfg, [build(model, N) for N in (10, 20, 40, 80)],
             reference=y0,
         )
         assert report.slope == pytest.approx(1.0, abs=0.15)
@@ -31,7 +31,7 @@ class TestConvergenceStudy:
         assert errs == sorted(errs, reverse=True)
         # the study times nothing: a second call gives an equal report
         assert report == fp.convergence_study(
-            model, cfg, [build(model, N) for N in (10, 20, 40, 80)],
+            cfg, [build(model, N) for N in (10, 20, 40, 80)],
             reference=y0,
         )
 
@@ -40,7 +40,7 @@ class TestConvergenceStudy:
         _, y0 = fp.linear_solution(-1.0, model)
         cfg = fp.SchemeConfig(kind="full_projection_pre", truncation=LINEAR_TRUNC)
         report = fp.convergence_study(
-            model, cfg, [build(model, N) for N in (10, 20, 40)],
+            cfg, [build(model, N) for N in (10, 20, 40)],
             reference=y0,
         )
         assert report.slope == pytest.approx(1.0, abs=0.2)
@@ -52,14 +52,14 @@ class TestConvergenceStudy:
         for Ns in ((40, 20), (20, 20), ()):
             with pytest.raises(ValueError):
                 fp.convergence_study(
-                    model, cfg, [build(model, N) for N in Ns],
+                    cfg, [build(model, N) for N in Ns],
                     reference=1.0,
                 )
 
     def test_exploded_entries_excluded_from_fit(self, exp2_model):
         cfg = fp.SchemeConfig(kind="explicit_euler")
         report = fp.convergence_study(
-            exp2_model, cfg, [build(exp2_model, N) for N in (10, 15, 25)],
+            cfg, [build(exp2_model, N) for N in (10, 15, 25)],
             reference=0.0,
         )
         assert any(e.exploded for e in report.entries)

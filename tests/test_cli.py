@@ -209,40 +209,86 @@ class TestConvergence:
         digest = summary["schemes"]["fp"]
         assert digest["err"]["20"] <= 0.5
 
-    def test_eta_must_be_positive(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["check", "convergence",
+                                         "stability"])
+    def test_eta_must_be_positive(self, runner, tmp_path, command):
         # eta and the grid extent must be positive and finite, and the
         # mesh they give must have finitely many points, with indices
-        # exact in floats: each case is a configuration error, with no
-        # traceback (at eta = 1e-300 an unchecked int64 cast wraps and
-        # gives a silent Y0 of 0.0)
+        # exact in floats: each case is a configuration error of every
+        # command, with no traceback and nothing written (at eta =
+        # 1e-300 an unchecked int64 cast wraps and gives a silent Y0 of
+        # 0.0)
+        out = tmp_path / "art"
         for flags in (["--eta", "-0.1"], ["--eta", "nan"], ["--eta", "inf"],
                       ["--grid-extent", "0"], ["--grid-extent", "nan"],
                       ["--grid-extent", "inf"], ["--eta", "1e-320"],
-                      ["--eta", "1e-300", "--grid-extent", "1"]):
+                      ["--eta", "1e-300", "--grid-extent", "1"],
+                      ["--eta", "1e-20", "--grid-extent", "1"]):
             result = runner.invoke(main, [
-                "convergence", "--preset", "linear-oracle", "--Ns", "10",
-                *flags, "--out", str(tmp_path / "art"),
+                command, "--preset", "linear-oracle", "--Ns", "10",
+                *flags, "--out", str(out),
             ])
             assert result.exit_code == 2, (flags, result.output)
             assert isinstance(result.exception, SystemExit), flags
+            assert not out.exists(), flags
 
-    def test_failing_proxy_is_an_error_line(self, runner, tmp_path):
-        # the proxy's implicit run at N=120 has h*M_y = 100/120 >= 0.5:
+    @pytest.mark.parametrize("model, why", [
+        # the proxy's implicit run at N=120 has h*M_y = 100/120 >= 0.5
+        ("t = 100\nsigma = 1.0\ng = quadratic\ndriver = poly:0,1\n",
+         "implicit solve failed at N=120 level 119 node 0: step size "
+         "violates the implicit contraction guard: h*theta*M_y = 0.833333 "
+         ">= 0.5"),
+        # both of the proxy's runs are inf from the terminal level on
+        ("sigma = 1.0\ng = const:inf\ndriver = poly:0,-1\n",
+         "proxy reference needs finite runs: implicit finite=False, "
+         "full-projection finite=False"),
+    ], ids=["steep", "nonfinite"])
+    def test_failing_proxy_is_an_error_line(self, runner, tmp_path, model,
+                                            why):
+        # a failed proxy run is a run failure, not a configuration error:
         # the command fails with one Error: line, not a traceback
-        cfg = tmp_path / "steep.cfg"
-        cfg.write_text(
-            "[run]\npreset = custom\nns = 5\n"
-            "[model]\nt = 100\nsigma = 1.0\ng = quadratic\n"
-            "driver = poly:0,1\n"
-        )
+        cfg = tmp_path / "proxy.cfg"
+        cfg.write_text("[run]\npreset = custom\nns = 5\n[model]\n" + model)
         result = runner.invoke(main, [
             "convergence", "--config", str(cfg), "--out", str(tmp_path / "art"),
         ])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
-        [line] = result.output.splitlines()
-        assert line.startswith("Error: proxy reference failed: ")
-        assert "h*theta*M_y = 0.833333 >= 0.5" in line
+        assert result.output.splitlines() == [
+            "Error: proxy reference failed: " + why]
+
+    @pytest.mark.parametrize("args, model, named", [
+        # the proxy runs fp, which needs alpha <= 0.25 for m = 3, whatever
+        # the schemes
+        (["--preset", "experiment1", "--scheme", "implicit",
+          "--alpha", "0.3"], None, "alpha=0.3 exceeds 1/(2(m-1))=0.25"),
+        (["--preset", "experiment1", "--eta", "1e-20", "--grid-extent", "1"],
+         None, "M must be at most 2**52"),
+        # the N=1 lattice's first forward step overflows
+        (["--Ns", "1", "--eta", "0.5", "--grid-extent", "1"],
+         "sigma = 1.7e308\ng = quadratic\n",
+         "the forward step from level 0 node 0 (branch 0) gave the "
+         "non-finite state -inf"),
+    ], ids=["fp-alpha", "grid", "lattice"])
+    def test_settings_error_runs_no_proxy(self, runner, tmp_path,
+                                          monkeypatch, args, model, named):
+        # a settings error exits 2 before the proxy reference runs and
+        # before --out is made
+        def no_proxy(*a, **kw):
+            raise AssertionError("the proxy reference ran")
+
+        monkeypatch.setattr(cli, "proxy_reference", no_proxy)
+        if model is not None:
+            cfg = tmp_path / "model.cfg"
+            cfg.write_text("[run]\npreset = custom\n[model]\n" + model)
+            args = args + ["--config", str(cfg)]
+        out = tmp_path / "art"
+        result = runner.invoke(main, ["convergence", *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert named in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "convergence"])
     def test_huge_alpha_runs_untruncated(self, runner, tmp_path, command):
@@ -401,6 +447,23 @@ def test_out_that_cannot_be_a_directory(runner, tmp_path, command, below):
     assert isinstance(result.exception, SystemExit)
     assert "bad --out %s: " % out in result.output
     assert "PASS" not in result.output and "FAIL" not in result.output
+
+
+@pytest.mark.parametrize("command", ["convergence", "stability"])
+def test_failing_scheme_names_its_N(runner, tmp_path, command):
+    # implicit at N=5 has h*M_y = 4/5 >= 0.5; the proxy's N=120 run is
+    # fine, and both commands report the failure in one format
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("[run]\npreset = custom\nns = 5,10\nscheme = implicit\n"
+                   "[model]\nt = 4\nsigma = 1.0\ng = quadratic\n"
+                   "driver = poly:0,1\n")
+    result = runner.invoke(main, [command, "--config", str(cfg),
+                                  "--out", str(tmp_path / "art")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: scheme implicit failed: implicit solve "
+                           "failed at N=5 level 4 node 0: "), line
 
 
 def test_one_step_kind_passed_by_keyword(runner, tmp_path, monkeypatch):

@@ -3,8 +3,9 @@ every ``__all__`` entry of the library names a module-level definition,
 every private module-level name of the library is read by it, no
 library module but ``forward`` reads a lattice's child tables, no
 library function takes a run beside a lattice or a model (a run carries
-its own), and no library module but ``cli`` imports ``time`` (the
-library reports counts, not wall times).
+its own), no library module but ``cli`` imports ``time`` (the
+library reports counts, not wall times), and in ``cli`` one function
+turns a failed run into exit 1 and one a configuration error into exit 2.
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -191,3 +192,39 @@ def test_only_cli_imports_time(path):
     # wall time is console output of the CLI; an artifact holds none, so
     # byte-stability needs no flag
     assert imports_of(path.read_text(encoding="utf-8"), "time") == []
+
+
+def readers_of(source: str, name: str):
+    """The top-level defs that read `name` as a name or an attribute;
+    a read outside every def counts as ``<module>``."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id == name
+                    and isinstance(sub.ctx, ast.Load)
+                    or isinstance(sub, ast.Attribute) and sub.attr == name):
+                found.add(owner)
+    return sorted(found)
+
+
+def test_scan_flags_a_read_outside_its_owner():
+    source = ("ERRS = (KeyError,)\n"
+              "def owner():\n    try: pass\n    except ERRS: pass\n"
+              "def other(e):\n    raise mod.ERRS(e)\n"
+              "def writer():\n    ERRS = ()\n"
+              "print(ERRS)\n")
+    assert readers_of(source, "ERRS") == ["<module>", "other", "owner"]
+
+
+@pytest.mark.parametrize("name, owner", [
+    ("ClickException", "_run_failure"),
+    ("_CONFIG_ERRORS", "_settings"),
+])
+def test_one_function_decides_each_error_exit(name, owner):
+    # a failed run becomes exit 1 in _run_failure alone, and a library
+    # configuration error becomes exit 2 in _settings alone, before any
+    # file is written or any run starts
+    cli = ROOT / "src" / "fptree" / "cli.py"
+    assert readers_of(cli.read_text(encoding="utf-8"), name) == [owner]
