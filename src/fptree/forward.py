@@ -165,7 +165,9 @@ def build_lattice(
     for i, t in enumerate(tg.times[:-1]):
         # the (nodes, branches) block of Euler steps from level i
         x = supports[i][:, None]
-        raw = x + spec.b(t, x) * h + spec.sigma(t, x) * dws
+        with np.errstate(all="ignore"):
+            # an overflowing step is reported below, not warned about
+            raw = x + spec.b(t, x) * h + spec.sigma(t, x) * dws
         if not np.isfinite(raw).all():
             node, branch = np.argwhere(~np.isfinite(raw))[0]
             raise ConfigurationError(

@@ -93,8 +93,10 @@ class DriverSpec(_Checked, _DriverSpecFields):
         with the array contract of eval, or None.  It is only the
         implicit solver's start: a wrong root costs Newton iterations,
         never accuracy, and a non-finite one, or one outside the
-        solver's bracket, leaves that node's start at m.
-        :func:`poly_driver` supplies it up to degree 3.
+        solver's bracket, leaves that node's start at m.  run_backward
+        takes it as a level's value where the solve returns the same
+        bits, so it returns a float64 array of m's shape, computed
+        elementwise.  :func:`poly_driver` supplies it up to degree 3.
     """
 
     __slots__ = ()

@@ -73,6 +73,8 @@ _FP_KINDS = ("full_projection_pre", "full_projection_post")
 # Newton iteration cap
 _TOL = 1e-12
 _MAX_ITER = 100
+# nodes of implicit levels that one _solve call checks (run_backward)
+_CHECK_NODES = 2048
 _FAILURES = (
     None,
     "implicit residual became non-finite",
@@ -143,6 +145,24 @@ def _branch_sum(t: np.ndarray) -> np.ndarray:
     return (t[0] + t[2]) + t[1]
 
 
+def _expectations(
+    kids: np.ndarray,
+    W: np.ndarray,
+    H: np.ndarray,
+    driver: DriverSpec,
+    h: float,
+    theta: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """m = E[v + (1 - theta) f(v, z) h] and z = E[v H] at every node of a
+    level, from the (branches, nodes) block of child values kids; W and
+    H are the (branches, 1) columns of branch weights and Z weights."""
+    wk = W * kids
+    z = _branch_sum(wk * H)
+    if theta != 1.0:
+        wk = W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h))
+    return _branch_sum(wk), z
+
+
 def _level(
     kids: np.ndarray,
     W: np.ndarray,
@@ -160,11 +180,7 @@ def _level(
     no solve runs).  Callers run it under np.errstate(all="ignore"):
     overflow is data.
     """
-    wk = W * kids
-    z = _branch_sum(wk * H)
-    if theta != 1.0:
-        wk = W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h))
-    m = _branch_sum(wk)
+    m, z = _expectations(kids, W, H, driver, h, theta)
     if theta == 0.0:
         y, total, most = m, 0, 0
     else:
@@ -214,7 +230,11 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     Returns y, the per-node iteration counts, their total and their
     maximum, which is the number of passes since a node once out of
     `live` never returns; a failure raises SolverError carrying the
-    first failing node.
+    first failing node.  A node's path depends on its own m and z
+    alone, with eval, dfdy and root elementwise, and it never changes
+    once out of `live`: one call over the concatenated nodes of many
+    levels gives each level's y, counts and failures, which
+    run_backward relies on.
     """
     iters = np.zeros(m.shape, dtype=np.int64)
     ok = np.isfinite(m) & np.isfinite(z)
@@ -342,6 +362,20 @@ def _one_nan(nxt: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
     return all(bool((a.view(np.int64) == bits).all()) for a in (nxt, y, z))
 
 
+def _check(ms, zs, ys, driver: DriverSpec, hh: float):
+    """The Newton total and maximum of one _solve call over the
+    concatenated levels of m and z, or None where that call raises or
+    its y differs in any bit, nan patterns included, from ys."""
+    try:
+        y, _, total, most = _solve(np.concatenate(ms), np.concatenate(zs),
+                                   driver, hh)
+    except SolverError:
+        return None
+    if not np.array_equal(y.view(np.int64), np.concatenate(ys).view(np.int64)):
+        return None
+    return total, most
+
+
 def run_backward(
     cfg: SchemeConfig,
     lattice: Lattice,
@@ -359,6 +393,17 @@ def run_backward(
     level and node, whose message names N too; explicit explosions are
     recorded in the values and the finite flag instead.  For
     full_projection_post the flag is taken on the truncated values.
+
+    An implicit run (theta > 0) whose driver has a closed-form root
+    takes DriverSpec.root as each level's y and sweeps on, without a
+    solve.  Once the levels since the last check hold _CHECK_NODES
+    nodes, at a nan fixed point and at level 0, one _solve call over
+    their concatenated m and z checks them: where it returns each
+    level's root bit for bit, those are the values level by level
+    solving gives, and its counts are theirs.  Where it raises or
+    differs in any bit, those levels and all below run as without a
+    root check, each with its own _solve, and give that solve's
+    values, counts and SolverError.
     """
     base = lattice.model
     if spec._replace(g=base.g, driver=base.driver) != base:
@@ -385,27 +430,57 @@ def run_backward(
     z_levels = []
     iters_total = 0
     iters_max = 0
+    # while `guess` holds, levels take the closed-form root as y and
+    # `block` holds the m of those not yet checked
+    hh = theta * h
+    guess = theta != 0.0 and driver.root is not None
+    block = []
+    nodes = 0
 
     with np.errstate(all="ignore"):
-        for i in range(tg.N - 1, -1, -1):
+        i = tg.N - 1
+        while i >= 0:
             nxt = y_levels[-1]
             # truncation is elementwise: truncating the level once equals
             # truncating each node's children
             kids = lattice.gather(i, nxt if trunc is None else trunc(nxt))
-            try:
-                y, z, total, most = _level(kids, W, H, driver, h, theta)
-            except SolverError as err:
-                raise SolverError(
-                    "implicit solve failed at N=%d level %d node %d: %s"
-                    % (tg.N, i, err.node, err),
-                    level=i,
-                    node=err.node,
-                ) from err
-            iters_total += total
-            iters_max = max(iters_max, most)
+            if guess:
+                m, z = _expectations(kids, W, H, driver, h, theta)
+                y = driver.root(m, z, hh)
+                block.append(m)
+                nodes += m.size
+            else:
+                try:
+                    y, z, total, most = _level(kids, W, H, driver, h, theta)
+                except SolverError as err:
+                    raise SolverError(
+                        "implicit solve failed at N=%d level %d node %d: %s"
+                        % (tg.N, i, err.node, err),
+                        level=i,
+                        node=err.node,
+                    ) from err
+                iters_total += total
+                iters_max = max(iters_max, most)
             y_levels.append(y)
             z_levels.append(z)
-            if math.isnan(nxt[0]) and _one_nan(nxt, y, z):
+            stop = math.isnan(nxt[0]) and _one_nan(nxt, y, z)
+            if block and (stop or i == 0 or nodes >= _CHECK_NODES):
+                n = len(block)
+                counts = _check(block, z_levels[-n:], y_levels[-n:], driver,
+                                hh)
+                block = []
+                nodes = 0
+                if counts is None:
+                    # some root is not its level's value: the block's
+                    # levels and all below run with a _solve each, as a
+                    # root that misses once tends to miss again
+                    del y_levels[-n:], z_levels[-n:]
+                    guess = False
+                    i += n - 1
+                    continue
+                iters_total += counts[0]
+                iters_max = max(iters_max, counts[1])
+            if stop:
                 # the fixed point of the module docstring: no solve runs
                 # on a nan level, so the skipped levels add no iterations
                 for j in range(i - 1, -1, -1):
@@ -413,6 +488,7 @@ def run_backward(
                     y_levels.append(np.full(n, nxt[0]))
                     z_levels.append(np.full(n, nxt[0]))
                 break
+            i -= 1
 
     if kind == "full_projection_post":
         y_levels = [trunc(y) for y in y_levels]

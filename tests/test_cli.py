@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,22 @@ class TestConvergence:
         assert isinstance(result.exception, SystemExit)
         assert named in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["convergence", "stability"])
+    def test_overflowing_forward_step_warns_nothing(self, runner, tmp_path,
+                                                    command):
+        # the step overflows in numpy; the error line alone reports it
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("[run]\npreset = custom\n[model]\nsigma = 1.7e308\n"
+                       "g = quadratic\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                command, "--config", str(cfg), "--Ns", "1", "--eta", "0.5",
+                "--grid-extent", "1", "--out", str(tmp_path / "art")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "gave the non-finite state -inf" in result.output
 
     @pytest.mark.parametrize("command", ["check", "convergence"])
     def test_huge_alpha_runs_untruncated(self, runner, tmp_path, command):

@@ -1,13 +1,15 @@
 import hashlib
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
+from fptree import schemes
 from fptree.forward import Lattice
 from fptree.schemes import (
     _TOL, SCHEME_KINDS, SchemeError, SolverError, _bracket_end, _level,
@@ -721,7 +723,7 @@ class TestRunBackward:
         pre, post = (fp.run_backward(
             fp.SchemeConfig(kind=kind, truncation=trunc), lat, spec)
             for kind in ("full_projection_pre", "full_projection_post"))
-        ys, zs = shortcut_free_sweep(
+        ys, zs, _, _ = shortcut_free_sweep(
             fp.SchemeConfig(kind="full_projection_post", truncation=trunc),
             lat, spec)
         T = partial(fp.truncate, trunc, lat.time_grid.h)
@@ -736,26 +738,36 @@ class TestRunBackward:
 def shortcut_free_sweep(cfg, lattice, spec):
     """Backward induction through _level at every level, none skipped:
     the reference for run_backward.  The post variant truncates each
-    level as it is made and steps from the truncated values.  Returns
-    the (y, z) levels from the root."""
-    h = lattice.time_grid.h
+    level as it is made and steps from the truncated values.  A failed
+    solve raises SolverError with run_backward's message, level and
+    node.  Returns the (y, z) levels from the root and the Newton total
+    and maximum."""
+    N, h = lattice.time_grid.N, lattice.time_grid.h
     T = partial(fp.truncate, cfg.truncation, h)
     pre = T if cfg.kind == "full_projection_pre" else None
     post = T if cfg.kind == "full_projection_post" else None
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(cfg.kind, 0.0)
     x = lattice.supports[-1]
+    total = most = 0
     with np.errstate(all="ignore"):
         ys = [np.broadcast_to(spec.g(x), x.shape).astype(float)]
         if post is not None:
             ys[0] = post(ys[0])
         zs = []
-        for i in range(lattice.time_grid.N - 1, -1, -1):
+        for i in range(N - 1, -1, -1):
             kids = lattice.gather(i, ys[-1] if pre is None else pre(ys[-1]))
-            y, z, _, _ = _level(kids, WCOL, col(H_for(h)), spec.driver, h,
-                                theta)
+            try:
+                y, z, level_total, level_most = _level(
+                    kids, WCOL, col(H_for(h)), spec.driver, h, theta)
+            except SolverError as err:
+                raise SolverError(
+                    "implicit solve failed at N=%d level %d node %d: %s"
+                    % (N, i, err.node, err), level=i, node=err.node) from err
+            total += level_total
+            most = max(most, level_most)
             ys.append(y if post is None else post(y))
             zs.append(z)
-    return ys[::-1], zs[::-1]
+    return ys[::-1], zs[::-1], total, most
 
 
 def level_bytes(levels):
@@ -771,7 +783,7 @@ class TestAllNanLevels:
         lattice = build(exp1_model, 40, grid)
         cfg = fp.SchemeConfig(kind="explicit_euler")
         run = fp.run_backward(cfg, lattice, exp1_model)
-        ys, zs = shortcut_free_sweep(cfg, lattice, exp1_model)
+        ys, zs, _, _ = shortcut_free_sweep(cfg, lattice, exp1_model)
         # an all-nan level above the root, so levels below it were filled
         assert any(np.isnan(y).all() for y in run.y[1:])
         assert level_bytes(run.y) == level_bytes(ys)
@@ -787,11 +799,176 @@ class TestAllNanLevels:
         neg_nan = np.copysign(math.nan, -1.0)
         spec = exp1_model._replace(g=lambda x: np.full(x.shape, neg_nan))
         run = fp.run_backward(cfg, lattice, spec)
-        ys, zs = shortcut_free_sweep(cfg, lattice, spec)
+        ys, zs, _, _ = shortcut_free_sweep(cfg, lattice, spec)
         assert run.y[9].tobytes() != run.z[9].tobytes()
         assert level_bytes(run.y) == level_bytes(ys)
         assert level_bytes(run.z) == level_bytes(zs)
         assert run.solver_iterations_total == 0
+
+
+def run_outcome(sweep, cfg, lattice, spec):
+    """The levels' bytes, finite flag and Newton total and maximum of a
+    sweep, or the message, level and node of its SolverError."""
+    try:
+        ys, zs, finite, total, most = sweep(cfg, lattice, spec)
+    except SolverError as err:
+        return str(err), err.level, err.node
+    return level_bytes(ys), level_bytes(zs), finite, total, most
+
+
+def backward(cfg, lattice, spec):
+    run = fp.run_backward(cfg, lattice, spec)
+    return (run.y, run.z, run.finite, run.solver_iterations_total,
+            run.solver_iterations_max)
+
+
+def level_by_level(cfg, lattice, spec):
+    ys, zs, total, most = shortcut_free_sweep(cfg, lattice, spec)
+    return ys, zs, all(np.isfinite(y).all() for y in ys), total, most
+
+
+# terminal functions: x^2, x^2 scaled until the cubic's residual (1e103)
+# or g itself (1e308) overflows, an inf at the top node, nan on the
+# right half and a level of negative nan
+TERMINALS = {
+    "quadratic": fp.quadratic_g(),
+    "clamp": fp.lipschitz_clamp_g(-7.0, 7.0),
+    "1e103": lambda x: 1e103 * x * x,
+    "1e308": lambda x: 1e308 * x * x,
+    "inf-top": lambda x: np.where(x == x.max(), math.inf, x * x),
+    "nan-right": lambda x: np.where(x > 0.0, math.nan, x * x),
+    "neg-nan": lambda x: np.full(x.shape, np.copysign(math.nan, -1.0)),
+}
+
+
+class TestLevelChecks:
+    """run_backward's implicit levels, taken from the closed-form root and
+    checked in blocks by one _solve call, are those of _level level by
+    level: bits, counts and failures."""
+
+    @given(
+        deg=st.sampled_from([0, 1, 3]),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        c1=st.floats(-2.0, 4.0),
+        lead=st.floats(0.05, 1.0),
+        zc=st.one_of(st.just(0.0), st.floats(0.1, 1.0).flatmap(
+            lambda a: st.sampled_from([a, -a]))),
+        lie=st.one_of(st.none(), st.floats(0.1, 2.0)),
+        sigma=st.floats(0.5, 2.5), N=st.integers(1, 16),
+        theta=st.sampled_from([0.5, 1.0]),
+        projected=st.booleans(),
+        g=st.sampled_from(sorted(TERMINALS)),
+        block=st.sampled_from([1, 7, schemes._CHECK_NODES]),
+    )
+    # the overflow witness of test_first_failing_node_reported: the cubic
+    # residual overflows at the bracket end where |m| reaches 1e103
+    @example(deg=3, coeffs=[0.0, 0.0, 0.0], c1=0.0, lead=1.0, zc=0.0,
+             lie=None, sigma=1.5, N=10, theta=1.0, projected=False,
+             g="1e103", block=schemes._CHECK_NODES)
+    # experiment2 at N=15: its middle nodes have m = 0, where F(m) = 0
+    # and no Newton step runs
+    @example(deg=3, coeffs=[0.0, 0.0, 0.0], c1=-1.0, lead=1.0, zc=0.0,
+             lie=None, sigma=2.5, N=15, theta=1.0, projected=False,
+             g="clamp", block=schemes._CHECK_NODES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_level_by_level_solves(self, deg, coeffs, c1, lead, zc,
+                                           lie, sigma, N, theta, projected, g,
+                                           block):
+        # drivers of degree 0, 1 and 3, with and without a z term, some
+        # declaring an M_y below their slope or with theta h M_y >= 0.5;
+        # blocks of one level, a few levels and the module's budget
+        cs = {0: coeffs[:1], 1: [coeffs[0], c1],
+              3: [coeffs[0], c1, coeffs[1], -lead]}[deg]
+        driver = fp.poly_driver(cs, z_coeff=zc)
+        if lie is not None:
+            driver = driver._replace(M_y=driver.M_y - lie)
+        spec = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=sigma,
+                                      g=TERMINALS[g], driver=driver)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=80) if projected else None
+        lattice = build(spec, N, grid)
+        cfg = (fp.SchemeConfig(kind="implicit_euler") if theta == 1.0
+               else fp.SchemeConfig(kind="theta", theta=theta))
+
+        with mock.patch.object(schemes, "_CHECK_NODES", block):
+            got = run_outcome(backward, cfg, lattice, spec)
+        want = run_outcome(level_by_level, cfg, lattice, spec)
+        event("fails" if len(want) == 3 else
+              "finite" if want[2] else "not finite")
+        assert got == want
+
+    @pytest.mark.parametrize("where", ["everywhere", "level 0"])
+    def test_a_wrong_root_reruns_from_its_block(self, exp1_model, where):
+        # a root off by a relative 1e-9 is a start, not a value: Newton
+        # moves the node from it, so the check of the block holding it
+        # fails.  That block's levels and all below run again with a
+        # _solve each, bitwise as level by level solves, Newton counts
+        # included.  Off everywhere, the first block fails; off at the
+        # one node of level 0, the blocks above pass their checks
+        lattice = build(exp1_model, 120)
+        cfg = fp.SchemeConfig(kind="implicit_euler")
+        blocks = count_solves(lambda: fp.run_backward(cfg, lattice,
+                                                      exp1_model))
+        assert len(blocks) > 2
+        if where == "level 0":
+            h = lattice.time_grid.h
+            run = fp.run_backward(cfg, lattice, exp1_model)
+            m0, _ = schemes._expectations(
+                lattice.gather(0, run.y[1]), WCOL, col(H_for(h)),
+                exp1_model.driver, h, 1.0)
+            checked = blocks[:-1]
+        else:
+            m0, checked = None, []
+        true_root = exp1_model.driver.root
+
+        def root(m, z, hh):
+            y = true_root(m, z, hh)
+            return np.where(True if m0 is None else m == m0,
+                            y * (1.0 + 1e-9), y)
+
+        spec = exp1_model._replace(
+            driver=exp1_model.driver._replace(root=root))
+        levels = [len(lattice.supports[i]) for i in range(119, -1, -1)]
+        done = 0
+        while sum(levels[:done]) < sum(checked):
+            done += 1
+        calls = count_solves(lambda: fp.run_backward(cfg, lattice, spec))
+        assert calls == checked + [blocks[len(checked)]] + levels[done:]
+        want = run_outcome(level_by_level, cfg, lattice, spec)
+        assert run_outcome(backward, cfg, lattice, spec) == want
+        # one Newton iteration per node from the true root, more from
+        # the wrong one
+        assert want[3] == 14401 if m0 is not None else want[3] > 14400
+
+    @pytest.mark.parametrize("preset, N", [("experiment1", 120),
+                                           ("experiment2", 15)])
+    def test_one_solve_per_block(self, preset, N):
+        # a preset run solves each block once: the calls hold every node
+        # above the terminal level once, and each holds fewer than
+        # _CHECK_NODES plus the widest level's nodes, and each but the
+        # last at least _CHECK_NODES
+        spec = getattr(fp, preset + "_model")()
+        lattice = build(spec, N)
+        calls = count_solves(lambda: fp.run_backward(
+            fp.SchemeConfig(kind="implicit_euler"), lattice, spec))
+        widest = len(lattice.supports[N - 1])
+        assert sum(calls) == sum(map(len, lattice.supports[:N]))
+        assert all(schemes._CHECK_NODES <= n < schemes._CHECK_NODES + widest
+                   for n in calls[:-1])
+        assert calls[-1] < schemes._CHECK_NODES + widest
+
+
+def count_solves(run):
+    """The node counts of the _solve calls that run() makes."""
+    calls = []
+    solve = schemes._solve
+
+    def counted(m, z, driver, hh):
+        calls.append(m.size)
+        return solve(m, z, driver, hh)
+
+    with mock.patch.object(schemes, "_solve", counted):
+        run()
+    return calls
 
 
 class TestSolveReference:
