@@ -177,13 +177,21 @@ def truncate(cfg: TruncationConfig, h: float, y: np.ndarray) -> np.ndarray:
 
     The map is the projection onto [-R, R]: odd, 1-Lipschitz,
     idempotent and total.  nan stays nan (an exploded value must remain
-    visible) and +-inf maps to the signed cap.  The clamp below is
+    visible) and +-inf maps to the signed cap.  _truncator's clamp is
     bitwise the selection np.where(|y| <= R or y is nan, y,
     copysign(R, y)): np.maximum and np.minimum pass a nan operand
     through unchanged, keep -0.0 and, at |y| = R, give y.
     """
-    R = truncation_radius(cfg, h)
-    return np.minimum(np.maximum(y, -R), R)
+    return _truncator(cfg, h)(y)
+
+
+def _truncator(cfg: TruncationConfig, h: float):
+    """The map y -> truncate(cfg, h, y) on float64 values, its radius
+    computed once.  R and -R are float64 0-d arrays, which numpy applies
+    faster than Python floats, to the same bits."""
+    R = np.array(truncation_radius(cfg, h))
+    nR = -R
+    return lambda y: np.minimum(np.maximum(y, nR), R)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ class DriverSpec(_Checked, _DriverSpecFields):
         Polynomial growth degree, m >= 1.  m = 1 means globally
         Lipschitz in y.
     L_z : float
-        Lipschitz constant in z.
+        Lipschitz constant in z.  A driver that declares L_z = 0 must
+        not read z: run_backward calls its eval as eval(v, None) on the
+        child values of a level, once per child node.
     f00 : float
         The value f(0, 0).
     dfdy : callable
@@ -90,13 +92,16 @@ class DriverSpec(_Checked, _DriverSpecFields):
         steps and the finite-difference reaction bound read it.
     root : callable or None
         root(m, z, hh), the array of real roots of y - hh f(y, z) = m
-        with the array contract of eval, or None.  It is only the
-        implicit solver's start: a wrong root costs Newton iterations,
-        never accuracy, and a non-finite one, or one outside the
-        solver's bracket, leaves that node's start at m.  run_backward
-        takes it as a level's value where the solve returns the same
-        bits, so it returns a float64 array of m's shape, computed
-        elementwise.  :func:`poly_driver` supplies it up to degree 3.
+        with the array contract of eval, or None.  It is the implicit
+        solver's start: a wrong root never costs accuracy, and a
+        non-finite one, or one outside the solver's bracket, leaves that
+        node's start at m.  run_backward takes it as a level's value
+        where a solve started from it returns the same bits, so it
+        returns a float64 array of m's shape, computed elementwise.  It
+        is more than a start there: a root that misses costs the
+        guessed block of levels and one failed check before the level
+        by level solves begin.  :func:`poly_driver` supplies it up to
+        degree 3.
     """
 
     __slots__ = ()
@@ -142,6 +147,21 @@ def _horner(coeffs: Sequence[float]):
     return p
 
 
+def _per_hh(make):
+    """make(hh), computed again only when hh is not the object of the
+    last call: a run passes one hh object to every level's root."""
+    memo = [(None, None)]
+
+    def get(hh):
+        last, value = memo[0]
+        if hh is not last:
+            value = make(hh)
+            memo[0] = (hh, value)
+        return value
+
+    return get
+
+
 def _implicit_root(cs: Sequence[float], zc: float):
     """The closed-form real root of y - hh f(y, z) = m for the driver
     f = sum_k cs[k] y^k + zc z of degree <= 3, or None above degree 3.
@@ -155,32 +175,68 @@ def _implicit_root(cs: Sequence[float], zc: float):
     u = cbrt(|Q|/2 + s) and v = P/(3u), which is written as
     -Q/(u^2 + uv + v^2) to avoid the cancellation of u - v; s is a
     hypot, so Q^2 cannot overflow.
+
+    The constants of hh are computed once per hh and held as float64
+    0-d arrays, which numpy applies faster than Python floats, to the
+    same bits.  The cubic takes |Q|/2 as |Q/2|, the same float, and
+    skips the add of a zero hh c0 (at zc = 0) or a zero (2B^2 - 9C)B/27
+    where its only effect, the sign of a zero -Q and so of a zero
+    quotient, is lost in the quotient's subtraction of B/3: that
+    subtraction gives -B/3 at +-0, and +0.0 at B/3 = -0.0.  So B/3 must
+    not be +0.0 for the skip, and the bits stay the full formula's.
     """
     if len(cs) > 4:
         return None
     c0, c1, c2, c3 = (list(cs) + [0.0] * 3)[:4]
 
-    def fold(m, z, hh):
-        return m + hh * (c0 + zc * z if zc else c0)
+    def folder(hh):
+        if not zc:
+            hc0 = np.array(hh * c0)
+            return lambda m, z: m + hc0
+        hh_, c0_, zc_ = np.array(hh), np.array(c0), np.array(zc)
+        return lambda m, z: m + hh_ * (c0_ + zc_ * z)
 
     if not c3:  # degree <= 1: poly_driver admits no degree 2
-        return lambda m, z, hh: fold(m, z, hh) / (1.0 - hh * c1)
-    B = c2 / c3
+        @_per_hh
+        def linear(hh):
+            return folder(hh), np.array(1.0 - hh * c1)
 
-    def root(m, z, hh):
+        def root(m, z, hh):
+            fold, d = linear(hh)
+            return fold(m, z) / d
+        return root
+    B = c2 / c3
+    B3 = np.array(B / 3.0)
+    # whether subtracting B/3 loses the sign of a zero
+    lost = B / 3.0 != 0.0 or math.copysign(1.0, B / 3.0) < 0.0
+    half = np.array(0.5)
+
+    @_per_hh
+    def cubic(hh):
         a = -hh * c3
         # a underflows to 0 where hh |c3| is below the least subnormal:
         # numpy's division makes C inf there, and the root nan, no start
         C = np.float64(1.0 - hh * c1) / a
         P = C - B * B / 3.0
         # -Q = M/a - B (2B^2 - 9C)/27
-        nq = fold(m, z, hh) / a - B * (2.0 * B * B - 9.0 * C) / 27.0
+        off = B * (2.0 * B * B - 9.0 * C) / 27.0
         # P <= 0 (F not increasing) gives no start
         k = P * math.sqrt(P / 27.0) if P > 0.0 else math.nan
-        s = np.hypot(0.5 * nq, k)
-        u = np.cbrt(0.5 * np.abs(nq) + s)
-        v = P / 3.0 / u
-        return nq / (u * (u + v) + v * v) - B / 3.0
+        skip = lost and not zc and hh * c0 == 0.0
+        return (None if skip else folder(hh), np.array(a),
+                None if lost and off == 0.0 else np.array(off),
+                np.array(k), np.array(P / 3.0))
+
+    def root(m, z, hh):
+        fold, a, off, k, P3 = cubic(hh)
+        nq = (m if fold is None else fold(m, z)) / a
+        if off is not None:
+            nq = nq - off
+        hq = half * nq
+        s = np.hypot(hq, k)
+        u = np.cbrt(np.abs(hq) + s)
+        v = P3 / u
+        return nq / (u * (u + v) + v * v) - B3
     return root
 
 

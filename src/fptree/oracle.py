@@ -165,6 +165,20 @@ def _reaction_bound(spec: ModelSpec, y_range: float) -> float:
 
 # the FD domain reaches this many standard deviations of X_T from x0
 _EXTENT_SIGMAS = 6.0
+# the most grid points times time steps fd_solve marches.  The largest
+# march of the tests, experiment1 at dx = 0.02, takes 901 points by
+# 78,732 steps (7.1e7 point-steps, 1.9 s on a 2-core x86 host at about
+# 27 ns a point-step); the documented runs make none
+_MAX_POINT_STEPS = 2e8
+
+
+def _check_march(points: float, steps: float) -> None:
+    """Raise FdSolverError where a march of this many grid points and
+    time steps exceeds _MAX_POINT_STEPS."""
+    if not points * steps <= _MAX_POINT_STEPS:
+        raise FdSolverError(
+            "the march needs %.0f points x %.0f steps, more than the %.0f "
+            "point-steps fd_solve allows" % (points, steps, _MAX_POINT_STEPS))
 
 
 def fd_solve(
@@ -182,7 +196,10 @@ def fd_solve(
     multiple of `snapshots`.  The reaction bound is re-checked each
     step against the current value range, so drivers that leave the
     initially observed range are caught instead of silently
-    under-resolved.
+    under-resolved.  A march of more than _MAX_POINT_STEPS grid points
+    times steps raises FdSolverError before it starts: it is sized
+    from the diffusion and advection bounds before the grid is made,
+    and again with the reaction bound.
     """
     if not spec.has_constant_coefficients:
         raise OracleError("fd_solve requires constant b and sigma")
@@ -197,6 +214,12 @@ def fd_solve(
         raise OracleError("fd_solve requires sigma != 0")
 
     half_width = _EXTENT_SIGMAS * abs(s0) * math.sqrt(T)
+    dt_diff = dx * dx / (s0 * s0)
+    dt_adv = dx / abs(b0) if b0 != 0.0 else math.inf
+    dt_free = min(dt_diff, dt_adv)
+    # the reaction bound can only add steps
+    _check_march(2.0 * half_width / dx + 1.0,
+                 T / (0.5 * dt_free) if dt_free > 0.0 else math.inf)
     n_half = int(math.ceil(half_width / dx))
     xs = spec.x0 + dx * np.arange(-n_half, n_half + 1)
     v = np.asarray(spec.g(xs), dtype=float)
@@ -205,13 +228,11 @@ def fd_solve(
 
     y_range = float(np.max(np.abs(v)))
     l_react = _reaction_bound(spec, max(y_range, 1.0))
-    dt_diff = dx * dx / (s0 * s0)
     dt_react = 0.5 / l_react if l_react > 0 else math.inf
-    dt_adv = dx / abs(b0) if b0 != 0.0 else math.inf
-    dt_guard = min(dt_diff, dt_react, dt_adv)
-    dt_target = 0.5 * dt_guard
+    dt_target = 0.5 * min(dt_free, dt_react)
     per_block = max(1, int(math.ceil(T / snapshots / dt_target)))
     n_steps = per_block * snapshots
+    _check_march(len(xs), n_steps)
     dt_eff = T / n_steps
 
     lam = 0.5 * s0 * s0 * dt_eff / (dx * dx)

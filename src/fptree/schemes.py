@@ -38,15 +38,14 @@ point and fills the levels below without computing them.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .forward import Lattice
 from .grids import (
-    WEIGHTS, ConfigurationError, TruncationConfig, _Checked, check_alpha,
-    truncate, weight_values,
+    WEIGHTS, ConfigurationError, TruncationConfig, _Checked, _truncator,
+    check_alpha, weight_values,
 )
 from .model import DriverSpec, ModelSpec
 
@@ -152,15 +151,23 @@ def _expectations(
     driver: DriverSpec,
     h: float,
     theta: float,
+    drift: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """m = E[v + (1 - theta) f(v, z) h] and z = E[v H] at every node of a
     level, from the (branches, nodes) block of child values kids; W and
-    H are the (branches, 1) columns of branch weights and Z weights."""
+    H are the (branches, 1) columns of branch weights and Z weights.
+    drift, where given, is the block of v + (1 - theta) f(v, z) h: a
+    driver free of z gives it once per child node (run_backward), which
+    the block repeats on the branches, to the bits of the branch form.
+    Both sums are _branch_sum's, written out."""
     wk = W * kids
-    z = _branch_sum(wk * H)
+    t = wk * H
+    z = (t[0] + t[2]) + t[1]
     if theta != 1.0:
-        wk = W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h))
-    return _branch_sum(wk), z
+        if drift is None:
+            drift = kids + driver.eval(kids, z) * ((1.0 - theta) * h)
+        wk = W * drift
+    return (wk[0] + wk[2]) + wk[1], z
 
 
 def _level(
@@ -170,17 +177,17 @@ def _level(
     driver: DriverSpec,
     h: float,
     theta: float,
+    drift: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One backward step at every node of a level.
 
     kids is the (branches, nodes) block of child values, already
-    truncated for the full-projection kinds; W and H are the (branches, 1)
-    columns of branch weights and Z weights.  Returns y, z and the
-    level's root-solve iteration total and per-node maximum (zero where
-    no solve runs).  Callers run it under np.errstate(all="ignore"):
+    truncated for the full-projection kinds; W, H and drift are
+    _expectations'.  Returns y, z and the level's root-solve iteration
+    total and per-node maximum (zero where no solve runs).  Callers run it under np.errstate(all="ignore"):
     overflow is data.
     """
-    m, z = _expectations(kids, W, H, driver, h, theta)
+    m, z = _expectations(kids, W, H, driver, h, theta, drift)
     if theta == 0.0:
         y, total, most = m, 0, 0
     else:
@@ -204,7 +211,8 @@ def _bracket_end(m: np.ndarray, fa: np.ndarray, hh: float, M_y: float,
     return b - np.copysign(2.0 * _TOL * np.maximum(scale, np.abs(b)), fa)
 
 
-def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
+def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float,
+           start: Optional[np.ndarray] = None):
     """Root of F(y) = y - hh * f(y, z) - m at every node of a level.
 
     For one-sided Lipschitz drivers F' = 1 - hh f_y >= 1 - hh M_y > 1/2
@@ -212,13 +220,14 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     :func:`_bracket_end` brackets the root; F(b) of the wrong sign
     means the driver's slope exceeds the declared M_y.  Every node runs
     its own Newton iteration, masked over the level, bisecting whenever
-    a step leaves the bracket.  It starts at the driver's closed-form
-    root (DriverSpec.root) where the driver has one and the root is
-    finite and inside the bracket, and at m everywhere else.  The start
-    moves no node's tolerance, so a wrong root costs iterations and
-    never accuracy; but where F's rounding exceeds the tolerance, which
-    nodes end at the adjacent-float test, and so fail, depends on the
-    path, hence on the start.  A Newton step that returns its iterate
+    a step leaves the bracket.  It starts at start where given, else
+    at the driver's closed-form root (DriverSpec.root) where the driver
+    has one, at the nodes where that start is finite and inside the
+    bracket, and at m everywhere else.  The start moves no node's
+    tolerance, so a wrong root costs iterations and never accuracy; but
+    where F's rounding exceeds the tolerance, which nodes end at the
+    adjacent-float test, and so fail, depends on the path, hence on
+    the start.  A Newton step that returns its iterate
     would repeat forever, so the node stops there; so does a node whose
     bracket holds no float strictly inside.  A node short of the
     tolerance when it stops, or after _MAX_ITER steps, is accepted when
@@ -268,9 +277,10 @@ def _solve(m: np.ndarray, z: np.ndarray, driver: DriverSpec, hh: float):
     lo = np.minimum(m, b)
     hi = np.maximum(m, b)
     yv, fy = m, fa
-    if driver.root is not None:
-        y0 = driver.root(m, z, hh)
-        yv = np.where(live & (lo <= y0) & (y0 <= hi), y0, m)
+    if start is None and driver.root is not None:
+        start = driver.root(m, z, hh)
+    if start is not None:
+        yv = np.where(live & (lo <= start) & (start <= hi), start, m)
         fy = F(yv)
     done = ~started
     total = passes = 0
@@ -365,13 +375,16 @@ def _one_nan(nxt: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
 def _check(ms, zs, ys, driver: DriverSpec, hh: float):
     """The Newton total and maximum of one _solve call over the
     concatenated levels of m and z, or None where that call raises or
-    its y differs in any bit, nan patterns included, from ys."""
+    its y differs in any bit, nan patterns included, from ys.  ys, the
+    levels' roots, are the call's start, so it does not compute them
+    again: a solve of each level would start from the same values."""
+    y0 = np.concatenate(ys)
     try:
         y, _, total, most = _solve(np.concatenate(ms), np.concatenate(zs),
-                                   driver, hh)
+                                   driver, hh, y0)
     except SolverError:
         return None
-    if not np.array_equal(y.view(np.int64), np.concatenate(ys).view(np.int64)):
+    if not np.array_equal(y.view(np.int64), y0.view(np.int64)):
         return None
     return total, most
 
@@ -403,7 +416,15 @@ def run_backward(
     solving gives, and its counts are theirs.  Where it raises or
     differs in any bit, those levels and all below run as without a
     root check, each with its own _solve, and give that solve's
-    values, counts and SolverError.
+    values, counts and SolverError.  The check starts Newton at the
+    roots it checks, as each level's solve would, so no root is
+    computed twice.
+
+    Where theta < 1 and the driver declares L_z = 0, its term
+    v + (1 - theta) h f(v) is computed once on each child level, with
+    eval(v, None), and gathered with the level: a driver that declares
+    L_z = 0 must not read z.  A driver with a z term is evaluated on
+    the (branches, nodes) block, as in _expectations.
     """
     base = lattice.model
     if spec._replace(g=base.g, driver=base.driver) != base:
@@ -412,15 +433,21 @@ def run_backward(
     tg = lattice.time_grid
     h = tg.h
     driver = spec.driver
+    f = driver.eval
+    gather = lattice.gather
 
     kind = cfg.kind
-    trunc = None
+    clamp = None
     if kind in _FP_KINDS:
         check_alpha(cfg.truncation, driver.m)
-        trunc = partial(truncate, cfg.truncation, h)
+        clamp = _truncator(cfg.truncation, h)
     theta = {"implicit_euler": 1.0, "theta": cfg.theta}.get(kind, 0.0)
     W = np.array(WEIGHTS)[:, None]
     H = np.array(weight_values(h)[0])[:, None]
+    # (1 - theta) h as a float64 0-d array, which numpy applies faster
+    # than a Python float, to the same bits
+    c = np.array((1.0 - theta) * h)
+    per_node = theta != 1.0 and driver.L_z == 0.0
 
     x = lattice.supports[tg.N]
     with np.errstate(all="ignore"):
@@ -433,7 +460,8 @@ def run_backward(
     # while `guess` holds, levels take the closed-form root as y and
     # `block` holds the m of those not yet checked
     hh = theta * h
-    guess = theta != 0.0 and driver.root is not None
+    root = driver.root
+    guess = theta != 0.0 and root is not None
     block = []
     nodes = 0
 
@@ -443,15 +471,18 @@ def run_backward(
             nxt = y_levels[-1]
             # truncation is elementwise: truncating the level once equals
             # truncating each node's children
-            kids = lattice.gather(i, nxt if trunc is None else trunc(nxt))
+            v = nxt if clamp is None else clamp(nxt)
+            kids = gather(i, v)
+            drift = gather(i, v + f(v, None) * c) if per_node else None
             if guess:
-                m, z = _expectations(kids, W, H, driver, h, theta)
-                y = driver.root(m, z, hh)
+                m, z = _expectations(kids, W, H, driver, h, theta, drift)
+                y = root(m, z, hh)
                 block.append(m)
                 nodes += m.size
             else:
                 try:
-                    y, z, total, most = _level(kids, W, H, driver, h, theta)
+                    y, z, total, most = _level(kids, W, H, driver, h, theta,
+                                               drift)
                 except SolverError as err:
                     raise SolverError(
                         "implicit solve failed at N=%d level %d node %d: %s"
@@ -491,7 +522,7 @@ def run_backward(
             i -= 1
 
     if kind == "full_projection_post":
-        y_levels = [trunc(y) for y in y_levels]
+        y_levels = [clamp(y) for y in y_levels]
     y_levels.reverse()
     z_levels.reverse()
     return ValueFunctions(

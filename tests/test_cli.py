@@ -795,6 +795,27 @@ def test_start_up_loads_neither_dataclasses_nor_configparser():
     assert proc.stdout.split() == ["[]"]
 
 
+def test_oversized_fd_march_fails_at_once(tmp_path):
+    # sigma = 30 asks fd_solve for 18,001 points by 4.5 million steps, a
+    # march of minutes: the command sizes it first and fails with one
+    # Error: line.  A fresh process under a timeout, so a march that
+    # starts fails the test instead of hanging it
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[run]\npreset = custom\nns = 5\nscheme = implicit\n"
+                   "[model]\nsigma = 30.0\ng = quadratic\n"
+                   "driver = poly:0,-1\n")
+    src = str(Path(fptree.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fptree.cli", "convergence", "--config",
+         str(cfg), "--fd-check", "--out", str(tmp_path / "art")],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1, proc.stderr
+    assert (proc.stdout + proc.stderr).splitlines() == [
+        "Error: FD oracle failed: the march needs 18001 points x 4500000 "
+        "steps, more than the 200000000 point-steps fd_solve allows"]
+
+
 def test_no_record_reaches_the_json_writer(runner, tmp_path, monkeypatch):
     # _json_safe writes a tuple as a list, so a record (a named tuple)
     # in a payload would be written without its field names

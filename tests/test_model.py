@@ -110,6 +110,42 @@ class TestPolyDriver:
                 assert [float_key(v) for v in got] == \
                     [float_key(v) for v in want]
 
+    @pytest.mark.parametrize("zc", [0.0, -0.0, 0.75])
+    @pytest.mark.parametrize("c0", [0.0, -0.0, 0.5])
+    @pytest.mark.parametrize("rest", [(-1.0,), (1.5,), (0.0, 0.0, -1.0),
+                                      (-1.0, -0.0, -1.0), (0.5, 2.0, -0.5)])
+    def test_root_is_the_plain_formula(self, c0, rest, zc):
+        # the root computes its constants once per hh as 0-d arrays, takes
+        # |Q|/2 as |Q/2| and skips adds of zeros whose sign it loses: the
+        # bits of the formula written out in Python floats, at every
+        # special m and z, -0.0 included, with hh changing between calls
+        c1, c2, c3 = (rest + (0.0, 0.0))[:3]
+
+        def plain(m, z, hh):
+            fold = m + hh * (c0 + zc * z if zc else c0)
+            if not c3:
+                return fold / (1.0 - hh * c1)
+            a, B = -hh * c3, c2 / c3
+            C = np.float64(1.0 - hh * c1) / a
+            P = C - B * B / 3.0
+            nq = fold / a - B * (2.0 * B * B - 9.0 * C) / 27.0
+            k = P * math.sqrt(P / 27.0) if P > 0.0 else math.nan
+            s = np.hypot(0.5 * nq, k)
+            u = np.cbrt(0.5 * np.abs(nq) + s)
+            v = P / 3.0 / u
+            return nq / (u * (u + v) + v * v) - B / 3.0
+
+        root = _implicit_root((c0,) + rest, zc)
+        m, z = (np.array(v).ravel() for v in np.meshgrid(SPECIAL, SPECIAL))
+        with np.errstate(all="ignore"):
+            for hh in (0.1, 1e-3, 0.1, 5e-324, 0.25):
+                got, want = root(m, z, hh), plain(m, z, hh)
+                assert got.tobytes() == want.tobytes()
+                # a float m too, where hh c3 underflows to 0 as well
+                for v, w in zip(SPECIAL, SPECIAL[::-1]):
+                    assert float_bits(root(v, w, hh)) == \
+                        float_bits(plain(np.float64(v), w, hh))
+
     def test_root_of_an_underflowing_cubic_is_nan(self):
         # hh c3 = 0.25 * -5e-324 underflows to 0: no start, no error
         root = fp.poly_driver((0.0, 0.0, 0.0, -5e-324)).root

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import fptree as fp
-from fptree.oracle import OracleError, _gaussian_expectation_of_g
+from fptree.oracle import (
+    FdSolverError, OracleError, _gaussian_expectation_of_g,
+)
 
 
 class TestLinearSolution:
@@ -63,6 +65,19 @@ class TestFdSolve:
         )
         with pytest.raises(OracleError):
             fp.fd_solve(m)
+
+    @pytest.mark.parametrize("sigma, snapshots", [(30.0, 1), (1.5, 2 ** 20),
+                                                  (1e200, 1)])
+    def test_oversized_march_raises_before_it_starts(self, sigma, snapshots):
+        # 4.5 million steps at sigma = 30; a step count rounded up to a
+        # million snapshots; at sigma = 1e200 a grid that could not be
+        # allocated and a diffusion bound that underflows to 0
+        m = fp.make_constant_model(
+            T=1.0, x0=0.0, b=0.0, sigma=sigma,
+            g=fp.quadratic_g(), driver=fp.poly_driver((0.0, -1.0)),
+        )
+        with pytest.raises(FdSolverError, match="point-steps fd_solve allows"):
+            fp.fd_solve(m, dx=0.02, snapshots=snapshots)
 
     def test_snapshots_interpolate_in_time(self):
         pde = fp.fd_solve(fp.linear_model(), dx=0.05, snapshots=4)

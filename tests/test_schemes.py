@@ -23,6 +23,7 @@ from conftest import (
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
 ZERO = fp.poly_driver((0.0,))
+NEG_ZERO = fp.poly_driver((-0.0,))
 # drivers without a closed-form root: -y - y^3 built by hand, and a quintic
 HAND_CUBIC = fp.DriverSpec(eval=lambda y, z: -y - y * y * y, M_y=-1.0,
                            L_y=3.0, m=3, L_z=0.0, f00=0.0,
@@ -838,6 +839,13 @@ TERMINALS = {
     "inf-top": lambda x: np.where(x == x.max(), math.inf, x * x),
     "nan-right": lambda x: np.where(x > 0.0, math.nan, x * x),
     "neg-nan": lambda x: np.full(x.shape, np.copysign(math.nan, -1.0)),
+    # every other node one of nan, +-inf, +-0.0 or a value whose cube
+    # overflows
+    "specials": lambda x: np.where(
+        np.arange(x.size) % 2 == 0,
+        np.resize([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e200, -1e200],
+                  x.size),
+        x * x),
 }
 
 
@@ -939,6 +947,27 @@ class TestLevelChecks:
         # the wrong one
         assert want[3] == 14401 if m0 is not None else want[3] > 14400
 
+    def test_one_root_per_guessed_level(self, exp1_model):
+        # the checks start from the roots the levels hold, so the root is
+        # computed once per level and never inside a check, which still
+        # runs once per block
+        lattice = build(exp1_model, 120)
+        calls = []
+        root = exp1_model.driver.root
+
+        def counted(m, z, hh):
+            calls.append(m.size)
+            return root(m, z, hh)
+
+        spec = exp1_model._replace(
+            driver=exp1_model.driver._replace(root=counted))
+        cfg = fp.SchemeConfig(kind="implicit_euler")
+        blocks = count_solves(lambda: fp.run_backward(cfg, lattice, spec))
+        assert calls == [len(lattice.supports[i]) for i in range(119, -1, -1)]
+        assert sum(blocks) == sum(calls) and len(blocks) > 2
+        assert (run_outcome(backward, cfg, lattice, spec)
+                == run_outcome(backward, cfg, lattice, exp1_model))
+
     @pytest.mark.parametrize("preset, N", [("experiment1", 120),
                                            ("experiment2", 15)])
     def test_one_solve_per_block(self, preset, N):
@@ -957,14 +986,96 @@ class TestLevelChecks:
         assert calls[-1] < schemes._CHECK_NODES + widest
 
 
+def one_nan_bits(level):
+    """The bytes of a level with every nan written as math.nan."""
+    a = np.frombuffer(level)
+    return np.where(np.isnan(a), math.nan, a).tobytes()
+
+
+class TestChildNodeDriverTerm:
+    """Where theta < 1 and the driver declares L_z = 0, run_backward
+    computes v + (1 - theta) h f(v) once per child node and gathers it:
+    the bits of _level's branch form, whose f reads the block."""
+
+    @given(
+        kind=st.sampled_from(["explicit_euler", "full_projection_pre",
+                              "full_projection_post", "theta"]),
+        driver=st.one_of(
+            st.sampled_from([HAND_CUBIC, ZERO, NEG_ZERO]),
+            # degree 1, or a cubic with a negative leading coefficient
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 1.0),
+                      st.sampled_from([0.0, -0.5, 1.0]),
+                      st.sampled_from([0.0, 0.25, 1.0])).map(
+                lambda c: fp.poly_driver(
+                    c[:2] if not c[3] else c[:3] + (-c[3],)))),
+        sigma=st.floats(0.5, 2.5), N=st.integers(1, 16),
+        projected=st.booleans(),
+        g=st.sampled_from(sorted(TERMINALS)),
+        R0=st.sampled_from([0.5, 3.0, 1e6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_branch_form(self, kind, driver, sigma, N, projected, g,
+                                 R0):
+        # bits, sign bits and nan patterns included, the finite flag and
+        # the Newton counts of theta = 0.5, whose roots are checked in
+        # blocks where the driver has one and solved level by level where
+        # it has none.  HAND_CUBIC's -y flips a nan's sign, so nans of two
+        # signs meet in its f and in v + (1 - theta) h f(v): IEEE 754
+        # leaves the bits of such a nan open, and numpy's SIMD loops take
+        # them from one operand in their vector lanes and from the other
+        # in their tail, by the element's place in the array.  Its runs
+        # match at every other bit and at every nan's place
+        assert driver.L_z == 0.0
+        spec = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=sigma,
+                                      g=TERMINALS[g], driver=driver)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=80) if projected else None
+        lattice = build(spec, N, grid)
+        trunc = fp.TruncationConfig(R0=R0, alpha=0.249)
+        cfg = (fp.SchemeConfig(kind="theta", theta=0.5) if kind == "theta"
+               else fp.SchemeConfig(kind=kind, truncation=trunc)
+               if kind.startswith("full") else fp.SchemeConfig(kind=kind))
+        got = run_outcome(backward, cfg, lattice, spec)
+        want = run_outcome(level_by_level, cfg, lattice, spec)
+        if driver is HAND_CUBIC and len(want) == 5:
+            got, want = (([one_nan_bits(b) for b in o[0]],
+                          [one_nan_bits(b) for b in o[1]]) + o[2:]
+                         for o in (got, want))
+        assert got == want
+
+    @pytest.mark.parametrize("zc, on_block", [(0.0, False), (0.5, True)])
+    @pytest.mark.parametrize("kind", ["full_projection_pre",
+                                      "full_projection_post"])
+    def test_which_form_each_driver_gets(self, exp2_model, exp2_trunc, zc,
+                                         on_block, kind):
+        # a driver that declares L_z = 0 is called once per level on the
+        # child level with z = None; one with a z term on each level's
+        # (branches, nodes) block with that level's z
+        driver = fp.poly_driver((0.0, -1.0, 0.0, -1.0), z_coeff=zc)
+        calls = []
+
+        def f(y, z):
+            calls.append((y.shape, None if z is None else z.shape))
+            return driver.eval(y, z)
+
+        spec = exp2_model._replace(driver=driver._replace(eval=f))
+        lattice = build(spec, 10)
+        fp.run_backward(fp.SchemeConfig(kind=kind, truncation=exp2_trunc),
+                        lattice, spec)
+        sizes = [len(lattice.supports[i]) for i in range(10)][::-1]
+        if on_block:
+            assert calls == [((3, n), (n,)) for n in sizes]
+        else:
+            assert calls == [((n + 2,), None) for n in sizes]
+
+
 def count_solves(run):
     """The node counts of the _solve calls that run() makes."""
     calls = []
     solve = schemes._solve
 
-    def counted(m, z, driver, hh):
+    def counted(m, z, driver, hh, start=None):
         calls.append(m.size)
-        return solve(m, z, driver, hh)
+        return solve(m, z, driver, hh, start)
 
     with mock.patch.object(schemes, "_solve", counted):
         run()
