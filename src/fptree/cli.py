@@ -34,7 +34,7 @@ import click
 
 from . import analysis
 from .analysis import convergence_study, minmax_processes
-from .forward import Lattice, build_lattice, dump_lattice
+from .forward import Lattice, build_lattice, check_states, dump_lattice
 from .grids import (
     ConfigurationError,
     SpatialGrid,
@@ -375,9 +375,16 @@ def _settings(kw: dict, command: str) -> Settings:
         # so each N's lattice is built once
         grids = [_grid_for(model, values["eta"], values["grid_extent"], N)
                  for N in values["ns"]]
-        values["lattices"] = () if command == "check" else tuple(
-            build_lattice(model, N, grid)
-            for N, grid in zip(values["ns"], grids))
+        if command == "check":
+            # check's verdicts need no lattice, only the states it
+            # would fail on
+            for N, grid in zip(values["ns"], grids):
+                check_states(model, N, grid)
+            values["lattices"] = ()
+        else:
+            values["lattices"] = tuple(
+                build_lattice(model, N, grid)
+                for N, grid in zip(values["ns"], grids))
     except _CONFIG_ERRORS as err:
         raise click.UsageError(str(err))
     return Settings(**values)

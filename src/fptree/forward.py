@@ -12,13 +12,14 @@ grid hull is tolerated but counted.  The projected lattice is built a
 level at a time: b(t, x) and sigma(t, x) are called once per level with
 a float t and the float64 array x of the level's states, so they must
 accept arrays.  A lattice spans its model's horizon [0, spec.T] in N
-steps.  Lattice owns the layout: only its gather, push and child_index
-read the child tables.
+steps.  Lattice owns the layout: only its gather, gather_levels, push
+and child_index read the child tables.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from itertools import accumulate
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .model import ModelSpec
 __all__ = [
     "Lattice",
     "build_lattice",
+    "check_states",
     "dump_lattice",
 ]
 
@@ -78,6 +80,28 @@ class Lattice(NamedTuple):
             return block
         return values[self.children[level].T]
 
+    def gather_levels(self, top: int, values: Sequence[np.ndarray]):
+        """Child values of levels top, top - 1, ..., top + 1 - k at once.
+
+        values holds the k arrays of their child levels top + 1, top,
+        ... in that order.  Returns (block, starts): level top - j's
+        gather block is block[:, starts[j]:starts[j] + n], n its node
+        count.  On the tree the block is one read-only view of the
+        concatenated values, whose two columns that straddle each pair
+        of levels belong to no level.
+        """
+        flat = np.concatenate(values)
+        offsets = list(accumulate(map(len, values[:-1]), initial=0))
+        if self.children is None:
+            block = np.ndarray((len(WEIGHTS), len(flat) - len(WEIGHTS) + 1),
+                               dtype=flat.dtype, buffer=flat,
+                               strides=flat.strides * 2)
+            block.flags.writeable = False
+            return block, offsets
+        tables = [self.children[top - j] + s for j, s in enumerate(offsets)]
+        starts = list(accumulate(map(len, tables[:-1]), initial=0))
+        return flat[np.concatenate(tables).T], starts
+
     def push(self, level: int, masses: np.ndarray) -> np.ndarray:
         """Masses of level + 1, each child summing masses[p] * WEIGHTS[j]
         over its parents p in node-major order: the adjoint of gather."""
@@ -116,6 +140,88 @@ class Lattice(NamedTuple):
         return (np.concatenate(self.children) + offsets[:, None]).T
 
 
+def _tree(spec: ModelSpec, N: int, h: float):
+    """(bases, offsets) of the N-step tree: level i holds the increasing
+    states bases[i] + offsets[N - i:N + i + 1], x0 + b t_i + sigma k
+    sqrt(3h) for k in -i..i.  A level whose lowest or highest state is
+    not finite raises ConfigurationError naming the first such level
+    and node; every state between the two is finite then."""
+    if not spec.has_constant_coefficients:
+        raise ConfigurationError(
+            "non-constant coefficients require a spatial grid: "
+            "recombination is not guaranteed without projection"
+        )
+    # sigma * k * step for k in -N..N, taken in the order of the
+    # scalar formula x0 + b t_i + sigma (k step)
+    with np.errstate(all="ignore"):
+        # an overflowing state is reported below, not warned about
+        offsets = spec.sigma_const * (np.arange(-N, N + 1.0)
+                                      * increments(h)[-1])
+        bases = spec.x0 + spec.b_const * (np.arange(N + 1.0) * h)
+        ends = np.stack((bases + offsets[N::-1], bases + offsets[N:]))
+    if not np.isfinite(ends).all():
+        i, side = np.argwhere(~np.isfinite(ends.T))[0]
+        raise ConfigurationError(
+            "the tree's level %d node %d holds the non-finite state %r"
+            % (i, 2 * i if side else 0, float(ends[side, i])))
+    return bases, offsets
+
+
+def _steps(spec: ModelSpec, t: float, x: np.ndarray, h: float,
+           dws: np.ndarray, where):
+    """The (nodes, branches) block of Euler steps x + b(t, x) h +
+    sigma(t, x) dw from the column x; a non-finite step raises
+    ConfigurationError naming where(node) and its branch."""
+    with np.errstate(all="ignore"):
+        # an overflowing step is reported below, not warned about
+        raw = x + spec.b(t, x) * h + spec.sigma(t, x) * dws
+    if not np.isfinite(raw).all():
+        node, branch = np.argwhere(~np.isfinite(raw))[0]
+        raise ConfigurationError(
+            "the forward step from %s (branch %d) gave the non-finite "
+            "state %r" % (where(node), branch, float(raw[node, branch])))
+    return raw
+
+
+def check_states(
+    spec: ModelSpec,
+    N: int,
+    grid: Optional[SpatialGrid] = None,
+) -> None:
+    """Raise the ConfigurationError of a non-finite state that
+    build_lattice(spec, N, grid) would meet, without building it.
+
+    The tree's check is build_lattice's own, on the lowest and highest
+    state of each level.  On a grid the check steps and projects each
+    level's reachable states as build_lattice does, keeping one level
+    and no child table.  With constant coefficients the step and the
+    projection are monotone in x, so the lowest and highest states of a
+    level step to the lowest and highest of the next, and every step
+    lies between theirs: the check keeps those two states alone.  A
+    model passes the check if and only if its lattice builds.
+    """
+    tg = TimeGrid(spec.T, N)
+    if grid is None:
+        _tree(spec, N, tg.h)
+        return
+    ends = spec.has_constant_coefficients
+
+    def where(node):
+        if ends:
+            return "level %d's %s state %r" % (
+                i, ("lowest", "highest")[node], float(x[node]))
+        return "level %d node %d" % (i, node)
+
+    k, _ = grid_project_index(grid, spec.x0)
+    x = grid.point(k.reshape(1))
+    dws = np.array(increments(tg.h))
+    for i, t in enumerate(tg.times[:-1]):
+        raw = _steps(spec, t, x[:, None], tg.h, dws, where)
+        keys, _ = grid_project_index(grid, raw)
+        states = np.unique(keys)
+        x = grid.point(states[[0, -1]] if ends else states)
+
+
 def build_lattice(
     spec: ModelSpec,
     N: int,
@@ -127,31 +233,22 @@ def build_lattice(
     increments(h), the same law for every lattice.
     Without a spatial grid the coefficients must be constant, which is
     what guarantees recombination; level i then holds
-    x0 + b t_i + sigma k sqrt(3h) for k in {-i..i}.  With a grid, every
-    Euler step x + b(t, x) h + sigma(t, x) dw is projected and the
-    reachable set is tracked level by level; a non-finite step raises
-    ConfigurationError naming its level and node.
+    x0 + b t_i + sigma k sqrt(3h) for k in {-i..i}, and a non-finite
+    state raises ConfigurationError naming the first level and node
+    that holds one.  With a grid, every Euler step
+    x + b(t, x) h + sigma(t, x) dw is projected and the reachable set
+    is tracked level by level; a non-finite step raises
+    ConfigurationError naming its level and node.  check_states
+    raises these errors without building the lattice.
     """
     tg = TimeGrid(spec.T, N)
     h = tg.h
     if grid is None:
-        if not spec.has_constant_coefficients:
-            raise ConfigurationError(
-                "non-constant coefficients require a spatial grid: "
-                "recombination is not guaranteed without projection"
-            )
-        b0 = spec.b_const
-        # sigma * k * step for k in -N..N, taken in the order of the
-        # scalar formula x0 + b t_i + sigma (k step); level i adds its
-        # base to the middle 2i+1 entries
-        step = increments(h)[-1]
-        offsets = spec.sigma_const * (np.arange(-N, N + 1.0) * step)
+        bases, offsets = _tree(spec, N, h)
         return Lattice(
             time_grid=tg,
-            supports=tuple(
-                (spec.x0 + b0 * (i * h)) + offsets[N - i:N + i + 1]
-                for i in range(N + 1)
-            ),
+            supports=tuple(bases[i] + offsets[N - i:N + i + 1]
+                           for i in range(N + 1)),
             children=None,
             saturation_count=0,
             model=spec,
@@ -164,16 +261,8 @@ def build_lattice(
     dws = np.array(increments(h))
     for i, t in enumerate(tg.times[:-1]):
         # the (nodes, branches) block of Euler steps from level i
-        x = supports[i][:, None]
-        with np.errstate(all="ignore"):
-            # an overflowing step is reported below, not warned about
-            raw = x + spec.b(t, x) * h + spec.sigma(t, x) * dws
-        if not np.isfinite(raw).all():
-            node, branch = np.argwhere(~np.isfinite(raw))[0]
-            raise ConfigurationError(
-                "the forward step from level %d node %d (branch %d) gave the "
-                "non-finite state %r"
-                % (i, node, branch, float(raw[node, branch])))
+        raw = _steps(spec, t, supports[i][:, None], h, dws,
+                     lambda node: "level %d node %d" % (i, node))
         keys, sat = grid_project_index(grid, raw)
         saturation += int(np.count_nonzero(sat))
         states, idx = np.unique(keys, return_inverse=True)

@@ -286,7 +286,8 @@ class _SpatialGridFields(NamedTuple):
 
 
 class SpatialGrid(_Checked, _SpatialGridFields):
-    """Uniform grid x0 + k*eta for |k| <= M, with M at most 2**52."""
+    """Uniform grid x0 + k*eta for |k| <= M, with M at most 2**52 and
+    every point finite."""
 
     __slots__ = ()
 
@@ -301,6 +302,10 @@ class SpatialGrid(_Checked, _SpatialGridFields):
             raise ConfigurationError(
                 "M must be at most 2**52, beyond which float grid indices "
                 "are not exact")
+        if not math.isfinite(abs(self.x0) + self.M * self.eta):
+            # a finite step would project onto a hull point that is not
+            raise ConfigurationError(
+                "the grid's hull x0 -+ M eta must be finite")
 
     def point(self, k: np.ndarray) -> np.ndarray:
         return self.x0 + k * self.eta

@@ -82,8 +82,9 @@ class DriverSpec(_Checked, _DriverSpecFields):
         Lipschitz in y.
     L_z : float
         Lipschitz constant in z.  A driver that declares L_z = 0 must
-        not read z: run_backward calls its eval as eval(v, None) on the
-        child values of a level, once per child node.
+        not read z, in eval or in root: where theta < 1, run_backward
+        calls its eval as eval(v, None) on the child values of a level,
+        once per child node, and its root as root(m, None, hh).
     f00 : float
         The value f(0, 0).
     dfdy : callable

@@ -33,6 +33,15 @@ returns nan wherever m is not finite.  Every node of such a level runs
 the same arithmetic, so once a level read as one nan bit pattern gives
 back that pattern at every y and z node, the sweep has reached a fixed
 point and fills the levels below without computing them.
+
+Where theta < 1, the driver declares L_z = 0 and y is m or the
+closed-form root, y needs no z: run_backward computes each level's m
+and y alone and fills z in one pass per block of about _CHECK_NODES
+nodes.  The child levels of the block side by side
+(Lattice.gather_levels) give every level's z through _expectations'
+formula, bit for bit as the level's own block does (_z_levels).  At
+theta = 1, m sums the block that z weights, so z comes with m at each
+level.
 """
 
 from __future__ import annotations
@@ -72,8 +81,12 @@ _FP_KINDS = ("full_projection_pre", "full_projection_post")
 # Newton iteration cap
 _TOL = 1e-12
 _MAX_ITER = 100
-# nodes of implicit levels that one _solve call checks (run_backward)
+# nodes of the levels that one _solve call checks and one z pass fills
+# (run_backward)
 _CHECK_NODES = 2048
+# the bits of the nan that an invalid operation, such as inf - inf, makes
+with np.errstate(invalid="ignore"):
+    _NAN = int((np.array([math.inf]) - math.inf).view(np.int64)[0])
 _FAILURES = (
     None,
     "implicit residual became non-finite",
@@ -159,10 +172,9 @@ def _expectations(
     drift, where given, is the block of v + (1 - theta) f(v, z) h: a
     driver free of z gives it once per child node (run_backward), which
     the block repeats on the branches, to the bits of the branch form.
-    Both sums are _branch_sum's, written out."""
+    Both sums are _branch_sum's, m's written out."""
     wk = W * kids
-    t = wk * H
-    z = (t[0] + t[2]) + t[1]
+    z = _branch_sum(wk * H)
     if theta != 1.0:
         if drift is None:
             drift = kids + driver.eval(kids, z) * ((1.0 - theta) * h)
@@ -366,10 +378,43 @@ class ValueFunctions(NamedTuple):
         return weight_values(self.lattice.time_grid.h)[1]
 
 
-def _one_nan(nxt: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
-    """Whether nxt, y and z all hold nxt[0]'s bit pattern at every node."""
+def _one_nan(nxt: np.ndarray, *levels: np.ndarray) -> bool:
+    """Whether nxt and each level hold nxt[0]'s bit pattern at every
+    node."""
     bits = nxt[:1].view(np.int64)
-    return all(bool((a.view(np.int64) == bits).all()) for a in (nxt, y, z))
+    return all(bool((a.view(np.int64) == bits).all())
+               for a in (nxt,) + levels)
+
+
+def _odd_nan(v: np.ndarray) -> bool:
+    """Whether v holds a nan of other bits than an invalid operation
+    makes (_NAN)."""
+    return (np.count_nonzero(np.isnan(v))
+            != np.count_nonzero(v.view(np.int64) == _NAN))
+
+
+def _z_levels(lattice: Lattice, top: int, kids, W: np.ndarray,
+              H: np.ndarray):
+    """The z levels of levels top, top - 1, ... from the list kids of
+    their (truncated) child levels, in one pass over the block of
+    Lattice.gather_levels.
+
+    Where two nans of different bits meet, numpy's SIMD loops pick the
+    result's bits by the element's place in the array, and a level's
+    place in the block is not its place in its own gather block.  Every
+    nan an operation makes has the bits _NAN, so only children that
+    hold a nan of other bits can meet one: those levels take their z
+    from their own gather block, as _expectations does.
+    """
+    block, starts = lattice.gather_levels(top, kids)
+    z = _branch_sum(W * block * H)
+    levels = [z[s:s + len(lattice.supports[top - j])]
+              for j, s in enumerate(starts)]
+    if math.isnan(z.sum()) and _odd_nan(np.concatenate(kids)):
+        levels = [_branch_sum(W * lattice.gather(top - j, v) * H)
+                  if _odd_nan(v) else a
+                  for j, (a, v) in enumerate(zip(levels, kids))]
+    return levels
 
 
 def _check(ms, zs, ys, driver: DriverSpec, hh: float):
@@ -424,7 +469,13 @@ def run_backward(
     v + (1 - theta) h f(v) is computed once on each child level, with
     eval(v, None), and gathered with the level: a driver that declares
     L_z = 0 must not read z.  A driver with a z term is evaluated on
-    the (branches, nodes) block, as in _expectations.
+    the (branches, nodes) block, as in _expectations.  The y of a
+    driver that declares L_z = 0 needs no z where it is m (theta = 0)
+    or the root, taken as root(m, None, hh): those levels compute m and
+    y only, and one pass fills the z of each block of levels that a
+    check takes, or would take, before that check and before a nan
+    fixed point's test reads the level's z.  Levels solved one by one
+    get their z with the solve.
     """
     base = lattice.model
     if spec._replace(g=base.g, driver=base.driver) != base:
@@ -458,11 +509,15 @@ def run_backward(
     iters_total = 0
     iters_max = 0
     # while `guess` holds, levels take the closed-form root as y and
-    # `block` holds the m of those not yet checked
+    # `block` holds the m of those not yet checked; while `late` holds,
+    # levels leave z to one pass and `pending` holds the child levels of
+    # those still without it; `nodes` counts the nodes of either list
     hh = theta * h
     root = driver.root
     guess = theta != 0.0 and root is not None
+    late = per_node and (guess or theta == 0.0)
     block = []
+    pending = []
     nodes = 0
 
     with np.errstate(all="ignore"):
@@ -472,17 +527,20 @@ def run_backward(
             # truncation is elementwise: truncating the level once equals
             # truncating each node's children
             v = nxt if clamp is None else clamp(nxt)
-            kids = gather(i, v)
             drift = gather(i, v + f(v, None) * c) if per_node else None
-            if guess:
-                m, z = _expectations(kids, W, H, driver, h, theta, drift)
+            if late:
+                m = _branch_sum(W * drift)
+                y = root(m, None, hh) if guess else m
+                z = None
+                pending.append(v)
+            elif guess:
+                m, z = _expectations(gather(i, v), W, H, driver, h, theta,
+                                     drift)
                 y = root(m, z, hh)
-                block.append(m)
-                nodes += m.size
             else:
                 try:
-                    y, z, total, most = _level(kids, W, H, driver, h, theta,
-                                               drift)
+                    y, z, total, most = _level(gather(i, v), W, H, driver, h,
+                                               theta, drift)
                 except SolverError as err:
                     raise SolverError(
                         "implicit solve failed at N=%d level %d node %d: %s"
@@ -492,26 +550,38 @@ def run_backward(
                     ) from err
                 iters_total += total
                 iters_max = max(iters_max, most)
+            if guess:
+                block.append(m)
+            if late or guess:
+                nodes += y.size
             y_levels.append(y)
             z_levels.append(z)
-            stop = math.isnan(nxt[0]) and _one_nan(nxt, y, z)
-            if block and (stop or i == 0 or nodes >= _CHECK_NODES):
-                n = len(block)
-                counts = _check(block, z_levels[-n:], y_levels[-n:], driver,
-                                hh)
-                block = []
+            # a nan fixed point needs one nan pattern in y first, and z
+            # is read only then
+            stop = math.isnan(nxt[0]) and _one_nan(nxt, y)
+            if nodes and (stop or i == 0 or nodes >= _CHECK_NODES):
                 nodes = 0
-                if counts is None:
-                    # some root is not its level's value: the block's
-                    # levels and all below run with a _solve each, as a
-                    # root that misses once tends to miss again
-                    del y_levels[-n:], z_levels[-n:]
-                    guess = False
-                    i += n - 1
-                    continue
-                iters_total += counts[0]
-                iters_max = max(iters_max, counts[1])
-            if stop:
+                if pending:
+                    n = len(pending)
+                    z_levels[-n:] = _z_levels(lattice, i + n - 1, pending,
+                                              W, H)
+                    pending = []
+                if block:
+                    n = len(block)
+                    counts = _check(block, z_levels[-n:], y_levels[-n:],
+                                    driver, hh)
+                    block = []
+                    if counts is None:
+                        # some root is not its level's value: the block's
+                        # levels and all below run with a _solve each, as
+                        # a root that misses once tends to miss again
+                        del y_levels[-n:], z_levels[-n:]
+                        guess = late = False
+                        i += n - 1
+                        continue
+                    iters_total += counts[0]
+                    iters_max = max(iters_max, counts[1])
+            if stop and _one_nan(nxt, z_levels[-1]):
                 # the fixed point of the module docstring: no solve runs
                 # on a nan level, so the skipped levels add no iterations
                 for j in range(i - 1, -1, -1):

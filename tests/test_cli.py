@@ -270,7 +270,11 @@ class TestConvergence:
          "sigma = 1.7e308\ng = quadratic\n",
          "the forward step from level 0 node 0 (branch 0) gave the "
          "non-finite state -inf"),
-    ], ids=["fp-alpha", "grid", "lattice"])
+        # the mesh's hull point x0 + M eta overflows
+        (["--Ns", "2", "--eta", "1e306", "--grid-extent", "1e307"],
+         "x0 = 1.7e308\nsigma = 1.0\ng = quadratic\n",
+         "the grid's hull x0 -+ M eta must be finite"),
+    ], ids=["fp-alpha", "grid", "lattice", "hull"])
     def test_settings_error_runs_no_proxy(self, runner, tmp_path,
                                           monkeypatch, args, model, named):
         # a settings error exits 2 before the proxy reference runs and
@@ -291,21 +295,53 @@ class TestConvergence:
         assert named in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["convergence", "stability"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--Ns", "2,4"],
+         "the tree's level 1 node 0 holds the non-finite state -inf"),
+        (["--Ns", "1", "--eta", "0.5", "--grid-extent", "1"],
+         "gave the non-finite state -inf"),
+    ], ids=["tree", "projected"])
+    @pytest.mark.parametrize("command", ["check", "convergence", "stability"])
     def test_overflowing_forward_step_warns_nothing(self, runner, tmp_path,
-                                                    command):
-        # the step overflows in numpy; the error line alone reports it
+                                                    monkeypatch, command,
+                                                    flags, named):
+        # the step overflows in numpy; on either lattice kind the error
+        # line alone reports it, from the settings: exit 2, no verdict and
+        # no --out.  check finds it without building a lattice
+        def no_lattice(*a, **kw):
+            raise AssertionError("check built a lattice")
+
+        if command == "check":
+            monkeypatch.setattr(cli, "build_lattice", no_lattice)
         cfg = tmp_path / "model.cfg"
         cfg.write_text("[run]\npreset = custom\n[model]\nsigma = 1.7e308\n"
                        "g = quadratic\n")
+        out = tmp_path / "art"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(main, [
-                command, "--config", str(cfg), "--Ns", "1", "--eta", "0.5",
-                "--grid-extent", "1", "--out", str(tmp_path / "art")])
+                command, "--config", str(cfg), *flags, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "gave the non-finite state -inf" in result.output
+        assert result.output.splitlines()[-1].endswith(named)
+        assert "PASS" not in result.output and not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "stability"])
+    def test_lattice_at_the_float_range_passes(self, runner, tmp_path,
+                                               command):
+        # the one step from x0 = 1.6e308 stays finite, though a step from
+        # the hull's end x0 + M eta = 1.7e308 would not: check passes the
+        # lattice that stability builds and runs
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("[run]\npreset = custom\n[model]\nx0 = 1.6e308\n"
+                       "sigma = 1e307\ng = const:1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                command, "--config", str(cfg), "--Ns", "1", "--eta", "1e306",
+                "--grid-extent", "1e307", "--no-timing",
+                "--out", str(tmp_path / "art")])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("command", ["check", "convergence"])
     def test_huge_alpha_runs_untruncated(self, runner, tmp_path, command):

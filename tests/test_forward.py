@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
+from fptree.forward import check_states
 from fptree.grids import ConfigurationError
 from fptree.model import ModelSpec, constant_b_sigma
 
@@ -131,6 +133,32 @@ class TestBuildLattice:
             assert flat.shape == (3, sum(len(s) for s in lat.supports[:-1]))
             assert bitwise_equal(flat, np.hstack(
                 [lat.gather(i, vals[i + 1]) for i in range(N)])), N
+
+    @pytest.mark.parametrize("grid", [
+        None, fp.SpatialGrid(x0=0.0, eta=0.05, M=60),
+    ], ids=["tree", "projected"])
+    def test_gather_levels_is_each_gather_side_by_side(self, grid):
+        # every run of consecutive levels top..lo: level top - j's gather
+        # block sits at starts[j]; on the tree the two columns after each
+        # level straddle two child levels and belong to none
+        rng = np.random.default_rng(11)
+        for N in (1, 2, 9, 25):
+            lat = build(fp.experiment1_model(), N, grid)
+            vals = [rng.standard_normal(len(s)) for s in lat.supports]
+            for top in range(N):
+                for lo in range(top + 1):
+                    block, starts = lat.gather_levels(
+                        top, vals[top + 1:lo:-1])
+                    sizes = [len(lat.supports[i])
+                             for i in range(top, lo - 1, -1)]
+                    gap = 2 if grid is None else 0
+                    assert starts == [sum(sizes[:j]) + gap * j
+                                      for j in range(len(sizes))]
+                    assert block.shape == (3, starts[-1] + sizes[-1])
+                    for j, (s, n) in enumerate(zip(starts, sizes)):
+                        assert bitwise_equal(block[:, s:s + n], lat.gather(
+                            top - j, vals[top + 1 - j])), (N, top, lo, j)
+                    assert block.flags.writeable == (grid is not None)
 
     def test_supports_shift_with_drift(self):
         m = fp.make_constant_model(
@@ -372,11 +400,27 @@ class TestArrayLattice:
         spec = state_model(0.0, lambda t, x: np.where(where(x), value, -x),
                            lambda t, x: 1.0)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ConfigurationError,
-                match=r"level 1 node %d \(branch 0\).* non-finite state %s"
-                % (node, value)):
-            fp.build_lattice(spec, 4, grid)
+        # check_states tracks the reachable states and names the node
+        # as the lattice does
+        for run in (fp.build_lattice, check_states):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    ConfigurationError,
+                    match=r"level 1 node %d \(branch 0\).* non-finite "
+                    r"state %s" % (node, value)):
+                run(spec, 4, grid)
+
+    def test_check_states_reads_reachable_states_of_any_model(self):
+        # the drift is inf beyond |x| > 5, which no state reaches from 0
+        # with b = -2x: the steps from the hull's ends would be inf
+        spec = state_model(
+            0.0, lambda t, x: np.where(np.abs(x) > 5.0, math.inf, -2.0 * x),
+            lambda t, x: 0.5)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.25, M=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_states(spec, 20, grid)
+            lat = fp.build_lattice(spec, 20, grid)
+        assert np.abs(np.concatenate(lat.supports)).max() <= 5.0
 
     def test_huge_finite_step_saturates_on_its_side(self):
         # from level 1 (-1, 0, 1) the outer nodes step to -+2.5e299,
@@ -393,3 +437,86 @@ class TestArrayLattice:
         supports, children, saturation = tuple_grid_lattice(spec, tg, grid)
         grid_levels_equal(lat, supports, children)
         assert lat.saturation_count == saturation >= 6
+
+    @pytest.mark.parametrize("x0, b, sigma, N, named", [
+        # sigma k sqrt(3h) overflows from |k| = 2 on
+        (0.0, 0.0, 1.7e308, 4, "level 2 node 0 holds the non-finite "
+         "state -inf"),
+        # only the top state overflows
+        (1.5e308, 0.0, 2.9e307, 1, "level 1 node 2 holds the non-finite "
+         "state inf"),
+        # the drift's base x0 + b t_i overflows at t = 1/2
+        (1e308, 1.7e308, 1.0, 4, "level 2 node 0 holds the non-finite "
+         "state inf"),
+    ], ids=["sigma", "top", "drift"])
+    def test_overflowing_tree_state_names_level_and_node(self, x0, b,
+                                                         sigma, N, named):
+        # the tree raises where the grid does, warns nothing, and
+        # check_states raises the same error without building it
+        spec = constant_model(x0, b, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError) as built:
+                fp.build_lattice(spec, N)
+            with pytest.raises(ConfigurationError) as checked:
+                check_states(spec, N)
+        assert str(built.value) == str(checked.value) == "the tree's " + named
+
+    @pytest.mark.parametrize("x0, sigma, eta, named", [
+        # sigma sqrt(3) overflows at the first step, from x0
+        (0.0, 1.7e308, 0.5, "level 0's lowest state 0.0 (branch 0) gave "
+         "the non-finite state -inf"),
+        # level 1 reaches the hull's end 1.7e308, whose step passes the
+        # float range
+        (1.6e308, 1e307, 1e306, "level 1's highest state 1.7e+308 "
+         "(branch 2) gave the non-finite state inf"),
+    ], ids=["first-step", "top"])
+    def test_check_states_steps_the_level_ends(self, x0, sigma, eta, named):
+        # with constant coefficients the grid check steps each level's
+        # lowest and highest state, and fails where the lattice does
+        spec = constant_model(x0, 0.0, sigma)
+        grid = fp.SpatialGrid(x0=x0, eta=eta, M=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="gave the "
+                               "non-finite state"):
+                fp.build_lattice(spec, 2, grid)
+            with pytest.raises(ConfigurationError) as checked:
+                check_states(spec, 2, grid)
+        assert str(checked.value) == "the forward step from " + named
+
+    @given(
+        x0=st.floats(-1.7e308, 1.7e308), b=st.floats(-1.7e308, 1.7e308),
+        sigma=st.floats(0.0, 1.7e308).map(lambda s: s or 1.0),
+        eta=st.floats(1e-3, 1e307), N=st.integers(1, 6),
+        projected=st.booleans(),
+    )
+    # the one step from x0 = 1.6e308 stays finite, though a step from
+    # the hull's end x0 + M eta = 1.7e308 would not
+    @example(x0=1.6e308, b=0.0, sigma=1e307, eta=1e306, N=1,
+             projected=True)
+    @settings(max_examples=200, deadline=None)
+    def test_check_states_passes_only_buildable_lattices(self, x0, b, sigma,
+                                                         eta, N, projected):
+        # check_states raises where build_lattice does, on either lattice
+        # kind, and the tree's message is build_lattice's own
+        spec = constant_model(x0, b, sigma)
+        grid = None
+        if projected:
+            try:
+                grid = fp.SpatialGrid(x0=x0, eta=eta, M=4)
+            except ConfigurationError:
+                assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                check_states(spec, N, grid)
+            except ConfigurationError as err:
+                event("rejected")
+                with pytest.raises(ConfigurationError) as built:
+                    fp.build_lattice(spec, N, grid)
+                if grid is None:
+                    assert str(built.value) == str(err)
+                return
+            lat = fp.build_lattice(spec, N, grid)
+        assert np.isfinite(np.concatenate(lat.supports)).all()

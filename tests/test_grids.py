@@ -289,7 +289,11 @@ class TestSpatialGrid:
             fp.grid_project_index(g, np.array([0.0, bad]))
 
     @pytest.mark.parametrize("kw", [dict(eta=math.inf), dict(eta=0.0),
-                                    dict(x0=math.nan)])
+                                    dict(x0=math.nan),
+                                    # the hull x0 + M eta overflows
+                                    dict(x0=1.7e308, eta=1e306),
+                                    dict(x0=-1.7e308, eta=1e306),
+                                    dict(eta=1e307, M=2 ** 52)])
     def test_degenerate_grid_rejected(self, kw):
         with pytest.raises(ConfigurationError):
             fp.SpatialGrid(**{"x0": 0.0, "eta": 0.1, "M": 10, **kw})

@@ -1068,6 +1068,143 @@ class TestChildNodeDriverTerm:
             assert calls == [((n + 2,), None) for n in sizes]
 
 
+def missing(driver):
+    """driver with its root, where it has one, off by a relative 1e-9: a
+    start, but not the level's value, so a check of it fails."""
+    if driver.root is None:
+        return driver
+    return driver._replace(
+        root=lambda m, z, hh: driver.root(m, z, hh) * (1.0 + 1e-9))
+
+
+class TestZBlocks:
+    """Where y needs no z, run_backward fills z in one pass per block of
+    levels: every z level is the one _level's formula gives from the
+    run's own children, bit for bit."""
+
+    @given(
+        kind=st.sampled_from(SCHEME_KINDS),
+        driver=st.one_of(
+            st.sampled_from([HAND_CUBIC, ZERO, NEG_ZERO, QUINTIC]),
+            # degree 1, or a cubic with a negative leading coefficient,
+            # with or without a z term
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 1.0),
+                      st.sampled_from([0.0, -0.5, 1.0]),
+                      st.sampled_from([0.0, 0.25, 1.0]),
+                      st.sampled_from([0.0, 0.5])).map(
+                lambda c: fp.poly_driver(
+                    c[:2] if not c[3] else c[:3] + (-c[3],),
+                    z_coeff=c[4]))),
+        miss=st.booleans(),
+        sigma=st.floats(0.5, 2.5), N=st.integers(1, 16),
+        projected=st.booleans(),
+        g=st.sampled_from(sorted(TERMINALS)),
+        R0=st.sampled_from([0.5, 3.0, 1e6]),
+        block=st.sampled_from([1, 7, schemes._CHECK_NODES]),
+    )
+    # nans of two patterns meet in the children: the terminal's and the
+    # one inf - inf makes
+    @example(kind="explicit_euler", driver=ZERO, miss=False, sigma=1.0, N=3,
+             projected=False, g="specials", R0=0.5, block=schemes._CHECK_NODES)
+    # a nan fixed point, whose test reads the level's z
+    @example(kind="full_projection_pre", driver=CUBIC, miss=False, sigma=1.5,
+             N=12, projected=False, g="neg-nan", R0=3.0, block=7)
+    # every check fails, so every level is solved one by one
+    @example(kind="theta", driver=CUBIC, miss=True, sigma=1.5, N=12,
+             projected=True, g="quadratic", R0=3.0, block=7)
+    @settings(max_examples=200, deadline=None)
+    def test_every_z_level_is_the_level_formula(self, kind, driver, miss,
+                                                sigma, N, projected, g, R0,
+                                                block):
+        # the run's z from its own y, and the run against level by level
+        # solves: bits, finite flag, Newton counts and failures.  Only
+        # HAND_CUBIC's runs are compared up to nan bits, since its -y
+        # flips a nan's sign in the driver term, as in
+        # TestChildNodeDriverTerm; its z levels are still bitwise
+        if miss:
+            driver = missing(driver)
+        spec = fp.make_constant_model(T=1.0, x0=0.0, b=0.0, sigma=sigma,
+                                      g=TERMINALS[g], driver=driver)
+        grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=80) if projected else None
+        lattice = build(spec, N, grid)
+        trunc = fp.TruncationConfig(R0=R0, alpha=fp.default_alpha(driver.m))
+        cfg = (fp.SchemeConfig(kind="theta", theta=0.5) if kind == "theta"
+               else fp.SchemeConfig(kind=kind, truncation=trunc)
+               if kind.startswith("full") else fp.SchemeConfig(kind=kind))
+        runs = []
+
+        def sweep(*args):
+            run = fp.run_backward(*args)
+            runs.append(run)
+            return (run.y, run.z, run.finite, run.solver_iterations_total,
+                    run.solver_iterations_max)
+
+        with mock.patch.object(schemes, "_CHECK_NODES", block):
+            got = run_outcome(sweep, cfg, lattice, spec)
+        want = run_outcome(level_by_level, cfg, lattice, spec)
+        event("fails" if len(want) == 3 else
+              "finite" if want[2] else "not finite")
+        if runs:
+            h = lattice.time_grid.h
+            T = (partial(fp.truncate, trunc, h) if kind.startswith("full")
+                 else lambda v: v)
+            theta = {"implicit_euler": 1.0, "theta": 0.5}.get(kind, 0.0)
+            for i, z in enumerate(runs[0].z):
+                kids = lattice.gather(i, T(runs[0].y[i + 1]))
+                with np.errstate(all="ignore"):
+                    _, level_z = schemes._expectations(
+                        kids, WCOL, col(H_for(h)), driver, h, theta)
+                assert z.tobytes() == level_z.tobytes(), i
+        if driver is HAND_CUBIC and len(want) == 5:
+            got, want = (([one_nan_bits(b) for b in o[0]],
+                          [one_nan_bits(b) for b in o[1]]) + o[2:]
+                         for o in (got, want))
+        assert got == want
+
+    @pytest.mark.parametrize("preset, N", [("experiment1", 120),
+                                           ("linear-oracle", 320)])
+    def test_one_z_pass_per_block(self, preset, N):
+        # fp fills z once per block: the passes hold every node above the
+        # terminal level once, each but the last at least _CHECK_NODES
+        # and fewer than _CHECK_NODES plus the widest level's nodes.  The
+        # theta scheme's passes are its checks' blocks, and implicit,
+        # whose m sums the block z weights, makes none
+        spec = (fp.experiment1_model() if preset == "experiment1"
+                else fp.linear_model(-1.0))
+        lattice = build(spec, N)
+        widest = len(lattice.supports[N - 1])
+        trunc = fp.TruncationConfig(R0=2.0, alpha=0.249)
+        fp_run = partial(fp.run_backward, fp.SchemeConfig(
+            kind="full_projection_pre", truncation=trunc), lattice, spec)
+        passes, _ = count_z_passes(fp_run)
+        assert sum(passes) == sum(map(len, lattice.supports[:N]))
+        assert all(schemes._CHECK_NODES <= n < schemes._CHECK_NODES + widest
+                   for n in passes[:-1])
+        assert passes[-1] < schemes._CHECK_NODES + widest
+        theta = partial(fp.run_backward, fp.SchemeConfig(
+            kind="theta", theta=0.5), lattice, spec)
+        assert count_z_passes(theta)[0] == passes
+        assert count_solves(theta) == passes
+        implicit = partial(fp.run_backward, fp.SchemeConfig(
+            kind="implicit_euler"), lattice, spec)
+        assert count_z_passes(implicit)[0] == []
+
+
+def count_z_passes(run):
+    """The node counts of the z passes that run() makes, and its
+    result."""
+    calls = []
+    z_levels = schemes._z_levels
+
+    def counted(*args):
+        levels = z_levels(*args)
+        calls.append(sum(map(len, levels)))
+        return levels
+
+    with mock.patch.object(schemes, "_z_levels", counted):
+        return calls, run()
+
+
 def count_solves(run):
     """The node counts of the _solve calls that run() makes."""
     calls = []
