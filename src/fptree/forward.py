@@ -19,7 +19,7 @@ and child_index read the child tables.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,18 +80,19 @@ class Lattice(NamedTuple):
             return block
         return values[self.children[level].T]
 
-    def gather_levels(self, top: int, values: Sequence[np.ndarray]):
-        """Child values of levels top, top - 1, ..., top + 1 - k at once.
+    def gather_levels(self, top: int, k: int, flat: np.ndarray):
+        """Child values of the k levels top, top - 1, ..., top + 1 - k
+        at once.
 
-        values holds the k arrays of their child levels top + 1, top,
-        ... in that order.  Returns (block, starts): level top - j's
-        gather block is block[:, starts[j]:starts[j] + n], n its node
-        count.  On the tree the block is one read-only view of the
-        concatenated values, whose two columns that straddle each pair
-        of levels belong to no level.
+        flat holds their child levels top + 1, top, ..., top + 2 - k,
+        concatenated in that order.  Returns (block, starts): level
+        top - j's gather block is block[:, starts[j]:starts[j] + n], n
+        its node count.  On the tree the block is one read-only view of
+        flat, whose two columns that straddle each pair of levels
+        belong to no level.
         """
-        flat = np.concatenate(values)
-        offsets = list(accumulate(map(len, values[:-1]), initial=0))
+        offsets = list(accumulate(
+            map(len, self.supports[top + 1:top + 2 - k:-1]), initial=0))
         if self.children is None:
             block = np.ndarray((len(WEIGHTS), len(flat) - len(WEIGHTS) + 1),
                                dtype=flat.dtype, buffer=flat,

@@ -82,9 +82,10 @@ class DriverSpec(_Checked, _DriverSpecFields):
         Lipschitz in y.
     L_z : float
         Lipschitz constant in z.  A driver that declares L_z = 0 must
-        not read z, in eval or in root: where theta < 1, run_backward
-        calls its eval as eval(v, None) on the child values of a level,
-        once per child node, and its root as root(m, None, hh).
+        not read z, in eval or in root: run_backward calls its root as
+        root(m, None, hh) at every theta > 0 and, where theta < 1 and y
+        is m or that root, its eval as eval(v, None) on the child values
+        of a level, once per child node.
     f00 : float
         The value f(0, 0).
     dfdy : callable
@@ -96,13 +97,14 @@ class DriverSpec(_Checked, _DriverSpecFields):
         with the array contract of eval, or None.  It is the implicit
         solver's start: a wrong root never costs accuracy, and a
         non-finite one, or one outside the solver's bracket, leaves that
-        node's start at m.  run_backward takes it as a level's value
-        where a solve started from it returns the same bits, so it
-        returns a float64 array of m's shape, computed elementwise.  It
-        is more than a start there: a root that misses costs the
-        guessed block of levels and one failed check before the level
-        by level solves begin.  :func:`poly_driver` supplies it up to
-        degree 3.
+        node's start at m.  A driver with a z term (L_z > 0) uses it as
+        that start alone.  For a driver that declares L_z = 0,
+        run_backward takes it as a level's value where a solve started
+        from it returns the same bits, so it returns a float64 array of
+        m's shape, computed elementwise.  It is more than a start there:
+        a root that misses costs the guessed block of levels and one
+        failed check before the level by level solves begin.
+        :func:`poly_driver` supplies it up to degree 3.
     """
 
     __slots__ = ()

@@ -34,14 +34,14 @@ the same arithmetic, so once a level read as one nan bit pattern gives
 back that pattern at every y and z node, the sweep has reached a fixed
 point and fills the levels below without computing them.
 
-Where theta < 1, the driver declares L_z = 0 and y is m or the
-closed-form root, y needs no z: run_backward computes each level's m
-and y alone and fills z in one pass per block of about _CHECK_NODES
-nodes.  The child levels of the block side by side
-(Lattice.gather_levels) give every level's z through _expectations'
-formula, bit for bit as the level's own block does (_z_levels).  At
-theta = 1, m sums the block that z weights, so z comes with m at each
-level.
+run_backward steps through two forms of this map.  Where the driver
+declares L_z = 0 and y is m (theta = 0) or the closed-form root, y
+needs no z: a level computes m and y alone, and z is filled in one
+pass per block of about _CHECK_NODES nodes, whose child levels side by
+side (Lattice.gather_levels) give every level's z bit for bit as the
+level's own block does (_z_levels).  Every other level, and every
+level below a root that a solve does not confirm, is one call of
+_level.
 """
 
 from __future__ import annotations
@@ -157,31 +157,6 @@ def _branch_sum(t: np.ndarray) -> np.ndarray:
     return (t[0] + t[2]) + t[1]
 
 
-def _expectations(
-    kids: np.ndarray,
-    W: np.ndarray,
-    H: np.ndarray,
-    driver: DriverSpec,
-    h: float,
-    theta: float,
-    drift: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """m = E[v + (1 - theta) f(v, z) h] and z = E[v H] at every node of a
-    level, from the (branches, nodes) block of child values kids; W and
-    H are the (branches, 1) columns of branch weights and Z weights.
-    drift, where given, is the block of v + (1 - theta) f(v, z) h: a
-    driver free of z gives it once per child node (run_backward), which
-    the block repeats on the branches, to the bits of the branch form.
-    Both sums are _branch_sum's, m's written out."""
-    wk = W * kids
-    z = _branch_sum(wk * H)
-    if theta != 1.0:
-        if drift is None:
-            drift = kids + driver.eval(kids, z) * ((1.0 - theta) * h)
-        wk = W * drift
-    return (wk[0] + wk[2]) + wk[1], z
-
-
 def _level(
     kids: np.ndarray,
     W: np.ndarray,
@@ -189,21 +164,26 @@ def _level(
     driver: DriverSpec,
     h: float,
     theta: float,
-    drift: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One backward step at every node of a level.
 
     kids is the (branches, nodes) block of child values, already
-    truncated for the full-projection kinds; W, H and drift are
-    _expectations'.  Returns y, z and the level's root-solve iteration
-    total and per-node maximum (zero where no solve runs).  Callers run it under np.errstate(all="ignore"):
-    overflow is data.
+    truncated for the full-projection kinds; W and H are the
+    (branches, 1) columns of branch weights and Z weights.  z = E[v H]
+    and m = E[v + (1 - theta) f(v, z) h] are _branch_sum's sums, and y
+    is m at theta = 0, else _solve's root of y = m + theta h f(y, z).
+    Returns y, z and the level's root-solve iteration total and
+    per-node maximum (zero where no solve runs).  Callers run it under
+    np.errstate(all="ignore"): overflow is data.
     """
-    m, z = _expectations(kids, W, H, driver, h, theta, drift)
+    wk = W * kids
+    z = _branch_sum(wk * H)
+    if theta != 1.0:
+        wk = W * (kids + driver.eval(kids, z) * ((1.0 - theta) * h))
+    m = _branch_sum(wk)
     if theta == 0.0:
-        y, total, most = m, 0, 0
-    else:
-        y, _, total, most = _solve(m, z, driver, theta * h)
+        return m, z, 0, 0
+    y, _, total, most = _solve(m, z, driver, theta * h)
     return y, z, total, most
 
 
@@ -389,28 +369,30 @@ def _one_nan(nxt: np.ndarray, *levels: np.ndarray) -> bool:
 def _odd_nan(v: np.ndarray) -> bool:
     """Whether v holds a nan of other bits than an invalid operation
     makes (_NAN)."""
-    return (np.count_nonzero(np.isnan(v))
-            != np.count_nonzero(v.view(np.int64) == _NAN))
+    nans = np.count_nonzero(np.isnan(v))
+    return bool(nans) and nans != np.count_nonzero(v.view(np.int64) == _NAN)
 
 
 def _z_levels(lattice: Lattice, top: int, kids, W: np.ndarray,
               H: np.ndarray):
     """The z levels of levels top, top - 1, ... from the list kids of
     their (truncated) child levels, in one pass over the block of
-    Lattice.gather_levels.
+    Lattice.gather_levels: each is _level's z = _branch_sum(W v H).
 
     Where two nans of different bits meet, numpy's SIMD loops pick the
     result's bits by the element's place in the array, and a level's
     place in the block is not its place in its own gather block.  Every
     nan an operation makes has the bits _NAN, so only children that
-    hold a nan of other bits can meet one: those levels take their z
-    from their own gather block, as _expectations does.
+    hold a nan of other bits can meet one.  Where the block's z sums to
+    nan and the child levels hold such a nan, each level that holds one
+    takes its z from its own gather block.
     """
-    block, starts = lattice.gather_levels(top, kids)
+    flat = np.concatenate(kids)
+    block, starts = lattice.gather_levels(top, len(kids), flat)
     z = _branch_sum(W * block * H)
     levels = [z[s:s + len(lattice.supports[top - j])]
               for j, s in enumerate(starts)]
-    if math.isnan(z.sum()) and _odd_nan(np.concatenate(kids)):
+    if math.isnan(z.sum()) and _odd_nan(flat):
         levels = [_branch_sum(W * lattice.gather(top - j, v) * H)
                   if _odd_nan(v) else a
                   for j, (a, v) in enumerate(zip(levels, kids))]
@@ -452,30 +434,25 @@ def run_backward(
     recorded in the values and the finite flag instead.  For
     full_projection_post the flag is taken on the truncated values.
 
-    An implicit run (theta > 0) whose driver has a closed-form root
-    takes DriverSpec.root as each level's y and sweeps on, without a
-    solve.  Once the levels since the last check hold _CHECK_NODES
-    nodes, at a nan fixed point and at level 0, one _solve call over
-    their concatenated m and z checks them: where it returns each
-    level's root bit for bit, those are the values level by level
-    solving gives, and its counts are theirs.  Where it raises or
-    differs in any bit, those levels and all below run as without a
-    root check, each with its own _solve, and give that solve's
-    values, counts and SolverError.  The check starts Newton at the
-    roots it checks, as each level's solve would, so no root is
-    computed twice.
-
-    Where theta < 1 and the driver declares L_z = 0, its term
-    v + (1 - theta) h f(v) is computed once on each child level, with
-    eval(v, None), and gathered with the level: a driver that declares
-    L_z = 0 must not read z.  A driver with a z term is evaluated on
-    the (branches, nodes) block, as in _expectations.  The y of a
-    driver that declares L_z = 0 needs no z where it is m (theta = 0)
-    or the root, taken as root(m, None, hh): those levels compute m and
-    y only, and one pass fills the z of each block of levels that a
-    check takes, or would take, before that check and before a nan
-    fixed point's test reads the level's z.  Levels solved one by one
-    get their z with the solve.
+    Every level takes one of two forms.  Where the driver declares
+    L_z = 0 and y is m (theta = 0) or the closed-form root
+    (DriverSpec.root), a level computes m and y alone: its term
+    v + (1 - theta) h f(v) is computed once on the child level, with
+    eval(v, None), and gathered with the level (v itself at theta = 1),
+    and y is m or root(m, None, hh).  A driver that declares L_z = 0
+    must not read z.  Once the levels since the last pass hold
+    _CHECK_NODES nodes, at level 0, and before a nan fixed point's test
+    reads a level's z, one pass fills their z (_z_levels), and where
+    theta > 0 one _solve call over their concatenated m and z checks
+    their roots (_check): where it returns each root bit for bit, those
+    are the values level by level solving gives, and its counts are
+    theirs.  The check starts Newton at the roots it checks, as each
+    level's solve would, so no root is computed twice.  Every other
+    level goes through _level, with its own _solve where theta > 0:
+    those of a driver with a z term, whose root is only a start, of a
+    driver without a root, and every level from the block of a failed
+    check down, which gives that solve's values, counts and
+    SolverError.
     """
     base = lattice.model
     if spec._replace(g=base.g, driver=base.driver) != base:
@@ -498,7 +475,6 @@ def run_backward(
     # (1 - theta) h as a float64 0-d array, which numpy applies faster
     # than a Python float, to the same bits
     c = np.array((1.0 - theta) * h)
-    per_node = theta != 1.0 and driver.L_z == 0.0
 
     x = lattice.supports[tg.N]
     with np.errstate(all="ignore"):
@@ -508,16 +484,14 @@ def run_backward(
     z_levels = []
     iters_total = 0
     iters_max = 0
-    # while `guess` holds, levels take the closed-form root as y and
-    # `block` holds the m of those not yet checked; while `late` holds,
-    # levels leave z to one pass and `pending` holds the child levels of
-    # those still without it; `nodes` counts the nodes of either list
+    # while `fast` holds, levels compute m and y alone; `kids` and `ms`
+    # hold the child levels and the m of those still without z, and
+    # `nodes` counts their nodes
     hh = theta * h
     root = driver.root
-    guess = theta != 0.0 and root is not None
-    late = per_node and (guess or theta == 0.0)
-    block = []
-    pending = []
+    fast = driver.L_z == 0.0 and (theta == 0.0 or root is not None)
+    kids = []
+    ms = []
     nodes = 0
 
     with np.errstate(all="ignore"):
@@ -527,20 +501,18 @@ def run_backward(
             # truncation is elementwise: truncating the level once equals
             # truncating each node's children
             v = nxt if clamp is None else clamp(nxt)
-            drift = gather(i, v + f(v, None) * c) if per_node else None
-            if late:
-                m = _branch_sum(W * drift)
-                y = root(m, None, hh) if guess else m
+            if fast:
+                d = v if theta == 1.0 else v + f(v, None) * c
+                m = _branch_sum(W * gather(i, d))
+                y = m if theta == 0.0 else root(m, None, hh)
                 z = None
-                pending.append(v)
-            elif guess:
-                m, z = _expectations(gather(i, v), W, H, driver, h, theta,
-                                     drift)
-                y = root(m, z, hh)
+                kids.append(v)
+                ms.append(m)
+                nodes += y.size
             else:
                 try:
                     y, z, total, most = _level(gather(i, v), W, H, driver, h,
-                                               theta, drift)
+                                               theta)
                 except SolverError as err:
                     raise SolverError(
                         "implicit solve failed at N=%d level %d node %d: %s"
@@ -550,37 +522,29 @@ def run_backward(
                     ) from err
                 iters_total += total
                 iters_max = max(iters_max, most)
-            if guess:
-                block.append(m)
-            if late or guess:
-                nodes += y.size
             y_levels.append(y)
             z_levels.append(z)
             # a nan fixed point needs one nan pattern in y first, and z
             # is read only then
             stop = math.isnan(nxt[0]) and _one_nan(nxt, y)
-            if nodes and (stop or i == 0 or nodes >= _CHECK_NODES):
+            if kids and (stop or i == 0 or nodes >= _CHECK_NODES):
+                n = len(kids)
+                z_levels[-n:] = _z_levels(lattice, i + n - 1, kids, W, H)
+                counts = (0, 0) if theta == 0.0 else _check(
+                    ms, z_levels[-n:], y_levels[-n:], driver, hh)
+                kids = []
+                ms = []
                 nodes = 0
-                if pending:
-                    n = len(pending)
-                    z_levels[-n:] = _z_levels(lattice, i + n - 1, pending,
-                                              W, H)
-                    pending = []
-                if block:
-                    n = len(block)
-                    counts = _check(block, z_levels[-n:], y_levels[-n:],
-                                    driver, hh)
-                    block = []
-                    if counts is None:
-                        # some root is not its level's value: the block's
-                        # levels and all below run with a _solve each, as
-                        # a root that misses once tends to miss again
-                        del y_levels[-n:], z_levels[-n:]
-                        guess = late = False
-                        i += n - 1
-                        continue
-                    iters_total += counts[0]
-                    iters_max = max(iters_max, counts[1])
+                if counts is None:
+                    # some root is not its level's value: the block's
+                    # levels and all below run through _level, as a root
+                    # that misses once tends to miss again
+                    del y_levels[-n:], z_levels[-n:]
+                    fast = False
+                    i += n - 1
+                    continue
+                iters_total += counts[0]
+                iters_max = max(iters_max, counts[1])
             if stop and _one_nan(nxt, z_levels[-1]):
                 # the fixed point of the module docstring: no solve runs
                 # on a nan level, so the skipped levels add no iterations

@@ -148,7 +148,8 @@ class TestBuildLattice:
             for top in range(N):
                 for lo in range(top + 1):
                     block, starts = lat.gather_levels(
-                        top, vals[top + 1:lo:-1])
+                        top, top + 1 - lo,
+                        np.concatenate(vals[top + 1:lo:-1]))
                     sizes = [len(lat.supports[i])
                              for i in range(top, lo - 1, -1)]
                     gap = 2 if grid is None else 0

@@ -1,11 +1,13 @@
 """Source hygiene: every imported name is used by the file importing it,
 every ``__all__`` entry of the library names a module-level definition,
-every private module-level name of the library is read by it, no
-library module but ``forward`` reads a lattice's child tables, no
-library function takes a run beside a lattice or a model (a run carries
-its own), no library module but ``cli`` imports ``time`` (the
-library reports counts, not wall times), and in ``cli`` one function
-turns a failed run into exit 1 and one a configuration error into exit 2.
+every private module-level name of the library is read by it, every
+optional parameter of a private library function is passed by some
+library call, no library module but ``forward`` reads a lattice's child
+tables, no library function takes a run beside a lattice or a model (a
+run carries its own), no library module but ``cli`` imports ``time``
+(the library reports counts, not wall times), and in ``cli`` one
+function turns a failed run into exit 1 and one a configuration error
+into exit 2.
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -111,6 +113,60 @@ def test_scan_flags_an_unread_private_name():
 
 def test_every_private_name_is_read():
     assert unread_private_names(
+        [p.read_text(encoding="utf-8") for p in MODULES]) == []
+
+
+def unpassed_options(sources):
+    """The optional parameters, as ``function(name)``, of the private
+    functions (a leading underscore, not a dunder) of these sources that
+    no call in them passes, by position or by keyword.  A call matches
+    a function by its name, as a name or an attribute; ``*args`` and
+    ``**kwargs`` in a call pass every parameter."""
+    defs, calls = [], {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                defs.append(node)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for node in defs:
+        a = node.args
+        positional = a.posonlyargs + a.args
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        options = [(i, p.arg) for i, p in enumerate(positional)][
+            len(positional) - len(a.defaults):]
+        options += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+        for i, arg in options:
+            if not any(
+                    any(isinstance(v, ast.Starred) for v in call.args)
+                    or i is not None and len(call.args) > i
+                    or any(k.arg in (None, arg) for k in call.keywords)
+                    for call in calls.get(node.name, [])):
+                found.append("%s(%s)" % (node.name, arg))
+    return sorted(found)
+
+
+def test_scan_flags_an_unpassed_option():
+    sources = ["def _f(a, b=1, c=2, *, d=3): pass\n"
+               "def _g(a, knob=None): pass\n"
+               "class C:\n    def _m(self, x=0): pass\n"
+               "def _h(a=0): pass\n",
+               "_f(0, 1)\n_f(0, d=4)\nmod._g(1)\nC()._m(1)\n_h(*args)\n"]
+    assert unpassed_options(sources) == ["_f(c)", "_g(knob)"]
+
+
+def test_every_private_option_is_passed():
+    # an optional parameter that only tests pass is a second code path
+    # the library never takes
+    assert unpassed_options(
         [p.read_text(encoding="utf-8") for p in MODULES]) == []
 
 

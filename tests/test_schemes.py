@@ -851,8 +851,9 @@ TERMINALS = {
 
 class TestLevelChecks:
     """run_backward's implicit levels, taken from the closed-form root and
-    checked in blocks by one _solve call, are those of _level level by
-    level: bits, counts and failures."""
+    checked in blocks by one _solve call where the driver declares
+    L_z = 0, and solved one by one where it has a z term, are those of
+    _level level by level: bits, counts and failures."""
 
     @given(
         deg=st.sampled_from([0, 1, 3]),
@@ -920,9 +921,7 @@ class TestLevelChecks:
         if where == "level 0":
             h = lattice.time_grid.h
             run = fp.run_backward(cfg, lattice, exp1_model)
-            m0, _ = schemes._expectations(
-                lattice.gather(0, run.y[1]), WCOL, col(H_for(h)),
-                exp1_model.driver, h, 1.0)
+            m0 = schemes._branch_sum(WCOL * lattice.gather(0, run.y[1]))
             checked = blocks[:-1]
         else:
             m0, checked = None, []
@@ -950,23 +949,41 @@ class TestLevelChecks:
     def test_one_root_per_guessed_level(self, exp1_model):
         # the checks start from the roots the levels hold, so the root is
         # computed once per level and never inside a check, which still
-        # runs once per block
+        # runs once per block.  A driver that declares L_z = 0 gets its
+        # root as root(m, None, hh), at theta = 1 as at theta < 1
         lattice = build(exp1_model, 120)
         calls = []
         root = exp1_model.driver.root
 
         def counted(m, z, hh):
-            calls.append(m.size)
+            calls.append((m.size, z))
             return root(m, z, hh)
 
         spec = exp1_model._replace(
             driver=exp1_model.driver._replace(root=counted))
         cfg = fp.SchemeConfig(kind="implicit_euler")
         blocks = count_solves(lambda: fp.run_backward(cfg, lattice, spec))
-        assert calls == [len(lattice.supports[i]) for i in range(119, -1, -1)]
-        assert sum(blocks) == sum(calls) and len(blocks) > 2
+        assert calls == [(len(lattice.supports[i]), None)
+                         for i in range(119, -1, -1)]
+        assert sum(blocks) == sum(n for n, _ in calls) and len(blocks) > 2
         assert (run_outcome(backward, cfg, lattice, spec)
                 == run_outcome(backward, cfg, lattice, exp1_model))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_z_term_drivers_solved_level_by_level(self, exp2_model, theta):
+        # a driver with a z term reads z in its root, so its root is only
+        # _solve's start: every level is one _solve call, top-down, with
+        # the bits, counts and finite flag of level by level solves
+        spec = exp2_model._replace(
+            driver=fp.poly_driver((0.0, -1.0, 0.0, -1.0), z_coeff=0.5))
+        assert spec.driver.root is not None
+        lattice = build(spec, 30)
+        cfg = (fp.SchemeConfig(kind="implicit_euler") if theta == 1.0
+               else fp.SchemeConfig(kind="theta", theta=theta))
+        calls = count_solves(lambda: fp.run_backward(cfg, lattice, spec))
+        assert calls == [len(lattice.supports[i]) for i in range(29, -1, -1)]
+        assert (run_outcome(backward, cfg, lattice, spec)
+                == run_outcome(level_by_level, cfg, lattice, spec))
 
     @pytest.mark.parametrize("preset, N", [("experiment1", 120),
                                            ("experiment2", 15)])
@@ -993,9 +1010,10 @@ def one_nan_bits(level):
 
 
 class TestChildNodeDriverTerm:
-    """Where theta < 1 and the driver declares L_z = 0, run_backward
-    computes v + (1 - theta) h f(v) once per child node and gathers it:
-    the bits of _level's branch form, whose f reads the block."""
+    """Where theta < 1, the driver declares L_z = 0 and y is m or the
+    closed-form root, run_backward computes v + (1 - theta) h f(v) once
+    per child node and gathers it: the bits of _level's branch form,
+    whose f reads the block."""
 
     @given(
         kind=st.sampled_from(["explicit_euler", "full_projection_pre",
@@ -1148,12 +1166,11 @@ class TestZBlocks:
             h = lattice.time_grid.h
             T = (partial(fp.truncate, trunc, h) if kind.startswith("full")
                  else lambda v: v)
-            theta = {"implicit_euler": 1.0, "theta": 0.5}.get(kind, 0.0)
             for i, z in enumerate(runs[0].z):
                 kids = lattice.gather(i, T(runs[0].y[i + 1]))
                 with np.errstate(all="ignore"):
-                    _, level_z = schemes._expectations(
-                        kids, WCOL, col(H_for(h)), driver, h, theta)
+                    level_z = _level(kids, WCOL, col(H_for(h)), driver, h,
+                                     0.0)[1]
                 assert z.tobytes() == level_z.tobytes(), i
         if driver is HAND_CUBIC and len(want) == 5:
             got, want = (([one_nan_bits(b) for b in o[0]],
@@ -1167,8 +1184,8 @@ class TestZBlocks:
         # fp fills z once per block: the passes hold every node above the
         # terminal level once, each but the last at least _CHECK_NODES
         # and fewer than _CHECK_NODES plus the widest level's nodes.  The
-        # theta scheme's passes are its checks' blocks, and implicit,
-        # whose m sums the block z weights, makes none
+        # passes of the theta scheme and of implicit are their checks'
+        # blocks, the same blocks
         spec = (fp.experiment1_model() if preset == "experiment1"
                 else fp.linear_model(-1.0))
         lattice = build(spec, N)
@@ -1187,7 +1204,8 @@ class TestZBlocks:
         assert count_solves(theta) == passes
         implicit = partial(fp.run_backward, fp.SchemeConfig(
             kind="implicit_euler"), lattice, spec)
-        assert count_z_passes(implicit)[0] == []
+        assert count_z_passes(implicit)[0] == count_solves(implicit) \
+            == passes
 
 
 def count_z_passes(run):
