@@ -34,7 +34,7 @@ import click
 
 from . import analysis
 from .analysis import convergence_study, minmax_processes
-from .forward import Lattice, build_lattice, check_states, dump_lattice
+from .forward import Lattice, build_lattice, dump_lattice
 from .grids import (
     ConfigurationError,
     SpatialGrid,
@@ -141,7 +141,7 @@ class Settings(NamedTuple):
     no_timing: bool
     model: ModelSpec
     configs: Tuple[SchemeConfig, ...]  # one per scheme
-    lattices: Tuple[Lattice, ...]  # one per N; check builds none
+    lattices: Tuple[Lattice, ...]  # one per N
 
 
 def _parse_ns(text: str) -> Tuple[int, ...]:
@@ -304,8 +304,8 @@ def _shared_options(fn):
 
 def _settings(kw: dict, command: str) -> Settings:
     """Merge flags over config-file keys over preset defaults and
-    resolve what the command reads: each scheme's config, each N's mesh
-    and, unless the command is check, each N's lattice."""
+    resolve what the command reads: each scheme's config and each N's
+    mesh and lattice."""
     sections = _read_config_file(kw["config"]) if kw["config"] else {}
     run_keys = sections.get("run", {})
     _check_keys("run", run_keys, _FILE_OPTIONS)
@@ -372,19 +372,12 @@ def _settings(kw: dict, command: str) -> Settings:
         if command == "convergence" and base["reference"] == "proxy":
             check_alpha(trunc, m)  # the proxy reference runs fp
         # every scheme, ledger and --dump-lattice of a run reads these,
-        # so each N's lattice is built once
-        grids = [_grid_for(model, values["eta"], values["grid_extent"], N)
-                 for N in values["ns"]]
-        if command == "check":
-            # check's verdicts need no lattice, only the states it
-            # would fail on
-            for N, grid in zip(values["ns"], grids):
-                check_states(model, N, grid)
-            values["lattices"] = ()
-        else:
-            values["lattices"] = tuple(
-                build_lattice(model, N, grid)
-                for N, grid in zip(values["ns"], grids))
+        # so each N's lattice is built once; check builds them too, so
+        # it fails with the error of the run it validates
+        values["lattices"] = tuple(
+            build_lattice(model, N, _grid_for(
+                model, values["eta"], values["grid_extent"], N))
+            for N in values["ns"])
     except _CONFIG_ERRORS as err:
         raise click.UsageError(str(err))
     return Settings(**values)

@@ -36,7 +36,6 @@ from .model import ModelSpec
 __all__ = [
     "Lattice",
     "build_lattice",
-    "check_states",
     "dump_lattice",
 ]
 
@@ -169,58 +168,20 @@ def _tree(spec: ModelSpec, N: int, h: float):
 
 
 def _steps(spec: ModelSpec, t: float, x: np.ndarray, h: float,
-           dws: np.ndarray, where):
+           dws: np.ndarray, level: int):
     """The (nodes, branches) block of Euler steps x + b(t, x) h +
-    sigma(t, x) dw from the column x; a non-finite step raises
-    ConfigurationError naming where(node) and its branch."""
+    sigma(t, x) dw from the column x of level `level`; a non-finite step
+    raises ConfigurationError naming its level, node and branch."""
     with np.errstate(all="ignore"):
         # an overflowing step is reported below, not warned about
         raw = x + spec.b(t, x) * h + spec.sigma(t, x) * dws
     if not np.isfinite(raw).all():
         node, branch = np.argwhere(~np.isfinite(raw))[0]
         raise ConfigurationError(
-            "the forward step from %s (branch %d) gave the non-finite "
-            "state %r" % (where(node), branch, float(raw[node, branch])))
+            "the forward step from level %d node %d (branch %d) gave the "
+            "non-finite state %r"
+            % (level, node, branch, float(raw[node, branch])))
     return raw
-
-
-def check_states(
-    spec: ModelSpec,
-    N: int,
-    grid: Optional[SpatialGrid] = None,
-) -> None:
-    """Raise the ConfigurationError of a non-finite state that
-    build_lattice(spec, N, grid) would meet, without building it.
-
-    The tree's check is build_lattice's own, on the lowest and highest
-    state of each level.  On a grid the check steps and projects each
-    level's reachable states as build_lattice does, keeping one level
-    and no child table.  With constant coefficients the step and the
-    projection are monotone in x, so the lowest and highest states of a
-    level step to the lowest and highest of the next, and every step
-    lies between theirs: the check keeps those two states alone.  A
-    model passes the check if and only if its lattice builds.
-    """
-    tg = TimeGrid(spec.T, N)
-    if grid is None:
-        _tree(spec, N, tg.h)
-        return
-    ends = spec.has_constant_coefficients
-
-    def where(node):
-        if ends:
-            return "level %d's %s state %r" % (
-                i, ("lowest", "highest")[node], float(x[node]))
-        return "level %d node %d" % (i, node)
-
-    k, _ = grid_project_index(grid, spec.x0)
-    x = grid.point(k.reshape(1))
-    dws = np.array(increments(tg.h))
-    for i, t in enumerate(tg.times[:-1]):
-        raw = _steps(spec, t, x[:, None], tg.h, dws, where)
-        keys, _ = grid_project_index(grid, raw)
-        states = np.unique(keys)
-        x = grid.point(states[[0, -1]] if ends else states)
 
 
 def build_lattice(
@@ -239,8 +200,7 @@ def build_lattice(
     that holds one.  With a grid, every Euler step
     x + b(t, x) h + sigma(t, x) dw is projected and the reachable set
     is tracked level by level; a non-finite step raises
-    ConfigurationError naming its level and node.  check_states
-    raises these errors without building the lattice.
+    ConfigurationError naming its level and node.
     """
     tg = TimeGrid(spec.T, N)
     h = tg.h
@@ -262,8 +222,7 @@ def build_lattice(
     dws = np.array(increments(h))
     for i, t in enumerate(tg.times[:-1]):
         # the (nodes, branches) block of Euler steps from level i
-        raw = _steps(spec, t, supports[i][:, None], h, dws,
-                     lambda node: "level %d node %d" % (i, node))
+        raw = _steps(spec, t, supports[i][:, None], h, dws, i)
         keys, sat = grid_project_index(grid, raw)
         saturation += int(np.count_nonzero(sat))
         states, idx = np.unique(keys, return_inverse=True)

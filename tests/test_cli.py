@@ -295,27 +295,30 @@ class TestConvergence:
         assert named in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--Ns", "2,4"],
+    @pytest.mark.parametrize("model, flags, named", [
+        ("sigma = 1.7e308\n", ["--Ns", "2,4"],
          "the tree's level 1 node 0 holds the non-finite state -inf"),
-        (["--Ns", "1", "--eta", "0.5", "--grid-extent", "1"],
-         "gave the non-finite state -inf"),
-    ], ids=["tree", "projected"])
+        ("sigma = 1.7e308\n", ["--Ns", "1", "--eta", "0.5",
+                                "--grid-extent", "1"],
+         "the forward step from level 0 node 0 (branch 0) gave the "
+         "non-finite state -inf"),
+        # level 1 reaches the hull's end 1.7e308, whose step passes the
+        # float range
+        ("x0 = 1.6e308\nsigma = 1e307\n", ["--Ns", "2", "--eta", "1e306",
+                                           "--grid-extent", "1e307"],
+         "the forward step from level 1 node 2 (branch 2) gave the "
+         "non-finite state inf"),
+    ], ids=["tree", "projected", "float-range"])
     @pytest.mark.parametrize("command", ["check", "convergence", "stability"])
     def test_overflowing_forward_step_warns_nothing(self, runner, tmp_path,
-                                                    monkeypatch, command,
-                                                    flags, named):
-        # the step overflows in numpy; on either lattice kind the error
-        # line alone reports it, from the settings: exit 2, no verdict and
-        # no --out.  check finds it without building a lattice
-        def no_lattice(*a, **kw):
-            raise AssertionError("check built a lattice")
-
-        if command == "check":
-            monkeypatch.setattr(cli, "build_lattice", no_lattice)
+                                                    command, model, flags,
+                                                    named):
+        # the step overflows in numpy; on either lattice kind every
+        # command prints the same error line alone, from the settings:
+        # exit 2, no verdict and no --out
         cfg = tmp_path / "model.cfg"
-        cfg.write_text("[run]\npreset = custom\n[model]\nsigma = 1.7e308\n"
-                       "g = quadratic\n")
+        cfg.write_text("[run]\npreset = custom\n[model]\n" + model
+                       + "g = quadratic\n")
         out = tmp_path / "art"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -323,7 +326,7 @@ class TestConvergence:
                 command, "--config", str(cfg), *flags, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines()[-1].endswith(named)
+        assert result.output.splitlines()[-1] == "Error: " + named
         assert "PASS" not in result.output and not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "stability"])
@@ -463,7 +466,9 @@ class TestStability:
     (["convergence", "--preset", "linear-oracle", "--dump-lattice"], 6, 6),
     # three schemes per N plus the perturbed fp run per N
     (["stability", "--preset", "experiment2"], 4, 16),
-], ids=["args0-11", "args1-6", "args2-4"])
+    # check builds what the run it validates builds, and runs nothing
+    (["check", "--preset", "experiment1"], 10, 0),
+], ids=["args0-11", "args1-6", "args2-4", "args3-10"])
 def test_one_lattice_per_N(runner, tmp_path, monkeypatch, args, builds, runs):
     # every scheme, ledger and dump of a run reads the same lattice per
     # N, and every backward run is its own run_backward call: the

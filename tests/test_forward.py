@@ -8,7 +8,6 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import fptree as fp
-from fptree.forward import check_states
 from fptree.grids import ConfigurationError
 from fptree.model import ModelSpec, constant_b_sigma
 
@@ -401,16 +400,15 @@ class TestArrayLattice:
         spec = state_model(0.0, lambda t, x: np.where(where(x), value, -x),
                            lambda t, x: 1.0)
         grid = fp.SpatialGrid(x0=0.0, eta=0.5, M=10)
-        # check_states tracks the reachable states and names the node
-        # as the lattice does
-        for run in (fp.build_lattice, check_states):
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    ConfigurationError,
-                    match=r"level 1 node %d \(branch 0\).* non-finite "
-                    r"state %s" % (node, value)):
-                run(spec, 4, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError) as built:
+                fp.build_lattice(spec, 4, grid)
+        assert str(built.value) == (
+            "the forward step from level 1 node %d (branch 0) gave the "
+            "non-finite state %s" % (node, value))
 
-    def test_check_states_reads_reachable_states_of_any_model(self):
+    def test_grid_reads_reachable_states_of_any_model(self):
         # the drift is inf beyond |x| > 5, which no state reaches from 0
         # with b = -2x: the steps from the hull's ends would be inf
         spec = state_model(
@@ -419,7 +417,6 @@ class TestArrayLattice:
         grid = fp.SpatialGrid(x0=0.0, eta=0.25, M=40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            check_states(spec, 20, grid)
             lat = fp.build_lattice(spec, 20, grid)
         assert np.abs(np.concatenate(lat.supports)).max() <= 5.0
 
@@ -452,39 +449,34 @@ class TestArrayLattice:
     ], ids=["sigma", "top", "drift"])
     def test_overflowing_tree_state_names_level_and_node(self, x0, b,
                                                          sigma, N, named):
-        # the tree raises where the grid does, warns nothing, and
-        # check_states raises the same error without building it
+        # the tree raises where the grid does and warns nothing
         spec = constant_model(x0, b, sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError) as built:
                 fp.build_lattice(spec, N)
-            with pytest.raises(ConfigurationError) as checked:
-                check_states(spec, N)
-        assert str(built.value) == str(checked.value) == "the tree's " + named
+        assert str(built.value) == "the tree's " + named
 
     @pytest.mark.parametrize("x0, sigma, eta, named", [
         # sigma sqrt(3) overflows at the first step, from x0
-        (0.0, 1.7e308, 0.5, "level 0's lowest state 0.0 (branch 0) gave "
-         "the non-finite state -inf"),
+        (0.0, 1.7e308, 0.5, "level 0 node 0 (branch 0) gave the non-finite "
+         "state -inf"),
         # level 1 reaches the hull's end 1.7e308, whose step passes the
         # float range
-        (1.6e308, 1e307, 1e306, "level 1's highest state 1.7e+308 "
-         "(branch 2) gave the non-finite state inf"),
+        (1.6e308, 1e307, 1e306, "level 1 node 2 (branch 2) gave the "
+         "non-finite state inf"),
     ], ids=["first-step", "top"])
-    def test_check_states_steps_the_level_ends(self, x0, sigma, eta, named):
-        # with constant coefficients the grid check steps each level's
-        # lowest and highest state, and fails where the lattice does
+    def test_overflowing_grid_step_names_level_and_node(self, x0, sigma, eta,
+                                                        named):
+        # with constant coefficients the grid steps each level's
+        # reachable states and names the first non-finite step
         spec = constant_model(x0, 0.0, sigma)
         grid = fp.SpatialGrid(x0=x0, eta=eta, M=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="gave the "
-                               "non-finite state"):
+            with pytest.raises(ConfigurationError) as built:
                 fp.build_lattice(spec, 2, grid)
-            with pytest.raises(ConfigurationError) as checked:
-                check_states(spec, 2, grid)
-        assert str(checked.value) == "the forward step from " + named
+        assert str(built.value) == "the forward step from " + named
 
     @given(
         x0=st.floats(-1.7e308, 1.7e308), b=st.floats(-1.7e308, 1.7e308),
@@ -497,10 +489,10 @@ class TestArrayLattice:
     @example(x0=1.6e308, b=0.0, sigma=1e307, eta=1e306, N=1,
              projected=True)
     @settings(max_examples=200, deadline=None)
-    def test_check_states_passes_only_buildable_lattices(self, x0, b, sigma,
-                                                         eta, N, projected):
-        # check_states raises where build_lattice does, on either lattice
-        # kind, and the tree's message is build_lattice's own
+    def test_lattice_builds_finite_or_raises(self, x0, b, sigma, eta, N,
+                                             projected):
+        # on either lattice kind build_lattice names a non-finite state
+        # or returns finite supports alone, and warns nothing
         spec = constant_model(x0, b, sigma)
         grid = None
         if projected:
@@ -511,13 +503,9 @@ class TestArrayLattice:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                check_states(spec, N, grid)
+                lat = fp.build_lattice(spec, N, grid)
             except ConfigurationError as err:
                 event("rejected")
-                with pytest.raises(ConfigurationError) as built:
-                    fp.build_lattice(spec, N, grid)
-                if grid is None:
-                    assert str(built.value) == str(err)
+                assert "non-finite state" in str(err)
                 return
-            lat = fp.build_lattice(spec, N, grid)
         assert np.isfinite(np.concatenate(lat.supports)).all()

@@ -5,9 +5,9 @@ optional parameter of a private library function is passed by some
 library call, no library module but ``forward`` reads a lattice's child
 tables, no library function takes a run beside a lattice or a model (a
 run carries its own), no library module but ``cli`` imports ``time``
-(the library reports counts, not wall times), and in ``cli`` one
+(the library reports counts, not wall times), in ``cli`` one
 function turns a failed run into exit 1 and one a configuration error
-into exit 2.
+into exit 2, and ``build_lattice`` alone steps the forward chain.
 
 No linter ships with the toolchain, so this scans the syntax trees of
 the library modules (the package ``__init__`` re-exports on purpose)
@@ -284,3 +284,46 @@ def test_one_function_decides_each_error_exit(name, owner):
     # file is written or any run starts
     cli = ROOT / "src" / "fptree" / "cli.py"
     assert readers_of(cli.read_text(encoding="utf-8"), name) == [owner]
+
+
+def names_imported(source: str, module: str):
+    """The names the source imports from the library module `module`,
+    relatively or as ``fptree.<module>``; importing the module itself
+    counts as ``*``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (module, "fptree." + module):
+                names.update(alias.name for alias in node.names)
+            elif node.module in (None, "fptree") and any(
+                    alias.name == module for alias in node.names):
+                names.add("*")
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "fptree." + module for alias in node.names):
+            names.add("*")
+    return sorted(names)
+
+
+def test_scan_flags_a_name_imported_from_a_module():
+    source = ("from .forward import Lattice, _steps\n"
+              "from fptree.forward import _tree\n"
+              "from . import forward\nfrom .model import ModelSpec\n")
+    assert names_imported(source, "forward") == [
+        "*", "Lattice", "_steps", "_tree"]
+    assert names_imported("import fptree.forward\n", "forward") == ["*"]
+
+
+@pytest.mark.parametrize("name", ["_steps", "_tree"])
+def test_build_lattice_alone_steps_the_forward_chain(name):
+    # one stepper puts the chain onto the lattice: a second would need
+    # a test to keep it in step, and its errors could read differently
+    readers = {p.name: readers_of(p.read_text(encoding="utf-8"), name)
+               for p in MODULES}
+    assert readers.pop("forward.py") == ["build_lattice"]
+    assert not any(readers.values()), readers
+
+
+def test_cli_imports_only_the_lattice_from_forward():
+    cli = ROOT / "src" / "fptree" / "cli.py"
+    assert names_imported(cli.read_text(encoding="utf-8"), "forward") == [
+        "Lattice", "build_lattice", "dump_lattice"]
