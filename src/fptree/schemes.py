@@ -26,13 +26,15 @@ overflows to inf and then nan, and those values are carried through and
 reported, never raised.  In a sum nan dominates, infinities of one sign
 give that infinity, mixed infinities give nan and finite overflow gives
 a signed infinity.  Only the implicit root-solve raises, since a
-failed solve has no value to carry.  A level that is all nan makes
-every level below it all nan, for every kind and driver: the children
-enter m additively and z linearly, truncation keeps nan, and the solve
-returns nan wherever m is not finite.  Every node of such a level runs
-the same arithmetic, so once a level read as one nan bit pattern gives
-back that pattern at every y and z node, the sweep has reached a fixed
-point and fills the levels below without computing them.
+failed solve has no value to carry.  A nan's sign and payload bits
+are not data: IEEE 754 leaves them open where two nans meet, and every
+writer prints any nan as nan.  A run equals _level applied level by
+level in every other bit, -0.0 and the sign of an inf included.  A
+level that is all nan makes every level below it all nan, for every
+kind and driver: the children enter m additively and z linearly,
+truncation keeps nan, and the solve returns nan wherever m is not
+finite.  So an all-nan child level, whatever its bits, is a fixed
+point: the sweep fills the levels below with its first nan.
 
 run_backward steps through two forms of this map.  Where the driver
 declares L_z = 0 and y is m (theta = 0) or the closed-form root, y
@@ -84,9 +86,6 @@ _MAX_ITER = 100
 # nodes of the levels that one _solve call checks and one z pass fills
 # (run_backward)
 _CHECK_NODES = 2048
-# the bits of the nan that an invalid operation, such as inf - inf, makes
-with np.errstate(invalid="ignore"):
-    _NAN = int((np.array([math.inf]) - math.inf).view(np.int64)[0])
 _FAILURES = (
     None,
     "implicit residual became non-finite",
@@ -358,60 +357,33 @@ class ValueFunctions(NamedTuple):
         return weight_values(self.lattice.time_grid.h)[1]
 
 
-def _one_nan(nxt: np.ndarray, *levels: np.ndarray) -> bool:
-    """Whether nxt and each level hold nxt[0]'s bit pattern at every
-    node."""
-    bits = nxt[:1].view(np.int64)
-    return all(bool((a.view(np.int64) == bits).all())
-               for a in (nxt,) + levels)
-
-
-def _odd_nan(v: np.ndarray) -> bool:
-    """Whether v holds a nan of other bits than an invalid operation
-    makes (_NAN)."""
-    nans = np.count_nonzero(np.isnan(v))
-    return bool(nans) and nans != np.count_nonzero(v.view(np.int64) == _NAN)
-
-
 def _z_levels(lattice: Lattice, top: int, kids, W: np.ndarray,
               H: np.ndarray):
     """The z levels of levels top, top - 1, ... from the list kids of
     their (truncated) child levels, in one pass over the block of
-    Lattice.gather_levels: each is _level's z = _branch_sum(W v H).
-
-    Where two nans of different bits meet, numpy's SIMD loops pick the
-    result's bits by the element's place in the array, and a level's
-    place in the block is not its place in its own gather block.  Every
-    nan an operation makes has the bits _NAN, so only children that
-    hold a nan of other bits can meet one.  Where the block's z sums to
-    nan and the child levels hold such a nan, each level that holds one
-    takes its z from its own gather block.
-    """
-    flat = np.concatenate(kids)
-    block, starts = lattice.gather_levels(top, len(kids), flat)
+    Lattice.gather_levels: each is _level's z = _branch_sum(W v H)."""
+    block, starts = lattice.gather_levels(top, len(kids), np.concatenate(kids))
     z = _branch_sum(W * block * H)
-    levels = [z[s:s + len(lattice.supports[top - j])]
-              for j, s in enumerate(starts)]
-    if math.isnan(z.sum()) and _odd_nan(flat):
-        levels = [_branch_sum(W * lattice.gather(top - j, v) * H)
-                  if _odd_nan(v) else a
-                  for j, (a, v) in enumerate(zip(levels, kids))]
-    return levels
+    return [z[s:s + len(lattice.supports[top - j])]
+            for j, s in enumerate(starts)]
 
 
 def _check(ms, zs, ys, driver: DriverSpec, hh: float):
     """The Newton total and maximum of one _solve call over the
     concatenated levels of m and z, or None where that call raises or
-    its y differs in any bit, nan patterns included, from ys.  ys, the
-    levels' roots, are the call's start, so it does not compute them
-    again: a solve of each level would start from the same values."""
+    its y differs from ys in any bit at a node where the two are not
+    both nan.  ys, the levels' roots, are the call's start, so it does
+    not compute them again: a solve of each level would start from the
+    same values."""
     y0 = np.concatenate(ys)
     try:
         y, _, total, most = _solve(np.concatenate(ms), np.concatenate(zs),
                                    driver, hh, y0)
     except SolverError:
         return None
-    if not np.array_equal(y.view(np.int64), y0.view(np.int64)):
+    differ = y.view(np.int64) != y0.view(np.int64)
+    if differ.any() and not (np.isnan(y[differ]).all()
+                             and np.isnan(y0[differ]).all()):
         return None
     return total, most
 
@@ -441,18 +413,19 @@ def run_backward(
     eval(v, None), and gathered with the level (v itself at theta = 1),
     and y is m or root(m, None, hh).  A driver that declares L_z = 0
     must not read z.  Once the levels since the last pass hold
-    _CHECK_NODES nodes, at level 0, and before a nan fixed point's test
-    reads a level's z, one pass fills their z (_z_levels), and where
+    _CHECK_NODES nodes, and before level 0's or an all-nan child level
+    would be read, one pass fills their z (_z_levels), and where
     theta > 0 one _solve call over their concatenated m and z checks
-    their roots (_check): where it returns each root bit for bit, those
-    are the values level by level solving gives, and its counts are
-    theirs.  The check starts Newton at the roots it checks, as each
-    level's solve would, so no root is computed twice.  Every other
-    level goes through _level, with its own _solve where theta > 0:
-    those of a driver with a z term, whose root is only a start, of a
-    driver without a root, and every level from the block of a failed
-    check down, which gives that solve's values, counts and
-    SolverError.
+    their roots (_check): where it returns each root, bit for bit or as
+    a nan, those are the values level by level solving gives, and its
+    counts are theirs.  The check starts Newton at the roots it checks,
+    as each level's solve would, so no root is computed twice.  Every
+    other level goes through _level, with its own _solve where
+    theta > 0: those of a driver with a z term, whose root is only a
+    start, of a driver without a root, and every level from the block
+    of a failed check down, which gives that solve's values, counts and
+    SolverError.  An all-nan child level ends the sweep at the module
+    docstring's fixed point, with no solve and no iterations below it.
     """
     base = lattice.model
     if spec._replace(g=base.g, driver=base.driver) != base:
@@ -482,22 +455,39 @@ def run_backward(
         vals = np.broadcast_to(spec.g(x), x.shape).astype(float)
     y_levels = [vals]
     z_levels = []
-    iters_total = 0
-    iters_max = 0
+    iters_total = iters_max = 0
     # while `fast` holds, levels compute m and y alone; `kids` and `ms`
     # hold the child levels and the m of those still without z, and
     # `nodes` counts their nodes
     hh = theta * h
     root = driver.root
     fast = driver.L_z == 0.0 and (theta == 0.0 or root is not None)
-    kids = []
-    ms = []
-    nodes = 0
+    kids, ms, nodes = [], [], 0
 
     with np.errstate(all="ignore"):
         i = tg.N - 1
-        while i >= 0:
+        while True:
             nxt = y_levels[-1]
+            # past level 0, or at the module docstring's fixed point
+            stop = i < 0 or (math.isnan(nxt[0]) and np.isnan(nxt).all())
+            if kids and (stop or nodes >= _CHECK_NODES):
+                n = len(kids)
+                z_levels[-n:] = _z_levels(lattice, i + n, kids, W, H)
+                counts = (0, 0) if theta == 0.0 else _check(
+                    ms, z_levels[-n:], y_levels[-n:], driver, hh)
+                kids, ms, nodes = [], [], 0
+                if counts is None:
+                    # some root is not its level's value: the block's
+                    # levels and all below run through _level, as a root
+                    # that misses once tends to miss again
+                    del y_levels[-n:], z_levels[-n:]
+                    fast = False
+                    i += n
+                    continue
+                iters_total += counts[0]
+                iters_max = max(iters_max, counts[1])
+            if stop:
+                break
             # truncation is elementwise: truncating the level once equals
             # truncating each node's children
             v = nxt if clamp is None else clamp(nxt)
@@ -524,36 +514,12 @@ def run_backward(
                 iters_max = max(iters_max, most)
             y_levels.append(y)
             z_levels.append(z)
-            # a nan fixed point needs one nan pattern in y first, and z
-            # is read only then
-            stop = math.isnan(nxt[0]) and _one_nan(nxt, y)
-            if kids and (stop or i == 0 or nodes >= _CHECK_NODES):
-                n = len(kids)
-                z_levels[-n:] = _z_levels(lattice, i + n - 1, kids, W, H)
-                counts = (0, 0) if theta == 0.0 else _check(
-                    ms, z_levels[-n:], y_levels[-n:], driver, hh)
-                kids = []
-                ms = []
-                nodes = 0
-                if counts is None:
-                    # some root is not its level's value: the block's
-                    # levels and all below run through _level, as a root
-                    # that misses once tends to miss again
-                    del y_levels[-n:], z_levels[-n:]
-                    fast = False
-                    i += n - 1
-                    continue
-                iters_total += counts[0]
-                iters_max = max(iters_max, counts[1])
-            if stop and _one_nan(nxt, z_levels[-1]):
-                # the fixed point of the module docstring: no solve runs
-                # on a nan level, so the skipped levels add no iterations
-                for j in range(i - 1, -1, -1):
-                    n = len(lattice.supports[j])
-                    y_levels.append(np.full(n, nxt[0]))
-                    z_levels.append(np.full(n, nxt[0]))
-                break
             i -= 1
+    # the fixed point fills levels i..0; past level 0 there are none
+    for j in range(i, -1, -1):
+        n = len(lattice.supports[j])
+        y_levels.append(np.full(n, nxt[0]))
+        z_levels.append(np.full(n, nxt[0]))
 
     if kind == "full_projection_post":
         y_levels = [clamp(y) for y in y_levels]
