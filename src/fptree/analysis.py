@@ -33,10 +33,10 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .forward import Lattice
-from .grids import WEIGHTS, TruncationConfig, _power, alpha_cap, truncate
+from .grids import TruncationConfig, _power, alpha_cap, truncate
 from .model import DriverSpec
 from .oracle import OracleError
-from .schemes import SchemeConfig, ValueFunctions, _branch_sum, run_backward
+from .schemes import SchemeConfig, ValueFunctions, run_backward
 from .treeval import chain_law, l2_norms
 
 __all__ = [
@@ -387,9 +387,10 @@ def one_step_checks(
     guaranteed for the full-projection scheme within the stated h
     thresholds; violations beyond tolerance indicate bugs.  Outside the
     thresholds the ledger still runs, flagged not applicable.  All
-    levels are evaluated at once, on the concatenated level values and
-    the lattice's flat child index; every operation is elementwise, so
-    each node's residual is the one a level-by-level pass computes.
+    levels are evaluated at once, on the concatenated level values, and
+    E_i[T(Y)^2] or E_i[dY^2] is one Lattice.expect over all levels; every
+    operation is elementwise, so each node's residual is the one a
+    level-by-level pass computes.
     """
     lattice = run.lattice
     drv = run.model.driver
@@ -407,7 +408,6 @@ def one_step_checks(
                              "object, got %s and %s"
                              % (drv.label, run2.model.driver.label))
     h = lattice.time_grid.h
-    W = np.array(WEIGHTS)[:, None]
 
     reasons = []
     h_max = _quotient(1.0, 16.0 * _D_PLUS_1 * _power(drv.L_z, 2))
@@ -432,7 +432,7 @@ def one_step_checks(
             z = np.concatenate(run.z) - np.concatenate(run2.z)
             nxt = v[sizes[0]:]
         y = v[:len(z)]
-        e_sq = _branch_sum(W * nxt[lattice.child_index()] ** 2)
+        e_sq = lattice.expect(range(len(sizes)), nxt ** 2)
         rhs = _guarded_product(ech, e_sq) + tail
         residual = y * y + 0.125 * z * z * h - rhs
     return _ledger(kind, reasons, c, residual, rhs, sizes)

@@ -12,8 +12,8 @@ grid hull is tolerated but counted.  The projected lattice is built a
 level at a time: b(t, x) and sigma(t, x) are called once per level with
 a float t and the float64 array x of the level's states, so they must
 accept arrays.  A lattice spans its model's horizon [0, spec.T] in N
-steps.  Lattice owns the layout: only its gather, gather_levels, push
-and child_index read the child tables.
+steps.  Lattice owns the layout: only its gather, expect and push read
+the child tables.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ __all__ = [
     "build_lattice",
     "dump_lattice",
 ]
+
+# the branch weights as float64 0-d arrays, which numpy applies faster
+# than Python floats, to the same bits: the outer branches' (WEIGHTS[0]
+# == WEIGHTS[2]), the middle one's and the (branches, 1) column
+_OUTER = np.array(WEIGHTS[0])
+_MIDDLE = np.array(WEIGHTS[1])
+_W = np.array(WEIGHTS)[:, None]
 
 
 class Lattice(NamedTuple):
@@ -79,28 +86,44 @@ class Lattice(NamedTuple):
             return block
         return values[self.children[level].T]
 
-    def gather_levels(self, top: int, k: int, flat: np.ndarray):
-        """Child values of the k levels top, top - 1, ..., top + 1 - k
-        at once.
+    def expect(self, levels, values: np.ndarray,
+               H: Optional[np.ndarray] = None) -> np.ndarray:
+        """E[v] at every node of levels, side by side in their order, or
+        E[v H] given the (branches, 1) column H of Z weights.
 
-        flat holds their child levels top + 1, top, ..., top + 2 - k,
-        concatenated in that order.  Returns (block, starts): level
-        top - j's gather block is block[:, starts[j]:starts[j] + n], n
-        its node count.  On the tree the block is one read-only view of
-        flat, whose two columns that straddle each pair of levels
-        belong to no level.
+        levels is a sequence of level indices, and values holds their
+        child levels concatenated in the same order.  A node's sum is
+        (W0 v0 H0 + W2 v2 H2) + W1 v1 H1 over its children, the plain
+        branch sum of its column of WEIGHTS * gather(level, values) * H,
+        bit for bit.  On the tree q = W0 values gives both outer terms,
+        as WEIGHTS[0] == WEIGHTS[2], through the shifted views q[:-2]
+        and q[2:], so no (branches, nodes) block is formed; the two sums
+        that straddle each pair of child levels belong to no level and
+        are dropped.  Callers run it under np.errstate(all="ignore"):
+        overflow is data.
         """
-        offsets = list(accumulate(
-            map(len, self.supports[top + 1:top + 2 - k:-1]), initial=0))
+        if len(levels) > 1:
+            # where each level's child level starts in values
+            starts = list(accumulate(
+                (len(self.supports[i + 1]) for i in levels), initial=0))
         if self.children is None:
-            block = np.ndarray((len(WEIGHTS), len(flat) - len(WEIGHTS) + 1),
-                               dtype=flat.dtype, buffer=flat,
-                               strides=flat.strides * 2)
-            block.flags.writeable = False
-            return block, offsets
-        tables = [self.children[top - j] + s for j, s in enumerate(offsets)]
-        starts = list(accumulate(map(len, tables[:-1]), initial=0))
-        return flat[np.concatenate(tables).T], starts
+            q = _OUTER * values
+            mid = _MIDDLE * values[1:-1]
+            if H is None:
+                sums = (q[:-2] + q[2:]) + mid
+            else:
+                sums = (q[:-2] * H[0] + q[2:] * H[2]) + mid * H[1]
+            if len(levels) == 1:
+                return sums
+            return np.concatenate([sums[s:s + len(self.supports[i])]
+                                   for i, s in zip(levels, starts)])
+        table = (self.children[levels[0]] if len(levels) == 1
+                 else np.concatenate([self.children[i] + s
+                                      for i, s in zip(levels, starts)]))
+        t = _W * values[table.T]
+        if H is not None:
+            t = t * H
+        return (t[0] + t[2]) + t[1]
 
     def push(self, level: int, masses: np.ndarray) -> np.ndarray:
         """Masses of level + 1, each child summing masses[p] * WEIGHTS[j]
@@ -109,35 +132,19 @@ class Lattice(NamedTuple):
             # node p feeds p + j along branch j; adding the shifted
             # branches last-first gives each child the sum of a
             # node-major per-node push, (m[k-2] w2 + m[k-1] w1) + m[k] w0
-            # for m = masses.  The bincount below gives the same sums
-            # but takes about 1.6 times as long on a 120-step tree.
-            nxt = np.zeros(len(masses) + len(WEIGHTS) - 1)
-            for j in reversed(range(len(WEIGHTS))):
-                nxt[j:j + len(masses)] += masses * WEIGHTS[j]
+            # for m = masses, where q = m w0 is both outer branches' term.
+            # The bincount below gives the same sums but takes about 1.6
+            # times as long on a 120-step tree.
+            q = masses * _OUTER
+            nxt = np.zeros(len(masses) + 2)
+            nxt[2:] += q
+            nxt[1:-1] += masses * _MIDDLE
+            nxt[:-2] += q
             return nxt
         # bincount adds in node-major order too
         return np.bincount(self.children[level].ravel(),
-                           weights=(masses[:, None]
-                                    * np.asarray(WEIGHTS)).ravel(),
+                           weights=(masses[:, None] * _W.T).ravel(),
                            minlength=len(self.supports[level + 1]))
-
-    def child_index(self) -> np.ndarray:
-        """Children of every node of levels 0..N-1, (branches, nodes).
-
-        Nodes count through np.concatenate(supports[:-1]) and children
-        through np.concatenate(supports[1:]), so indexing the
-        concatenated values of levels 1..N with it gives the gather
-        blocks of all levels side by side, root level first.
-        """
-        if self.children is None:
-            # level i's 2i+1 nodes start at i^2 and their children at
-            # i^2 + 2i among levels 1..N: node k's children are k + 2i + j
-            n = np.arange(self.time_grid.N)
-            return (np.arange(len(n) * len(n)) + np.repeat(2 * n, 2 * n + 1)
-                    + np.arange(len(WEIGHTS))[:, None])
-        sizes = [len(s) for s in self.supports]
-        offsets = np.repeat(np.cumsum([0] + sizes[1:-1]), sizes[:-1])
-        return (np.concatenate(self.children) + offsets[:, None]).T
 
 
 def _tree(spec: ModelSpec, N: int, h: float):

@@ -10,7 +10,8 @@ with theta = 0 for explicit_euler and the full-projection kinds, 1 for
 implicit_euler and the configured value for theta.  At theta = 0 the
 map is explicit and needs no solve.  Each expectation is the plain
 branch sum of :func:`_branch_sum` over the level's three weighted branch
-arrays.  The full-projection kinds add the radial truncation T:
+arrays, which Lattice.expect gives bit for bit without forming the
+block.  The full-projection kinds add the radial truncation T:
 
 * full_projection_pre   truncates the children before the step
 * full_projection_post  reports the truncated values T(y) of that sweep
@@ -38,17 +39,17 @@ point: the sweep fills the levels below with its first nan.
 
 run_backward steps through two forms of this map.  Where the driver
 declares L_z = 0 and y is m (theta = 0) or the closed-form root, y
-needs no z: a level computes m and y alone, and z is filled in one
-pass per block of about _CHECK_NODES nodes, whose child levels side by
-side (Lattice.gather_levels) give every level's z bit for bit as the
-level's own block does (_z_levels).  Every other level, and every
-level below a root that a solve does not confirm, is one call of
-_level.
+needs no z: a level computes m and y alone through Lattice.expect, and
+z is filled in one Lattice.expect pass per block of about _CHECK_NODES
+nodes, over their child levels side by side (_z_levels).  Every other
+level, and every level below a root that a solve does not confirm, is
+one call of _level, on the level's gather block.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, pairwise
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -357,15 +358,14 @@ class ValueFunctions(NamedTuple):
         return weight_values(self.lattice.time_grid.h)[1]
 
 
-def _z_levels(lattice: Lattice, top: int, kids, W: np.ndarray,
-              H: np.ndarray):
+def _z_levels(lattice: Lattice, top: int, kids, H: np.ndarray):
     """The z levels of levels top, top - 1, ... from the list kids of
-    their (truncated) child levels, in one pass over the block of
-    Lattice.gather_levels: each is _level's z = _branch_sum(W v H)."""
-    block, starts = lattice.gather_levels(top, len(kids), np.concatenate(kids))
-    z = _branch_sum(W * block * H)
-    return [z[s:s + len(lattice.supports[top - j])]
-            for j, s in enumerate(starts)]
+    their (truncated) child levels, in one Lattice.expect pass over
+    them side by side: each is _level's z = _branch_sum(W v H)."""
+    levels = range(top, top - len(kids), -1)
+    z = lattice.expect(levels, np.concatenate(kids), H)
+    ends = accumulate((len(lattice.supports[i]) for i in levels), initial=0)
+    return [z[a:b] for a, b in pairwise(ends)]
 
 
 def _check(ms, zs, ys, driver: DriverSpec, hh: float):
@@ -410,7 +410,7 @@ def run_backward(
     L_z = 0 and y is m (theta = 0) or the closed-form root
     (DriverSpec.root), a level computes m and y alone: its term
     v + (1 - theta) h f(v) is computed once on the child level, with
-    eval(v, None), and gathered with the level (v itself at theta = 1),
+    eval(v, None), m is its Lattice.expect (v's itself at theta = 1),
     and y is m or root(m, None, hh).  A driver that declares L_z = 0
     must not read z.  Once the levels since the last pass hold
     _CHECK_NODES nodes, and before level 0's or an all-nan child level
@@ -435,7 +435,7 @@ def run_backward(
     h = tg.h
     driver = spec.driver
     f = driver.eval
-    gather = lattice.gather
+    expect = lattice.expect
 
     kind = cfg.kind
     clamp = None
@@ -456,9 +456,9 @@ def run_backward(
     y_levels = [vals]
     z_levels = []
     iters_total = iters_max = 0
-    # while `fast` holds, levels compute m and y alone; `kids` and `ms`
-    # hold the child levels and the m of those still without z, and
-    # `nodes` counts their nodes
+    # while `fast` holds, levels compute m and y alone; `kids` holds the
+    # child levels of those still without z, `ms` their m where
+    # theta > 0, which _check reads, and `nodes` counts their nodes
     hh = theta * h
     root = driver.root
     fast = driver.L_z == 0.0 and (theta == 0.0 or root is not None)
@@ -472,7 +472,7 @@ def run_backward(
             stop = i < 0 or (math.isnan(nxt[0]) and np.isnan(nxt).all())
             if kids and (stop or nodes >= _CHECK_NODES):
                 n = len(kids)
-                z_levels[-n:] = _z_levels(lattice, i + n, kids, W, H)
+                z_levels[-n:] = _z_levels(lattice, i + n, kids, H)
                 counts = (0, 0) if theta == 0.0 else _check(
                     ms, z_levels[-n:], y_levels[-n:], driver, hh)
                 kids, ms, nodes = [], [], 0
@@ -493,16 +493,17 @@ def run_backward(
             v = nxt if clamp is None else clamp(nxt)
             if fast:
                 d = v if theta == 1.0 else v + f(v, None) * c
-                m = _branch_sum(W * gather(i, d))
-                y = m if theta == 0.0 else root(m, None, hh)
+                y = m = expect((i,), d)
+                if theta != 0.0:
+                    y = root(m, None, hh)
+                    ms.append(m)
                 z = None
                 kids.append(v)
-                ms.append(m)
                 nodes += y.size
             else:
                 try:
-                    y, z, total, most = _level(gather(i, v), W, H, driver, h,
-                                               theta)
+                    y, z, total, most = _level(lattice.gather(i, v), W, H,
+                                               driver, h, theta)
                 except SolverError as err:
                     raise SolverError(
                         "implicit solve failed at N=%d level %d node %d: %s"

@@ -44,6 +44,12 @@ def float_key(v):
     return "nan" if v != v else float_bits(v)
 
 
+def level_bytes(levels):
+    """The bytes of each level with every nan written as math.nan: a
+    nan's sign and payload bits are not data."""
+    return [np.where(np.isnan(a), math.nan, a).tobytes() for a in levels]
+
+
 # the trinomial's branch weights as exact Fractions
 W_EXACT = (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
 

@@ -11,7 +11,9 @@ import fptree as fp
 from fptree.grids import ConfigurationError
 from fptree.model import ModelSpec, constant_b_sigma
 
-from conftest import build, child_indices
+from fptree.schemes import _branch_sum
+
+from conftest import WCOL, build, child_indices, col, level_bytes
 
 
 def one_step(spec, h, grid):
@@ -122,43 +124,17 @@ class TestBuildLattice:
         None, fp.SpatialGrid(x0=0.0, eta=0.05, M=60),
     ], ids=["tree", "projected"])
     def test_child_index_is_every_gather_side_by_side(self, grid):
-        rng = np.random.default_rng(9)
-        for N in (1, 2, 9, 25):
-            lat = build(fp.experiment1_model(), N, grid)
-            vals = [rng.standard_normal(len(s)) for s in lat.supports]
-            index = lat.child_index()
-            assert index.dtype == np.int64
-            flat = np.concatenate(vals[1:])[index]
-            assert flat.shape == (3, sum(len(s) for s in lat.supports[:-1]))
-            assert bitwise_equal(flat, np.hstack(
-                [lat.gather(i, vals[i + 1]) for i in range(N)])), N
+        # the children of levels lo..top, root side first, summed at
+        # once: range(N) is the form one_step_checks passes
+        assert_expect_runs(grid, down=False)
 
     @pytest.mark.parametrize("grid", [
         None, fp.SpatialGrid(x0=0.0, eta=0.05, M=60),
     ], ids=["tree", "projected"])
     def test_gather_levels_is_each_gather_side_by_side(self, grid):
-        # every run of consecutive levels top..lo: level top - j's gather
-        # block sits at starts[j]; on the tree the two columns after each
-        # level straddle two child levels and belong to none
-        rng = np.random.default_rng(11)
-        for N in (1, 2, 9, 25):
-            lat = build(fp.experiment1_model(), N, grid)
-            vals = [rng.standard_normal(len(s)) for s in lat.supports]
-            for top in range(N):
-                for lo in range(top + 1):
-                    block, starts = lat.gather_levels(
-                        top, top + 1 - lo,
-                        np.concatenate(vals[top + 1:lo:-1]))
-                    sizes = [len(lat.supports[i])
-                             for i in range(top, lo - 1, -1)]
-                    gap = 2 if grid is None else 0
-                    assert starts == [sum(sizes[:j]) + gap * j
-                                      for j in range(len(sizes))]
-                    assert block.shape == (3, starts[-1] + sizes[-1])
-                    for j, (s, n) in enumerate(zip(starts, sizes)):
-                        assert bitwise_equal(block[:, s:s + n], lat.gather(
-                            top - j, vals[top + 1 - j])), (N, top, lo, j)
-                    assert block.flags.writeable == (grid is not None)
+        # the children of levels top..lo, top first, summed at once: the
+        # form the z pass passes
+        assert_expect_runs(grid, down=True)
 
     def test_supports_shift_with_drift(self):
         m = fp.make_constant_model(
@@ -211,6 +187,122 @@ class TestBuildLattice:
 # ---------------------------------------------------------------------------
 # The array lattice against the tuple-of-floats construction it replaced
 # ---------------------------------------------------------------------------
+
+
+# float64 values at the edges of arithmetic: signed zeros and
+# infinities, nans of both signs, a signalling nan, subnormals and values
+# whose products and sums overflow
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    *np.frombuffer(np.array([0x7FF0000000000001, 0xFFF8000000000123],
+                            dtype=np.uint64).tobytes()).tolist(),
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e308, -6e307,
+]
+
+
+def block_sums(lat, levels, values, H=None):
+    """Lattice.expect's reference: schemes._branch_sum(W * block * H) of
+    the levels' gather block side by side, positioned as expect sums
+    them.  A sum whose two outer terms are nans of different bits takes
+    either's bits by its place in the array, so the reference sums the
+    tree's child rows of the whole of values and then drops the two
+    columns that straddle each pair of child levels."""
+    starts = np.cumsum([0] + [len(lat.supports[i + 1]) for i in levels])
+    if lat.children is None:
+        block = np.stack([values[:-2], values[1:-1], values[2:]])
+    else:
+        block = values[np.concatenate(
+            [lat.children[i] + s for i, s in zip(levels, starts)]).T]
+    sums = _branch_sum(WCOL * block if H is None else WCOL * block * H)
+    if lat.children is not None:
+        return sums
+    return np.concatenate([sums[s:s + len(lat.supports[i])]
+                           for i, s in zip(levels, starts)])
+
+
+def level_sums(lat, levels, values, H=None):
+    """_branch_sum(W * gather(i, child) * H) of each level of levels on
+    its own, side by side: the level operator's sums."""
+    starts = np.cumsum([0] + [len(lat.supports[i + 1]) for i in levels])
+    sums = []
+    for i, s in zip(levels, starts):
+        kids = lat.gather(i, values[s:s + len(lat.supports[i + 1])])
+        sums.append(_branch_sum(WCOL * kids if H is None
+                                else WCOL * kids * H))
+    return np.concatenate(sums)
+
+
+def assert_expect_runs(grid, down):
+    """Lattice.expect over every run of consecutive levels of 1- to
+    25-step lattices, upward or downward, with and without Z weights,
+    is each level's own gather block sum, side by side in the order of
+    levels, bit for bit."""
+    rng = np.random.default_rng(11)
+    H = col(fp.weight_values(0.04)[0])
+    for N in (1, 2, 9, 25):
+        lat = build(fp.experiment1_model(), N, grid)
+        vals = [rng.standard_normal(len(s)) for s in lat.supports]
+        for top in range(N):
+            for lo in range(top + 1):
+                levels = (range(top, lo - 1, -1) if down
+                          else range(lo, top + 1))
+                flat = np.concatenate([vals[i + 1] for i in levels])
+                for Hj in (None, H):
+                    got = lat.expect(levels, flat, Hj)
+                    assert got.dtype == np.float64
+                    assert bitwise_equal(got, level_sums(
+                        lat, levels, flat, Hj)), (N, levels)
+        # one level as a tuple, the form run_backward passes
+        assert bitwise_equal(lat.expect((N - 1,), vals[N]),
+                             level_sums(lat, [N - 1], vals[N]))
+
+
+class TestExpect:
+    """Lattice.expect is the level operator's branch sum, bit for bit."""
+
+    def test_outer_branches_share_one_weight(self):
+        # the tree's expect and push take W0 v once for both outer
+        # branches: an asymmetric law must fail here, not sum wrongly
+        assert fp.WEIGHTS[0] == fp.WEIGHTS[2]
+
+    @given(
+        projected=st.booleans(), N=st.integers(1, 10),
+        ends=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        down=st.booleans(),
+        # two of three values special, tiled over the child levels
+        picks=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                                 st.sampled_from(SPECIAL_FLOATS),
+                                 st.floats()), min_size=1, max_size=40),
+        h=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+    )
+    # outer children that are nans of both signs, at every place of a
+    # level wider than one SIMD register, with Z weights
+    @example(projected=False, N=10, ends=(9, 9), down=False,
+             picks=[math.nan, math.nan, -math.nan, -math.nan], h=0.01)
+    # and over many levels side by side
+    @example(projected=False, N=10, ends=(2, 9), down=True,
+             picks=[math.nan, -math.nan, 1.0, -math.nan, math.nan],
+             h=None)
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_on_special_values(self, projected, N, ends, down,
+                                       picks, h):
+        # raw bytes, nan bits included, against the block form at the
+        # same places; against each level's own block up to nan bits
+        grid = fp.SpatialGrid(x0=0.0, eta=0.05, M=30) if projected else None
+        lat = build(fp.experiment1_model(), N, grid)
+        lo, top = sorted(e % N for e in ends)
+        levels = range(top, lo - 1, -1) if down else range(lo, top + 1)
+        size = sum(len(lat.supports[i + 1]) for i in levels)
+        values = np.resize(np.array(picks, dtype=np.float64), size)
+        H = None if h is None else col(fp.weight_values(h)[0])
+        event("one level" if len(levels) == 1 else "many levels")
+        with np.errstate(all="ignore"):
+            got = lat.expect(levels, values, H)
+            want = block_sums(lat, levels, values, H)
+            own = level_sums(lat, levels, values, H)
+        assert got.tobytes() == want.tobytes()
+        assert level_bytes([got]) == level_bytes([own])
 
 
 def tuple_tree_supports(spec, tg):

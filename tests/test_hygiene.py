@@ -186,7 +186,7 @@ def test_scan_flags_an_attribute_read():
     ids=lambda p: p.name)
 def test_only_forward_reads_child_tables(path):
     # forward.Lattice owns the lattice layout: the other modules go
-    # through gather, push and child_index
+    # through gather, expect and push
     assert attribute_reads(path.read_text(encoding="utf-8"),
                            "children") == []
 

@@ -17,8 +17,8 @@ from fptree.schemes import (
 )
 
 from conftest import (
-    WCOL, build, child_indices, col, float_key, one_node, reference_solve,
-    scalar_truncate,
+    WCOL, build, child_indices, col, float_key, level_bytes, one_node,
+    reference_solve, scalar_truncate,
 )
 
 CUBIC = fp.poly_driver((0.0, 0.0, 0.0, -1.0))
@@ -771,12 +771,6 @@ def shortcut_free_sweep(cfg, lattice, spec):
     return ys[::-1], zs[::-1], total, most
 
 
-def level_bytes(levels):
-    """The bytes of each level with every nan written as math.nan: a
-    nan's sign and payload bits are not data."""
-    return [np.where(np.isnan(a), math.nan, a).tobytes() for a in levels]
-
-
 class TestAllNanLevels:
     # an extent of 3.0 keeps the explicit run finite at N=40; 6.0 does not
     @pytest.mark.parametrize("grid", [
@@ -815,11 +809,17 @@ class TestAllNanLevels:
         spec = exp1_model._replace(g=lambda x: np.where(
             np.arange(x.size) % 2 == 0, math.nan, neg_nan))
         cfg = fp.SchemeConfig(kind=kind)
-        with mock.patch.object(schemes, "_branch_sum",
-                               wraps=schemes._branch_sum) as sums:
-            got = run_outcome(backward, cfg, lattice, spec)
-        assert sums.call_count == 0
+        sums, got = count_sums(lambda: run_outcome(backward, cfg, lattice,
+                                                   spec))
+        assert sums == 0
         assert got == run_outcome(level_by_level, cfg, lattice, spec)
+        # the spies see the sums of a run that has them: from the finite
+        # terminal, one expect per level and one per z pass; explicit
+        # computes levels 39..31 and stops at the all-nan level 31
+        finite, _ = count_sums(lambda: fp.run_backward(cfg, lattice,
+                                                       exp1_model))
+        levels = 9 if kind == "explicit_euler" else 40
+        assert finite == levels + 1
 
     def test_infinite_terminal_node_keeps_block_checks(self, exp1_model):
         # g = inf at the top node gives nan levels whose nans the solve
@@ -1219,6 +1219,17 @@ class TestZBlocks:
             kind="implicit_euler"), lattice, spec)
         assert count_z_passes(implicit)[0] == count_solves(implicit) \
             == passes
+
+
+def count_sums(run):
+    """The number of branch sums that run() makes, through
+    Lattice.expect or schemes._branch_sum, and its result."""
+    with mock.patch.object(Lattice, "expect", autospec=True,
+                           side_effect=Lattice.expect) as expect, \
+            mock.patch.object(schemes, "_branch_sum",
+                              wraps=schemes._branch_sum) as branch_sum:
+        result = run()
+    return expect.call_count + branch_sum.call_count, result
 
 
 def count_z_passes(run):
